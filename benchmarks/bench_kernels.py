@@ -1,13 +1,16 @@
 """Time the two term-table evaluators against each other.
 
-The hot loop of the whole library is eval_table: double-double Horner
-over a mode's half-angle polynomial at every grid point. It exists twice
-(numba njit and vectorized numpy); this script times both on the same
-workload so the backend choice in _backend.py stays an informed one.
+eval_table is double-double Horner over a mode's half-angle polynomial at
+every requested point. It exists twice (numba njit and vectorized numpy);
+this script times both on the same workload so the backend choice in
+_backend.py stays an informed one.
 
 Workload: every (j, m) profile for a chosen spin weight up to a band
-limit, evaluated on the matching quadrature grid's theta nodes repeated
-n_phi times, which is exactly what a full analyze/synthesize pass does.
+limit, evaluated once at the matching quadrature grid's n_theta
+colatitude nodes. That is what filling one derivative table in tables.py
+costs, once per grid. analyze and synthesize evaluate no profiles per
+call: their order-0 tables come from the j-recurrence, seeded by one
+Horner profile per m.
 
 Run:  python benchmarks/bench_kernels.py [--band 32] [--spin -2] [--repeat 5]
 """
@@ -23,8 +26,7 @@ from swsh.grid import make_grid
 
 
 def build_workload(spin, band):
-    grid = make_grid(band)
-    theta = np.repeat(grid.theta, grid.n_phi)
+    theta = make_grid(band).theta
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
     u = c * c

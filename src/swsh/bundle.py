@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
-from .grid import GridFunction, SphereGrid, standard_frame
+from .grid import GridCache, GridFunction, SphereGrid, geometry_key, standard_frame
 from .modes import profile
-from .transform import analyze
+from .tables import radial_factors, rings_to_grid
+from .transform import analysis_matrix
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
 ROTATION_STEP = 1e-4
@@ -218,16 +219,11 @@ def _component_fields(components, rank):
 
 def _spectral_derivatives(grid, field):
     """(d/dtheta, d/dphi) of one scalar field via its mode expansion."""
-    coeffs = analyze(GridFunction(grid, 0, field))
-    dth = np.zeros(grid.shape, dtype=np.complex128)
-    dph = np.zeros(grid.shape, dtype=np.complex128)
-    for (j, m), v in coeffs.sorted_items():
-        ring = np.exp(1j * m * grid.phi)[None, :]
-        dp = profile(0, j, m, grid.theta, order=1)
-        dth += v * dp[:, None] * ring
-        if m:
-            p = profile(0, j, m, grid.theta)
-            dph += (1j * m) * v * p[:, None] * ring
+    coeffs = analysis_matrix(GridFunction(grid, 0, field))
+    L = coeffs.shape[1] - 1
+    m = np.arange(-L, L + 1)[:, None]
+    dth = rings_to_grid(grid, radial_factors(grid, 0, coeffs, order=1))
+    dph = rings_to_grid(grid, 1j * m * radial_factors(grid, 0, coeffs))
     return dth, dph
 
 
@@ -303,7 +299,9 @@ def _rotation_matrix(axis, angle):
     return c * np.eye(3) + s * ux + (1.0 - c) * np.outer(u, u)
 
 
-_resample_cache = {}
+RESAMPLE_CACHE_BYTES = 128 * 2**20
+
+_resample_cache = GridCache(RESAMPLE_CACHE_BYTES)
 
 
 def _resample_matrix(grid, axis_key, angle):
@@ -312,9 +310,11 @@ def _resample_matrix(grid, axis_key, angle):
     Entry [(node), (j,m)] is the ordinary (spin-0) harmonic at
     R(axis, -angle) applied to the node direction, so that multiplying
     analysis coefficients by it resamples a scalar field on the rotated
-    grid exactly when the field is band-limited.
+    grid exactly when the field is band-limited.  Cached by grid geometry
+    in a byte-bounded LRU: an entry holds (n_theta n_phi) x (L+1)^2 complex
+    values, about 567 MB at L = 64, more than the whole budget.
     """
-    key = (id(grid), grid.band_limit, axis_key, angle)
+    key = (geometry_key(grid), axis_key, angle)
     mat = _resample_cache.get(key)
     if mat is not None:
         return mat
@@ -338,19 +338,13 @@ def _resample_matrix(grid, axis_key, angle):
     for j in range(L + 1):
         for m in range(-j, j + 1):
             cols.append(profile(0, j, m, tp) * np.exp(1j * m * pp))
-    mat = np.stack(cols, axis=1)
-    _resample_cache[key] = mat
-    return mat
+    return _resample_cache.put(key, np.stack(cols, axis=1))
 
 
-def _mode_vector(coeffs, band_limit):
-    vec = np.zeros((band_limit + 1) ** 2, dtype=np.complex128)
-    pos = 0
-    for j in range(band_limit + 1):
-        for m in range(-j, j + 1):
-            vec[pos] = coeffs.get(j, m)
-            pos += 1
-    return vec
+def _mode_vector(coeffs):
+    """Coefficient matrix A[m + L, j] flattened in (j, m) order, |m| <= j."""
+    L = coeffs.shape[1] - 1
+    return np.concatenate([coeffs[L - j : L + j + 1, j] for j in range(L + 1)])
 
 
 def _rotate_section_samples(section, axis_key, angle, comp_coeffs):
@@ -378,7 +372,7 @@ def apply_J_rotation(section, axis):
     axis_key = tuple(float(v) for v in axis)
     grid = section.grid
     comp_coeffs = {
-        idx: _mode_vector(analyze(GridFunction(grid, 0, field)), grid.band_limit)
+        idx: _mode_vector(analysis_matrix(GridFunction(grid, 0, field)))
         for idx, field in _component_fields(section.components, section.rank)
     }
     delta = ROTATION_STEP

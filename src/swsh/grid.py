@@ -7,6 +7,8 @@ functions of band at most L exactly, up to rounding, which is what the
 orthonormality and round-trip checks rely on.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +69,65 @@ class SphereGrid:
         )
 
     __hash__ = object.__hash__
+
+
+def geometry_key(grid):
+    """Hashable identity of a grid's nodes and weights.
+
+    Two grids share a key exactly when they compare equal, so caches keyed
+    by it never confuse grids of one band limit but different nodes, and
+    never hand a dead grid's entry to a new object that reuses its id.
+    """
+    return (
+        grid.band_limit,
+        grid.theta.tobytes(),
+        grid.theta_weights.tobytes(),
+        grid.phi.tobytes(),
+    )
+
+
+class GridCache:
+    """Least-recently-used map to read-only arrays, bounded in total bytes.
+
+    An array larger than the whole budget is returned to its caller but
+    never stored.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = int(max_bytes)
+        self._items = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._items)
+
+    @property
+    def nbytes(self):
+        return self._bytes
+
+    def get(self, key):
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        """Store value (made read-only) under key, replacing any older entry."""
+        value.setflags(write=False)
+        with self._lock:
+            old = self._items.pop(key, None)
+            if old is not None:
+                self._bytes -= old.nbytes
+            if value.nbytes > self.max_bytes:
+                return value
+            while self._bytes + value.nbytes > self.max_bytes:
+                _, old = self._items.popitem(last=False)
+                self._bytes -= old.nbytes
+            self._items[key] = value
+            self._bytes += value.nbytes
+        return value
 
 
 def make_grid(band_limit, n_theta=None, n_phi=None):

@@ -60,8 +60,9 @@ def j_table_limit():
     return lim
 
 
-def check_j_supported(j):
-    lim = j_table_limit()
+def check_j_supported(j, lim=None):
+    if lim is None:
+        lim = j_table_limit()
     if j > lim:
         raise InvalidMode(
             f"j={j} exceeds the configured table limit {lim} "

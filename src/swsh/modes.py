@@ -36,7 +36,12 @@ class SWMode:
         validate_mode(self.s, self.j, self.m)
 
 
-def validate_mode(s, j, m):
+def validate_mode(s, j, m, j_limit=None):
+    """Raise InvalidMode unless (s, j, m) is an admissible, supported mode.
+
+    j_limit, when given, stands in for kernels.j_table_limit(), so a caller
+    validating many modes reads the configured limit once.
+    """
     for name, val in (("s", s), ("j", j), ("m", m)):
         if val != int(val):
             raise InvalidMode(f"{name}={val!r} is not an integer")
@@ -46,7 +51,7 @@ def validate_mode(s, j, m):
         raise InvalidMode(f"invalid mode: j < |s| (j={j}, s={s})")
     if abs(m) > j:
         raise InvalidMode(f"invalid mode: |m| > j (j={j}, m={m})")
-    kernels.check_j_supported(j)
+    kernels.check_j_supported(j, j_limit)
 
 
 _table_cache = {}

@@ -2,9 +2,11 @@
 
 Coefficient space: exact integer/surd arithmetic on mode labels (apply_coeff).
 Grid space: the actual differential expressions evaluated with analytic
-theta-derivatives per mode (apply_grid).  The two are cross-validated in
-tests; apply_grid never shortcuts through the known ladder action, since
-the point of having it is to confirm that action independently.
+theta-derivatives (apply_grid), which take their profiles and derivative
+profiles from the per-grid mode tables of tables.py.  The two are
+cross-validated in tests; apply_grid never shortcuts through the known
+ladder action, since the point of having it is to confirm that action
+independently.
 
 The operator parameter h is always bound to the function's spin weight
 as h = -s at call time, so mixed-convention application cannot happen.
@@ -17,8 +19,8 @@ import numpy as np
 
 from .errors import BandLimitExceeded, SpinWeightMismatch
 from .grid import GridFunction
-from .modes import profile
-from .transform import CoefficientSet, analyze, coefficient_set
+from .tables import radial_factors, rings_to_grid
+from .transform import CoefficientSet, analysis_matrix, coefficient_set
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
 
@@ -82,43 +84,36 @@ def apply_coeff(op, c):
 def apply_grid(op, f, band_limit=None):
     """Differential action of the operator on grid samples.
 
-    The function is resolved into modes, the operator's differential
-    expression is applied to each p(theta) exp(i m phi) factor using
-    analytic derivatives, and the results are accumulated in ascending
-    (j, m) order.
+    The function is resolved into modes, and the operator's differential
+    expression is applied to each m-component sum_j c_jm p_jm(theta)
+    exp(i m phi), with the profiles and their analytic theta-derivatives
+    taken from the mode tables.
     """
     _check_spin(op, f.spin_weight)
-    c = analyze(f, band_limit=band_limit)
+    coeffs = analysis_matrix(f, band_limit=band_limit)
     grid = f.grid
     s = f.spin_weight
     h = -s
-    theta = grid.theta
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    if op.kind in ("Jz", "Jsquared", "Helicity"):
-        sin = np.sin(theta)
-        cot = np.cos(theta) / sin
-        for (j, m), v in c.sorted_items():
-            p = profile(s, j, m, theta)
-            if op.kind == "Jz":
-                radial = m * p
-            elif op.kind == "Helicity":
-                radial = h * p
-            else:
-                dp = profile(s, j, m, theta, order=1)
-                d2p = profile(s, j, m, theta, order=2)
-                pot = (m * m + s * s + 2 * s * m * np.cos(theta)) / sin**2
-                radial = -d2p - cot * dp + pot * p
-            out += v * radial[:, None] * np.exp(1j * m * grid.phi)[None, :]
+    L = coeffs.shape[1] - 1
+    m = np.arange(-L, L + 1)[:, None]
+    sin = np.sin(grid.theta)
+    cot = np.cos(grid.theta) / sin
+    p = radial_factors(grid, s, coeffs)
+    shift = 0
+    if op.kind == "Jz":
+        radial = m * p
+    elif op.kind == "Helicity":
+        radial = h * p
+    elif op.kind == "Jsquared":
+        dp = radial_factors(grid, s, coeffs, order=1)
+        d2p = radial_factors(grid, s, coeffs, order=2)
+        pot = (m * m + s * s + 2 * s * m * np.cos(grid.theta)) / sin**2
+        radial = -d2p - cot * dp + pot * p
     else:
-        sign = +1 if op.kind == "Jplus" else -1
-        sin = np.sin(theta)
-        cot = np.cos(theta) / sin
-        for (j, m), v in c.sorted_items():
-            p = profile(s, j, m, theta)
-            dp = profile(s, j, m, theta, order=1)
-            radial = sign * dp - m * cot * p + h * p / sin
-            out += v * radial[:, None] * np.exp(1j * (m + sign) * grid.phi)[None, :]
-    return GridFunction(grid, s, out, frame=f.frame)
+        shift = +1 if op.kind == "Jplus" else -1
+        dp = radial_factors(grid, s, coeffs, order=1)
+        radial = shift * dp - m * cot * p + h * p / sin
+    return GridFunction(grid, s, rings_to_grid(grid, radial, shift), frame=f.frame)
 
 
 def verify_casimir_identity(spin_weight, c):

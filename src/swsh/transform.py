@@ -1,9 +1,14 @@
 """Forward and inverse transforms between grid samples and mode coefficients.
 
-Both directions are direct dense transforms, separable in the azimuth:
-a plain DFT over phi followed by colatitude quadrature per m, O(L^3)
-overall.  Accumulation order is fixed (ascending j, then ascending m,
-then colatitude node) so repeated runs produce identical bytes.
+Both directions are separable in the azimuth and run through the per-grid
+mode tables of tables.py.  Analysis is an FFT over phi followed, per m, by
+one contraction of the (j, theta) table block with the weighted ring
+values; synthesis is the reverse, a contraction per m and an inverse FFT.
+A table costs O(L^3) to build, once per grid geometry and spin weight,
+and then each call costs O(L^3) arithmetic in a few array operations.
+Output is deterministic: the tables, the FFT and the contractions are
+fixed sequences of floating-point operations for a given input and grid,
+so repeated runs produce identical bytes.
 
 Coefficients with magnitude below 1e-13 are stored as exact zeros,
 which keeps the sparse entry maps clean.
@@ -15,10 +20,12 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import kernels
 from .errors import BandLimitExceeded
 from .grid import GridFunction
-from .modes import profile, validate_mode
+from .modes import validate_mode
 from .serial import json_dumps
+from .tables import mode_table, radial_factors, ring_modes, rings_to_grid
 
 COEFF_CLIP = 1e-13
 
@@ -41,10 +48,15 @@ class CoefficientSet:
         if L < abs(s):
             raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
         clean = {}
+        j_limit = kernels.j_table_limit() if self.entries else L
+        j_low, j_top = abs(s), min(L, j_limit)
         for (j, m), v in self.entries.items():
-            validate_mode(s, j, m)
-            if j > L:
-                raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
+            # plain in-range int labels pass at once; anything else gets the
+            # full check, which names the fault
+            if not (type(j) is int and type(m) is int and j_low <= j <= j_top and -j <= m <= j):
+                validate_mode(s, j, m, j_limit=j_limit)
+                if j > L:
+                    raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
             v = complex(v)
             if abs(v) >= COEFF_CLIP:
                 clean[(int(j), int(m))] = v
@@ -74,29 +86,41 @@ def coefficient_set(spin_weight, band_limit, entries=None):
     return CoefficientSet(spin_weight, band_limit, dict(entries or {}))
 
 
-def analyze(f, band_limit=None):
-    """Project a grid function onto the mode basis up to the band limit."""
+def coefficient_matrix(c):
+    """Dense coefficients A[m + L, j] of a CoefficientSet, L its band limit."""
+    L = c.band_limit
+    out = np.zeros((2 * L + 1, L + 1), dtype=np.complex128)
+    for (j, m), v in c.entries.items():
+        out[m + L, j] = v
+    return out
+
+
+def analysis_matrix(f, band_limit=None):
+    """Analysis coefficients A[m + L, j] of a grid function, clipped like analyze.
+
+    Entries with no mode (j < max(|m|, |s|)) are zero.
+    """
     grid = f.grid
     L = grid.band_limit if band_limit is None else int(band_limit)
     if L > grid.band_limit:
         raise BandLimitExceeded(
             f"analysis band limit {L} exceeds grid band limit {grid.band_limit}"
         )
+    rings = ring_modes(f, L) * grid.theta_weights
+    a = np.einsum("mjt,mt->mj", mode_table(grid, f.spin_weight, 0, L), rings)
+    a[np.abs(a) < COEFF_CLIP] = 0.0
+    return a
+
+
+def analyze(f, band_limit=None):
+    """Project a grid function onto the mode basis up to the band limit."""
     s = f.spin_weight
+    a = analysis_matrix(f, band_limit).T
+    L = a.shape[0] - 1
     if L < abs(s):
         return coefficient_set(s, abs(s))
-    ms = np.arange(-L, L + 1)
-    # Azimuthal DFT: ring_modes[t, k] = sum_p f[t,p] exp(-i m_k phi_p) dphi
-    dft = np.exp(-1j * np.outer(grid.phi, ms))
-    ring_modes = (f.samples @ dft) * grid.phi_weight
-    w = grid.theta_weights
-    entries = {}
-    for j in range(abs(s), L + 1):
-        for m in range(-j, j + 1):
-            p = profile(s, j, m, grid.theta)
-            a = complex(np.dot(w * p, ring_modes[:, m + L]))
-            if abs(a) >= COEFF_CLIP:
-                entries[(j, m)] = a
+    js, ms = np.nonzero(a)
+    entries = dict(zip(zip(js.tolist(), (ms - L).tolist()), a[js, ms].tolist()))
     return CoefficientSet(s, L, entries)
 
 
@@ -107,11 +131,8 @@ def synthesize(c, grid):
             f"coefficient band limit {c.band_limit} exceeds grid band limit"
             f" {grid.band_limit}"
         )
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for (j, m), v in c.sorted_items():
-        p = profile(c.spin_weight, j, m, grid.theta)
-        out += v * p[:, None] * np.exp(1j * m * grid.phi)[None, :]
-    return GridFunction(grid, c.spin_weight, out)
+    radial = radial_factors(grid, c.spin_weight, coefficient_matrix(c))
+    return GridFunction(grid, c.spin_weight, rings_to_grid(grid, radial))
 
 
 def mode_counts(spin_weight, j_max):

@@ -9,6 +9,7 @@ import pytest
 
 from swsh.bundle import (
     EmbeddedSection,
+    _resample_matrix,
     apply_J_rotation,
     apply_projected_orbital,
     apply_projected_spin,
@@ -26,6 +27,7 @@ from swsh.bundle import (
 from swsh.errors import GridMismatch, UnsupportedHelicity
 from swsh.grid import (
     GridFunction,
+    SphereGrid,
     apply_gauge,
     gauge_rotate_frame,
     make_grid,
@@ -341,6 +343,29 @@ def test_rotation_ladder_raises_m():
     coeff = ladder_coefficient(j, m, +1)
     want = coeff * embed(sample_swsh(grid, SWMode(-1, j, m + 1))).components
     assert np.abs(raised - want).max() <= 1e-5
+
+
+def _check_resample_matrix(grid, angle):
+    # about z, the pulled-back node (theta, phi) is (theta, phi - angle),
+    # so the (j, m) = (1, 1) column is Y_11 there
+    mat = _resample_matrix(grid, (0.0, 0.0, 1.0), angle)
+    L = grid.band_limit
+    assert mat.shape == (grid.n_theta * grid.n_phi, (L + 1) ** 2)
+    want = sample_swsh(grid, SWMode(0, 1, 1)).samples * np.exp(-1j * angle)
+    assert np.abs(mat[:, 3].reshape(grid.shape) - want).max() <= 1e-13
+
+
+def test_resample_matrix_is_keyed_by_grid_geometry():
+    L = 4
+    for grid in (make_grid(L), make_grid(L, n_theta=L + 3)):
+        _check_resample_matrix(grid, 0.25)
+    # hand-built grids that die between calls: a recycled object id must
+    # never hand one grid's matrix to another
+    for n_theta in (L + 1, L + 3, L + 2, L + 1):
+        base = make_grid(L, n_theta=n_theta)
+        grid = SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), base.phi.copy())
+        _check_resample_matrix(grid, 0.5)
+        del grid
 
 
 def test_rotation_axis_must_be_unit():

@@ -1,0 +1,128 @@
+"""Per-grid mode tables: recurrence against Horner, orthonormality, caching."""
+
+import numpy as np
+import pytest
+
+from swsh import analyze, coefficient_set, make_grid, profile, synthesize
+from swsh.errors import GridMismatch
+from swsh.grid import GridCache, GridFunction, SphereGrid
+from swsh.tables import mode_table, radial_factors
+
+from conftest import random_entries
+
+SPINS = (0, 1, -1, 2, -2)
+
+
+@pytest.mark.parametrize("L", [16, 32, 64])
+@pytest.mark.parametrize("s", SPINS)
+def test_recurrence_rows_match_horner_profiles(L, s):
+    grid = make_grid(L)
+    table = mode_table(grid, s)
+    worst = 0.0
+    for m in range(-L, L + 1):
+        j0 = max(abs(m), abs(s))
+        assert not table[m + L, :j0].any()
+        for j in range(j0, L + 1):
+            want = profile(s, j, m, grid.theta)
+            worst = max(worst, float(np.abs(table[m + L, j] - want).max()))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_tables_are_the_horner_derivatives(order):
+    grid = make_grid(6)
+    mode_table(grid, -1, order, band_limit=3)  # the full table extends this one
+    table = mode_table(grid, -1, order)
+    for j in range(1, 7):
+        for m in range(-j, j + 1):
+            want = profile(-1, j, m, grid.theta, order=order)
+            assert np.array_equal(table[m + 6, j], want)
+
+
+@pytest.mark.parametrize("s", SPINS)
+def test_per_m_gram_is_identity_at_64(s):
+    L = 64
+    grid = make_grid(L)
+    table = mode_table(grid, s)
+    worst = 0.0
+    for m in range(-L, L + 1):
+        rows = table[m + L, max(abs(m), abs(s)) :]
+        gram = (rows * grid.theta_weights) @ rows.T * (2.0 * np.pi)
+        worst = max(worst, float(np.abs(gram - np.eye(len(rows))).max()))
+    assert worst <= 1e-12
+
+
+def test_band_limited_view_keeps_low_rows():
+    grid = make_grid(8, n_phi=21)
+    low = mode_table(grid, -2, band_limit=5)  # built only to band 5
+    full = mode_table(grid, -2)  # rebuilt to band 8
+    assert low.shape == (11, 6, grid.n_theta)
+    assert full.shape == (17, 9, grid.n_theta)
+    assert np.array_equal(low, full[3:14, :6])
+
+
+def test_radial_factors_skip_only_zero_bands(rng):
+    grid = make_grid(8)
+    coeffs = np.zeros((17, 9), dtype=np.complex128)
+    for j in range(4):
+        coeffs[8 - j : 8 + j + 1, j] = rng.normal(size=2 * j + 1)
+    got = radial_factors(grid, 0, coeffs, order=1)
+    want = np.einsum("mjt,mj->mt", mode_table(grid, 0, 1), coeffs)
+    assert np.abs(got - want).max() <= 1e-14
+    assert not got[:5].any() and not got[12:].any()
+
+
+def test_tables_are_read_only():
+    table = mode_table(make_grid(4), 0)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
+def test_repeat_transforms_are_byte_identical(rng):
+    grid = make_grid(12)
+    c = coefficient_set(-2, 12, random_entries(rng, -2, 12))
+    first = synthesize(c, grid)
+    second = synthesize(c, grid)
+    assert first.samples.tobytes() == second.samples.tobytes()
+    a, b = analyze(first), analyze(second)
+    assert a.sorted_items() == b.sorted_items()
+    assert repr(a.sorted_items()) == repr(b.sorted_items())
+
+
+def test_grids_sharing_a_band_limit_never_share_a_table():
+    coarse = make_grid(6)
+    fine = make_grid(6, n_theta=9)
+    a, b = mode_table(coarse, 0), mode_table(fine, 0)
+    assert a.shape[2] == 7 and b.shape[2] == 9
+    for grid, table in ((coarse, a), (fine, b)):
+        assert np.allclose(table[6 + 2, 3], profile(0, 3, 2, grid.theta), rtol=0, atol=1e-14)
+    assert not np.shares_memory(a, b)
+    # a structurally equal grid built by hand reuses the table
+    twin = SphereGrid(6, coarse.theta.copy(), coarse.theta_weights.copy(), coarse.phi.copy())
+    assert np.shares_memory(mode_table(twin, 0), a)
+
+
+def test_transforms_reject_nonuniform_azimuths():
+    grid = make_grid(4)
+    phi = grid.phi.copy()
+    phi[1] += 0.01
+    odd = SphereGrid(4, grid.theta, grid.theta_weights, phi)
+    f = GridFunction(odd, 0, np.ones(odd.shape))
+    with pytest.raises(GridMismatch):
+        analyze(f)
+    with pytest.raises(GridMismatch):
+        synthesize(coefficient_set(0, 4, {(0, 0): 1.0}), odd)
+
+
+def test_grid_cache_stays_within_its_byte_budget():
+    cache = GridCache(max_bytes=3000)
+    for k in range(5):
+        cache.put(k, np.zeros(100))  # 800 bytes each
+    assert len(cache) == 3 and cache.nbytes == 2400
+    assert cache.get(0) is None and cache.get(4) is not None
+    cache.get(2)  # refresh 2, so 3 is now the oldest
+    cache.put(5, np.zeros(100))
+    assert cache.get(3) is None and cache.get(2) is not None
+    big = np.zeros(1000)
+    assert cache.put("big", big) is big
+    assert cache.get("big") is None and cache.nbytes <= 3000
