@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
 from .grid import GridCache, GridFunction, SphereGrid, geometry_key, standard_frame
-from .modes import profile
-from .tables import radial_factors, rings_to_grid
+from .tables import radial_factors, recurrence_table, rings_to_grid
 from .transform import analysis_matrix
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
@@ -310,9 +309,11 @@ def _resample_matrix(grid, axis_key, angle):
     Entry [(node), (j,m)] is the ordinary (spin-0) harmonic at
     R(axis, -angle) applied to the node direction, so that multiplying
     analysis coefficients by it resamples a scalar field on the rotated
-    grid exactly when the field is band-limited.  Cached by grid geometry
-    in a byte-bounded LRU: an entry holds (n_theta n_phi) x (L+1)^2 complex
-    values, about 567 MB at L = 64, more than the whole budget.
+    grid exactly when the field is band-limited.  The profiles at the
+    pulled-back colatitudes come from the j-recurrence of tables.py, one
+    Horner seed per m.  Cached by grid geometry in a byte-bounded LRU: an
+    entry holds (n_theta n_phi) x (L+1)^2 complex values, about 567 MB at
+    L = 64, more than the whole budget.
     """
     key = (geometry_key(grid), axis_key, angle)
     mat = _resample_cache.get(key)
@@ -334,11 +335,12 @@ def _resample_matrix(grid, axis_key, angle):
     tp = np.arccos(np.clip(pulled[:, 2], -1.0, 1.0))
     pp = np.arctan2(pulled[:, 1], pulled[:, 0])
     L = grid.band_limit
-    cols = []
-    for j in range(L + 1):
-        for m in range(-j, j + 1):
-            cols.append(profile(0, j, m, tp) * np.exp(1j * m * pp))
-    return _resample_cache.put(key, np.stack(cols, axis=1))
+    profiles = recurrence_table(0, L, tp)
+    mat = np.empty((tp.size, (L + 1) ** 2), dtype=np.complex128)
+    for m in range(-L, L + 1):
+        j = np.arange(abs(m), L + 1)
+        mat[:, j * j + j + m] = (profiles[m + L, j] * np.exp(1j * m * pp)).T
+    return _resample_cache.put(key, mat)
 
 
 def _mode_vector(coeffs):

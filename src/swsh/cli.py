@@ -57,6 +57,7 @@ from .multiplets import (
 )
 from .operators import OperatorSpec, apply_grid, ladder_coefficient, verify_casimir_identity
 from .serial import fmt17, json_dumps
+from .tables import ring_modes
 from .transform import (
     analyze,
     coefficient_set,
@@ -199,20 +200,41 @@ def _random_sections(rng, s, band, count):
 
 
 def _suite_ortho(args, rng):
+    """Quadrature Gram residual of every mode up to L, streamed one m at a time.
+
+    The modes of one m are sampled by Horner and split into azimuthal bins
+    R[k, t] by the FFT over phi; a Gram entry is then
+    sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's block is
+    formed from bin m.  An entry between two modes of different m is bounded
+    by Cauchy-Schwarz from each mode's bin-m norm n and off-bin norm e:
+    |G_ab| <= n_a e_b + e_a n_b + e_a e_b.  The residual is the larger of
+    the worst block error and that bound, so it bounds every entry of
+    G - I without forming the dense Gram.
+    """
     s = _pick(args.s, -1)
     L = _pick(args.L, 16)
     tol = _pick(args.tolerance, 1e-11)
+    if L < abs(s):
+        raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
     grid = make_grid(L)
-    rows = []
-    for j in range(abs(s), L + 1):
-        for m in range(-j, j + 1):
-            rows.append(sample_swsh(grid, SWMode(s, j, m)).samples.ravel())
-    V = np.array(rows)
-    w = (grid.theta_weights[:, None] * np.full(grid.n_phi, grid.phi_weight)).ravel()
-    gram = (V * w) @ np.conj(V.T)
-    resid = float(np.abs(gram - np.eye(len(rows))).max())
+    w = grid.theta_weights / (2.0 * np.pi)
+    modes = 0
+    block_err = norm_max = leak_max = 0.0
+    for m in range(-L, L + 1):
+        js = range(max(abs(m), abs(s)), L + 1)
+        rings = np.array([ring_modes(sample_swsh(grid, SWMode(s, j, m)), L) for j in js])
+        own = rings[:, m + L]
+        block = (np.conj(own) * w) @ own.T
+        block_err = max(block_err, float(np.abs(block - np.eye(len(js))).max()))
+        norm_max = max(norm_max, float(np.sqrt(np.diag(block).real.max())))
+        rings[:, m + L] = 0.0
+        leak = np.sqrt((np.abs(rings) ** 2 @ w).sum(axis=1))
+        leak_max = max(leak_max, float(leak.max()))
+        modes += len(js)
+    cross = 2.0 * norm_max * leak_max + leak_max * leak_max
+    resid = max(block_err, cross)
     params = {"s": s, "L": L}
-    results = {"modes": len(rows)}
+    results = {"modes": modes}
     return params, results, resid, tol
 
 

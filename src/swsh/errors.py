@@ -7,7 +7,7 @@ specific exit codes.
 
 
 class InvalidMode(ValueError):
-    """(s, j, m) violates j >= |s|, |m| <= j, or the configured j cap."""
+    """(s, j, m) violates j >= |s|, |m| <= j, or the supported cap j <= 64."""
 
 
 class DomainError(ValueError):

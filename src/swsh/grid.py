@@ -352,8 +352,22 @@ def write_grid_csv(f, path):
         fh.write("\n".join(lines) + "\n")
 
 
+NODE_RTOL = 1e-14
+
+
+def _near(values, nodes):
+    """Elementwise |values - nodes| <= NODE_RTOL * max(|nodes|, 1)."""
+    return np.abs(values - nodes) <= NODE_RTOL * np.maximum(np.abs(nodes), 1.0)
+
+
 def read_grid_csv(path):
-    """Inverse of write_grid_csv; nodes must match a Gauss-Legendre grid."""
+    """Inverse of write_grid_csv, onto the canonical make_grid nodes.
+
+    The grid is make_grid of the header's L and the file's node counts.
+    Each row's theta and phi must lie within NODE_RTOL of that grid's node
+    in colatitude-major order, so a file written under another numpy,
+    whose Gauss-Legendre nodes differ in the last bits, still loads.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         body = fh.read().split()
@@ -375,21 +389,19 @@ def read_grid_csv(path):
         phis.append(float(parts[1]))
         res.append(float(parts[2]))
         ims.append(float(parts[3]))
-    theta_nodes = sorted(set(thetas))
-    phi_nodes = sorted(set(phis))
-    n_theta, n_phi = len(theta_nodes), len(phi_nodes)
-    if n_theta * n_phi != len(thetas):
+    thetas, phis = np.array(thetas), np.array(phis)
+    # the rows on the first row's colatitude ring give the azimuth count
+    n_phi = int(np.count_nonzero(_near(thetas, thetas[:1])))
+    if n_phi == 0 or thetas.size % n_phi:
         raise ValueError("rows do not form a complete product grid")
+    n_theta = thetas.size // n_phi
     grid = make_grid(L, n_theta=n_theta, n_phi=n_phi)
     if not (
-        np.array_equal(grid.theta, np.array(theta_nodes))
-        and np.array_equal(grid.phi, np.array(phi_nodes))
+        _near(thetas, np.repeat(grid.theta, n_phi)).all()
+        and _near(phis, np.tile(grid.phi, n_theta)).all()
     ):
-        raise ValueError("node layout does not match a Gauss-Legendre grid")
-    if not (
-        np.array_equal(np.array(thetas), np.repeat(theta_nodes, n_phi))
-        and np.array_equal(np.array(phis), np.tile(phi_nodes, n_theta))
-    ):
-        raise ValueError("rows must be ordered colatitude-major")
+        raise ValueError(
+            "rows must be the Gauss-Legendre grid nodes in colatitude-major order"
+        )
     samples = (np.array(res) + 1j * np.array(ims)).reshape(n_theta, n_phi)
     return GridFunction(grid, s, samples, frame=frame)

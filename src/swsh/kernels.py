@@ -24,50 +24,30 @@ Derivative profiles are just more term tables: differentiating shifts the
 exponent ladder by one and mixes neighboring coefficients, so first and
 second derivatives reuse the same evaluator.
 
-The per-point loop exists twice, a numba-jitted version and a vectorized
-numpy version; `_backend` picks the default at import time and both remain
-importable for benchmarks.
+This evaluator is the point evaluator behind profile(), the seed of the
+j-recurrence in tables.py, the filler of the derivative tables and the
+independent reference the recurrence is tested against.  Its verified
+envelope is j <= J_MAX = 64; past about j = 70 the recurrence it seeds
+drifts from it, so larger j is rejected rather than evaluated.
 """
 
 import math
-import os
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import USE_NUMBA, njit
 from .errors import InvalidMode
 
-DEFAULT_J_TABLE = 64
-_ENV_J_TABLE = "SWSH_JMAX_TABLE"
+J_MAX = 64
 
-# log-factorial table; grown on demand up to the configured cap
+# log-factorial table; grown on demand
 _log_fact = [0.0]
 
 
-def j_table_limit():
-    """Largest j the log-factorial table is configured to support."""
-    raw = os.environ.get(_ENV_J_TABLE, "")
-    if not raw:
-        return DEFAULT_J_TABLE
-    try:
-        lim = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_J_TABLE} must be an integer, got {raw!r}") from exc
-    if lim < 0:
-        raise ValueError(f"{_ENV_J_TABLE} must be nonnegative, got {lim}")
-    return lim
-
-
-def check_j_supported(j, lim=None):
-    if lim is None:
-        lim = j_table_limit()
-    if j > lim:
-        raise InvalidMode(
-            f"j={j} exceeds the configured table limit {lim} "
-            f"(raise it via the {_ENV_J_TABLE} environment variable)"
-        )
+def check_j_supported(j):
+    if j > J_MAX:
+        raise InvalidMode(f"j={j} exceeds the supported maximum j = {J_MAX}")
 
 
 def log_factorial(n):
@@ -169,67 +149,13 @@ def differentiate_terms(table):
 
 
 # --------------------------------------------------------------------------
-# evaluators
+# evaluator
 # --------------------------------------------------------------------------
 #
 # Double-double Horner step, H <- H*w + C, with Dekker splitting (no FMA
-# dependence). The identical arithmetic appears twice: scalar for numba,
-# array-at-a-time for numpy.
+# dependence), array-at-a-time over the points.
 
 _SPLITTER = 134217729.0  # 2^27 + 1
-
-
-@njit(cache=True)
-def _eval_table_numba_impl(lead, e1, e2, chi, clo, log_c, log_s, w, uside, out):  # pragma: no cover - jitted
-    top = chi.shape[0] - 1
-    for i in range(w.shape[0]):
-        wi = w[i]
-        asc = uside[i]
-        idx = top if asc else 0
-        hi = chi[idx]
-        lo = clo[idx]
-        for k in range(1, top + 1):
-            idx = top - k if asc else k
-            # two_prod(hi, wi)
-            p = hi * wi
-            t = _SPLITTER * hi
-            ah = t - (t - hi)
-            al = hi - ah
-            t = _SPLITTER * wi
-            bh = t - (t - wi)
-            bl = wi - bh
-            perr = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-            perr += lo * wi
-            # two_sum(p, chi[idx])
-            c = chi[idx]
-            s = p + c
-            bb = s - p
-            serr = (p - (s - bb)) + (c - bb)
-            lo = perr + clo[idx] + serr
-            hi = s + lo
-            lo = lo - (hi - s)
-        if asc:
-            arg = lead + e1 * log_c[i] + e2 * log_s[i]
-        else:
-            arg = lead + (e1 + 2 * top) * log_c[i] + (e2 - 2 * top) * log_s[i]
-        out[i] = math.exp(arg) * (hi + lo)
-
-
-def eval_table_numba(table, log_c, log_s, w, uside):
-    out = np.empty(w.shape[0], dtype=np.float64)
-    _eval_table_numba_impl(
-        table.lead,
-        table.e1,
-        table.e2,
-        table.chi,
-        table.clo,
-        log_c,
-        log_s,
-        w,
-        uside,
-        out,
-    )
-    return out
 
 
 def eval_table_numpy(table, log_c, log_s, w, uside):
@@ -261,18 +187,15 @@ def eval_table_numpy(table, log_c, log_s, w, uside):
     return np.exp(table.lead + ec * log_c + es * log_s) * (hi + lo)
 
 
-eval_table = eval_table_numba if USE_NUMBA else eval_table_numpy
-
-
 def eval_profile(table, theta):
     """Evaluate a term table at interior angles (theta strictly in (0, pi))."""
     theta = np.asarray(theta, dtype=np.float64)
-    flat = np.ascontiguousarray(theta.ravel())
+    flat = theta.ravel()
     c = np.cos(0.5 * flat)
     s = np.sin(0.5 * flat)
     u = c * c
     v = s * s
     uside = u <= v
     w = np.where(uside, u / v, v / u)
-    vals = eval_table(table, np.log(c), np.log(s), w, uside)
+    vals = eval_table_numpy(table, np.log(c), np.log(s), w, uside)
     return vals.reshape(theta.shape)

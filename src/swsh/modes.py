@@ -12,6 +12,7 @@ modes are singular at theta = 0, pi even though the objects they describe
 are not.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,12 +37,8 @@ class SWMode:
         validate_mode(self.s, self.j, self.m)
 
 
-def validate_mode(s, j, m, j_limit=None):
-    """Raise InvalidMode unless (s, j, m) is an admissible, supported mode.
-
-    j_limit, when given, stands in for kernels.j_table_limit(), so a caller
-    validating many modes reads the configured limit once.
-    """
+def validate_mode(s, j, m):
+    """Raise InvalidMode unless (s, j, m) is an admissible mode with j <= kernels.J_MAX."""
     for name, val in (("s", s), ("j", j), ("m", m)):
         if val != int(val):
             raise InvalidMode(f"{name}={val!r} is not an integer")
@@ -51,22 +48,20 @@ def validate_mode(s, j, m, j_limit=None):
         raise InvalidMode(f"invalid mode: j < |s| (j={j}, s={s})")
     if abs(m) > j:
         raise InvalidMode(f"invalid mode: |m| > j (j={j}, m={m})")
-    kernels.check_j_supported(j, j_limit)
+    kernels.check_j_supported(j)
 
 
-_table_cache = {}
+# Grid transforms read the per-grid mode tables, so a term table is reused
+# only by repeated profile() calls.  The bound holds one order-0 table for
+# every mode of one spin weight up to the j cap.
+TERM_TABLE_CACHE_SIZE = (kernels.J_MAX + 1) ** 2
 
 
+@functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
 def _term_table(s, j, m, order):
-    key = (s, j, m, order)
-    table = _table_cache.get(key)
-    if table is None:
-        if order == 0:
-            table = kernels.goldberg_terms(s, j, m)
-        else:
-            table = kernels.differentiate_terms(_term_table(s, j, m, order - 1))
-        _table_cache[key] = table
-    return table
+    if order == 0:
+        return kernels.goldberg_terms(s, j, m)
+    return kernels.differentiate_terms(_term_table(s, j, m, order - 1))
 
 
 def profile(s, j, m, theta, order=0):

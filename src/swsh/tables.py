@@ -34,7 +34,8 @@ TABLE_CACHE_BYTES = 64 * 2**20
 _tables = GridCache(TABLE_CACHE_BYTES)
 
 
-def _recurrence_table(s, L, theta):
+def recurrence_table(s, L, theta):
+    """Order-0 profiles [m + L, j, i] at any interior colatitudes theta[i]."""
     ms = np.arange(-L, L + 1)
     j0 = np.maximum(np.abs(ms), abs(s))
     x = np.cos(theta)
@@ -88,7 +89,7 @@ def mode_table(grid, s, order=0, band_limit=None):
     if table is None or table.shape[1] <= L:
         kernels.check_j_supported(L)
         if order == 0:
-            table = _recurrence_table(s, L, grid.theta)
+            table = recurrence_table(s, L, grid.theta)
         else:
             table = _horner_table(s, L, grid.theta, order, built=table)
         _tables.put(key, table)

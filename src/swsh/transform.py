@@ -48,13 +48,12 @@ class CoefficientSet:
         if L < abs(s):
             raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
         clean = {}
-        j_limit = kernels.j_table_limit() if self.entries else L
-        j_low, j_top = abs(s), min(L, j_limit)
+        j_low, j_top = abs(s), min(L, kernels.J_MAX)
         for (j, m), v in self.entries.items():
             # plain in-range int labels pass at once; anything else gets the
             # full check, which names the fault
             if not (type(j) is int and type(m) is int and j_low <= j <= j_top and -j <= m <= j):
-                validate_mode(s, j, m, j_limit=j_limit)
+                validate_mode(s, j, m)
                 if j > L:
                     raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
             v = complex(v)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from swsh.bundle import (
     EmbeddedSection,
@@ -36,7 +37,7 @@ from swsh.grid import (
     sample_swsh,
     standard_frame,
 )
-from swsh.modes import NORTH, SWMode
+from swsh.modes import NORTH, SWMode, eval_swsh
 from swsh.operators import ladder_coefficient
 from swsh.transform import coefficient_set, synthesize
 
@@ -366,6 +367,24 @@ def test_resample_matrix_is_keyed_by_grid_geometry():
         grid = SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), base.phi.copy())
         _check_resample_matrix(grid, 0.5)
         del grid
+
+
+@pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS])
+def test_resample_columns_are_the_horner_harmonics(axis):
+    # the matrix is built by the j-recurrence; every column must be the
+    # Horner-evaluated harmonic at the node directions rotated by -angle
+    L, angle = 10, 2e-4
+    grid = make_grid(L)
+    mat = _resample_matrix(grid, axis, angle)
+    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    nodes = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+    pulled = Rotation.from_rotvec(-angle * np.array(axis)).apply(nodes.reshape(-1, 3))
+    tp = np.arccos(pulled[:, 2])
+    pp = np.arctan2(pulled[:, 1], pulled[:, 0])
+    for j in range(L + 1):
+        for m in range(-j, j + 1):
+            want = eval_swsh(SWMode(0, j, m), tp, pp)
+            assert np.abs(mat[:, j * j + j + m] - want).max() <= 1e-13
 
 
 def test_rotation_axis_must_be_unit():

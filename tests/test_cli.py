@@ -183,6 +183,33 @@ def test_verify_report_shape_and_determinism(capsys):
     assert report["maxResidual"] <= report["parameters"]["tolerance"]
 
 
+@pytest.mark.parametrize("s", [-2, 0, 1])
+def test_verify_ortho_per_m_matches_the_dense_gram(capsys, s):
+    L = 8
+    code1, out1, _ = run(capsys, "verify", "ortho", "-s", str(s), "-L", str(L))
+    code2, out2, _ = run(capsys, "verify", "ortho", "-s", str(s), "-L", str(L))
+    assert code1 == code2 == 0
+    assert out1 == out2
+    grid = make_grid(L)
+    w = (grid.theta_weights[:, None] * np.full(grid.n_phi, grid.phi_weight)).ravel()
+    basis = np.array([
+        sample_swsh(grid, SWMode(s, j, m)).samples.ravel()
+        for j in range(abs(s), L + 1)
+        for m in range(-j, j + 1)
+    ])
+    gram = (basis * w) @ np.conj(basis.T)
+    dense = float(np.abs(gram - np.eye(len(basis))).max())
+    report = report_of(out1)
+    assert report["results"]["modes"] == len(basis)
+    assert abs(report["maxResidual"] - dense) <= 1e-14
+
+
+def test_verify_ortho_band_below_spin_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "ortho", "-s", "-2", "-L", "1")
+    assert code == 2
+    assert "below |spin weight|" in err
+
+
 def test_verify_seed_changes_draws_not_validity(capsys):
     code1, out1, _ = run(capsys, "verify", "casimir", "-L", "6", "--seed", "1")
     code2, out2, _ = run(capsys, "verify", "casimir", "-L", "6", "--seed", "2")

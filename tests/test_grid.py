@@ -302,3 +302,32 @@ def test_csv_rejects_wrong_row_count(tmp_path):
     p.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError):
         read_grid_csv(p)
+
+
+def _rewrite_thetas(path, change):
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        th, rest = lines[i].split(",", 1)
+        lines[i] = f"{change(float(th))!r},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_csv_loads_nodes_off_by_an_ulp_onto_the_canonical_grid(tmp_path):
+    # another numpy's Gauss-Legendre nodes may differ in the last bits
+    g = make_grid(6)
+    f = sample_swsh(g, SWMode(-1, 3, 2))
+    p = tmp_path / "f.csv"
+    write_grid_csv(f, p)
+    _rewrite_thetas(p, lambda th: float(np.nextafter(th, 4.0)))
+    h = read_grid_csv(p)
+    assert h.grid is g
+    assert np.array_equal(h.samples, f.samples)
+
+
+def test_csv_rejects_nodes_off_the_grid(tmp_path):
+    f = sample_swsh(make_grid(6), SWMode(-1, 3, 2))
+    p = tmp_path / "f.csv"
+    write_grid_csv(f, p)
+    _rewrite_thetas(p, lambda th: th + 1e-6)
+    with pytest.raises(ValueError):
+        read_grid_csv(p)

@@ -1,10 +1,10 @@
-"""Term tables and the two evaluator backends.
+"""Term tables and the double-double Horner evaluator.
 
 The precision oracle here is exact rational arithmetic: a term table is
 a polynomial with exact dyadic coefficients, so its value at an exactly
 known (cos, sin) pair can be computed with Fractions and compared
-against the double-double Horner paths. That is an independent check of
-the one piece of arithmetic everything else leans on.
+against the double-double Horner evaluator. That is an independent check
+of the one piece of arithmetic everything else leans on.
 """
 
 import math
@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swsh import kernels
-from swsh._backend import HAVE_NUMBA
+from swsh import SWMode, coefficient_set, kernels, make_grid
 from swsh.errors import InvalidMode
+from swsh.tables import mode_table
 
 MODES = [
     (0, 0, 0),
@@ -74,9 +74,6 @@ def test_evaluators_match_exact_rational_sum(s, j, m):
         scale = max(np.abs(want).max(), 1e-30)
         got_np = kernels.eval_table_numpy(table, log_c, log_s, w, uside)
         assert np.abs(got_np - want).max() / scale < 5e-15
-        if HAVE_NUMBA:
-            got_nb = kernels.eval_table_numba(table, log_c, log_s, w, uside)
-            assert np.abs(got_nb - want).max() / scale < 5e-15
         table = kernels.differentiate_terms(table)
 
 
@@ -97,14 +94,17 @@ def test_no_overflow_or_nan_at_table_cap():
         assert np.abs(vals).max() < 50.0
 
 
-def test_j_beyond_configured_table_rejected(monkeypatch):
-    monkeypatch.setenv("SWSH_JMAX_TABLE", "10")
+def test_j_beyond_the_cap_rejected():
+    # past j ~ 70 the recurrence drifts from Horner, so j = 65 is refused
+    # everywhere a mode enters: a label, a coefficient set, a grid table
+    assert kernels.J_MAX == 64
+    SWMode(0, 64, 0)
     with pytest.raises(InvalidMode):
-        kernels.check_j_supported(11)
-    kernels.check_j_supported(10)
-    monkeypatch.setenv("SWSH_JMAX_TABLE", "banana")
-    with pytest.raises(ValueError):
-        kernels.check_j_supported(1)
+        SWMode(0, 65, 0)
+    with pytest.raises(InvalidMode):
+        coefficient_set(0, 65, {(65, 0): 1.0})
+    with pytest.raises(InvalidMode):
+        mode_table(make_grid(65), 0)
 
 
 def test_log_factorial_matches_exact():

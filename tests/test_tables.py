@@ -6,6 +6,7 @@ import pytest
 from swsh import analyze, coefficient_set, make_grid, profile, synthesize
 from swsh.errors import GridMismatch
 from swsh.grid import GridCache, GridFunction, SphereGrid
+from swsh.modes import _term_table
 from swsh.tables import mode_table, radial_factors
 
 from conftest import random_entries
@@ -126,3 +127,15 @@ def test_grid_cache_stays_within_its_byte_budget():
     big = np.zeros(1000)
     assert cache.put("big", big) is big
     assert cache.get("big") is None and cache.nbytes <= 3000
+
+
+def test_term_table_cache_stays_bounded():
+    # the order-1 tables at L = 64 need two term tables per mode, about
+    # four times the bound; the cache keeps only the most recent ones
+    grid = make_grid(64)
+    before = _term_table.cache_info()
+    for s in (0, -2):
+        mode_table(grid, s, 1)
+    after = _term_table.cache_info()
+    assert after.misses - before.misses > after.maxsize
+    assert after.currsize <= after.maxsize
