@@ -7,7 +7,10 @@ fiber spanned by e_h = 2^{-|h|/2}(a +- i b)^{(x)|h|} for a tangent frame
 functions as sections, and realizes the split of the rotation generator
 into a pointwise part (projected spin action) and a differential part
 (projected orbital action), together with the finite-difference rotation
-generator they are checked against.
+generator they are checked against.  That generator pulls each ambient
+component back in coefficient space, turning every j-block by a Wigner
+matrix whose d^j(beta) comes from the j-recurrence of tables.py, at the
+four angles of a central stencil.
 
 Rank bookkeeping: the projector is slot-wise I - k k^T, the spin matrices
 act per tensor slot, and the orbital operator differentiates ambient
@@ -20,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
-from .grid import GridCache, GridFunction, SphereGrid, geometry_key, standard_frame
-from .tables import radial_factors, recurrence_table, rings_to_grid
-from .transform import analysis_matrix
+from .grid import GridFunction, SphereGrid, standard_frame
+from .tables import mode_coefficients, radial_factors, real_matmul, rings_to_grid, wigner_d
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
 ROTATION_STEP = 1e-4
@@ -205,27 +207,6 @@ def apply_projected_spin(section, frame=None):
     return VectorOperatorResult(*parts)
 
 
-def _component_fields(components, rank):
-    """Iterate (index, scalar field) over ambient tensor components."""
-    if rank == 1:
-        for c in range(3):
-            yield (c,), components[..., c]
-    else:
-        for c in range(3):
-            for d in range(3):
-                yield (c, d), components[..., c, d]
-
-
-def _spectral_derivatives(grid, field):
-    """(d/dtheta, d/dphi) of one scalar field via its mode expansion."""
-    coeffs = analysis_matrix(GridFunction(grid, 0, field))
-    L = coeffs.shape[1] - 1
-    m = np.arange(-L, L + 1)[:, None]
-    dth = rings_to_grid(grid, radial_factors(grid, 0, coeffs, order=1))
-    dph = rings_to_grid(grid, 1j * m * radial_factors(grid, 0, coeffs))
-    return dth, dph
-
-
 def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     """J_perp: orbital differentiation of ambient components, then projection.
 
@@ -242,12 +223,14 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     if (d_theta is None) != (d_phi is None):
         raise ValueError("pass both d_theta and d_phi or neither")
     if d_theta is None:
-        d_theta = np.zeros_like(section.components)
-        d_phi = np.zeros_like(section.components)
-        for idx, field in _component_fields(section.components, rank):
-            dth, dph = _spectral_derivatives(grid, field)
-            d_theta[(..., *idx)] = dth
-            d_phi[(..., *idx)] = dph
+        # every ambient component at once, component axes leading
+        slots, lead = tuple(range(2, 2 + rank)), tuple(range(rank))
+        L = grid.band_limit
+        coeffs = mode_coefficients(grid, 0, np.moveaxis(section.components, slots, lead), L)
+        m = np.arange(-L, L + 1)[:, None]
+        d_theta = rings_to_grid(grid, radial_factors(grid, 0, coeffs, order=1))
+        d_phi = rings_to_grid(grid, 1j * m * radial_factors(grid, 0, coeffs))
+        d_theta, d_phi = np.moveaxis(d_theta, lead, slots), np.moveaxis(d_phi, lead, slots)
     else:
         d_theta = np.asarray(d_theta, dtype=np.complex128)
         d_phi = np.asarray(d_phi, dtype=np.complex128)
@@ -285,105 +268,61 @@ def _unit_axis(axis):
     return u / n
 
 
-def _rotation_matrix(axis, angle):
-    u = _unit_axis(axis)
+def _rotation_matrix(u, angle):
+    """R(u, angle) for a unit axis u; np.cross(I, u) is the matrix of v -> u x v."""
     c, s = math.cos(angle), math.sin(angle)
-    ux = np.array(
-        [
-            [0.0, -u[2], u[1]],
-            [u[2], 0.0, -u[0]],
-            [-u[1], u[0], 0.0],
-        ]
-    )
-    return c * np.eye(3) + s * ux + (1.0 - c) * np.outer(u, u)
+    return c * np.eye(3) + s * np.cross(np.eye(3), u) + (1.0 - c) * np.outer(u, u)
 
 
-RESAMPLE_CACHE_BYTES = 128 * 2**20
+def _euler_zyz(axis, angle):
+    """(alpha, beta, gamma) with R(axis, angle) = R_z(alpha) R_y(beta) R_z(gamma).
 
-_resample_cache = GridCache(RESAMPLE_CACHE_BYTES)
-
-
-def _resample_matrix(grid, axis_key, angle):
-    """Mode-synthesis matrix at the nodes pulled back by the rotation.
-
-    Entry [(node), (j,m)] is the ordinary (spin-0) harmonic at
-    R(axis, -angle) applied to the node direction, so that multiplying
-    analysis coefficients by it resamples a scalar field on the rotated
-    grid exactly when the field is band-limited.  The profiles at the
-    pulled-back colatitudes come from the j-recurrence of tables.py, one
-    Horner seed per m.  Cached by grid geometry in a byte-bounded LRU: an
-    entry holds (n_theta n_phi) x (L+1)^2 complex values, about 567 MB at
-    L = 64, more than the whole budget.
+    Read off the quaternion (cos(angle/2), sin(angle/2) axis), which equals
+    (cos b cos(a+g), -sin b sin(a-g), sin b cos(a-g), cos b sin(a+g)) for
+    the halved angles (a, b, g): accurate at small angles, beta = 0 about z.
     """
-    key = (geometry_key(grid), axis_key, angle)
-    mat = _resample_cache.get(key)
-    if mat is not None:
-        return mat
-    rot = _rotation_matrix(axis_key, -angle)
-    th = grid.theta[:, None]
-    ph = grid.phi[None, :]
-    st = np.sin(th)
-    xyz = np.stack(
-        [
-            (st * np.cos(ph)).ravel(),
-            (st * np.sin(ph)).ravel(),
-            (np.cos(th) * np.ones_like(ph)).ravel(),
-        ],
-        axis=1,
-    )
-    pulled = xyz @ rot.T
-    tp = np.arccos(np.clip(pulled[:, 2], -1.0, 1.0))
-    pp = np.arctan2(pulled[:, 1], pulled[:, 0])
-    L = grid.band_limit
-    profiles = recurrence_table(0, L, tp)
-    mat = np.empty((tp.size, (L + 1) ** 2), dtype=np.complex128)
-    for m in range(-L, L + 1):
-        j = np.arange(abs(m), L + 1)
-        mat[:, j * j + j + m] = (profiles[m + L, j] * np.exp(1j * m * pp)).T
-    return _resample_cache.put(key, mat)
+    w = math.cos(0.5 * angle)
+    x, y, z = math.sin(0.5 * angle) * axis
+    plus, minus = math.atan2(z, w), math.atan2(-x, y)
+    beta = 2.0 * math.atan2(math.hypot(x, y), math.hypot(w, z))
+    return plus + minus, beta, plus - minus
 
 
-def _mode_vector(coeffs):
-    """Coefficient matrix A[m + L, j] flattened in (j, m) order, |m| <= j."""
-    L = coeffs.shape[1] - 1
-    return np.concatenate([coeffs[L - j : L + j + 1, j] for j in range(L + 1)])
+def _rotated_coefficients(coeffs, axis, angle):
+    """Coefficients of f(R^-1 k), R = R(axis, angle), from those A[..., m + L, j] of f.
 
-
-def _rotate_section_samples(section, axis_key, angle, comp_coeffs):
-    """Components of R^angle section(R^-angle k) on the original nodes."""
-    grid = section.grid
-    mat = _resample_matrix(grid, axis_key, angle)
-    pulled = np.empty_like(section.components)
-    for idx, _ in _component_fields(section.components, section.rank):
-        vals = mat @ comp_coeffs[idx]
-        pulled[(..., *idx)] = vals.reshape(grid.shape)
-    rot = _rotation_matrix(axis_key, angle)
-    if section.rank == 1:
-        return np.einsum("bc,tpc->tpb", rot, pulled)
-    return np.einsum("bc,de,tpce->tpbd", rot, rot, pulled)
+    Each j-block turns by the Wigner matrix e^{-i m alpha} d^j_{mn}(beta) e^{-i n gamma}.
+    """
+    L = coeffs.shape[-1] - 1
+    alpha, beta, gamma = _euler_zyz(axis, angle)
+    m = np.arange(-L, L + 1)[:, None]
+    turned = real_matmul(wigner_d(L, beta), np.swapaxes(np.exp(-1j * gamma * m) * coeffs, -1, -2))
+    return np.exp(-1j * alpha * m) * np.swapaxes(turned, -1, -2)
 
 
 def apply_J_rotation(section, axis):
     """Rotation generator i d/dpsi at psi=0 of the pulled-back rotated section.
 
     Fourth-order central stencil in the rotation angle with step
-    ROTATION_STEP; resampling is spectral, so it is exact for
-    band-limited sections.
+    ROTATION_STEP.  At each angle every ambient component is pulled back
+    in coefficient space by Wigner matrices, exactly for band-limited
+    sections; all components and angles share one analysis and one synthesis.
     """
     axis = _unit_axis(axis)
-    axis_key = tuple(float(v) for v in axis)
-    grid = section.grid
-    comp_coeffs = {
-        idx: _mode_vector(analysis_matrix(GridFunction(grid, 0, field)))
-        for idx, field in _component_fields(section.components, section.rank)
-    }
-    delta = ROTATION_STEP
-    acc = np.zeros_like(section.components)
-    for mult, weight in _STENCIL:
-        acc += weight * _rotate_section_samples(
-            section, axis_key, mult * delta, comp_coeffs
-        )
-    generator = 1j * acc / (12.0 * delta)
+    grid, rank = section.grid, section.rank
+    slots, lead = tuple(range(2, 2 + rank)), tuple(range(rank))
+    comps = np.moveaxis(section.components, slots, lead)
+    coeffs = mode_coefficients(grid, 0, comps, grid.band_limit)
+    angles = [mult * ROTATION_STEP for mult, _ in _STENCIL]
+    turned = np.stack([_rotated_coefficients(coeffs, axis, angle) for angle in angles])
+    pulled = rings_to_grid(grid, radial_factors(grid, 0, turned))
+    # R acts on every tensor slot of the pulled-back components, angle by angle
+    rots = np.stack([_rotation_matrix(axis, angle) for angle in angles])
+    rotated = np.matmul(rots, pulled.reshape(len(angles), 3, -1))
+    if rank == 2:
+        rotated = np.matmul(rots[:, None], rotated.reshape(len(angles), 3, 3, -1))
+    acc = np.tensordot([w for _, w in _STENCIL], rotated, axes=1).reshape(pulled.shape[1:])
+    generator = 1j * np.moveaxis(acc, lead, slots) / (12.0 * ROTATION_STEP)
     return EmbeddedSection(grid, section.helicity, generator)
 
 

@@ -222,7 +222,8 @@ def _suite_ortho(args, rng):
     block_err = norm_max = leak_max = 0.0
     for m in range(-L, L + 1):
         js = range(max(abs(m), abs(s)), L + 1)
-        rings = np.array([ring_modes(sample_swsh(grid, SWMode(s, j, m)), L) for j in js])
+        samples = [sample_swsh(grid, SWMode(s, j, m)).samples for j in js]
+        rings = ring_modes(grid, np.array(samples), L)
         own = rings[:, m + L]
         block = (np.conj(own) * w) @ own.T
         block_err = max(block_err, float(np.abs(block - np.eye(len(js))).max()))

@@ -31,7 +31,7 @@ class SpinWeightMismatch(ValueError):
 
 
 class InsufficientNodes(ValueError):
-    """Fewer grid rings than an extrapolation needs."""
+    """Fewer grid nodes than a band limit or an extrapolation needs."""
 
 
 class UnsupportedHelicity(ValueError):

@@ -39,6 +39,13 @@ class SphereGrid:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        L, shape = self.band_limit, self.shape
+        if self.theta_weights.shape != self.theta.shape:
+            raise GridMismatch(f"{shape[0]} colatitudes but {self.theta_weights.size} weights")
+        if shape[0] < L + 1 or shape[1] < 2 * L + 1:  # fewer nodes would alias silently
+            raise InsufficientNodes(
+                f"band limit {L} needs at least {L + 1} x {2 * L + 1} nodes, got {shape}"
+            )
 
     @property
     def n_theta(self):
@@ -141,14 +148,6 @@ def make_grid(band_limit, n_theta=None, n_phi=None):
         n_phi = 2 * L + 1
     n_theta = int(n_theta)
     n_phi = int(n_phi)
-    if n_theta < L + 1:
-        raise InsufficientNodes(
-            f"need at least {L + 1} colatitude nodes for band limit {L}, got {n_theta}"
-        )
-    if n_phi < 2 * L + 1:
-        raise InsufficientNodes(
-            f"need at least {2 * L + 1} azimuth nodes for band limit {L}, got {n_phi}"
-        )
     key = (L, n_theta, n_phi)
     grid = _grid_cache.get(key)
     if grid is None:

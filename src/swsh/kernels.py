@@ -24,11 +24,11 @@ Derivative profiles are just more term tables: differentiating shifts the
 exponent ladder by one and mixes neighboring coefficients, so first and
 second derivatives reuse the same evaluator.
 
-This evaluator is the point evaluator behind profile(), the seed of the
-j-recurrence in tables.py, the filler of the derivative tables and the
-independent reference the recurrence is tested against.  Its verified
-envelope is j <= J_MAX = 64; past about j = 70 the recurrence it seeds
-drifts from it, so larger j is rejected rather than evaluated.
+This evaluator is the point evaluator behind profile() and eval_swsh,
+and the independent reference the j-recurrence of tables.py is tested
+against; no table is seeded or filled from it.  Its verified envelope is
+j <= J_MAX = 64; past about j = 70 it drifts from the recurrence, so
+larger j is rejected rather than evaluated.
 """
 
 import math

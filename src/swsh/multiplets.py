@@ -10,7 +10,9 @@ never masquerade as structure; see spectrum_tensor.
 factor_search answers: which orbital spectra O satisfy
 V_a (x) O = target on the sound window?  It peels constraints from the
 lowest unresolved j upward with bounded backtracking, which is exact for
-the bounded multiplicities searched here.
+the bounded multiplicities searched here.  The answer need not be
+unique, even without a cutoff: the massless helicity-1 tower factors
+exactly over both l in {0, 3, 6, ...} and l in {2, 5, 8, ...}.
 """
 
 from dataclasses import dataclass

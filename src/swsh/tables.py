@@ -1,115 +1,169 @@
-"""Per-grid mode tables and the azimuthal FFT: the one synthesis path.
-
-For a grid of band limit L, spin weight s and derivative order k,
+"""One j-recurrence for every table: mode tables, their derivatives, Wigner d.
 
     mode_table(grid, s, k)[m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t),
 
-with a zero row wherever j < max(|m|, |s|).  The order-0 table climbs in
-j with the spin-weighted three-term recurrence
+zero below j0 = max(|m|, |s|).  A batch of (s, m) rows climbs from j0, where
+a profile is one half-angle monomial in closed form (_seeds), by the three-
+term recurrence and, for the derivative orders in the same loop, by its
+theta-derivatives, plain calculus that restates no ladder algebra:
 
-    cos(theta) p_j = a_{j+1} p_{j+1} - (m s / (j (j+1))) p_j + a_j p_{j-1},
-    a_j = sqrt((j^2 - m^2)(j^2 - s^2) / (j^2 (4 j^2 - 1))),
+    a_{j+1} p_{j+1}   = b_j p_j - a_j p_{j-1},
+    a_{j+1} p'_{j+1}  = b_j p'_j - sin(theta) p_j - a_j p'_{j-1},
+    a_{j+1} p''_{j+1} = b_j p''_j - 2 sin(theta) p'_j - cos(theta) p_j - a_j p''_{j-1},
+    a_j = sqrt((j^2 - m^2)(j^2 - s^2) / (j^2 (4 j^2 - 1))),  b_j = cos(theta) + m s / (j (j+1)).
 
-seeded per m by the Horner profile at j0 = max(|m|, |s|), a single-term
-monomial; the upward recurrence is stable for every m.  Derivative tables
-are filled once from the Horner derivative profiles.  Tables are cached by
-grid geometry (never by object id) in a byte-bounded LRU: an entry holds
-(2L+1)(L+1) n_theta doubles, about 4.4 MB at L = 64.
-
-A function on the grid is sum_m R_m(theta) exp(i m phi); ring_modes gives
-the R_m of grid samples by an FFT over phi and rings_to_grid puts radial
-factors back on the grid by an inverse FFT.  Both need the uniform azimuths
-that make_grid builds.
+wigner_d climbs rows s = -n at the one colatitude beta:
+d^j_{mn}(beta) = (-1)^n sqrt(4 pi / (2j+1)) p_{-n,j,m}(beta).  One byte-bounded
+LRU holds mode tables by grid geometry and spin weight, all orders built so
+far in one entry (4.4 MB per order at L = 64), and d-tables by (L, beta)
+(8.6 MB at L = 64).  ring_modes takes samples to the R_m(theta) of
+sum_m R_m exp(i m phi) by an FFT over phi, on make_grid's uniform azimuths,
+and rings_to_grid inverts it.  Leading component axes pass through.
 """
+
+import math
 
 import numpy as np
 
 from . import kernels
 from .errors import BandLimitExceeded, GridMismatch
 from .grid import GridCache, geometry_key
-from .modes import profile
 
 TABLE_CACHE_BYTES = 64 * 2**20
 
 _tables = GridCache(TABLE_CACHE_BYTES)
 
 
-def recurrence_table(s, L, theta):
-    """Order-0 profiles [m + L, j, i] at any interior colatitudes theta[i]."""
-    ms = np.arange(-L, L + 1)
-    j0 = np.maximum(np.abs(ms), abs(s))
-    x = np.cos(theta)
-    table = np.zeros((2 * L + 1, L + 1, theta.size))
-    for i, m in enumerate(ms):
-        if j0[i] <= L:
-            table[i, j0[i]] = profile(s, int(j0[i]), int(m), theta)
+def _seeds(s, m, theta, order):
+    """j0 = max(|m|, |s|) and d^k/dtheta^k p_{s j0 m}(theta) [k, row, t], k <= order.
 
-    def alpha(j, m):
-        return np.sqrt((j * j - m * m) * (j * j - s * s) / (j * j * (4.0 * j * j - 1.0)))
+    With q = max(0, m - s), the single term of kernels.goldberg_terms is
+    +-exp(lead) c^e1 h^e2, c = cos(theta/2), h = sin(theta/2), and
+    exp(2 lead) = (2 j0 + 1) binomial(2 j0, j0 + a) / (4 pi), a the smaller of
+    s, m in magnitude; the exact binomial keeps the lead to rounding, where
+    log-factorials would lose 1e-13 at j0 = 64.  With u = cot(theta/2) and
+    v = tan(theta/2): p' = (e2 u - e1 v) p / 2 and, free of cancellation,
+    p'' = (e2 (e2 - 1) u^2 + e1 (e1 - 1) v^2 - 2 e1 e2 - e1 - e2) p / 4.
+    """
+    j = np.maximum(np.abs(m), np.abs(s))
+    q = np.maximum(0, m - s)
+    e1 = (2 * q + s - m)[:, None]
+    e2 = (2 * j - 2 * q - s + m)[:, None]
+    a = np.where(np.abs(m) >= np.abs(s), s, m)
+    pairs = zip(j.tolist(), a.tolist())
+    lead = 0.5 * np.log([math.comb(2 * k, k + b) * (2 * k + 1) / (4 * math.pi) for k, b in pairs])
+    sign = np.where((j - q - s - m) % 2, -1.0, 1.0)[:, None]
+    c, h = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    out = np.empty((order + 1, m.size, theta.size))
+    out[0] = sign * np.exp(lead[:, None] + e1 * np.log(c) + e2 * np.log(h))
+    u, v = c / h, h / c
+    if order >= 1:
+        out[1] = 0.5 * (e2 * u - e1 * v) * out[0]
+    if order >= 2:
+        out[2] = 0.25 * (e2 * (e2 - 1) * u * u + e1 * (e1 - 1) * v * v - 2 * e1 * e2 - e1 - e2)
+        out[2] *= out[0]
+    return j, out
+
+
+def _climb(s, m, theta, L, order=0):
+    """P[k, row, j, t] = d^k/dtheta^k p_{s[row], j, m[row]}(theta_t) for k <= order, j <= L."""
+    j0, seeds = _seeds(s, m, theta, order)
+    table = np.zeros((order + 1, m.size, L + 1, theta.size))
+    rows = np.flatnonzero(j0 <= L)
+    table[:, rows, j0[rows]] = seeds[:, rows]
+    x, sin = np.cos(theta), np.sin(theta)
+    m, s = m.astype(np.float64), s.astype(np.float64)
+
+    def alpha(j, r):
+        jj = j * j
+        return np.sqrt((jj - m[r] ** 2) * (jj - s[r] ** 2) / (jj * (4.0 * jj - 1.0)))[:, None]
 
     for j in range(L):
-        live = j0 <= j
-        m = ms[live].astype(np.float64)
-        row = x * table[live, j]
+        live = np.flatnonzero(j0 <= j)
+        p = table[:, live, j]
+        row = x * p
         if j > 0:
-            row += (m * s / (j * (j + 1)))[:, None] * table[live, j]
-            row -= alpha(j, m)[:, None] * table[live, j - 1]
-        table[live, j + 1] = row / alpha(j + 1, m)[:, None]
-    return table
-
-
-def _horner_table(s, L, theta, order, built=None):
-    """Derivative profiles by Horner, reusing the rows of a smaller table."""
-    table = np.zeros((2 * L + 1, L + 1, theta.size))
-    j_next = abs(s)
-    if built is not None:
-        Lb = built.shape[1] - 1
-        table[L - Lb : L + Lb + 1, : Lb + 1] = built
-        j_next = max(j_next, Lb + 1)
-    for j in range(j_next, L + 1):
-        for m in range(-j, j + 1):
-            table[m + L, j] = profile(s, j, m, theta, order=order)
+            row += (m[live] * s[live] / (j * (j + 1)))[:, None] * p
+            row -= alpha(j, live) * table[:, live, j - 1]
+        if order >= 1:
+            row[1] -= sin * p[0]
+        if order >= 2:
+            row[2] -= 2.0 * sin * p[1] + x * p[0]
+        table[:, live, j + 1] = row / alpha(j + 1, live)
     return table
 
 
 def mode_table(grid, s, order=0, band_limit=None):
     """Read-only table [m + L, j, t] of order-th theta-derivative profiles.
 
-    L is band_limit, at most the grid's (the default).  A cached table is
-    built only as far as the largest band limit asked for so far, and
-    rebuilt when a larger one is asked for.
+    L is band_limit, at most the grid's (the default).  A cached entry holds
+    the highest order and band asked for so far; asking past either rebuilds it.
     """
     Lg = grid.band_limit
     L = Lg if band_limit is None else int(band_limit)
     if not 0 <= L <= Lg:
         raise BandLimitExceeded(f"table band limit {L} outside [0, {Lg}]")
     s, order = int(s), int(order)
-    key = (geometry_key(grid), s, order)
-    table = _tables.get(key)
-    if table is None or table.shape[1] <= L:
-        kernels.check_j_supported(L)
-        if order == 0:
-            table = recurrence_table(s, L, grid.theta)
+    key = (geometry_key(grid), s)
+    tables = _tables.get(key)
+    if tables is None or tables.shape[0] <= order or tables.shape[2] <= L:
+        orders, top = order, L
+        if tables is not None:
+            orders, top = max(order, tables.shape[0] - 1), max(L, tables.shape[2] - 1)
+        kernels.check_j_supported(top)
+        ms = np.arange(-top, top + 1)
+        tables = _tables.put(key, _climb(np.full_like(ms, s), ms, grid.theta, top, orders))
+    Lt = tables.shape[2] - 1
+    return tables[order, Lt - L : Lt + L + 1, : L + 1]
+
+
+def wigner_d(L, beta):
+    """Read-only d[j, m + L, n + L] = d^j_{mn}(beta), zero where |m| > j or |n| > j.
+
+    f(R_y(beta)^-1 k) has the coefficients sum_n d^j_{mn}(beta) c_{jn} when
+    f has the c_{jm}.  beta = 0 gives the identity exactly.
+    """
+    key = (int(L), float(beta))
+    d = _tables.get(key)
+    if d is None:
+        ms = np.arange(-L, L + 1)
+        if beta == 0.0:  # the seeds would take log(0)
+            d = np.array([np.diag((abs(ms) <= j).astype(float)) for j in range(L + 1)])
         else:
-            table = _horner_table(s, L, grid.theta, order, built=table)
-        _tables.put(key, table)
-    Lt = table.shape[1] - 1
-    return table[Lt - L : Lt + L + 1, : L + 1]
+            n, m = np.repeat(ms, ms.size), np.tile(ms, ms.size)
+            p = _climb(-n, m, np.array([float(beta)]), L)[0, :, :, 0]
+            d = p.reshape(ms.size, ms.size, L + 1).transpose(2, 1, 0)
+            norm = np.sqrt(4.0 * np.pi / (2 * np.arange(L + 1) + 1))[:, None, None]
+            d = np.ascontiguousarray(d * norm * np.where(ms % 2, -1.0, 1.0))
+        d = _tables.put(key, d)
+    return d
+
+
+def real_matmul(a, x):
+    """y[..., b, p] = sum_q a[b, p, q] x[..., b, q] for a real stack a and complex x.
+
+    x is viewed as interleaved real pairs with every leading axis folded
+    into the columns, so the contraction is one real matmul per b.
+    """
+    cols = x.reshape((-1,) + x.shape[-2:]).transpose(1, 2, 0)
+    cols = np.ascontiguousarray(cols, dtype=np.complex128)
+    y = np.matmul(a, cols.view(np.float64)).view(np.complex128)
+    return y.transpose(2, 0, 1).reshape(x.shape[:-2] + y.shape[:2])
 
 
 def radial_factors(grid, s, coeffs, order=0):
-    """R[m + L, t] = sum_j coeffs[m + L, j] * mode_table(grid, s, order)[m + L, j, t].
+    """R[..., m + L, t] = sum_j coeffs[..., m + L, j] * mode_table(grid, s, order)[m + L, j, t].
 
     Only the table rows up to the highest j with a nonzero coefficient
     are read, so a table is never built past the band a function uses.
     """
-    L = coeffs.shape[1] - 1
-    used = np.flatnonzero(coeffs.any(axis=0))
+    L = coeffs.shape[-1] - 1
+    used = np.flatnonzero(coeffs.reshape(-1, L + 1).any(axis=0))
     top = int(used[-1]) if used.size else 0
-    out = np.zeros((2 * L + 1, grid.n_theta), dtype=np.complex128)
-    out[L - top : L + top + 1] = np.einsum(
-        "mjt,mj->mt", mode_table(grid, s, order, top), coeffs[L - top : L + top + 1, : top + 1]
-    )
+    out = np.zeros(coeffs.shape[:-1] + (grid.n_theta,), dtype=np.complex128)
+    rows = slice(L - top, L + top + 1)
+    table = mode_table(grid, s, order, top).transpose(0, 2, 1)
+    out[..., rows, :] = real_matmul(table, coeffs[..., rows, : top + 1])
     return out
 
 
@@ -119,24 +173,29 @@ def _check_azimuths(grid):
         raise GridMismatch("transforms need n_phi uniform azimuths starting at phi = 0")
 
 
-def ring_modes(f, band_limit):
-    """Azimuthal quadrature R[m + L, t] = sum_p f[t, p] exp(-i m phi_p) dphi, |m| <= L."""
-    grid = f.grid
+def ring_modes(grid, samples, band_limit):
+    """R[..., m + L, t] = sum_p samples[..., t, p] exp(-i m phi_p) dphi for |m| <= L."""
     _check_azimuths(grid)
-    spec = np.fft.fft(f.samples, axis=1) * grid.phi_weight
+    spec = np.fft.fft(samples, axis=-1) * grid.phi_weight
     ms = np.arange(-band_limit, band_limit + 1)
-    return spec[:, ms % grid.n_phi].T
+    return np.swapaxes(spec[..., ms % grid.n_phi], -1, -2)
+
+
+def mode_coefficients(grid, s, samples, band_limit):
+    """Quadrature A[..., m + L, j] of samples[..., t, p] against every mode (s, j, m), j <= L."""
+    rings = ring_modes(grid, samples, band_limit) * grid.theta_weights
+    return real_matmul(mode_table(grid, s, 0, band_limit), rings)
 
 
 def rings_to_grid(grid, radial, shift=0):
-    """Samples of sum_m radial[m + L, t] exp(i (m + shift) phi) on the grid nodes.
+    """Samples [..., t, p] of sum_m radial[..., m + L, t] exp(i (m + shift) phi) on the grid nodes.
 
     The 2L+1 frequencies m + shift must be distinct modulo n_phi; on the
     nodes an aliased frequency takes exactly the values of the one it
     folds onto.
     """
     _check_azimuths(grid)
-    L = (radial.shape[0] - 1) // 2
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    spec[:, (np.arange(-L, L + 1) + shift) % grid.n_phi] = radial.T
-    return np.fft.ifft(spec, axis=1, norm="forward")
+    L = (radial.shape[-2] - 1) // 2
+    spec = np.zeros(radial.shape[:-2] + grid.shape, dtype=np.complex128)
+    spec[..., (np.arange(-L, L + 1) + shift) % grid.n_phi] = np.swapaxes(radial, -1, -2)
+    return np.fft.ifft(spec, axis=-1, norm="forward")

@@ -25,7 +25,7 @@ from .errors import BandLimitExceeded
 from .grid import GridFunction
 from .modes import validate_mode
 from .serial import json_dumps
-from .tables import mode_table, radial_factors, ring_modes, rings_to_grid
+from .tables import mode_coefficients, radial_factors, rings_to_grid
 
 COEFF_CLIP = 1e-13
 
@@ -105,8 +105,7 @@ def analysis_matrix(f, band_limit=None):
         raise BandLimitExceeded(
             f"analysis band limit {L} exceeds grid band limit {grid.band_limit}"
         )
-    rings = ring_modes(f, L) * grid.theta_weights
-    a = np.einsum("mjt,mt->mj", mode_table(grid, f.spin_weight, 0, L), rings)
+    a = mode_coefficients(grid, f.spin_weight, f.samples, L)
     a[np.abs(a) < COEFF_CLIP] = 0.0
     return a
 

@@ -7,11 +7,11 @@ Eight checks, every one runnable without pytest:
 prints one PASS/FAIL line per check and exits nonzero if any fail.  The
 same checks are exposed as pytest cases below.
 
-Check 7 contains a clause that genuinely fails: the orbital factor
-search is documented to return every spectrum that matches the target on
-the sound truncation window, a weaker statement than the uniqueness of
-the skip-two ladder asserted here.  The failing clause is kept failing
-on purpose; see test_factor_search_returns_only_the_skip_two_pattern.
+Check 7 contains a clause that genuinely fails: the uniqueness of the
+skip-two orbital ladder asserted there is false, because a second
+ladder factors the massless helicity-1 tower exactly as well.  The
+failing clause is kept failing on purpose; see
+test_factor_search_returns_only_the_skip_two_pattern.
 """
 
 import math
@@ -295,15 +295,17 @@ def test_multiplet_spectra_and_skip_two_membership():
 def test_factor_search_returns_only_the_skip_two_pattern():
     """Deliberately failing uniqueness clause of check 7.
 
-    The search is defined to return every orbital spectrum O with
-    V_1 (x) O matching the massless tower on the sound truncation
-    window, and {2: 1, 5: 1, 8: 1, 11: 1} also does: its product covers
-    j = 1..12 exactly once, differing from the skip-two ladder's product
-    only above the window edge, which a cutoff-aware search must treat
-    as unknown.  Uniqueness as asserted here is therefore false for any
-    finite cutoff, and no cutoff-free formulation of the search exists.
-    Kept failing rather than weakening the assertion or special-casing
-    the second family away.
+    V_1 (x) V_l = V_{l-1} + V_l + V_{l+1} (V_0 alone for l = 0), so an
+    orbital spectrum O = sum o_l V_l factors the massless helicity-1
+    tower, every j >= 1 once, exactly when 1 = o_{j-1} + o_j + o_{j+1}
+    for j >= 1 and o_1 = 0.  That linear recurrence fixes O from o_0
+    alone: o_0 = 1 gives the skip-two ladder l in {0, 3, 6, ...}, and
+    o_0 = 0 gives l in {2, 5, 8, ...}, whose triples {1, 2, 3},
+    {4, 5, 6}, ... cover every j >= 1 exactly once as well.  Both are
+    exact factorizations of the whole tower, with no cutoff involved;
+    the search returns both at J in {6, 12, 24}.  Uniqueness as asserted
+    here is false outright.  Kept failing rather than weakening the
+    assertion or special-casing the second family away.
     """
     sols = [
         dict(sol.sorted_items())

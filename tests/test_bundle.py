@@ -10,7 +10,7 @@ from scipy.spatial.transform import Rotation
 
 from swsh.bundle import (
     EmbeddedSection,
-    _resample_matrix,
+    _rotated_coefficients,
     apply_J_rotation,
     apply_projected_orbital,
     apply_projected_spin,
@@ -39,6 +39,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode, eval_swsh
 from swsh.operators import ladder_coefficient
+from swsh.tables import radial_factors, rings_to_grid
 from swsh.transform import coefficient_set, synthesize
 
 from conftest import random_entries
@@ -346,45 +347,57 @@ def test_rotation_ladder_raises_m():
     assert np.abs(raised - want).max() <= 1e-5
 
 
-def _check_resample_matrix(grid, angle):
-    # about z, the pulled-back node (theta, phi) is (theta, phi - angle),
-    # so the (j, m) = (1, 1) column is Y_11 there
-    mat = _resample_matrix(grid, (0.0, 0.0, 1.0), angle)
+def _rotated_modes(grid, labels, axis, angle):
+    """Samples of f(R^-1 k), R = R(axis, angle), for each basis mode f = Y_jm in labels."""
     L = grid.band_limit
-    assert mat.shape == (grid.n_theta * grid.n_phi, (L + 1) ** 2)
+    coeffs = np.zeros((len(labels), 2 * L + 1, L + 1), dtype=np.complex128)
+    for i, (j, m) in enumerate(labels):
+        coeffs[i, m + L, j] = 1.0
+    turned = _rotated_coefficients(coeffs, np.array(axis), angle)
+    return rings_to_grid(grid, radial_factors(grid, 0, turned))
+
+
+def _check_rotation_about_z(grid, angle):
+    # about z the pulled-back node (theta, phi) is (theta, phi - angle),
+    # so the rotated (j, m) = (1, 1) mode is Y_11 exp(-i angle)
+    got = _rotated_modes(grid, [(1, 1)], Z_AXIS, angle)[0]
     want = sample_swsh(grid, SWMode(0, 1, 1)).samples * np.exp(-1j * angle)
-    assert np.abs(mat[:, 3].reshape(grid.shape) - want).max() <= 1e-13
+    assert np.abs(got - want).max() <= 1e-13
 
 
-def test_resample_matrix_is_keyed_by_grid_geometry():
+def test_rotation_tables_are_keyed_by_grid_geometry():
     L = 4
     for grid in (make_grid(L), make_grid(L, n_theta=L + 3)):
-        _check_resample_matrix(grid, 0.25)
+        _check_rotation_about_z(grid, 0.25)
     # hand-built grids that die between calls: a recycled object id must
-    # never hand one grid's matrix to another
+    # never hand one grid's tables to another
     for n_theta in (L + 1, L + 3, L + 2, L + 1):
         base = make_grid(L, n_theta=n_theta)
         grid = SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), base.phi.copy())
-        _check_resample_matrix(grid, 0.5)
+        _check_rotation_about_z(grid, 0.5)
         del grid
 
 
-@pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS])
+@pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS, (1 / 3, 2 / 3, 2 / 3)])
 def test_resample_columns_are_the_horner_harmonics(axis):
-    # the matrix is built by the j-recurrence; every column must be the
-    # Horner-evaluated harmonic at the node directions rotated by -angle
-    L, angle = 10, 2e-4
-    grid = make_grid(L)
-    mat = _resample_matrix(grid, axis, angle)
-    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    nodes = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-    pulled = Rotation.from_rotvec(-angle * np.array(axis)).apply(nodes.reshape(-1, 3))
-    tp = np.arccos(pulled[:, 2])
-    pp = np.arctan2(pulled[:, 1], pulled[:, 0])
-    for j in range(L + 1):
-        for m in range(-j, j + 1):
-            want = eval_swsh(SWMode(0, j, m), tp, pp)
-            assert np.abs(mat[:, j * j + j + m] - want).max() <= 1e-13
+    # every column of the resampling, a basis mode turned by Wigner matrices
+    # in coefficient space and synthesized, against the Horner-evaluated
+    # harmonic at the node directions rotated by -angle; at L = 32 the
+    # modes of a few j stand for all
+    for L in (10, 32):
+        grid = make_grid(L)
+        js = range(L + 1) if L <= 10 else (0, 1, 2, L // 2, L - 1, L)
+        labels = [(j, m) for j in js for m in range(-j, j + 1)]
+        th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+        nodes = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+        for angle in (1e-4, -2e-4, 0.7):
+            got = _rotated_modes(grid, labels, axis, angle)
+            pulled = Rotation.from_rotvec(-angle * np.array(axis)).apply(nodes.reshape(-1, 3))
+            # arctan2 keeps the colatitude accurate next to the poles, where arccos is not
+            tp = np.arctan2(np.hypot(pulled[:, 0], pulled[:, 1]), pulled[:, 2]).reshape(grid.shape)
+            pp = np.arctan2(pulled[:, 1], pulled[:, 0]).reshape(grid.shape)
+            for (j, m), rotated in zip(labels, got):
+                assert np.abs(rotated - eval_swsh(SWMode(0, j, m), tp, pp)).max() <= 1e-13
 
 
 def test_rotation_axis_must_be_unit():

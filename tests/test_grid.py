@@ -67,6 +67,19 @@ def test_undersized_grids_rejected():
         make_grid(4, n_phi=8)
 
 
+def test_hand_built_grids_need_enough_nodes():
+    # with n_phi = 7 < 2L + 1 at L = 6, analysis would alias the sampled
+    # mode (s, j, m) = (0, 5, 5) onto (2, -2) without a word
+    base = make_grid(6)
+    phi7 = 2.0 * np.pi * np.arange(7) / 7
+    with pytest.raises(InsufficientNodes):
+        SphereGrid(6, base.theta, base.theta_weights, phi7)
+    with pytest.raises(InsufficientNodes):
+        SphereGrid(6, base.theta[:6], base.theta_weights[:6], base.phi)
+    with pytest.raises(GridMismatch):
+        SphereGrid(6, base.theta, base.theta_weights[:-1], base.phi)
+
+
 def test_grid_cache_returns_same_object():
     assert make_grid(8) is make_grid(8)
     assert make_grid(8) is not make_grid(8, n_theta=12)

@@ -1,4 +1,4 @@
-"""Per-grid mode tables: recurrence against Horner, orthonormality, caching."""
+"""Mode and Wigner-d tables: recurrence against Horner, orthonormality, caching."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from swsh import analyze, coefficient_set, make_grid, profile, synthesize
 from swsh.errors import GridMismatch
 from swsh.grid import GridCache, GridFunction, SphereGrid
 from swsh.modes import _term_table
-from swsh.tables import mode_table, radial_factors
+from swsh.tables import _seeds, mode_table, radial_factors, wigner_d
 
 from conftest import random_entries
 
@@ -31,13 +31,56 @@ def test_recurrence_rows_match_horner_profiles(L, s):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivative_tables_are_the_horner_derivatives(order):
-    grid = make_grid(6)
-    mode_table(grid, -1, order, band_limit=3)  # the full table extends this one
-    table = mode_table(grid, -1, order)
-    for j in range(1, 7):
-        for m in range(-j, j + 1):
-            want = profile(-1, j, m, grid.theta, order=order)
-            assert np.array_equal(table[m + 6, j], want)
+    # the differentiated recurrence against the Horner derivative profiles,
+    # each table within 1e-12 of its largest entry.  A Horner derivative
+    # profile costs about a millisecond, so at L = 32 and 64 every eighth and
+    # every 32nd m, and the rows |m| <= 2 seeded at j0 = |s|, stand for all
+    for L, stride in ((6, 1), (32, 8), (64, 32)):
+        grid = make_grid(L)
+        ms = [m for m in range(-L, L + 1) if m % stride == 0 or abs(m) <= 2]
+        for s in SPINS:
+            table = mode_table(grid, s, order)
+            worst = 0.0
+            for m in ms:
+                for j in range(max(abs(m), abs(s)), L + 1):
+                    want = profile(s, j, m, grid.theta, order=order)
+                    worst = max(worst, float(np.abs(table[m + L, j] - want).max()))
+            assert worst <= 1e-12 * np.abs(table).max()
+
+
+def test_closed_form_seeds_are_the_horner_profiles():
+    # the single-term profile at j0 = max(|m|, |s|) for every |s|, |m| <= 64;
+    # the Horner side carries the 1e-13 of its log-factorial lead
+    theta = make_grid(64).theta
+    ms = np.arange(-64, 65)
+    for s in range(-64, 65):
+        j0, seeds = _seeds(np.full_like(ms, s), ms, theta, 0)
+        for m, j, row in zip(ms.tolist(), j0.tolist(), seeds[0]):
+            want = profile(s, j, m, theta)
+            assert np.abs(row - want).max() <= 5e-13 * np.abs(want).max()
+
+
+def test_wigner_d_at_zero_is_the_identity():
+    L = 9
+    d = wigner_d(L, 0.0)
+    for j in range(L + 1):
+        block = np.zeros((2 * L + 1, 2 * L + 1))
+        block[L - j : L + j + 1, L - j : L + j + 1] = np.eye(2 * j + 1)
+        assert np.array_equal(d[j], block)
+
+
+@pytest.mark.parametrize(
+    "L, beta", [(12, 0.7), (32, 1e-4), (32, 2e-4), (32, 0.7), (32, 2.5), (64, 0.7), (64, 2.5)]
+)
+def test_wigner_d_blocks_are_orthogonal(L, beta):
+    d = wigner_d(L, beta)
+    for j in range(L + 1):
+        inside = (slice(L - j, L + j + 1),) * 2
+        block = d[j][inside]
+        assert np.abs(block @ block.T - np.eye(2 * j + 1)).max() <= 1e-13
+        outside = d[j].copy()
+        outside[inside] = 0.0
+        assert not outside.any()
 
 
 @pytest.mark.parametrize("s", SPINS)
@@ -130,12 +173,14 @@ def test_grid_cache_stays_within_its_byte_budget():
 
 
 def test_term_table_cache_stays_bounded():
-    # the order-1 tables at L = 64 need two term tables per mode, about
-    # four times the bound; the cache keeps only the most recent ones
-    grid = make_grid(64)
+    # only point evaluation builds term tables now; evaluating every mode
+    # with j <= 20, all spin weights, asks for three times the bound
     before = _term_table.cache_info()
-    for s in (0, -2):
-        mode_table(grid, s, 1)
+    theta = np.array([0.5])
+    for j in range(21):
+        for s in range(-j, j + 1):
+            for m in range(-j, j + 1):
+                profile(s, j, m, theta)
     after = _term_table.cache_info()
     assert after.misses - before.misses > after.maxsize
     assert after.currsize <= after.maxsize
