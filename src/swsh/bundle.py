@@ -19,6 +19,7 @@ components as ordinary scalars (spectrally) before projecting.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,18 @@ class EmbeddedSection:
     @property
     def rank(self):
         return abs(self.helicity)
+
+    @cached_property
+    def component_coefficients(self):
+        """Read-only spin-0 A[slots..., m + L, j] of every ambient component, L the grid's.
+
+        The tensor slots lead; the operators below share this one analysis.
+        """
+        slots, lead = tuple(range(2, 2 + self.rank)), tuple(range(self.rank))
+        comps = np.moveaxis(self.components, slots, lead)
+        coeffs = mode_coefficients(self.grid, 0, comps, self.grid.band_limit)
+        coeffs.setflags(write=False)
+        return coeffs
 
 
 @dataclass(frozen=True)
@@ -225,9 +238,8 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     if d_theta is None:
         # every ambient component at once, component axes leading
         slots, lead = tuple(range(2, 2 + rank)), tuple(range(rank))
-        L = grid.band_limit
-        coeffs = mode_coefficients(grid, 0, np.moveaxis(section.components, slots, lead), L)
-        m = np.arange(-L, L + 1)[:, None]
+        coeffs = section.component_coefficients
+        m = np.arange(-grid.band_limit, grid.band_limit + 1)[:, None]
         d_theta = rings_to_grid(grid, radial_factors(grid, 0, coeffs, order=1))
         d_phi = rings_to_grid(grid, 1j * m * radial_factors(grid, 0, coeffs))
         d_theta, d_phi = np.moveaxis(d_theta, lead, slots), np.moveaxis(d_phi, lead, slots)
@@ -269,9 +281,11 @@ def _unit_axis(axis):
 
 
 def _rotation_matrix(u, angle):
-    """R(u, angle) for a unit axis u; np.cross(I, u) is the matrix of v -> u x v."""
+    """R(u, angle) for a unit axis u, by Rodrigues' formula; cross is the matrix of v -> u x v."""
     c, s = math.cos(angle), math.sin(angle)
-    return c * np.eye(3) + s * np.cross(np.eye(3), u) + (1.0 - c) * np.outer(u, u)
+    x, y, z = u
+    cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
 
 
 def _euler_zyz(axis, angle):
@@ -311,8 +325,7 @@ def apply_J_rotation(section, axis):
     axis = _unit_axis(axis)
     grid, rank = section.grid, section.rank
     slots, lead = tuple(range(2, 2 + rank)), tuple(range(rank))
-    comps = np.moveaxis(section.components, slots, lead)
-    coeffs = mode_coefficients(grid, 0, comps, grid.band_limit)
+    coeffs = section.component_coefficients
     angles = [mult * ROTATION_STEP for mult, _ in _STENCIL]
     turned = np.stack([_rotated_coefficients(coeffs, axis, angle) for angle in angles])
     pulled = rings_to_grid(grid, radial_factors(grid, 0, turned))

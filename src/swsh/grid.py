@@ -148,6 +148,8 @@ def make_grid(band_limit, n_theta=None, n_phi=None):
         n_phi = 2 * L + 1
     n_theta = int(n_theta)
     n_phi = int(n_phi)
+    if n_theta <= 0 or n_phi <= 0:
+        raise InsufficientNodes(f"a grid needs positive node counts, got {n_theta} x {n_phi}")
     key = (L, n_theta, n_phi)
     grid = _grid_cache.get(key)
     if grid is None:

@@ -10,12 +10,18 @@ Output is deterministic: the tables, the FFT and the contractions are
 fixed sequences of floating-point operations for a given input and grid,
 so repeated runs produce identical bytes.
 
-Coefficients with magnitude below 1e-13 are stored as exact zeros,
-which keeps the sparse entry maps clean.
+A CoefficientSet holds its amplitudes in the same dense A[m + L, j]
+matrix the contractions read and write, so analyze wraps its result and
+synthesize reads the set without a per-entry step.  Coefficients with
+magnitude below 1e-13 are stored as exact zeros, and so are NaN amplitudes
+given in a mapping; analyze refuses non-finite samples.  The sparse
+(j, m) -> amplitude view lists the nonzero coefficients and is built on
+first use.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -30,38 +36,48 @@ from .tables import mode_coefficients, radial_factors, rings_to_grid
 COEFF_CLIP = 1e-13
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CoefficientSet:
-    """Sparse mode coefficients of one spin-weighted function.
+    """Mode coefficients of one spin-weighted function, held densely.
 
-    entries maps (j, m) to a complex amplitude; keys satisfy
-    |s| <= j <= band_limit and |m| <= j.  Missing keys mean zero.
+    matrix[m + L, j] is the amplitude of mode (j, m), read-only, with
+    L = min(band_limit, kernels.J_MAX); entries with no mode (j < |s| or
+    |m| > j) are zero.  entries is the read-only sparse view, (j, m) ->
+    complex amplitude for every nonzero coefficient, in order of j then m.
+    The constructor takes such a mapping; its keys must satisfy
+    |s| <= j <= band_limit and |m| <= j.  Missing keys mean zero, and
+    amplitudes below COEFF_CLIP or NaN are dropped.
     """
 
     spin_weight: int
     band_limit: int
-    entries: "MappingProxyType"
+    matrix: np.ndarray
 
-    def __post_init__(self):
-        s = int(self.spin_weight)
-        L = int(self.band_limit)
+    def __init__(self, spin_weight, band_limit, entries):
+        s, L = int(spin_weight), int(band_limit)
         if L < abs(s):
             raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
-        clean = {}
-        j_low, j_top = abs(s), min(L, kernels.J_MAX)
-        for (j, m), v in self.entries.items():
-            # plain in-range int labels pass at once; anything else gets the
-            # full check, which names the fault
-            if not (type(j) is int and type(m) is int and j_low <= j <= j_top and -j <= m <= j):
-                validate_mode(s, j, m)
-                if j > L:
-                    raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
-            v = complex(v)
-            if abs(v) >= COEFF_CLIP:
-                clean[(int(j), int(m))] = v
+        self._set(s, L, _entry_matrix(s, L, entries))
+
+    def _set(self, s, L, matrix):
+        matrix.setflags(write=False)
         object.__setattr__(self, "spin_weight", s)
         object.__setattr__(self, "band_limit", L)
-        object.__setattr__(self, "entries", MappingProxyType(clean))
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def _wrap(cls, s, L, matrix):
+        """A set around a clipped A[m + L, j] whose nonzeros all sit on modes."""
+        c = cls.__new__(cls)
+        c._set(s, L, matrix)
+        return c
+
+    @cached_property
+    def entries(self):
+        L = self.matrix.shape[1] - 1
+        js, ms = np.nonzero(self.matrix.T)
+        vals = self.matrix[ms, js].tolist()
+        return MappingProxyType(dict(zip(zip(js.tolist(), (ms - L).tolist()), vals)))
 
     def get(self, j, m):
         return self.entries.get((j, m), 0j)
@@ -75,23 +91,39 @@ class CoefficientSet:
         return (
             self.spin_weight == other.spin_weight
             and self.band_limit == other.band_limit
-            and dict(self.entries) == dict(other.entries)
+            and np.array_equal(self.matrix, other.matrix)
         )
 
     __hash__ = None
 
 
+def _entry_matrix(s, L, entries):
+    """Clipped A[m + min(L, J_MAX), j] of a (j, m) -> amplitude mapping.
+
+    Labels are checked in the mapping's order; the first bad one raises and
+    names the fault.  Amplitudes below COEFF_CLIP, and NaN, become zero.
+    """
+    j_low, top = abs(s), min(L, kernels.J_MAX)
+    rows, cols, vals = [], [], []
+    for (j, m), v in entries.items():
+        # plain in-range int labels pass at once; anything else gets the
+        # full check, which names the fault
+        if not (type(j) is int and type(m) is int and j_low <= j <= top and -j <= m <= j):
+            validate_mode(s, j, m)
+            if j > L:
+                raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
+            j, m = int(j), int(m)
+        rows.append(m + top)
+        cols.append(j)
+        vals.append(complex(v))
+    out = np.zeros((2 * top + 1, top + 1), dtype=np.complex128)
+    out[rows, cols] = vals
+    out[~(np.abs(out) >= COEFF_CLIP)] = 0.0
+    return out
+
+
 def coefficient_set(spin_weight, band_limit, entries=None):
     return CoefficientSet(spin_weight, band_limit, dict(entries or {}))
-
-
-def coefficient_matrix(c):
-    """Dense coefficients A[m + L, j] of a CoefficientSet, L its band limit."""
-    L = c.band_limit
-    out = np.zeros((2 * L + 1, L + 1), dtype=np.complex128)
-    for (j, m), v in c.entries.items():
-        out[m + L, j] = v
-    return out
 
 
 def analysis_matrix(f, band_limit=None):
@@ -112,14 +144,14 @@ def analysis_matrix(f, band_limit=None):
 
 def analyze(f, band_limit=None):
     """Project a grid function onto the mode basis up to the band limit."""
+    if not np.isfinite(f.samples).all():
+        raise ValueError("cannot analyze a grid function with non-finite samples")
     s = f.spin_weight
-    a = analysis_matrix(f, band_limit).T
-    L = a.shape[0] - 1
+    a = analysis_matrix(f, band_limit)
+    L = a.shape[1] - 1
     if L < abs(s):
         return coefficient_set(s, abs(s))
-    js, ms = np.nonzero(a)
-    entries = dict(zip(zip(js.tolist(), (ms - L).tolist()), a[js, ms].tolist()))
-    return CoefficientSet(s, L, entries)
+    return CoefficientSet._wrap(s, L, a)
 
 
 def synthesize(c, grid):
@@ -129,7 +161,7 @@ def synthesize(c, grid):
             f"coefficient band limit {c.band_limit} exceeds grid band limit"
             f" {grid.band_limit}"
         )
-    radial = radial_factors(grid, c.spin_weight, coefficient_matrix(c))
+    radial = radial_factors(grid, c.spin_weight, c.matrix)
     return GridFunction(grid, c.spin_weight, rings_to_grid(grid, radial))
 
 

@@ -67,6 +67,13 @@ def test_undersized_grids_rejected():
         make_grid(4, n_phi=8)
 
 
+@pytest.mark.parametrize("n_theta, n_phi", [(0, 9), (-3, 9), (5, 0), (5, -1)])
+def test_nonpositive_node_counts_rejected_by_name(n_theta, n_phi):
+    # checked before the Gauss-Legendre rule, which would reject only n_theta
+    with pytest.raises(InsufficientNodes, match=f"{n_theta} x {n_phi}"):
+        make_grid(0, n_theta=n_theta, n_phi=n_phi)
+
+
 def test_hand_built_grids_need_enough_nodes():
     # with n_phi = 7 < 2L + 1 at L = 6, analysis would alias the sampled
     # mode (s, j, m) = (0, 5, 5) onto (2, -2) without a word

@@ -2,16 +2,19 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from swsh import kernels
 from swsh.errors import BandLimitExceeded, InvalidMode
 from swsh.grid import GridFunction, inner_product, make_grid, sample_swsh
 from swsh.modes import SWMode
 from swsh.transform import (
     COEFF_CLIP,
     CoefficientSet,
+    analysis_matrix,
     analyze,
     coefficient_set,
     coefficients_from_json,
@@ -28,12 +31,21 @@ from conftest import random_entries
 # ------------------------------------------------------------ coefficient set
 
 def test_entries_validated():
-    with pytest.raises(InvalidMode):
-        coefficient_set(-1, 4, {(0, 0): 1.0})  # j < |s|
-    with pytest.raises(InvalidMode):
-        coefficient_set(0, 4, {(2, 3): 1.0})  # |m| > j
+    # the first bad key in the mapping raises its own error, good keys around it or not
+    good = {(2, 1): 1.0, (3, -2): 2.0j}
+    for s, L, bad, error in (
+        (-1, 4, (0, 0), InvalidMode),  # j < |s|
+        (0, 4, (2, 3), InvalidMode),  # |m| > j
+        (0, 100, (kernels.J_MAX + 1, 0), InvalidMode),  # j > J_MAX
+        (0, 4, (5, 0), BandLimitExceeded),  # j > L
+    ):
+        for entries in ({bad: 1.0}, {bad: 1.0, **good}, {(2, 0): 1.0, bad: 1.0, **good}):
+            with pytest.raises(error):
+                coefficient_set(s, L, entries)
     with pytest.raises(BandLimitExceeded):
-        coefficient_set(0, 4, {(5, 0): 1.0})
+        coefficient_set(0, 4, {(1, 0): 1.0, (5, 0): 1.0, (2, 3): 1.0})
+    with pytest.raises(InvalidMode):
+        coefficient_set(0, 4, {(1, 0): 1.0, (2, 3): 1.0, (5, 0): 1.0})
 
 
 def test_tiny_entries_clipped():
@@ -52,6 +64,91 @@ def test_structural_equality():
     b = coefficient_set(0, 4, {(1, 0): 1.0 + 2.0j})
     assert a == b
     assert a != coefficient_set(0, 5, {(1, 0): 1.0 + 2.0j})
+
+
+def _sparse_entries(a):
+    """(j, m) -> amplitude of the nonzeros of a clipped A[m + L, j], j-major."""
+    a = a.T
+    L = a.shape[0] - 1
+    js, ms = np.nonzero(a)
+    return dict(zip(zip(js.tolist(), (ms - L).tolist()), a[js, ms].tolist()))
+
+
+def test_analyze_entries_are_the_nonzeros_of_the_analysis_matrix(rng):
+    grid = make_grid(12)
+    for s in (-2, 0, 1):
+        f = synthesize(coefficient_set(s, 12, random_entries(rng, s, 12)), grid)
+        c = analyze(f)
+        want = _sparse_entries(analysis_matrix(f))
+        assert list(c.entries.items()) == list(want.items())
+        assert all(type(v) is complex for v in c.entries.values())
+        assert repr(c.sorted_items()) == repr(sorted(want.items()))
+
+
+def test_set_from_dict_equals_set_from_matrix(rng):
+    grid = make_grid(9)
+    c = analyze(synthesize(coefficient_set(-1, 9, random_entries(rng, -1, 9)), grid))
+    again = coefficient_set(-1, 9, dict(c.entries))
+    assert again == c
+    assert np.array_equal(again.matrix, c.matrix)
+
+
+def test_numpy_and_integral_float_labels():
+    want = coefficient_set(0, 4, {(2, -1): 1.0, (3, 3): -2.0})
+    for j, m in ((np.int64(2), np.int32(-1)), (2.0, -1.0), (np.float64(2.0), -1)):
+        c = coefficient_set(0, 4, {(j, m): 1.0, (3, 3): -2.0})
+        assert c == want
+        assert all(type(j) is int and type(m) is int for j, m in c.entries)
+    with pytest.raises(InvalidMode):
+        coefficient_set(0, 4, {(2.5, 0): 1.0})
+    with pytest.raises(InvalidMode):
+        coefficient_set(0, 4, {(np.float64(2), 0.5): 1.0})
+
+
+def test_huge_band_limit_stores_at_most_the_supported_modes():
+    tracemalloc.start()
+    try:
+        c = coefficient_set(0, 10**6, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.matrix.shape == (2 * kernels.J_MAX + 1, kernels.J_MAX + 1)
+    assert peak < 10**6
+    assert c.band_limit == 10**6 and c.sorted_items() == []
+
+
+def test_stored_matrix_is_read_only():
+    c = coefficient_set(1, 4, {(2, -1): 1.5})
+    assert not c.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        c.matrix[0, 0] = 1.0
+    assert not analyze(synthesize(c, make_grid(4))).matrix.flags.writeable
+
+
+def test_nan_amplitudes_are_dropped():
+    nan = float("nan")
+    c = coefficient_set(0, 4, {(1, 0): nan, (2, 1): complex(1.0, nan), (3, -1): 2.0})
+    assert c.sorted_items() == [((3, -1), 2.0 + 0j)]
+    assert c == c
+    text = json.dumps({
+        "spin_weight": 0,
+        "band_limit": 4,
+        "entries": [
+            {"j": 1, "m": 0, "re": nan, "im": 0.0},
+            {"j": 3, "m": -1, "re": 2.0, "im": 0.0},
+        ],
+    })
+    assert coefficients_from_json(text) == c
+    assert np.all(np.isfinite(synthesize(coefficients_from_json(text), make_grid(4)).samples))
+
+
+def test_analyze_refuses_non_finite_samples():
+    grid = make_grid(4)
+    for bad in (float("nan"), float("inf")):
+        samples = np.ones_like(sample_swsh(grid, SWMode(0, 1, 0)).samples)
+        samples[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            analyze(GridFunction(grid, 0, samples))
 
 
 # ------------------------------------------------------------------ transform
