@@ -8,9 +8,11 @@ functions as sections, and realizes the split of the rotation generator
 into a pointwise part (projected spin action) and a differential part
 (projected orbital action), together with the finite-difference rotation
 generator they are checked against.  That generator pulls each ambient
-component back in coefficient space, turning every j-block by a Wigner
-matrix whose d^j(beta) comes from the j-recurrence of tables.py, at the
-four angles of a central stencil.
+component back in coefficient space at the four angles of a central
+stencil about an axis n: conjugated to the z axis, R(n, psi) = Q R_z(psi)
+Q^-1, the rotation at each angle is a phase, so per axis the coefficients
+turn by one pair of Wigner matrices d^j(theta_n), from the j-recurrence of
+tables.py, around a per-m stencil kernel, and are synthesized once.
 
 Rank bookkeeping: the projector is slot-wise I - k k^T, the spin matrices
 act per tensor slot, and the orbital operator differentiates ambient
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
 from .grid import GridFunction, SphereGrid, standard_frame
-from .tables import mode_coefficients, radial_factors, real_matmul, rings_to_grid, wigner_d
+from .tables import _tables, mode_coefficients, radial_factors, real_matmul, rings_to_grid, wigner_d
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
 ROTATION_STEP = 1e-4
@@ -280,61 +282,79 @@ def _unit_axis(axis):
     return u / n
 
 
-def _rotation_matrix(u, angle):
-    """R(u, angle) for a unit axis u, by Rodrigues' formula; cross is the matrix of v -> u x v."""
-    c, s = math.cos(angle), math.sin(angle)
-    x, y, z = u
-    cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
+def _turn_z_to(theta, phi):
+    """R_z(phi) R_y(theta) multiplied out: the rotation taking z to the direction (theta, phi)."""
+    ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    return np.array([[cp * ct, -sp, cp * st], [sp * ct, cp, sp * st], [-st, 0.0, ct]])
 
 
-def _euler_zyz(axis, angle):
-    """(alpha, beta, gamma) with R(axis, angle) = R_z(alpha) R_y(beta) R_z(gamma).
+def _slot_power(r, rank):
+    """r acting on every tensor slot, r (x) r for rank 2, on the flattened slots."""
+    if rank == 1:
+        return r
+    return (r[:, None, :, None] * r[None, :, None, :]).reshape(9, 9)
 
-    Read off the quaternion (cos(angle/2), sin(angle/2) axis), which equals
-    (cos b cos(a+g), -sin b sin(a-g), sin b cos(a-g), cos b sin(a+g)) for
-    the halved angles (a, b, g): accurate at small angles, beta = 0 about z.
+
+def _axis_frame(axis, L):
+    """Q taking z to the unit axis, with d(theta) and e = exp(-i m phi)[m + L] of its Euler angles.
+
+    Q = R_z(phi) R_y(theta), so in coefficient space D(Q) = e d(theta) and,
+    as d(-beta) = d(beta)^T, D(Q^-1) = d(theta)^T conj(e).
     """
-    w = math.cos(0.5 * angle)
-    x, y, z = math.sin(0.5 * angle) * axis
-    plus, minus = math.atan2(z, w), math.atan2(-x, y)
-    beta = 2.0 * math.atan2(math.hypot(x, y), math.hypot(w, z))
-    return plus + minus, beta, plus - minus
+    x, y, z = axis
+    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+    e = np.exp(-1j * phi * np.arange(-L, L + 1))[:, None]
+    return _turn_z_to(theta, phi), wigner_d(L, theta), e
 
 
-def _rotated_coefficients(coeffs, axis, angle):
-    """Coefficients of f(R^-1 k), R = R(axis, angle), from those A[..., m + L, j] of f.
+def _wigner_turn(d, coeffs):
+    """sum_n d[j, m + L, n + L] coeffs[..., n + L, j] for every j."""
+    return np.swapaxes(real_matmul(d, np.swapaxes(coeffs, -1, -2)), -1, -2)
 
-    Each j-block turns by the Wigner matrix e^{-i m alpha} d^j_{mn}(beta) e^{-i n gamma}.
+
+def _stencil_kernel(L, rank):
+    """K[m + L] = sum_k w_k R_z(psi_k)^{(x) rank} exp(-i m psi_k) over the stencil angles psi_k.
+
+    The finite-difference sum about z for every m, acting on the flattened
+    tensor slots; cached by (L, rank) with the tables.
     """
-    L = coeffs.shape[-1] - 1
-    alpha, beta, gamma = _euler_zyz(axis, angle)
-    m = np.arange(-L, L + 1)[:, None]
-    turned = real_matmul(wigner_d(L, beta), np.swapaxes(np.exp(-1j * gamma * m) * coeffs, -1, -2))
-    return np.exp(-1j * alpha * m) * np.swapaxes(turned, -1, -2)
+    key = ("stencil", L, rank)
+    kernel = _tables.get(key)
+    if kernel is None:
+        m = np.arange(-L, L + 1)[:, None, None]
+        kernel = np.zeros((2 * L + 1, 3**rank, 3**rank), dtype=np.complex128)
+        for mult, w in _STENCIL:
+            psi = mult * ROTATION_STEP
+            kernel += w * np.exp(-1j * psi * m) * _slot_power(_turn_z_to(0.0, psi), rank)
+        kernel = _tables.put(key, kernel)
+    return kernel
 
 
 def apply_J_rotation(section, axis):
     """Rotation generator i d/dpsi at psi=0 of the pulled-back rotated section.
 
     Fourth-order central stencil in the rotation angle with step
-    ROTATION_STEP.  At each angle every ambient component is pulled back
-    in coefficient space by Wigner matrices, exactly for band-limited
-    sections; all components and angles share one analysis and one synthesis.
+    ROTATION_STEP.  R(axis, psi) = Q R_z(psi) Q^-1 with Q taking z to the
+    axis, so the components' coefficients are turned into the axis frame
+    by one Wigner matrix, where the rotation at every stencil angle is a
+    phase exp(-i m psi) and the stencil sum over angles and tensor slots is
+    one kernel per m; one Wigner matrix turns them back and one synthesis
+    gives the generator, exactly for band-limited sections.
     """
     axis = _unit_axis(axis)
     grid, rank = section.grid, section.rank
     slots, lead = tuple(range(2, 2 + rank)), tuple(range(rank))
     coeffs = section.component_coefficients
-    angles = [mult * ROTATION_STEP for mult, _ in _STENCIL]
-    turned = np.stack([_rotated_coefficients(coeffs, axis, angle) for angle in angles])
-    pulled = rings_to_grid(grid, radial_factors(grid, 0, turned))
-    # R acts on every tensor slot of the pulled-back components, angle by angle
-    rots = np.stack([_rotation_matrix(axis, angle) for angle in angles])
-    rotated = np.matmul(rots, pulled.reshape(len(angles), 3, -1))
-    if rank == 2:
-        rotated = np.matmul(rots[:, None], rotated.reshape(len(angles), 3, 3, -1))
-    acc = np.tensordot([w for _, w in _STENCIL], rotated, axes=1).reshape(pulled.shape[1:])
+    L = coeffs.shape[-1] - 1
+    q, d, e = _axis_frame(axis, L)
+    qr = _slot_power(q, rank)
+    kernel = qr @ _stencil_kernel(L, rank) @ qr.T
+    in_frame = _wigner_turn(np.swapaxes(d, 1, 2), np.conj(e) * coeffs)
+    # the slots flattened, m leading: one batched matmul of the kernel over m
+    in_frame = np.swapaxes(in_frame.reshape(3**rank, 2 * L + 1, L + 1), 0, 1)
+    summed = np.swapaxes(np.matmul(kernel, in_frame), 0, 1)
+    turned = e * _wigner_turn(d, summed.reshape(coeffs.shape))
+    acc = rings_to_grid(grid, radial_factors(grid, 0, turned))
     generator = 1j * np.moveaxis(acc, lead, slots) / (12.0 * ROTATION_STEP)
     return EmbeddedSection(grid, section.helicity, generator)
 

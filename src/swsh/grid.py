@@ -10,6 +10,7 @@ orthonormality and round-trip checks rely on.
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,10 @@ class SphereGrid:
     @property
     def phi_weight(self):
         return 2.0 * np.pi / self.n_phi
+
+    @cached_property
+    def _standard_frame(self):
+        return _coordinate_frame(self)
 
     def __eq__(self, other):
         if self is other:
@@ -253,7 +258,14 @@ class FrameField:
 
 
 def standard_frame(grid):
-    """Coordinate frame: a along increasing theta, b along increasing phi."""
+    """Coordinate frame: a along increasing theta, b along increasing phi.
+
+    Built once per grid; every call returns the same read-only FrameField.
+    """
+    return grid._standard_frame
+
+
+def _coordinate_frame(grid):
     th = grid.theta[:, None]
     ph = grid.phi[None, :]
     ct, st = np.cos(th), np.sin(th)

@@ -15,10 +15,11 @@ theta-derivatives, plain calculus that restates no ladder algebra:
 wigner_d climbs rows s = -n at the one colatitude beta:
 d^j_{mn}(beta) = (-1)^n sqrt(4 pi / (2j+1)) p_{-n,j,m}(beta).  One byte-bounded
 LRU holds mode tables by grid geometry and spin weight, all orders built so
-far in one entry (4.4 MB per order at L = 64), and d-tables by (L, beta)
-(8.6 MB at L = 64).  ring_modes takes samples to the R_m(theta) of
-sum_m R_m exp(i m phi) by an FFT over phi, on make_grid's uniform azimuths,
-and rings_to_grid inverts it.  Leading component axes pass through.
+far in one entry (4.4 MB per order at L = 64), d-tables by (L, beta)
+(8.6 MB at L = 64) and the rotation stencil kernels of bundle.py.
+ring_modes takes samples to the R_m(theta) of sum_m R_m exp(i m phi) by an
+FFT over phi, on make_grid's uniform azimuths, and rings_to_grid inverts
+it.  Leading component axes pass through.
 """
 
 import math

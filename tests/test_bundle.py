@@ -9,8 +9,10 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from swsh.bundle import (
+    ROTATION_STEP,
     EmbeddedSection,
-    _rotated_coefficients,
+    _axis_frame,
+    _wigner_turn,
     apply_J_rotation,
     apply_projected_orbital,
     apply_projected_spin,
@@ -39,7 +41,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode, eval_swsh
 from swsh.operators import ladder_coefficient
-from swsh.tables import radial_factors, rings_to_grid
+from swsh.tables import radial_factors, real_matmul, rings_to_grid, wigner_d
 from swsh.transform import coefficient_set, synthesize
 
 from conftest import random_entries
@@ -348,12 +350,19 @@ def test_rotation_ladder_raises_m():
 
 
 def _rotated_modes(grid, labels, axis, angle):
-    """Samples of f(R^-1 k), R = R(axis, angle), for each basis mode f = Y_jm in labels."""
+    """Samples of f(R^-1 k), R = R(axis, angle), for each basis mode f = Y_jm in labels.
+
+    The coefficients turn as apply_J_rotation turns them: into the axis
+    frame, by the phase exp(-i m angle) there, and back.
+    """
     L = grid.band_limit
     coeffs = np.zeros((len(labels), 2 * L + 1, L + 1), dtype=np.complex128)
     for i, (j, m) in enumerate(labels):
         coeffs[i, m + L, j] = 1.0
-    turned = _rotated_coefficients(coeffs, np.array(axis), angle)
+    _, d, e = _axis_frame(np.array(axis), L)
+    in_frame = _wigner_turn(np.swapaxes(d, 1, 2), np.conj(e) * coeffs)
+    spun = np.exp(-1j * angle * np.arange(-L, L + 1))[:, None] * in_frame
+    turned = e * _wigner_turn(d, spun)
     return rings_to_grid(grid, radial_factors(grid, 0, turned))
 
 
@@ -422,6 +431,72 @@ def test_split_sums_to_the_rotation_generator(rng, h):
             gen = apply_J_rotation(sec, axis)
             d = spin[a].components + orb[a].components - gen.components
             assert np.abs(d).max() <= 1e-5
+
+
+def _euler_zyz(axis, angle):
+    """ZYZ Euler angles of R(axis, angle), read off its quaternion.
+
+    R(axis, angle) = R_z(alpha) R_y(beta) R_z(gamma), accurate at small angles.
+    """
+    w = math.cos(0.5 * angle)
+    x, y, z = math.sin(0.5 * angle) * axis
+    plus, minus = math.atan2(z, w), math.atan2(-x, y)
+    beta = 2.0 * math.atan2(math.hypot(x, y), math.hypot(w, z))
+    return plus + minus, beta, plus - minus
+
+
+def _four_rotation_generator(section, axis):
+    """Reference: the same stencil as four rotated copies of the section.
+
+    At each angle every component's coefficients turn by the Euler-angle
+    Wigner matrix exp(-i m alpha) d(beta) exp(-i n gamma), they are
+    synthesized, and each tensor slot is rotated by R(axis, angle).
+    """
+    grid, rank = section.grid, section.rank
+    coeffs = section.component_coefficients
+    L = coeffs.shape[-1] - 1
+    m = np.arange(-L, L + 1)[:, None]
+    acc = 0.0
+    for mult, w in ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0)):
+        angle = mult * ROTATION_STEP
+        alpha, beta, gamma = _euler_zyz(axis, angle)
+        turned = real_matmul(wigner_d(L, beta), np.swapaxes(np.exp(-1j * gamma * m) * coeffs, -1, -2))
+        turned = np.exp(-1j * alpha * m) * np.swapaxes(turned, -1, -2)
+        pulled = rings_to_grid(grid, radial_factors(grid, 0, turned))
+        rot = Rotation.from_rotvec(angle * axis).as_matrix()
+        pulled = np.einsum("ab,b...->a...", rot, pulled)
+        if rank == 2:
+            pulled = np.einsum("ab,cb...->ca...", rot, pulled)
+        acc = acc + w * pulled
+    lead = tuple(range(rank))
+    return 1j * np.moveaxis(acc, lead, tuple(r + 2 for r in lead)) / (12.0 * ROTATION_STEP)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("L", [10, 32])
+def test_conjugated_generator_matches_four_rotations(rng, L, h):
+    grid = make_grid(L)
+    sec = random_section(rng, grid, h, L - h - 4)
+    for axis in (X_AXIS, Y_AXIS, Z_AXIS, (0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (1 / 3, 2 / 3, 2 / 3)):
+        want = _four_rotation_generator(sec, np.array(axis))
+        got = apply_J_rotation(sec, axis).components
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("h, band", [(1, 5), (2, 2)])
+def test_lemma_residual_at_small_bands(rng, h, band):
+    # the rotation stencil's cancellation happens once, in the kernel, so
+    # the lemma holds here far below the 1e-5 gate
+    grid = make_grid(band + h + 4)
+    for _ in range(5):
+        sec = random_section(rng, grid, h, band)
+        sec = section_scale(1.0 / section_norm(sec), sec)
+        spin = apply_projected_spin(sec)
+        orb = apply_projected_orbital(sec)
+        for a, axis in enumerate((X_AXIS, Y_AXIS, Z_AXIS)):
+            gen = apply_J_rotation(sec, axis)
+            d = spin[a].components + orb[a].components - gen.components
+            assert np.abs(d).max() <= 1e-12
 
 
 # ----------------------------------------------------------------- commutators

@@ -2,8 +2,10 @@
 verification reports, and the exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,11 +317,15 @@ def test_multiplets_budget_exhaustion_exits_1(capsys):
 # ------------------------------------------------------------------ subprocess
 
 def test_console_entry_smoke():
+    # the child runs this checkout's swsh, whether or not a copy is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "swsh.cli", "eval", "-s", "0", "-j", "0", "-m", "0",
          "--theta", "1.0", "--phi", "0.0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "0.28209479177387814 0.0\n"

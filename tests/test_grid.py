@@ -1,5 +1,6 @@
 """Quadrature grids, sampled functions, frames, gauge, poles, CSV files."""
 
+import gc
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from swsh.grid import (
     pole_limit_extrapolate,
     read_grid_csv,
     sample_swsh,
+    _coordinate_frame,
     standard_frame,
     write_grid_csv,
 )
@@ -200,6 +202,36 @@ def test_gauge_composition():
 def test_standard_frame_orthonormal_everywhere():
     fr = standard_frame(make_grid(10))
     assert frame_residual(fr) < 1e-14
+
+
+def _assert_frame_of(fr, grid):
+    fresh = _coordinate_frame(grid)
+    assert fr.grid is grid
+    for name in ("a_vec", "b_vec", "k_hat"):
+        arr = getattr(fr, name)
+        assert np.array_equal(arr, getattr(fresh, name))
+        assert not arr.flags.writeable
+
+
+def test_standard_frame_is_built_once_per_grid():
+    grid = make_grid(8)
+    fr = standard_frame(grid)
+    assert standard_frame(grid) is fr
+    _assert_frame_of(fr, grid)
+    with pytest.raises(ValueError):
+        fr.k_hat[0, 0, 0] = 2.0
+
+
+def test_standard_frames_are_never_shared_between_grids():
+    # hand-built grids that die between calls: a recycled object id must
+    # never hand one grid's frame to another
+    L = 4
+    for n_theta in (L + 1, L + 3, L + 2, L + 1):
+        base = make_grid(L, n_theta=n_theta)
+        grid = SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), base.phi.copy())
+        _assert_frame_of(standard_frame(grid), grid)
+        del grid
+        gc.collect()
 
 
 def test_rotated_frame_stays_orthonormal():

@@ -117,6 +117,65 @@ def test_casimir_identity_random(rng):
     assert verify_casimir_identity(1, c) <= 1e-11
 
 
+def _apply_coeff_per_entry(op, c):
+    """Reference: the operator applied one (j, m) entry at a time."""
+    out = {}
+    if op.kind == "Jz":
+        for (j, m), v in c.entries.items():
+            out[(j, m)] = m * v
+    elif op.kind in ("Jplus", "Jminus"):
+        sign = +1 if op.kind == "Jplus" else -1
+        for (j, m), v in c.entries.items():
+            lam = ladder_coefficient(j, m, sign)
+            if lam != 0.0:
+                key = (j, m + sign)
+                out[key] = out.get(key, 0j) + lam * v
+    elif op.kind == "Jsquared":
+        for (j, m), v in c.entries.items():
+            out[(j, m)] = j * (j + 1) * v
+    else:
+        h = -c.spin_weight
+        for (j, m), v in c.entries.items():
+            out[(j, m)] = h * v
+    return coefficient_set(c.spin_weight, c.band_limit, out)
+
+
+def _casimir_per_entry(c):
+    """Reference: max over labels of |J^2 c - (J_- J_+ + J_z^2 + J_z) c|, entry by entry."""
+    s = c.spin_weight
+    lhs = _apply_coeff_per_entry(OperatorSpec("Jsquared", s), c)
+    zc = _apply_coeff_per_entry(OperatorSpec("Jz", s), c)
+    raised = _apply_coeff_per_entry(OperatorSpec("Jplus", s), c)
+    parts = (
+        _apply_coeff_per_entry(OperatorSpec("Jminus", s), raised),
+        _apply_coeff_per_entry(OperatorSpec("Jz", s), zc),
+        zc,
+    )
+    keys = set(lhs.entries).union(*(part.entries for part in parts))
+    worst = 0.0
+    for key in keys:
+        rhs = sum(part.entries.get(key, 0j) for part in parts)
+        worst = max(worst, abs(lhs.entries.get(key, 0j) - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("L", [10, 64])
+@pytest.mark.parametrize("s", [-2, 0, 1])
+def test_matrix_actions_equal_the_per_entry_loop(rng, L, s):
+    # a dense set, a sparse one, and one with amplitudes near the clip
+    labels = [(j, m) for j in range(abs(s), L + 1) for m in range(-j, j + 1)]
+    dense = {key: complex(rng.normal(), rng.normal()) for key in labels}
+    tiny = {key: 1e-13 * v for key, v in random_entries(rng, s, L, count=40).items()}
+    for entries in (dense, random_entries(rng, s, L), tiny):
+        c = coefficient_set(s, L, entries)
+        for kind in KINDS:
+            op = OperatorSpec(kind, s)
+            got, want = apply_coeff(op, c), _apply_coeff_per_entry(op, c)
+            assert got == want
+            assert repr(got.sorted_items()) == repr(want.sorted_items())
+        assert verify_casimir_identity(s, c) == _casimir_per_entry(c)
+
+
 # --------------------------------------------------------------- grid action
 
 def test_grid_jz_on_mode():
