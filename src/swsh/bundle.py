@@ -12,11 +12,16 @@ component back in coefficient space at the four angles of a central
 stencil about an axis n: conjugated to the z axis, R(n, psi) = Q R_z(psi)
 Q^-1, the rotation at each angle is a phase, so per axis the coefficients
 turn by one pair of Wigner matrices d^j(theta_n), from the j-recurrence of
-tables.py, around a per-m stencil kernel, and are synthesized once.
+tables.py, around a per-m stencil kernel, built once per axis, and are
+synthesized once.
 
-Rank bookkeeping: the projector is slot-wise I - k k^T, the spin matrices
-act per tensor slot, and the orbital operator differentiates ambient
-components as ordinary scalars (spectrally) before projecting.
+Rank bookkeeping: the components are flattened to D = 3^|h| per node.
+The projector (I - k k^T)^{(x)|h|} is a real D x D matrix per node, built
+once per frame; the spin matrices of all three axes act per tensor slot as
+one constant real (3D, D) operator; and the orbital operator differentiates
+ambient components as ordinary scalars (spectrally) before projecting.
+Both projected operators apply the projector to all three axes in one
+real matmul per node and return x, y and z as views of one array.
 """
 
 import math
@@ -26,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
-from .grid import GridFunction, SphereGrid, standard_frame
+from .grid import GridFunction, SphereGrid, slot_power, standard_frame
 from .tables import _tables, mode_coefficients, radial_factors, real_matmul, rings_to_grid, wigner_d
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
@@ -121,37 +126,14 @@ def extract(section, frame=None):
     return GridFunction(section.grid, -section.helicity, vals)
 
 
-def _slot_contract_k(components, k_hat, slot, rank):
-    """Contract one tensor slot with k_hat."""
-    if rank == 1:
-        return np.einsum("tpc,tpc->tp", components, k_hat)
-    if slot == 0:
-        return np.einsum("tpcd,tpc->tpd", components, k_hat)
-    return np.einsum("tpcd,tpd->tpc", components, k_hat)
-
-
-def _project_components(components, k_hat, rank):
-    """Slot-wise transverse projector I - k k^T applied to every slot."""
-    out = components
-    for slot in range(rank):
-        contr = _slot_contract_k(out, k_hat, slot, rank)
-        if rank == 1:
-            out = out - k_hat * contr[..., None]
-        elif slot == 0:
-            out = out - k_hat[..., :, None] * contr[..., None, :]
-        else:
-            out = out - k_hat[..., None, :] * contr[..., :, None]
-    return out
-
-
 def transversality_residual(section, frame=None):
     """Max over nodes and slots of |k_hat contracted into the section|."""
     if frame is None:
         frame = standard_frame(section.grid)
-    k = frame.k_hat
     worst = 0.0
     for slot in range(section.rank):
-        contr = _slot_contract_k(section.components, k, slot, section.rank)
+        comps = np.moveaxis(section.components, 2 + slot, -1)
+        contr = np.einsum("tp...c,tpc->tp...", comps, frame.k_hat)
         worst = max(worst, float(np.abs(contr).max()))
     return worst
 
@@ -187,64 +169,73 @@ def section_norm(section):
     return math.sqrt(max(val, 0.0))
 
 
-_EPS = np.zeros((3, 3, 3))
-for _a, _b, _c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_a, _b, _c] = 1.0
-    _EPS[_a, _c, _b] = -1.0
+def _spin_generators(rank):
+    """E[b * 3 + a, c] = (E_a)_{bc}, E_a = eps_a acting on every tensor slot, slots flattened."""
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[a, b, c], eps[a, c, b] = 1.0, -1.0
+    if rank == 2:  # eps_a (x) I + I (x) eps_a
+        eye = np.eye(3)
+        eps = eps[:, :, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * eps[:, None, :, None, :]
+        eps = eps.reshape(3, 9, 9)
+    gens = np.ascontiguousarray(eps.transpose(1, 0, 2).reshape(3 ** (rank + 1), 3**rank))
+    gens.setflags(write=False)
+    return gens
 
 
-def _spin_axis(components, axis_index, rank):
-    """Spin matrix of one axis acting on every tensor slot: (S_a v)_b = -i eps_abc v_c."""
-    s_mat = -1j * _EPS[axis_index]
-    if rank == 1:
-        return np.einsum("bc,tpc->tpb", s_mat, components)
-    return np.einsum("bc,tpcd->tpbd", s_mat, components) + np.einsum(
-        "bc,tpdc->tpdb", s_mat, components
-    )
+_SPIN = {rank: _spin_generators(rank) for rank in (1, 2)}
+
+
+def _pair_matmul(op, x):
+    """op @ x for a real operator stack op[..., i, j] and complex x[..., j, k], x as real pairs."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    return np.matmul(op, x.view(np.float64)).view(np.complex128)
+
+
+def _axis_sections(section, parts):
+    """-i parts[..., a] as the x, y, z sections, views of one C-ordered array."""
+    out = np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
+    out = out.reshape((3,) + section.components.shape)
+    return VectorOperatorResult(*(EmbeddedSection(section.grid, section.helicity, c) for c in out))
 
 
 def apply_projected_spin(section, frame=None):
-    """J_par: spin matrices per slot, then the transverse projector."""
-    if frame is None:
-        frame = standard_frame(section.grid)
-    k = frame.k_hat
-    rank = section.rank
-    parts = []
-    for a in range(3):
-        raw = _spin_axis(section.components, a, rank)
-        parts.append(
-            EmbeddedSection(
-                section.grid,
-                section.helicity,
-                _project_components(raw, k, rank),
-            )
-        )
-    return VectorOperatorResult(*parts)
+    """J_par = -i P E_a v: spin matrices per slot, then the transverse projector P.
 
-
-def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
-    """J_perp: orbital differentiation of ambient components, then projection.
-
-    Components are differentiated as ordinary scalar functions on the
-    sphere, spectrally by default.  Callers holding closed-form
-    derivatives (frame fields, say, whose raw components are not
-    band-limited) may pass d_theta/d_phi arrays of the component shape
-    to bypass the spectral step.
+    All three axes at once: E v by the constant generators, then one real
+    matmul per node with the frame's projector.
     """
     if frame is None:
         frame = standard_frame(section.grid)
-    grid = section.grid
-    rank = section.rank
+    rank, shape = section.rank, section.grid.shape
+    v = section.components.reshape(shape + (3**rank, 1))
+    spun = _pair_matmul(_SPIN[rank], v).reshape(shape + (3**rank, 3))
+    return _axis_sections(section, _pair_matmul(frame.transverse_projector(rank), spun))
+
+
+def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
+    """J_perp = -i (e_phi,a P d/dtheta - e_theta,a P (1/sin) d/dphi) for every axis a.
+
+    Components are differentiated as ordinary scalar functions on the
+    sphere, spectrally by default, both derivatives from one contraction
+    and one inverse FFT.  Callers holding closed-form derivatives (frame
+    fields, say, whose raw components are not band-limited) may pass
+    d_theta/d_phi arrays of the component shape to bypass the spectral
+    step.  The frame vectors are per-node scalars for P, so the two
+    derivatives are projected once, in one real matmul per node, and the
+    three axes are formed from them.
+    """
+    if frame is None:
+        frame = standard_frame(section.grid)
+    grid, rank = section.grid, section.rank
+    D = 3**rank
     if (d_theta is None) != (d_phi is None):
         raise ValueError("pass both d_theta and d_phi or neither")
     if d_theta is None:
-        # every ambient component at once, component axes leading
-        slots, lead = tuple(range(2, 2 + rank)), tuple(range(rank))
-        coeffs = section.component_coefficients
-        m = np.arange(-grid.band_limit, grid.band_limit + 1)[:, None]
-        d_theta = rings_to_grid(grid, radial_factors(grid, 0, coeffs, order=1))
-        d_phi = rings_to_grid(grid, 1j * m * radial_factors(grid, 0, coeffs))
-        d_theta, d_phi = np.moveaxis(d_theta, lead, slots), np.moveaxis(d_phi, lead, slots)
+        # every ambient component at once: [0] d/dphi, [1] d/dtheta
+        radial = radial_factors(grid, 0, section.component_coefficients, order=range(2))
+        radial[0] *= 1j * np.arange(-grid.band_limit, grid.band_limit + 1)[:, None]
+        derivs = rings_to_grid(grid, radial).reshape((2, D) + grid.shape).transpose(2, 3, 1, 0)
     else:
         d_theta = np.asarray(d_theta, dtype=np.complex128)
         d_phi = np.asarray(d_phi, dtype=np.complex128)
@@ -252,26 +243,11 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
             raise GridMismatch("d_theta shape does not match components")
         if d_phi.shape != section.components.shape:
             raise GridMismatch("d_phi shape does not match components")
-    inv_sin = 1.0 / np.sin(grid.theta)[:, None]
-    dphi_over_sin = d_phi * inv_sin[(..., *((None,) * rank))]
-    k = frame.k_hat
-    # L = -i (e_phi d/dtheta - e_theta (1/sin) d/dphi), per Cartesian axis.
-    e_th, e_ph = frame.a_vec, frame.b_vec
-    parts = []
-    extra = (None,) * rank
-    for a in range(3):
-        raw = -1j * (
-            e_ph[(..., a, *extra)] * d_theta
-            - e_th[(..., a, *extra)] * dphi_over_sin
-        )
-        parts.append(
-            EmbeddedSection(
-                section.grid,
-                section.helicity,
-                _project_components(raw, k, rank),
-            )
-        )
-    return VectorOperatorResult(*parts)
+        derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
+    derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
+    proj = _pair_matmul(frame.transverse_projector(rank), derivs)
+    parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
+    return _axis_sections(section, parts)
 
 
 def _unit_axis(axis):
@@ -286,13 +262,6 @@ def _turn_z_to(theta, phi):
     """R_z(phi) R_y(theta) multiplied out: the rotation taking z to the direction (theta, phi)."""
     ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
     return np.array([[cp * ct, -sp, cp * st], [sp * ct, cp, sp * st], [-st, 0.0, ct]])
-
-
-def _slot_power(r, rank):
-    """r acting on every tensor slot, r (x) r for rank 2, on the flattened slots."""
-    if rank == 1:
-        return r
-    return (r[:, None, :, None] * r[None, :, None, :]).reshape(9, 9)
 
 
 def _axis_frame(axis, L):
@@ -312,21 +281,24 @@ def _wigner_turn(d, coeffs):
     return np.swapaxes(real_matmul(d, np.swapaxes(coeffs, -1, -2)), -1, -2)
 
 
-def _stencil_kernel(L, rank):
-    """K[m + L] = sum_k w_k R_z(psi_k)^{(x) rank} exp(-i m psi_k) over the stencil angles psi_k.
+def _stencil_kernel(axis, q, L, rank):
+    """Q^{(x) rank} K[m + L] Q^{(x) rank T}, q = Q taking z to the axis, for every m.
 
-    The finite-difference sum about z for every m, acting on the flattened
-    tensor slots; cached by (L, rank) with the tables.
+    K[m + L] = sum_k w_k R_z(psi_k)^{(x) rank} exp(-i m psi_k) over the
+    stencil angles psi_k is the finite-difference sum about z, acting on
+    the flattened tensor slots; conjugated by Q it turns the slots about
+    the axis.  Cached by (L, rank, axis) with the tables.
     """
-    key = ("stencil", L, rank)
+    key = ("stencil", L, rank, axis.tobytes())
     kernel = _tables.get(key)
     if kernel is None:
         m = np.arange(-L, L + 1)[:, None, None]
         kernel = np.zeros((2 * L + 1, 3**rank, 3**rank), dtype=np.complex128)
         for mult, w in _STENCIL:
             psi = mult * ROTATION_STEP
-            kernel += w * np.exp(-1j * psi * m) * _slot_power(_turn_z_to(0.0, psi), rank)
-        kernel = _tables.put(key, kernel)
+            kernel += w * np.exp(-1j * psi * m) * slot_power(_turn_z_to(0.0, psi), rank)
+        qr = slot_power(q, rank)
+        kernel = _tables.put(key, qr @ kernel @ qr.T)
     return kernel
 
 
@@ -338,8 +310,8 @@ def apply_J_rotation(section, axis):
     axis, so the components' coefficients are turned into the axis frame
     by one Wigner matrix, where the rotation at every stencil angle is a
     phase exp(-i m psi) and the stencil sum over angles and tensor slots is
-    one kernel per m; one Wigner matrix turns them back and one synthesis
-    gives the generator, exactly for band-limited sections.
+    one kernel per m, cached per axis; one Wigner matrix turns them back and
+    one synthesis gives the generator, exactly for band-limited sections.
     """
     axis = _unit_axis(axis)
     grid, rank = section.grid, section.rank
@@ -347,8 +319,7 @@ def apply_J_rotation(section, axis):
     coeffs = section.component_coefficients
     L = coeffs.shape[-1] - 1
     q, d, e = _axis_frame(axis, L)
-    qr = _slot_power(q, rank)
-    kernel = qr @ _stencil_kernel(L, rank) @ qr.T
+    kernel = _stencil_kernel(axis, q, L, rank)
     in_frame = _wigner_turn(np.swapaxes(d, 1, 2), np.conj(e) * coeffs)
     # the slots flattened, m leading: one batched matmul of the kernel over m
     in_frame = np.swapaxes(in_frame.reshape(3**rank, 2 * L + 1, L + 1), 0, 1)

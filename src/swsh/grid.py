@@ -68,6 +68,16 @@ class SphereGrid:
     def _standard_frame(self):
         return _coordinate_frame(self)
 
+    @cached_property
+    def _geometry_key(self):
+        return (self.band_limit, self.theta.tobytes(), self.theta_weights.tobytes(), self.phi.tobytes())
+
+    @cached_property
+    def uniform_azimuths(self):
+        """Whether phi holds the n_phi uniform azimuths from phi = 0, to 1e-12, as FFTs need."""
+        n = self.n_phi
+        return bool(np.abs(self.phi - 2.0 * np.pi * np.arange(n) / n).max() <= 1e-12)
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -89,13 +99,9 @@ def geometry_key(grid):
     Two grids share a key exactly when they compare equal, so caches keyed
     by it never confuse grids of one band limit but different nodes, and
     never hand a dead grid's entry to a new object that reuses its id.
+    Built once per grid; every call returns the same tuple.
     """
-    return (
-        grid.band_limit,
-        grid.theta.tobytes(),
-        grid.theta_weights.tobytes(),
-        grid.phi.tobytes(),
-    )
+    return grid._geometry_key
 
 
 class GridCache:
@@ -117,6 +123,11 @@ class GridCache:
     @property
     def nbytes(self):
         return self._bytes
+
+    def clear(self):
+        with self._lock:
+            self._items.clear()
+            self._bytes = 0
 
     def get(self, key):
         with self._lock:
@@ -246,6 +257,7 @@ class FrameField:
     a_vec: np.ndarray
     b_vec: np.ndarray
     k_hat: np.ndarray
+    _projectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         want = self.grid.shape + (3,)
@@ -255,6 +267,28 @@ class FrameField:
                 raise GridMismatch(f"{name} shape {arr.shape} != {want}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def transverse_projector(self, rank):
+        """Read-only (I - k k^T)^{(x) rank} on every node, shape grid.shape + (3**rank, 3**rank).
+
+        It acts on the flattened tensor slots.  Built on first use for each
+        rank and kept with the frame, so it lives exactly as long as the frame.
+        """
+        p = self._projectors.get(rank)
+        if p is None:
+            k = self.k_hat
+            p = slot_power(np.eye(3) - k[..., :, None] * k[..., None, :], rank)
+            p.setflags(write=False)
+            p = self._projectors.setdefault(rank, p)
+        return p
+
+
+def slot_power(r, rank):
+    """r[..., :, :] acting on every tensor slot, r (x) r for rank 2, on the flattened slots."""
+    if rank == 1:
+        return r
+    lead = r.shape[:-2]
+    return (r[..., :, None, :, None] * r[..., None, :, None, :]).reshape(lead + (9, 9))
 
 
 def standard_frame(grid):

@@ -16,7 +16,8 @@ wigner_d climbs rows s = -n at the one colatitude beta:
 d^j_{mn}(beta) = (-1)^n sqrt(4 pi / (2j+1)) p_{-n,j,m}(beta).  One byte-bounded
 LRU holds mode tables by grid geometry and spin weight, all orders built so
 far in one entry (4.4 MB per order at L = 64), d-tables by (L, beta)
-(8.6 MB at L = 64) and the rotation stencil kernels of bundle.py.
+(8.6 MB at L = 64) and the conjugated rotation stencil kernels of bundle.py,
+one per (L, rank, axis).
 ring_modes takes samples to the R_m(theta) of sum_m R_m exp(i m phi) by an
 FFT over phi, on make_grid's uniform azimuths, and rings_to_grid inverts
 it.  Leading component axes pass through.
@@ -97,14 +98,20 @@ def _climb(s, m, theta, L, order=0):
 def mode_table(grid, s, order=0, band_limit=None):
     """Read-only table [m + L, j, t] of order-th theta-derivative profiles.
 
-    L is band_limit, at most the grid's (the default).  A cached entry holds
-    the highest order and band asked for so far; asking past either rebuilds it.
+    order may also be a range of orders, for one view [k, m + L, j, t] of
+    the tables of orders order[k].  L is band_limit, at most the grid's
+    (the default).  A cached entry holds the highest order and band asked
+    for so far; asking past either rebuilds it.
     """
     Lg = grid.band_limit
     L = Lg if band_limit is None else int(band_limit)
     if not 0 <= L <= Lg:
         raise BandLimitExceeded(f"table band limit {L} outside [0, {Lg}]")
-    s, order = int(s), int(order)
+    if isinstance(order, range):
+        pick, order = slice(order.start, order.stop, order.step), max(order)
+    else:
+        pick = order = int(order)
+    s = int(s)
     key = (geometry_key(grid), s)
     tables = _tables.get(key)
     if tables is None or tables.shape[0] <= order or tables.shape[2] <= L:
@@ -115,7 +122,7 @@ def mode_table(grid, s, order=0, band_limit=None):
         ms = np.arange(-top, top + 1)
         tables = _tables.put(key, _climb(np.full_like(ms, s), ms, grid.theta, top, orders))
     Lt = tables.shape[2] - 1
-    return tables[order, Lt - L : Lt + L + 1, : L + 1]
+    return tables[pick, Lt - L : Lt + L + 1, : L + 1]
 
 
 def wigner_d(L, beta):
@@ -141,36 +148,39 @@ def wigner_d(L, beta):
 
 
 def real_matmul(a, x):
-    """y[..., b, p] = sum_q a[b, p, q] x[..., b, q] for a real stack a and complex x.
+    """y[k..., ..., b, p] = sum_q a[k..., b, p, q] x[..., b, q] for a real stack a and complex x.
 
     x is viewed as interleaved real pairs with every leading axis folded
-    into the columns, so the contraction is one real matmul per b.
+    into the columns, so the contraction is one real matmul per b (and per
+    leading index k of a, whose axes lead the result).
     """
     cols = x.reshape((-1,) + x.shape[-2:]).transpose(1, 2, 0)
     cols = np.ascontiguousarray(cols, dtype=np.complex128)
     y = np.matmul(a, cols.view(np.float64)).view(np.complex128)
-    return y.transpose(2, 0, 1).reshape(x.shape[:-2] + y.shape[:2])
+    y = y.transpose(*range(y.ndim - 3), -1, -3, -2)
+    return y.reshape(y.shape[:-3] + x.shape[:-2] + y.shape[-2:])
 
 
 def radial_factors(grid, s, coeffs, order=0):
     """R[..., m + L, t] = sum_j coeffs[..., m + L, j] * mode_table(grid, s, order)[m + L, j, t].
 
-    Only the table rows up to the highest j with a nonzero coefficient
-    are read, so a table is never built past the band a function uses.
+    With a range of orders, R[k, ..., m + L, t] for order[k], from one
+    contraction.  Only the table rows up to the highest j with a nonzero
+    coefficient are read, so a table is never built past the band a
+    function uses.
     """
     L = coeffs.shape[-1] - 1
     used = np.flatnonzero(coeffs.reshape(-1, L + 1).any(axis=0))
     top = int(used[-1]) if used.size else 0
-    out = np.zeros(coeffs.shape[:-1] + (grid.n_theta,), dtype=np.complex128)
+    table = mode_table(grid, s, order, top).swapaxes(-1, -2)
+    out = np.zeros(table.shape[:-3] + coeffs.shape[:-1] + (grid.n_theta,), dtype=np.complex128)
     rows = slice(L - top, L + top + 1)
-    table = mode_table(grid, s, order, top).transpose(0, 2, 1)
     out[..., rows, :] = real_matmul(table, coeffs[..., rows, : top + 1])
     return out
 
 
 def _check_azimuths(grid):
-    n = grid.n_phi
-    if np.abs(grid.phi - 2.0 * np.pi * np.arange(n) / n).max() > 1e-12:
+    if not grid.uniform_azimuths:
         raise GridMismatch("transforms need n_phi uniform azimuths starting at phi = 0")
 
 

@@ -41,7 +41,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode, eval_swsh
 from swsh.operators import ladder_coefficient
-from swsh.tables import radial_factors, real_matmul, rings_to_grid, wigner_d
+from swsh.tables import _tables, radial_factors, real_matmul, rings_to_grid, wigner_d
 from swsh.transform import coefficient_set, synthesize
 
 from conftest import random_entries
@@ -317,6 +317,122 @@ def test_orbital_derivative_override_validation():
         apply_projected_orbital(sec, d_theta=z[..., :2], d_phi=z[..., :2])
 
 
+# ------------------------------------------------- all three axes in one pass
+
+_EPS = np.zeros((3, 3, 3))
+for _a, _b, _c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPS[_a, _b, _c], _EPS[_a, _c, _b] = 1.0, -1.0
+
+
+def _project_per_slot(v, k, rank):
+    """I - k k^T applied slot by slot, by contraction with k."""
+    if rank == 1:
+        return v - k * np.einsum("tpc,tpc->tp", v, k)[..., None]
+    v = v - k[..., :, None] * np.einsum("tpcd,tpc->tpd", v, k)[..., None, :]
+    return v - k[..., None, :] * np.einsum("tpcd,tpd->tpc", v, k)[..., :, None]
+
+
+def _spin_per_axis(section, frame):
+    """J_par axis by axis: (S_a v)_b = -i eps_abc v_c on every slot, then projected."""
+    v, rank = section.components, section.rank
+    out = []
+    for a in range(3):
+        s_mat = -1j * _EPS[a]
+        if rank == 1:
+            raw = np.einsum("bc,tpc->tpb", s_mat, v)
+        else:
+            raw = np.einsum("bc,tpcd->tpbd", s_mat, v) + np.einsum("bc,tpdc->tpdb", s_mat, v)
+        out.append(_project_per_slot(raw, frame.k_hat, rank))
+    return out
+
+
+def _orbital_per_axis(section, frame, d_theta=None, d_phi=None):
+    """J_perp axis by axis: -i (e_phi,a d/dtheta - e_theta,a (1/sin) d/dphi), then projected."""
+    grid, rank = section.grid, section.rank
+    if d_theta is None:
+        lead, slots = tuple(range(rank)), tuple(range(2, 2 + rank))
+        coeffs = section.component_coefficients
+        m = np.arange(-grid.band_limit, grid.band_limit + 1)[:, None]
+        d_theta = rings_to_grid(grid, radial_factors(grid, 0, coeffs, order=1))
+        d_phi = rings_to_grid(grid, 1j * m * radial_factors(grid, 0, coeffs))
+        d_theta, d_phi = np.moveaxis(d_theta, lead, slots), np.moveaxis(d_phi, lead, slots)
+    extra = (None,) * rank
+    dphi_over_sin = d_phi * (1.0 / np.sin(grid.theta))[(..., None, *extra)]
+    out = []
+    for a in range(3):
+        raw = -1j * (
+            frame.b_vec[(..., a, *extra)] * d_theta - frame.a_vec[(..., a, *extra)] * dphi_over_sin
+        )
+        out.append(_project_per_slot(raw, frame.k_hat, rank))
+    return out
+
+
+def _assert_axes_match(result, want):
+    for a in range(3):
+        got = result[a].components
+        assert np.abs(got - want[a]).max() <= 1e-14 * np.abs(want[a]).max()
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("h", [1, 2, -1, -2])
+def test_batched_axes_match_the_per_axis_formulas(rng, h):
+    # random components, not transverse and not in the fiber, on the
+    # coordinate frame and on a gauge-rotated one
+    grid = make_grid(9)
+    shape = grid.shape + (3,) * abs(h)
+    comps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    xi = 0.7 * np.cos(grid.theta)[:, None] + 0.3 * np.sin(grid.phi)[None, :]
+    for sec in (EmbeddedSection(grid, h, comps), random_section(rng, grid, abs(h), 4)):
+        for frame in (standard_frame(grid), gauge_rotate_frame(standard_frame(grid), xi)):
+            _assert_axes_match(apply_projected_spin(sec, frame=frame), _spin_per_axis(sec, frame))
+            _assert_axes_match(
+                apply_projected_orbital(sec, frame=frame), _orbital_per_axis(sec, frame)
+            )
+        dth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dph = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        frame = standard_frame(grid)
+        _assert_axes_match(
+            apply_projected_orbital(sec, d_theta=dth, d_phi=dph),
+            _orbital_per_axis(sec, frame, d_theta=dth, d_phi=dph),
+        )
+
+
+def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
+    # after one warm call on a grid, the operators and the generator about
+    # the same axis find every table, kernel and projector already built
+    grid = make_grid(11)
+    axis = (0.6, 0.0, 0.8)
+    for h in (1, 2):
+        warm = random_section(rng, grid, h, 4)
+        apply_projected_spin(warm)
+        apply_projected_orbital(warm)
+        apply_J_rotation(warm, axis)
+        projector = standard_frame(grid).transverse_projector(h)
+        puts = []
+        real_put = _tables.put
+        monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
+        sec = random_section(rng, grid, h, 4)
+        apply_projected_spin(sec)
+        apply_projected_orbital(sec)
+        apply_J_rotation(sec, axis)
+        monkeypatch.undo()
+        assert puts == []
+        assert standard_frame(grid).transverse_projector(h) is projector
+
+
+def test_transverse_projector_is_the_slotwise_projector():
+    grid = make_grid(5)
+    frame = standard_frame(grid)
+    k = frame.k_hat
+    p1, p2 = frame.transverse_projector(1), frame.transverse_projector(2)
+    assert not p1.flags.writeable and not p2.flags.writeable
+    assert np.abs(p1 - (np.eye(3) - k[..., :, None] * k[..., None, :])).max() == 0.0
+    for t, p in ((0, 0), (2, 7), (5, 10)):
+        assert np.abs(p2[t, p] - np.kron(p1[t, p], p1[t, p])).max() <= 1e-16
+    assert np.abs(np.einsum("tpij,tpj->tpi", p1, k)).max() <= 1e-15
+
+
 # ---------------------------------------------------------- rotation generator
 
 @pytest.mark.parametrize(
@@ -481,6 +597,23 @@ def test_conjugated_generator_matches_four_rotations(rng, L, h):
         want = _four_rotation_generator(sec, np.array(axis))
         got = apply_J_rotation(sec, axis).components
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_axis_kernels_are_never_mixed_up(rng, h):
+    # the conjugated stencil kernels are cached per axis: x, -x, y, a
+    # general axis and x again, each as computed from an empty cache and
+    # as the four-rotation stencil gives it
+    grid = make_grid(10)
+    sec = random_section(rng, grid, h, 5)
+    axes = (X_AXIS, (-1.0, 0.0, 0.0), Y_AXIS, (1 / 3, 2 / 3, 2 / 3), X_AXIS)
+    got = [apply_J_rotation(sec, axis).components for axis in axes]
+    for axis, gen in zip(axes, got):
+        _tables.clear()
+        assert np.array_equal(gen, apply_J_rotation(sec, axis).components)
+        want = _four_rotation_generator(sec, np.array(axis))
+        assert np.abs(gen - want).max() <= 1e-11 * np.abs(want).max()
+    assert np.array_equal(got[0], got[4])
 
 
 @pytest.mark.parametrize("h, band", [(1, 5), (2, 2)])

@@ -5,7 +5,7 @@ import pytest
 
 from swsh import analyze, coefficient_set, make_grid, profile, synthesize
 from swsh.errors import GridMismatch
-from swsh.grid import GridCache, GridFunction, SphereGrid
+from swsh.grid import GridCache, GridFunction, SphereGrid, geometry_key
 from swsh.modes import _term_table
 from swsh.tables import _seeds, mode_table, radial_factors, wigner_d
 
@@ -152,10 +152,31 @@ def test_transforms_reject_nonuniform_azimuths():
     phi[1] += 0.01
     odd = SphereGrid(4, grid.theta, grid.theta_weights, phi)
     f = GridFunction(odd, 0, np.ones(odd.shape))
-    with pytest.raises(GridMismatch):
-        analyze(f)
-    with pytest.raises(GridMismatch):
-        synthesize(coefficient_set(0, 4, {(0, 0): 1.0}), odd)
+    for _ in range(2):  # the verdict is kept with the grid, never a pass
+        with pytest.raises(GridMismatch):
+            analyze(f)
+        with pytest.raises(GridMismatch):
+            synthesize(coefficient_set(0, 4, {(0, 0): 1.0}), odd)
+
+
+def test_geometry_key_is_built_once_per_grid():
+    grid = make_grid(6)
+    assert geometry_key(grid) is geometry_key(grid)
+    twin = SphereGrid(6, grid.theta.copy(), grid.theta_weights.copy(), grid.phi.copy())
+    assert geometry_key(twin) == geometry_key(grid)
+    other = make_grid(6, n_theta=8)
+    assert geometry_key(other) != geometry_key(grid)
+
+
+def test_stacked_orders_are_the_single_order_factors(rng):
+    grid = make_grid(9)
+    c = coefficient_set(0, 7, random_entries(rng, 0, 7)).matrix
+    coeffs = np.stack([c, 2j * c])
+    stacked = radial_factors(grid, 0, coeffs, order=range(3))
+    assert stacked.shape == (3, 2, 15, grid.n_theta)
+    for k in range(3):
+        want = radial_factors(grid, 0, coeffs, order=k)
+        assert np.abs(stacked[k] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_grid_cache_stays_within_its_byte_budget():
