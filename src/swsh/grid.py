@@ -23,7 +23,20 @@ from .errors import (
 from .modes import SWMode, NORTH, SOUTH, profile
 from .serial import fmt17
 
-_grid_cache = {}
+# make_grid keeps the most recently used grids; each holds its frame and the
+# frame's projectors (about 6 MB at L = 64), so the bound caps what they pin
+GRID_CACHE_SIZE = 8
+
+_grid_cache = OrderedDict()
+_grid_lock = threading.Lock()
+
+
+def as_integer(value, name):
+    """value as an int; ValueError unless it equals one, so 12.7 is refused, not truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +167,7 @@ class GridCache:
 
 
 def make_grid(band_limit, n_theta=None, n_phi=None):
-    """Build (or fetch from cache) the grid for the given band limit."""
+    """Build (or fetch from a small LRU cache) the grid for the given band limit."""
     L = int(band_limit)
     if L != band_limit or L < 0:
         raise ValueError(f"band limit must be a nonnegative integer, got {band_limit!r}")
@@ -167,16 +180,23 @@ def make_grid(band_limit, n_theta=None, n_phi=None):
     if n_theta <= 0 or n_phi <= 0:
         raise InsufficientNodes(f"a grid needs positive node counts, got {n_theta} x {n_phi}")
     key = (L, n_theta, n_phi)
-    grid = _grid_cache.get(key)
-    if grid is None:
-        x, w = np.polynomial.legendre.leggauss(n_theta)
-        # leggauss returns x ascending, so arccos is descending; flip to
-        # keep theta ascending (north pole side first).
-        theta = np.arccos(x)[::-1]
-        weights = w[::-1]
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        grid = SphereGrid(L, theta, weights, phi)
-        _grid_cache[key] = grid
+    with _grid_lock:
+        grid = _grid_cache.get(key)
+        if grid is not None:
+            _grid_cache.move_to_end(key)
+            return grid
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    # leggauss returns x ascending, so arccos is descending; flip to
+    # keep theta ascending (north pole side first).
+    theta = np.arccos(x)[::-1]
+    weights = w[::-1]
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    grid = SphereGrid(L, theta, weights, phi)
+    with _grid_lock:
+        grid = _grid_cache.setdefault(key, grid)
+        _grid_cache.move_to_end(key)
+        while len(_grid_cache) > GRID_CACHE_SIZE:
+            _grid_cache.popitem(last=False)
     return grid
 
 
@@ -184,21 +204,22 @@ def make_grid(band_limit, n_theta=None, n_phi=None):
 class GridFunction:
     """Samples of one spin-weighted function on a SphereGrid.
 
-    samples has shape (n_theta, n_phi), colatitude varying slowest.  The
-    frame tag records which local tangent frame the values refer to;
-    gauge rotations update it.
+    samples has shape (n_theta, n_phi), colatitude varying slowest, and is
+    read-only.  The frame tag records which local tangent frame the values
+    refer to; gauge rotations update it.  _analysis holds the read-only
+    analysis matrix at the grid's band limit, keyed by that band limit, once
+    transform.analysis_matrix has computed it, so every later analysis of
+    the function reuses it.
     """
 
     grid: SphereGrid
     spin_weight: int
     samples: np.ndarray
     frame: str = "spherical"
+    _analysis: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        s = int(self.spin_weight)
-        if s != self.spin_weight:
-            raise ValueError(f"spin weight must be an integer, got {self.spin_weight!r}")
-        object.__setattr__(self, "spin_weight", s)
+        object.__setattr__(self, "spin_weight", as_integer(self.spin_weight, "spin weight"))
         arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if arr.shape != self.grid.shape:
             raise GridMismatch(

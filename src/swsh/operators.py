@@ -2,12 +2,15 @@
 
 Coefficient space: the exact diagonal and ladder actions as scalings of the
 dense coefficient matrix (apply_coeff).
-Grid space: the actual differential expressions evaluated with analytic
-theta-derivatives (apply_grid), which take their profiles and derivative
-profiles from the per-grid mode tables of tables.py.  The two are
-cross-validated in tests; apply_grid never shortcuts through the known
-ladder action, since the point of having it is to confirm that action
-independently.
+Grid space: the actual differential expressions (apply_grid).  Each
+operator has a table per grid geometry, spin weight and kind, its action on
+every profile p_{sjm}(theta) exp(i m phi), formed once from the mode tables
+of tables.py and their analytic theta-derivatives by the differential
+expression, and kept in the same byte-bounded cache; an application is then
+one contraction with the function's analysis coefficients and one inverse
+FFT.  The two are cross-validated in tests; the tables are built from the
+differential expressions only, never from the known ladder action, since
+the point of apply_grid is to confirm that action independently.
 
 The operator parameter h is always bound to the function's spin weight
 as h = -s at call time, so mixed-convention application cannot happen.
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandLimitExceeded, SpinWeightMismatch
-from .grid import GridFunction
-from .tables import radial_factors, rings_to_grid
+from .grid import GridFunction, as_integer, geometry_key
+from .tables import _tables, contract_table, mode_table, rings_to_grid, used_band
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -36,10 +39,7 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {KINDS}")
-        s = int(self.spin_weight)
-        if s != self.spin_weight:
-            raise ValueError(f"spin weight must be an integer, got {self.spin_weight!r}")
-        object.__setattr__(self, "spin_weight", s)
+        object.__setattr__(self, "spin_weight", as_integer(self.spin_weight, "spin weight"))
 
 
 def ladder_coefficient(j, m, sign):
@@ -90,36 +90,53 @@ def apply_coeff(op, c):
 def apply_grid(op, f, band_limit=None):
     """Differential action of the operator on grid samples.
 
-    The function is resolved into modes, and the operator's differential
-    expression is applied to each m-component sum_j c_jm p_jm(theta)
-    exp(i m phi), with the profiles and their analytic theta-derivatives
-    taken from the mode tables.
+    The function is resolved into modes, and the operator's table, its
+    differential expression applied to every profile, is summed against the
+    coefficients of each m-component sum_j c_jm p_jm(theta) exp(i m phi).
     """
     _check_spin(op, f.spin_weight)
     coeffs = analysis_matrix(f, band_limit=band_limit)
     grid = f.grid
-    s = f.spin_weight
+    table = _operator_table(grid, f.spin_weight, op.kind, used_band(coeffs))
+    shift = {"Jplus": +1, "Jminus": -1}.get(op.kind, 0)
+    samples = rings_to_grid(grid, contract_table(table, coeffs), shift)
+    return GridFunction(grid, f.spin_weight, samples, frame=f.frame)
+
+
+def _operator_table(grid, s, kind, band_limit):
+    """Read-only [m + L, j, t] table of the operator on p_{sjm}(theta_t) exp(i m phi).
+
+    L is band_limit.  Row m + L is the theta factor of the result, whose
+    azimuthal factor is exp(i (m +- 1) phi) for the ladders and exp(i m phi)
+    otherwise.  Cached under ("op", grid geometry, s, kind); a cached table
+    of a larger band is sliced, one of a smaller band rebuilt.
+    """
+    key = ("op", geometry_key(grid), s, kind)
+    table = _tables.get(key)
+    if table is None or table.shape[1] <= band_limit:
+        table = _tables.put(key, _differential_table(grid, s, kind, band_limit))
+    top = table.shape[1] - 1
+    return table[top - band_limit : top + band_limit + 1, : band_limit + 1]
+
+
+def _differential_table(grid, s, kind, L):
+    """The operator's differential expression applied to the order-0/1/2 mode tables."""
     h = -s
-    L = coeffs.shape[1] - 1
-    m = np.arange(-L, L + 1)[:, None]
+    m = np.arange(-L, L + 1)[:, None, None]
+    if kind == "Jz":
+        return m * mode_table(grid, s, 0, L)
+    if kind == "Helicity":
+        return h * mode_table(grid, s, 0, L)
+    cos = np.cos(grid.theta)
     sin = np.sin(grid.theta)
-    cot = np.cos(grid.theta) / sin
-    p = radial_factors(grid, s, coeffs)
-    shift = 0
-    if op.kind == "Jz":
-        radial = m * p
-    elif op.kind == "Helicity":
-        radial = h * p
-    elif op.kind == "Jsquared":
-        dp = radial_factors(grid, s, coeffs, order=1)
-        d2p = radial_factors(grid, s, coeffs, order=2)
-        pot = (m * m + s * s + 2 * s * m * np.cos(grid.theta)) / sin**2
-        radial = -d2p - cot * dp + pot * p
-    else:
-        shift = +1 if op.kind == "Jplus" else -1
-        dp = radial_factors(grid, s, coeffs, order=1)
-        radial = shift * dp - m * cot * p + h * p / sin
-    return GridFunction(grid, s, rings_to_grid(grid, radial, shift), frame=f.frame)
+    cot = cos / sin
+    if kind == "Jsquared":
+        p, dp, d2p = mode_table(grid, s, range(3), L)
+        pot = (m * m + s * s + 2 * s * m * cos) / sin**2
+        return -d2p - cot * dp + pot * p
+    shift = +1 if kind == "Jplus" else -1
+    p, dp = mode_table(grid, s, range(2), L)
+    return shift * dp - m * cot * p + h * p / sin
 
 
 def verify_casimir_identity(spin_weight, c):

@@ -15,9 +15,12 @@ theta-derivatives, plain calculus that restates no ladder algebra:
 wigner_d climbs rows s = -n at the one colatitude beta:
 d^j_{mn}(beta) = (-1)^n sqrt(4 pi / (2j+1)) p_{-n,j,m}(beta).  One byte-bounded
 LRU holds mode tables by grid geometry and spin weight, all orders built so
-far in one entry (4.4 MB per order at L = 64), d-tables by (L, beta)
-(8.6 MB at L = 64) and the conjugated rotation stencil kernels of bundle.py,
-one per (L, rank, axis).
+far in one entry (4.4 MB per order at L = 64), the operator tables of
+operators.py by grid geometry, spin weight and kind (4.4 MB each at
+L = 64), d-tables by (L, beta) (8.6 MB at L = 64) and the conjugated
+rotation stencil kernels of bundle.py, one per (L, rank, axis).
+contract_table sums a table against coefficients A[m + L, j], reading only
+the bands used_band finds nonzero.
 ring_modes takes samples to the R_m(theta) of sum_m R_m exp(i m phi) by an
 FFT over phi, on make_grid's uniform azimuths, and rings_to_grid inverts
 it.  Leading component axes pass through.
@@ -161,6 +164,27 @@ def real_matmul(a, x):
     return y.reshape(y.shape[:-3] + x.shape[:-2] + y.shape[-2:])
 
 
+def used_band(coeffs):
+    """Highest j with a nonzero coefficient in coeffs[..., m + L, j], 0 if there is none."""
+    L = coeffs.shape[-1] - 1
+    used = np.flatnonzero(coeffs.reshape(-1, L + 1).any(axis=0))
+    return int(used[-1]) if used.size else 0
+
+
+def contract_table(table, coeffs):
+    """R[..., m + L, t] = sum_j coeffs[..., m + L, j] * table[..., m + top, j, t].
+
+    table is a [..., m + top, j, t] table of band top <= L, such as a slice of
+    mode_table; its leading axes lead R.  Coefficients past j = top must be
+    zero (used_band gives the least such top); rows |m| > top of R are zero.
+    """
+    L, top = coeffs.shape[-1] - 1, table.shape[-2] - 1
+    out = np.zeros(table.shape[:-3] + coeffs.shape[:-1] + table.shape[-1:], dtype=np.complex128)
+    rows = slice(L - top, L + top + 1)
+    out[..., rows, :] = real_matmul(table.swapaxes(-1, -2), coeffs[..., rows, : top + 1])
+    return out
+
+
 def radial_factors(grid, s, coeffs, order=0):
     """R[..., m + L, t] = sum_j coeffs[..., m + L, j] * mode_table(grid, s, order)[m + L, j, t].
 
@@ -169,14 +193,7 @@ def radial_factors(grid, s, coeffs, order=0):
     coefficient are read, so a table is never built past the band a
     function uses.
     """
-    L = coeffs.shape[-1] - 1
-    used = np.flatnonzero(coeffs.reshape(-1, L + 1).any(axis=0))
-    top = int(used[-1]) if used.size else 0
-    table = mode_table(grid, s, order, top).swapaxes(-1, -2)
-    out = np.zeros(table.shape[:-3] + coeffs.shape[:-1] + (grid.n_theta,), dtype=np.complex128)
-    rows = slice(L - top, L + top + 1)
-    out[..., rows, :] = real_matmul(table, coeffs[..., rows, : top + 1])
-    return out
+    return contract_table(mode_table(grid, s, order, used_band(coeffs)), coeffs)
 
 
 def _check_azimuths(grid):

@@ -16,19 +16,27 @@ synthesize reads the set without a per-entry step.  Coefficients with
 magnitude below 1e-13 are stored as exact zeros, and so are NaN amplitudes
 given in a mapping; analyze refuses non-finite samples.  The sparse
 (j, m) -> amplitude view lists the nonzero coefficients and is built on
-first use.
+first use.  A mapping's labels are read into one int64 array and checked
+at once; only when one fails are the keys walked in order, to name the
+first bad one.
+
+A grid function is analyzed at most once at its grid's band limit: the
+read-only matrix is kept on the GridFunction, so analyze and every
+apply_grid on the same function share one quadrature.  A lower band limit
+is analyzed afresh each time.
 """
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
 from . import kernels
 from .errors import BandLimitExceeded
-from .grid import GridFunction
+from .grid import GridFunction, as_integer
 from .modes import validate_mode
 from .serial import json_dumps
 from .tables import mode_coefficients, radial_factors, rings_to_grid
@@ -54,7 +62,7 @@ class CoefficientSet:
     matrix: np.ndarray
 
     def __init__(self, spin_weight, band_limit, entries):
-        s, L = int(spin_weight), int(band_limit)
+        s, L = as_integer(spin_weight, "spin weight"), as_integer(band_limit, "band limit")
         if L < abs(s):
             raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
         self._set(s, L, _entry_matrix(s, L, entries))
@@ -100,26 +108,50 @@ class CoefficientSet:
 def _entry_matrix(s, L, entries):
     """Clipped A[m + min(L, J_MAX), j] of a (j, m) -> amplitude mapping.
 
-    Labels are checked in the mapping's order; the first bad one raises and
-    names the fault.  Amplitudes below COEFF_CLIP, and NaN, become zero.
+    Every label is checked at once; if any is bad, the keys are walked in
+    the mapping's order and the first bad one raises and names the fault.
+    Amplitudes below COEFF_CLIP, and NaN, become zero.
     """
-    j_low, top = abs(s), min(L, kernels.J_MAX)
-    rows, cols, vals = [], [], []
-    for (j, m), v in entries.items():
-        # plain in-range int labels pass at once; anything else gets the
-        # full check, which names the fault
-        if not (type(j) is int and type(m) is int and j_low <= j <= top and -j <= m <= j):
-            validate_mode(s, j, m)
-            if j > L:
-                raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
-            j, m = int(j), int(m)
-        rows.append(m + top)
-        cols.append(j)
-        vals.append(complex(v))
+    top = min(L, kernels.J_MAX)
+    labels = _label_array(entries)
+    if labels is None:
+        _raise_first_fault(s, L, entries)
+    j, m = labels.T
+    if not ((j >= abs(s)) & (j <= top) & (np.abs(m) <= j)).all():
+        _raise_first_fault(s, L, entries)
+    values = entries.values()
+    if set(map(type, values)) - {complex}:
+        values = map(complex, values)  # as given, fromiter would also read bytes
     out = np.zeros((2 * top + 1, top + 1), dtype=np.complex128)
-    out[rows, cols] = vals
+    out[m + top, j] = np.fromiter(values, np.complex128, len(entries))
     out[~(np.abs(out) >= COEFF_CLIP)] = 0.0
     return out
+
+
+def _label_array(keys):
+    """int64 [[j, m], ...] of the keys, or None unless each is a pair of labels equal to ints.
+
+    fromiter reads a label as int() does, which takes '3' to 3 and 2.5 to 2,
+    so each label must also compare equal to the integer read from it.
+    """
+    try:
+        if set(map(len, keys)) - {2}:
+            return None
+        flat = list(chain.from_iterable(keys))
+        ints = np.fromiter(flat, np.int64, len(flat))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints.reshape(-1, 2) if ints.tolist() == flat else None
+
+
+def _raise_first_fault(s, L, entries):
+    """Raise for the first entry, in the mapping's order, that validate_mode,
+    the band limit or complex() refuses."""
+    for (j, m), v in entries.items():
+        validate_mode(s, j, m)
+        if j > L:
+            raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
+        complex(v)
 
 
 def coefficient_set(spin_weight, band_limit, entries=None):
@@ -127,18 +159,29 @@ def coefficient_set(spin_weight, band_limit, entries=None):
 
 
 def analysis_matrix(f, band_limit=None):
-    """Analysis coefficients A[m + L, j] of a grid function, clipped like analyze.
+    """Read-only analysis coefficients A[m + L, j] of a grid function, clipped like analyze.
 
-    Entries with no mode (j < max(|m|, |s|)) are zero.
+    Entries with no mode (j < max(|m|, |s|)) are zero.  At the grid's band
+    limit (the default) the matrix is computed once and kept on f.
     """
     grid = f.grid
-    L = grid.band_limit if band_limit is None else int(band_limit)
+    L = grid.band_limit if band_limit is None else as_integer(band_limit, "band limit")
     if L > grid.band_limit:
         raise BandLimitExceeded(
             f"analysis band limit {L} exceeds grid band limit {grid.band_limit}"
         )
-    a = mode_coefficients(grid, f.spin_weight, f.samples, L)
+    if L < grid.band_limit:
+        return _clipped_analysis(f, L)
+    a = f._analysis.get(L)
+    if a is None:
+        a = f._analysis.setdefault(L, _clipped_analysis(f, L))
+    return a
+
+
+def _clipped_analysis(f, L):
+    a = mode_coefficients(f.grid, f.spin_weight, f.samples, L)
     a[np.abs(a) < COEFF_CLIP] = 0.0
+    a.setflags(write=False)
     return a
 
 

@@ -2,11 +2,14 @@
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from swsh import grid as grid_module
+from swsh.bundle import apply_projected_spin, embed
 from swsh.errors import (
     BandLimitExceeded,
     GridMismatch,
@@ -14,6 +17,7 @@ from swsh.errors import (
     SpinWeightMismatch,
 )
 from swsh.grid import (
+    GRID_CACHE_SIZE,
     FrameField,
     GridFunction,
     SphereGrid,
@@ -92,6 +96,27 @@ def test_hand_built_grids_need_enough_nodes():
 def test_grid_cache_returns_same_object():
     assert make_grid(8) is make_grid(8)
     assert make_grid(8) is not make_grid(8, n_theta=12)
+
+
+def test_grid_cache_bounds_what_its_grids_hold():
+    # each cached grid keeps its frame and the frame's projectors; J_par on
+    # a rank-2 section over make_grid(L), L = 2..64, once held 114 MB of them
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for L in range(2, 65):
+            grid = make_grid(L)
+            apply_projected_spin(embed(GridFunction(grid, -2, np.ones(grid.shape))))
+        del grid
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(grid_module._grid_cache) == GRID_CACHE_SIZE
+    frame = standard_frame(make_grid(64))
+    one = sum(a.nbytes for a in (frame.a_vec, frame.b_vec, frame.k_hat))
+    one += frame.transverse_projector(1).nbytes + frame.transverse_projector(2).nbytes
+    assert held <= GRID_CACHE_SIZE * one
 
 
 def test_grid_equality_is_structural():

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from swsh import transform
 from swsh.errors import SpinWeightMismatch
-from swsh.grid import make_grid, sample_swsh
+from swsh.grid import GridFunction, make_grid, sample_swsh
 from swsh.modes import SWMode
 from swsh.operators import (
     KINDS,
@@ -17,7 +18,8 @@ from swsh.operators import (
     ladder_coefficient,
     verify_casimir_identity,
 )
-from swsh.transform import analyze, coefficient_set, synthesize
+from swsh.tables import _tables, radial_factors, rings_to_grid
+from swsh.transform import analysis_matrix, analyze, coefficient_set, synthesize
 
 from conftest import random_entries
 
@@ -249,3 +251,88 @@ def test_grid_matches_coeff_action(rng):
                 default=0.0,
             )
             assert worst < 1e-9, (s, kind, worst)
+
+
+# ------------------------------------------------------------ operator tables
+
+def _apply_grid_per_call(op, f, band_limit=None):
+    """The per-call form of apply_grid: separate order-0/1/2 contractions and
+    the differential expression applied to their sums."""
+    coeffs = analysis_matrix(f, band_limit=band_limit)
+    grid = f.grid
+    s = f.spin_weight
+    h = -s
+    L = coeffs.shape[1] - 1
+    m = np.arange(-L, L + 1)[:, None]
+    sin = np.sin(grid.theta)
+    cot = np.cos(grid.theta) / sin
+    p = radial_factors(grid, s, coeffs)
+    shift = 0
+    if op.kind == "Jz":
+        radial = m * p
+    elif op.kind == "Helicity":
+        radial = h * p
+    elif op.kind == "Jsquared":
+        dp = radial_factors(grid, s, coeffs, order=1)
+        d2p = radial_factors(grid, s, coeffs, order=2)
+        pot = (m * m + s * s + 2 * s * m * np.cos(grid.theta)) / sin**2
+        radial = -d2p - cot * dp + pot * p
+    else:
+        shift = +1 if op.kind == "Jplus" else -1
+        dp = radial_factors(grid, s, coeffs, order=1)
+        radial = shift * dp - m * cot * p + h * p / sin
+    return rings_to_grid(grid, radial, shift)
+
+
+@pytest.mark.parametrize("L", [8, 32, 64])
+def test_operator_tables_match_the_per_call_expression(rng, L):
+    grid = make_grid(L)
+    for s in (-2, -1, 0, 1):
+        shape = grid.shape
+        f = GridFunction(grid, s, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for band in (None, L - 2):
+            for kind in KINDS:
+                op = OperatorSpec(kind, s)
+                want = _apply_grid_per_call(op, f, band)
+                got = apply_grid(op, f, band).samples
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (s, band, kind)
+
+
+def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
+    grid = make_grid(10)
+    f = synthesize(coefficient_set(-1, 10, random_entries(rng, -1, 10)), grid)
+    for kind in KINDS:
+        apply_grid(OperatorSpec(kind, -1), f)
+    puts = []
+    real_put = _tables.put
+    monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
+    g = synthesize(coefficient_set(-1, 10, random_entries(rng, -1, 10)), grid)
+    for kind in KINDS:
+        apply_grid(OperatorSpec(kind, -1), g)
+        apply_grid(OperatorSpec(kind, -1), g, band_limit=7)
+    assert puts == []
+
+
+def test_apply_grid_reuses_the_analysis(rng, monkeypatch):
+    grid = make_grid(10)
+    f = synthesize(coefficient_set(0, 10, random_entries(rng, 0, 10)), grid)
+    c = analyze(f)
+    calls = []
+    real = transform.mode_coefficients
+    monkeypatch.setattr(
+        transform, "mode_coefficients", lambda g, s, x, L: calls.append(L) or real(g, s, x, L)
+    )
+    for kind in KINDS:
+        apply_grid(OperatorSpec(kind, 0), f)
+    assert calls == []
+    assert analysis_matrix(f) is c.matrix and not c.matrix.flags.writeable
+    apply_grid(OperatorSpec("Jplus", 0), f, band_limit=8)
+    assert calls == [8]
+
+
+def test_apply_grid_band_limit_must_be_an_integer():
+    f = sample_swsh(make_grid(6), SWMode(0, 2, 1))
+    with pytest.raises(ValueError, match="must be an integer"):
+        apply_grid(OperatorSpec("Jplus", 0), f, band_limit=3.5)
+    got = apply_grid(OperatorSpec("Jplus", 0), f, band_limit=4.0).samples
+    assert np.array_equal(got, apply_grid(OperatorSpec("Jplus", 0), f, band_limit=4).samples)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swsh import kernels
+from swsh import kernels, transform
 from swsh.errors import BandLimitExceeded, InvalidMode
 from swsh.grid import GridFunction, inner_product, make_grid, sample_swsh
 from swsh.modes import SWMode
@@ -46,6 +46,79 @@ def test_entries_validated():
         coefficient_set(0, 4, {(1, 0): 1.0, (5, 0): 1.0, (2, 3): 1.0})
     with pytest.raises(InvalidMode):
         coefficient_set(0, 4, {(1, 0): 1.0, (2, 3): 1.0, (5, 0): 1.0})
+    # labels that are not plain ints: each raises the type and message the
+    # per-key validate_mode check gives, and a float-parsed check would not
+    # (it would read '3' as 3 and None as NaN)
+    big, cap = 2**70, kernels.J_MAX
+    for bad, error, message in (
+        (("3", 1), InvalidMode, "j='3' is not an integer"),
+        ((b"3", 1), InvalidMode, "j=b'3' is not an integer"),
+        ((3, "1"), InvalidMode, "m='1' is not an integer"),
+        ((None, 1), TypeError, _int_error(None)),
+        ((float("nan"), 0), ValueError, _int_error(float("nan"))),
+        ((2.5, 1), InvalidMode, "j=2.5 is not an integer"),
+        ((big, 0), InvalidMode, f"j={big} exceeds the supported maximum j = {cap}"),
+        ((3, big), InvalidMode, f"invalid mode: |m| > j (j=3, m={big})"),
+        ((-1, 0), InvalidMode, "j=-1 is negative"),
+        ((6, 0), BandLimitExceeded, "entry j=6 exceeds band limit 4"),
+        ((cap + 1, 0), InvalidMode, f"j={cap + 1} exceeds the supported maximum j = {cap}"),
+    ):
+        for entries in ({bad: 1.0}, {**good, bad: 1.0}, {bad: 1.0, (5, 0): 1.0, (2, 3): 1.0}):
+            with pytest.raises(error) as info:
+                coefficient_set(0, 4, entries)
+            assert type(info.value) is error and str(info.value) == message, (bad, entries)
+    # labels equal to ints are read as those ints, wherever they sit
+    for label, want in ((True, 1), (np.int64(3), 3), (3.0, 3)):
+        c = coefficient_set(0, 4, {**good, (label, 1): 1.0})
+        assert c == coefficient_set(0, 4, {**good, (want, 1): 1.0})
+    with pytest.raises(BandLimitExceeded, match="entry j=5 exceeds band limit 4"):
+        coefficient_set(0, 4, {(True, 0): 1.0, (5, 0): 1.0, (2, 3): 1.0})
+    # keys that are not (j, m) pairs, and amplitudes complex() refuses, in order
+    for entries, error, message in (
+        ({(2, 1): 1.0, (1, 1, 0): 1.0, (0,): 1.0}, ValueError, "too many values to unpack"),
+        ({(2, 1): 1.0, 1: 2.0}, TypeError, "cannot unpack non-iterable int object"),
+        ({(1, 0): b"1"}, TypeError, _complex_error(b"1")),
+        ({(1, 0): None, (9, 0): 1.0}, TypeError, _complex_error(None)),
+        ({(9, 0): 1.0, (1, 0): None}, BandLimitExceeded, "entry j=9 exceeds band limit 4"),
+    ):
+        with pytest.raises(error) as info:
+            coefficient_set(0, 4, entries)
+        assert type(info.value) is error and str(info.value).startswith(message), entries
+    assert coefficient_set(0, 4, {(1, 0): "1+2j"}).get(1, 0) == 1 + 2j
+
+
+def _int_error(label):
+    """The message int() gives for label, which validate_mode passes on."""
+    try:
+        int(label)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+
+
+def _complex_error(value):
+    try:
+        complex(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_sizes_must_be_integers():
+    # a fractional spin weight or band limit is refused, never truncated
+    for s, L in ((-1.5, 12), (0, 12.7), (-1.5, 12.7), ("1", 4)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            coefficient_set(s, L, {})
+    c = coefficient_set(-1.0, 4.0, {(2, 1): 1.0})
+    assert (c.spin_weight, c.band_limit) == (-1, 4)
+    assert type(c.spin_weight) is int and type(c.band_limit) is int
+    doc = {"spin_weight": 0, "band_limit": 4, "entries": [{"j": 1, "m": 0, "re": 1.0, "im": 0.0}]}
+    for field, value in (("spin_weight", 0.9), ("band_limit", 3.99)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            coefficients_from_json(json.dumps({**doc, field: value}))
+    grid = make_grid(6)
+    f = sample_swsh(grid, SWMode(0, 2, 1))
+    with pytest.raises(ValueError, match="must be an integer"):
+        analyze(f, band_limit=4.7)
+    assert analyze(f, band_limit=4.0) == analyze(f, band_limit=4)
 
 
 def test_tiny_entries_clipped():
@@ -205,6 +278,29 @@ def test_parseval(rng):
     lhs = inner_product(f, f).real
     rhs = sum(abs(v) ** 2 for _, v in c.sorted_items())
     assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+def test_one_analysis_per_grid_function(rng, monkeypatch):
+    grid = make_grid(8)
+    f = synthesize(coefficient_set(-1, 8, random_entries(rng, -1, 8)), grid)
+    calls = []
+    real = transform.mode_coefficients
+    monkeypatch.setattr(
+        transform, "mode_coefficients", lambda g, s, x, L: calls.append(L) or real(g, s, x, L)
+    )
+    # a lower band is analyzed afresh each time and never kept
+    low = analyze(f, band_limit=6)
+    assert calls == [6] and f._analysis == {}
+    c = analyze(f)
+    assert calls == [6, 8]
+    a = analysis_matrix(f)
+    assert a is c.matrix and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    assert analyze(f) == c and analyze(f, band_limit=8) == c
+    assert calls == [6, 8]
+    assert analyze(f, band_limit=6) == low
+    assert calls == [6, 8, 6] and list(f._analysis) == [8]
 
 
 def test_band_limit_vs_grid():
