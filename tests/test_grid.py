@@ -99,8 +99,8 @@ def test_grid_cache_returns_same_object():
 
 
 def test_grid_cache_bounds_what_its_grids_hold():
-    # each cached grid keeps its frame and the frame's projectors; J_par on
-    # a rank-2 section over make_grid(L), L = 2..64, once held 114 MB of them
+    # each cached grid keeps its frame and the frame's projectors (5.4 MB of
+    # P^(x)2 at L = 64), so an unbounded cache would pin them for every L visited
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
