@@ -205,9 +205,10 @@ class GridFunction:
     """Samples of one spin-weighted function on a SphereGrid.
 
     samples has shape (n_theta, n_phi), colatitude varying slowest, and is
-    read-only.  The frame tag records which local tangent frame the values
-    refer to; gauge rotations update it.  _analysis holds the read-only
-    analysis matrix at the grid's band limit, keyed by that band limit, once
+    a read-only copy of the values given, so later writes to the caller's
+    array never reach it.  The frame tag records which local tangent frame
+    the values refer to; gauge rotations update it.  _analysis holds the
+    read-only analysis matrix at the grid's band limit once
     transform.analysis_matrix has computed it, so every later analysis of
     the function reuses it.
     """
@@ -216,11 +217,11 @@ class GridFunction:
     spin_weight: int
     samples: np.ndarray
     frame: str = "spherical"
-    _analysis: dict = field(default_factory=dict, init=False, repr=False)
+    _analysis: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spin_weight", as_integer(self.spin_weight, "spin weight"))
-        arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
+        arr = np.array(self.samples, dtype=np.complex128, order="C")
         if arr.shape != self.grid.shape:
             raise GridMismatch(
                 f"samples shape {arr.shape} does not match grid shape {self.grid.shape}"

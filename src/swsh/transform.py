@@ -117,13 +117,11 @@ def _entry_matrix(s, L, entries):
     if labels is None:
         _raise_first_fault(s, L, entries)
     j, m = labels.T
-    if not ((j >= abs(s)) & (j <= top) & (np.abs(m) <= j)).all():
+    if not ((j >= abs(s)) & (j <= top) & (m >= -j) & (m <= j)).all():
         _raise_first_fault(s, L, entries)
-    values = entries.values()
-    if set(map(type, values)) - {complex}:
-        values = map(complex, values)  # as given, fromiter would also read bytes
     out = np.zeros((2 * top + 1, top + 1), dtype=np.complex128)
-    out[m + top, j] = np.fromiter(values, np.complex128, len(entries))
+    # through complex(), since fromiter alone would also read bytes
+    out[m + top, j] = np.fromiter(map(complex, entries.values()), np.complex128, len(entries))
     out[~(np.abs(out) >= COEFF_CLIP)] = 0.0
     return out
 
@@ -172,9 +170,10 @@ def analysis_matrix(f, band_limit=None):
         )
     if L < grid.band_limit:
         return _clipped_analysis(f, L)
-    a = f._analysis.get(L)
+    a = f._analysis
     if a is None:
-        a = f._analysis.setdefault(L, _clipped_analysis(f, L))
+        a = _clipped_analysis(f, L)
+        object.__setattr__(f, "_analysis", a)
     return a
 
 

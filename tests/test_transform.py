@@ -59,6 +59,7 @@ def test_entries_validated():
         ((2.5, 1), InvalidMode, "j=2.5 is not an integer"),
         ((big, 0), InvalidMode, f"j={big} exceeds the supported maximum j = {cap}"),
         ((3, big), InvalidMode, f"invalid mode: |m| > j (j=3, m={big})"),
+        ((3, -(2**63)), InvalidMode, f"invalid mode: |m| > j (j=3, m={-(2**63)})"),
         ((-1, 0), InvalidMode, "j=-1 is negative"),
         ((6, 0), BandLimitExceeded, "entry j=6 exceeds band limit 4"),
         ((cap + 1, 0), InvalidMode, f"j={cap + 1} exceeds the supported maximum j = {cap}"),
@@ -290,7 +291,7 @@ def test_one_analysis_per_grid_function(rng, monkeypatch):
     )
     # a lower band is analyzed afresh each time and never kept
     low = analyze(f, band_limit=6)
-    assert calls == [6] and f._analysis == {}
+    assert calls == [6] and f._analysis is None
     c = analyze(f)
     assert calls == [6, 8]
     a = analysis_matrix(f)
@@ -300,7 +301,22 @@ def test_one_analysis_per_grid_function(rng, monkeypatch):
     assert analyze(f) == c and analyze(f, band_limit=8) == c
     assert calls == [6, 8]
     assert analyze(f, band_limit=6) == low
-    assert calls == [6, 8, 6] and list(f._analysis) == [8]
+    assert calls == [6, 8, 6] and f._analysis is a
+
+
+def test_analysis_is_of_the_samples_as_given(rng):
+    # a function made from a view keeps its own samples, so writing the
+    # view's base afterwards changes neither them nor their kept analysis
+    grid = make_grid(6)
+    base = np.zeros((2, *grid.shape), dtype=np.complex128)
+    base[0] = synthesize(coefficient_set(0, 6, random_entries(rng, 0, 6)), grid).samples
+    f = GridFunction(grid, 0, base[0])
+    before = f.samples.copy()
+    c = analyze(f)
+    base[0] = 1.0
+    assert np.array_equal(f.samples, before) and not f.samples.flags.writeable
+    assert analyze(f) == c == analyze(GridFunction(grid, 0, before))
+    assert base.flags.writeable
 
 
 def test_band_limit_vs_grid():
