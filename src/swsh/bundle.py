@@ -12,10 +12,16 @@ component back in coefficient space at the four angles of a central
 stencil about an axis n: conjugated to the z axis, R(n, psi) = Q R_z(psi)
 Q^-1, the rotation at each angle is a phase, so per axis the coefficients
 turn by one pair of Wigner matrices d^j(theta_n), from the j-recurrence of
-tables.py, around a per-m stencil kernel, built once per axis, and are
-synthesized once.
+tables.py, around a per-m stencil kernel, and are synthesized once.  The
+Wigner matrices, the azimuthal phases of Q and the kernel, scaled to the
+generator, are built once per axis and cached together.
 
-Rank bookkeeping: the components are flattened to D = 3^|h| per node.
+Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
+the spectral work keeps those slots last, the layout of the components
+themselves.  A section is analyzed once, into A[m + L, j, D]; the turns
+contract over m per j, the kernel over the slots per m, and one private
+helper contracts with the theta-derivative tables per m and inverts the
+FFT over phi, giving samples grid.shape + (D, k) with no transpose back.
 The projector (I - k k^T)^{(x)|h|} is a real D x D matrix per node, built
 once per frame; the spin matrices of all three axes act per tensor slot as
 one constant real (3D, D) operator; and the orbital operator differentiates
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
 from .grid import GridFunction, SphereGrid, slot_power, standard_frame
-from .tables import _tables, mode_coefficients, radial_factors, real_matmul, rings_to_grid, wigner_d
+from .tables import _check_azimuths, _tables, mode_table, wigner_d
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
 ROTATION_STEP = 1e-4
@@ -42,7 +48,10 @@ ROTATION_STEP = 1e-4
 class EmbeddedSection:
     """Ambient tensor samples of one helicity-h section.
 
-    components has shape grid.shape + (3,)*|h|.  Transversality and
+    components has shape grid.shape + (3,)*|h| and is a read-only copy of
+    the values given, so later writes to the caller's array reach neither
+    it nor its analysis; the operators below hand over components they
+    have just made, through _wrap, without a copy.  Transversality and
     rank-one fiber membership are properties of physical sections; they
     are measured by the residual helpers, not enforced here, because
     intermediate operator results carry small numerical violations.
@@ -58,27 +67,79 @@ class EmbeddedSection:
             raise UnsupportedHelicity(f"|h| must be 1 or 2, got h={h}")
         object.__setattr__(self, "helicity", h)
         want = self.grid.shape + (3,) * abs(h)
-        arr = np.ascontiguousarray(self.components, dtype=np.complex128)
+        arr = np.array(self.components, dtype=np.complex128, order="C")
         if arr.shape != want:
             raise GridMismatch(f"components shape {arr.shape} != {want}")
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
+
+    @classmethod
+    def _wrap(cls, grid, h, components):
+        """A section around fresh C-ordered complex128 components that nothing else holds."""
+        sec = cls.__new__(cls)
+        components.setflags(write=False)
+        for name, value in (("grid", grid), ("helicity", h), ("components", components)):
+            object.__setattr__(sec, name, value)
+        return sec
 
     @property
     def rank(self):
         return abs(self.helicity)
 
     @cached_property
+    def _coefficients(self):
+        """Read-only spin-0 A[m + L, j, D] of the flattened components, L the grid's.
+
+        The one analysis every operator below reads.
+        """
+        return _analysis(self.grid, self.components.reshape(self.grid.shape + (-1,)))
+
+    @cached_property
     def component_coefficients(self):
         """Read-only spin-0 A[slots..., m + L, j] of every ambient component, L the grid's.
 
-        The tensor slots lead; the operators below share this one analysis.
+        A view of the one stored analysis, with the tensor slots leading.
         """
-        slots, lead = tuple(range(2, 2 + self.rank)), tuple(range(self.rank))
-        comps = np.moveaxis(self.components, slots, lead)
-        coeffs = mode_coefficients(self.grid, 0, comps, self.grid.band_limit)
-        coeffs.setflags(write=False)
-        return coeffs
+        a = self._coefficients
+        a = a.reshape(a.shape[:2] + (3,) * self.rank)
+        return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _analysis(grid, values):
+    """Read-only spin-0 quadrature A[m + L, j, D] of values[t, p, D], L the grid's band limit.
+
+    One FFT over phi and one real matmul per m with the order-0 mode table.
+    """
+    _check_azimuths(grid)
+    L = grid.band_limit
+    spec = np.fft.fft(values, axis=1) * grid.phi_weight
+    # m = -L .. -1 sit at the last L azimuthal frequencies, m = 0 .. L at the first
+    rings = np.concatenate((spec[:, grid.n_phi - L :], spec[:, : L + 1]), axis=1)
+    rings *= grid.theta_weights[:, None, None]
+    rings = rings.transpose(1, 0, 2).view(np.float64)
+    a = np.matmul(mode_table(grid, 0), rings).view(np.complex128)
+    a.setflags(write=False)
+    return a
+
+
+def _synthesis(grid, coeffs, phi_orders=(0,)):
+    """Samples [t, p, D, k] of d^k/dtheta^k (d/dphi)^phi_orders[k] of sum_{j, m} coeffs[m + L, j, D] Y_jm.
+
+    Y_jm = p_{0jm}(theta) exp(i m phi), L the grid's band limit, each
+    phi order 0 or 1.  One real matmul per m with the theta-derivative
+    tables of orders 0 .. k, then one inverse FFT over phi.
+    """
+    _check_azimuths(grid)
+    L = grid.band_limit
+    table = mode_table(grid, 0, range(len(phi_orders)))
+    radial = np.matmul(table.swapaxes(-1, -2), coeffs.view(np.float64)).view(np.complex128)
+    for k, order in enumerate(phi_orders):
+        if order:
+            radial[k] *= 1j * np.arange(-L, L + 1)[:, None, None]
+    radial = radial.transpose(2, 1, 3, 0)
+    spec = np.zeros(grid.shape + radial.shape[2:], dtype=np.complex128)
+    spec[:, : L + 1], spec[:, grid.n_phi - L :] = radial[:, L:], radial[:, :L]
+    return np.fft.ifft(spec, axis=1, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -115,7 +176,7 @@ def embed(f, frame=None):
     h = -f.spin_weight
     e = e_h_tensor(f.grid, h, frame=frame)
     extra = (None,) * abs(h)
-    return EmbeddedSection(f.grid, h, f.samples[(..., *extra)] * e)
+    return EmbeddedSection._wrap(f.grid, h, f.samples[(..., *extra)] * e)
 
 
 def extract(section, frame=None):
@@ -123,7 +184,7 @@ def extract(section, frame=None):
     e = e_h_tensor(section.grid, section.helicity, frame=frame)
     axes = tuple(range(2, 2 + section.rank))
     vals = np.sum(np.conj(e) * section.components, axis=axes)
-    return GridFunction(section.grid, -section.helicity, vals)
+    return GridFunction._wrap(section.grid, -section.helicity, vals)
 
 
 def transversality_residual(section, frame=None):
@@ -153,11 +214,12 @@ def section_add(a, b):
         raise UnsupportedHelicity(
             f"helicities differ: {a.helicity} vs {b.helicity}"
         )
-    return EmbeddedSection(a.grid, a.helicity, a.components + b.components)
+    return EmbeddedSection._wrap(a.grid, a.helicity, a.components + b.components)
 
 
 def section_scale(c, a):
-    return EmbeddedSection(a.grid, a.helicity, c * a.components)
+    """The section c * a for a scalar c."""
+    return EmbeddedSection._wrap(a.grid, a.helicity, complex(c) * a.components)
 
 
 def section_norm(section):
@@ -196,7 +258,7 @@ def _axis_sections(section, parts):
     """-i parts[..., a] as the x, y, z sections, views of one C-ordered array."""
     out = np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
     out = out.reshape((3,) + section.components.shape)
-    return VectorOperatorResult(*(EmbeddedSection(section.grid, section.helicity, c) for c in out))
+    return VectorOperatorResult(*(EmbeddedSection._wrap(section.grid, section.helicity, c) for c in out))
 
 
 def apply_projected_spin(section, frame=None):
@@ -217,8 +279,8 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     """J_perp = -i (e_phi,a P d/dtheta - e_theta,a P (1/sin) d/dphi) for every axis a.
 
     Components are differentiated as ordinary scalar functions on the
-    sphere, spectrally by default, both derivatives from one contraction
-    and one inverse FFT.  Callers holding closed-form derivatives (frame
+    sphere, spectrally by default, both derivatives from the section's
+    analysis in one _synthesis.  Callers holding closed-form derivatives (frame
     fields, say, whose raw components are not band-limited) may pass
     d_theta/d_phi arrays of the component shape to bypass the spectral
     step.  The frame vectors are per-node scalars for P, so the two
@@ -232,10 +294,8 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     if (d_theta is None) != (d_phi is None):
         raise ValueError("pass both d_theta and d_phi or neither")
     if d_theta is None:
-        # every ambient component at once: [0] d/dphi, [1] d/dtheta
-        radial = radial_factors(grid, 0, section.component_coefficients, order=range(2))
-        radial[0] *= 1j * np.arange(-grid.band_limit, grid.band_limit + 1)[:, None]
-        derivs = rings_to_grid(grid, radial).reshape((2, D) + grid.shape).transpose(2, 3, 1, 0)
+        # every ambient component at once: [..., 0] d/dphi, [..., 1] d/dtheta
+        derivs = _synthesis(grid, section._coefficients, phi_orders=(1, 0))
     else:
         d_theta = np.asarray(d_theta, dtype=np.complex128)
         d_phi = np.asarray(d_phi, dtype=np.complex128)
@@ -248,14 +308,6 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     proj = _pair_matmul(frame.transverse_projector(rank), derivs)
     parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
     return _axis_sections(section, parts)
-
-
-def _unit_axis(axis):
-    u = np.asarray(axis, dtype=np.float64)
-    n = np.linalg.norm(u)
-    if abs(n - 1.0) > 1e-8:
-        raise ValueError(f"axis must be a unit vector, |axis| = {n}")
-    return u / n
 
 
 def _turn_z_to(theta, phi):
@@ -276,30 +328,35 @@ def _axis_frame(axis, L):
     return _turn_z_to(theta, phi), wigner_d(L, theta), e
 
 
-def _wigner_turn(d, coeffs):
-    """sum_n d[j, m + L, n + L] coeffs[..., n + L, j] for every j."""
-    return np.swapaxes(real_matmul(d, np.swapaxes(coeffs, -1, -2)), -1, -2)
+def _axis_stencil(axis, L, rank):
+    """(d, e, kernel) of the generator about axis at band L, cached by (L, rank, axis).
 
-
-def _stencil_kernel(axis, q, L, rank):
-    """Q^{(x) rank} K[m + L] Q^{(x) rank T}, q = Q taking z to the axis, for every m.
-
+    d and e are those of _axis_frame, e shaped [m + L, 1, 1].  kernel[m + L]
+    is the transpose of i/(12 ROTATION_STEP) Q^{(x) rank} K[m + L] Q^{(x) rank T},
     K[m + L] = sum_k w_k R_z(psi_k)^{(x) rank} exp(-i m psi_k) over the
-    stencil angles psi_k is the finite-difference sum about z, acting on
-    the flattened tensor slots; conjugated by Q it turns the slots about
-    the axis.  Cached by (L, rank, axis) with the tables.
+    stencil angles psi_k the finite-difference sum about z on the
+    flattened tensor slots: conjugated by Q it turns the slots about the
+    axis.  The axis is checked before anything is built or cached.
     """
-    key = ("stencil", L, rank, axis.tobytes())
-    kernel = _tables.get(key)
-    if kernel is None:
+    u = np.asarray(axis, dtype=np.float64)
+    if u.shape != (3,):
+        raise ValueError(f"axis must be a vector of 3 components, got shape {u.shape}")
+    key = ("stencil", L, rank, u.tobytes())
+    entry = _tables.get(key)
+    if entry is None:
+        n = float(np.linalg.norm(u))
+        if not abs(n - 1.0) <= 1e-8:
+            raise ValueError(f"axis must be a finite unit vector, got {u.tolist()} of norm {n}")
+        q, d, e = _axis_frame(u / n, L)
         m = np.arange(-L, L + 1)[:, None, None]
         kernel = np.zeros((2 * L + 1, 3**rank, 3**rank), dtype=np.complex128)
         for mult, w in _STENCIL:
             psi = mult * ROTATION_STEP
             kernel += w * np.exp(-1j * psi * m) * slot_power(_turn_z_to(0.0, psi), rank)
         qr = slot_power(q, rank)
-        kernel = _tables.put(key, qr @ kernel @ qr.T)
-    return kernel
+        kernel = (1j / (12.0 * ROTATION_STEP)) * (qr @ kernel @ qr.T).transpose(0, 2, 1)
+        entry = _tables.put(key, (d, e[:, :, None], np.ascontiguousarray(kernel)))
+    return entry
 
 
 def apply_J_rotation(section, axis):
@@ -307,27 +364,25 @@ def apply_J_rotation(section, axis):
 
     Fourth-order central stencil in the rotation angle with step
     ROTATION_STEP.  R(axis, psi) = Q R_z(psi) Q^-1 with Q taking z to the
-    axis, so the components' coefficients are turned into the axis frame
-    by one Wigner matrix, where the rotation at every stencil angle is a
-    phase exp(-i m psi) and the stencil sum over angles and tensor slots is
-    one kernel per m, cached per axis; one Wigner matrix turns them back and
-    one synthesis gives the generator, exactly for band-limited sections.
+    axis, so the components' coefficients A[m + L, j, D] are turned into
+    the axis frame by one Wigner matrix per j, where the rotation at every
+    stencil angle is a phase exp(-i m psi) and the stencil sum over angles
+    and tensor slots, scaled to the generator, is one kernel per m, cached
+    per axis; one Wigner matrix turns them back and one synthesis gives the
+    generator, exactly for band-limited sections.
     """
-    axis = _unit_axis(axis)
     grid, rank = section.grid, section.rank
-    slots, lead = tuple(range(2, 2 + rank)), tuple(range(rank))
-    coeffs = section.component_coefficients
-    L = coeffs.shape[-1] - 1
-    q, d, e = _axis_frame(axis, L)
-    kernel = _stencil_kernel(axis, q, L, rank)
-    in_frame = _wigner_turn(np.swapaxes(d, 1, 2), np.conj(e) * coeffs)
-    # the slots flattened, m leading: one batched matmul of the kernel over m
-    in_frame = np.swapaxes(in_frame.reshape(3**rank, 2 * L + 1, L + 1), 0, 1)
-    summed = np.swapaxes(np.matmul(kernel, in_frame), 0, 1)
-    turned = e * _wigner_turn(d, summed.reshape(coeffs.shape))
-    acc = rings_to_grid(grid, radial_factors(grid, 0, turned))
-    generator = 1j * np.moveaxis(acc, lead, slots) / (12.0 * ROTATION_STEP)
-    return EmbeddedSection(grid, section.helicity, generator)
+    coeffs = section._coefficients
+    d, e, kernel = _axis_stencil(axis, coeffs.shape[1] - 1, rank)
+    # per j into the axis frame, sum_n d[j, n, m] conj(e[n]) A[n, j], viewed [j, m, D]
+    tilted = (coeffs * np.conj(e)).transpose(1, 0, 2)
+    tilted = np.matmul(d.swapaxes(1, 2), tilted.view(np.float64)).view(np.complex128)
+    # per m the kernel on the slots, then per j back out of the axis frame
+    spun = np.matmul(tilted.transpose(1, 0, 2), kernel).transpose(1, 0, 2)
+    turned = np.matmul(d, spun.view(np.float64)).view(np.complex128).transpose(1, 0, 2)
+    turned *= e
+    generator = _synthesis(grid, turned).reshape(section.components.shape)
+    return EmbeddedSection._wrap(grid, section.helicity, generator)
 
 
 def commutator_report(h, test_sections, floor=0.1):

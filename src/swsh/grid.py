@@ -117,11 +117,15 @@ def geometry_key(grid):
     return grid._geometry_key
 
 
-class GridCache:
-    """Least-recently-used map to read-only arrays, bounded in total bytes.
+def _nbytes(value):
+    return sum(a.nbytes for a in value) if isinstance(value, tuple) else value.nbytes
 
-    An array larger than the whole budget is returned to its caller but
-    never stored.
+
+class GridCache:
+    """Least-recently-used map to read-only arrays or tuples of them, bounded in total bytes.
+
+    An entry larger than the whole budget is returned to its caller but
+    never stored.  An array held by two entries counts in both.
     """
 
     def __init__(self, max_bytes):
@@ -150,19 +154,21 @@ class GridCache:
             return value
 
     def put(self, key, value):
-        """Store value (made read-only) under key, replacing any older entry."""
-        value.setflags(write=False)
+        """Store value (every array in it made read-only) under key, replacing any older entry."""
+        for a in value if isinstance(value, tuple) else (value,):
+            a.setflags(write=False)
+        size = _nbytes(value)
         with self._lock:
             old = self._items.pop(key, None)
             if old is not None:
-                self._bytes -= old.nbytes
-            if value.nbytes > self.max_bytes:
+                self._bytes -= _nbytes(old)
+            if size > self.max_bytes:
                 return value
-            while self._bytes + value.nbytes > self.max_bytes:
+            while self._bytes + size > self.max_bytes:
                 _, old = self._items.popitem(last=False)
-                self._bytes -= old.nbytes
+                self._bytes -= _nbytes(old)
             self._items[key] = value
-            self._bytes += value.nbytes
+            self._bytes += size
         return value
 
 
@@ -206,11 +212,12 @@ class GridFunction:
 
     samples has shape (n_theta, n_phi), colatitude varying slowest, and is
     a read-only copy of the values given, so later writes to the caller's
-    array never reach it.  The frame tag records which local tangent frame
-    the values refer to; gauge rotations update it.  _analysis holds the
-    read-only analysis matrix at the grid's band limit once
-    transform.analysis_matrix has computed it, so every later analysis of
-    the function reuses it.
+    array never reach it; the library's own producers hand over samples
+    they have just made, through _wrap, without a copy.  The frame tag
+    records which local tangent frame the values refer to; gauge rotations
+    update it.  _analysis holds the read-only analysis matrix at the grid's
+    band limit once transform.analysis_matrix has computed it, so every
+    later analysis of the function reuses it.
     """
 
     grid: SphereGrid
@@ -229,6 +236,16 @@ class GridFunction:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
+    @classmethod
+    def _wrap(cls, grid, s, samples, frame="spherical"):
+        """A function around fresh C-ordered complex128 samples of the grid's shape that nothing else holds."""
+        f = cls.__new__(cls)
+        samples.setflags(write=False)
+        for name, value in (("grid", grid), ("spin_weight", s), ("samples", samples),
+                            ("frame", frame), ("_analysis", None)):
+            object.__setattr__(f, name, value)
+        return f
+
 
 def sample_swsh(grid, mode):
     """Evaluate one basis mode on every grid node."""
@@ -240,7 +257,7 @@ def sample_swsh(grid, mode):
         )
     p = profile(mode.s, mode.j, mode.m, grid.theta)
     ph = np.exp(1j * mode.m * grid.phi)
-    return GridFunction(grid, mode.s, p[:, None] * ph[None, :])
+    return GridFunction._wrap(grid, int(mode.s), p[:, None] * ph[None, :])
 
 
 def inner_product(fa, fb):
@@ -265,7 +282,7 @@ def apply_gauge(f, xi):
     phase = np.exp(1j * f.spin_weight * xi)
     samples = f.samples * np.broadcast_to(phase, f.samples.shape)
     tag = f.frame if f.frame.endswith("+gauge") else f.frame + "+gauge"
-    return GridFunction(f.grid, f.spin_weight, samples, frame=tag)
+    return GridFunction._wrap(f.grid, f.spin_weight, samples, frame=tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,4 +490,4 @@ def read_grid_csv(path):
             "rows must be the Gauss-Legendre grid nodes in colatitude-major order"
         )
     samples = (np.array(res) + 1j * np.array(ims)).reshape(n_theta, n_phi)
-    return GridFunction(grid, s, samples, frame=frame)
+    return GridFunction._wrap(grid, s, samples, frame=frame)

@@ -100,7 +100,7 @@ def apply_grid(op, f, band_limit=None):
     table = _operator_table(grid, f.spin_weight, op.kind, used_band(coeffs))
     shift = {"Jplus": +1, "Jminus": -1}.get(op.kind, 0)
     samples = rings_to_grid(grid, contract_table(table, coeffs), shift)
-    return GridFunction(grid, f.spin_weight, samples, frame=f.frame)
+    return GridFunction._wrap(grid, f.spin_weight, samples, frame=f.frame)
 
 
 def _operator_table(grid, s, kind, band_limit):

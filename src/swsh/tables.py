@@ -17,8 +17,10 @@ d^j_{mn}(beta) = (-1)^n sqrt(4 pi / (2j+1)) p_{-n,j,m}(beta).  One byte-bounded
 LRU holds mode tables by grid geometry and spin weight, all orders built so
 far in one entry (4.4 MB per order at L = 64), the operator tables of
 operators.py by grid geometry, spin weight and kind (4.4 MB each at
-L = 64), d-tables by (L, beta) (8.6 MB at L = 64) and the conjugated
-rotation stencil kernels of bundle.py, one per (L, rank, axis).
+L = 64), d-tables by (L, beta) (8.6 MB at L = 64), the rotation stencils
+of bundle.py, one per (L, rank, axis), each holding its axis's d-table,
+phases and kernel, and the masks of mode cells that transform.py checks
+coefficient labels against.
 contract_table sums a table against coefficients A[m + L, j], reading only
 the bands used_band finds nonzero.
 ring_modes takes samples to the R_m(theta) of sum_m R_m exp(i m phi) by an

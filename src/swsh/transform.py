@@ -17,8 +17,9 @@ magnitude below 1e-13 are stored as exact zeros, and so are NaN amplitudes
 given in a mapping; analyze refuses non-finite samples.  The sparse
 (j, m) -> amplitude view lists the nonzero coefficients and is built on
 first use.  A mapping's labels are read into one int64 array and checked
-at once; only when one fails are the keys walked in order, to name the
-first bad one.
+at once, by their flat cell indices against a cached mask of the cells
+that hold a mode; only when one fails are the keys walked in order, to
+name the first bad one.
 
 A grid function is analyzed at most once at its grid's band limit: the
 read-only matrix is kept on the GridFunction, so analyze and every
@@ -39,7 +40,7 @@ from .errors import BandLimitExceeded
 from .grid import GridFunction, as_integer
 from .modes import validate_mode
 from .serial import json_dumps
-from .tables import mode_coefficients, radial_factors, rings_to_grid
+from .tables import _tables, mode_coefficients, radial_factors, rings_to_grid
 
 COEFF_CLIP = 1e-13
 
@@ -113,21 +114,45 @@ def _entry_matrix(s, L, entries):
     Amplitudes below COEFF_CLIP, and NaN, become zero.
     """
     top = min(L, kernels.J_MAX)
-    labels = _label_array(entries)
-    if labels is None:
+    cells = _mode_cells(s, top, _label_array(entries))
+    if cells is None:
         _raise_first_fault(s, L, entries)
-    j, m = labels.T
-    if not ((j >= abs(s)) & (j <= top) & (m >= -j) & (m <= j)).all():
-        _raise_first_fault(s, L, entries)
-    out = np.zeros((2 * top + 1, top + 1), dtype=np.complex128)
     # through complex(), since fromiter alone would also read bytes
-    out[m + top, j] = np.fromiter(map(complex, entries.values()), np.complex128, len(entries))
-    out[~(np.abs(out) >= COEFF_CLIP)] = 0.0
-    return out
+    amps = np.fromiter(map(complex, entries.values()), np.complex128, len(entries))
+    out = np.zeros((2 * top + 1) * (top + 1), dtype=np.complex128)
+    out[cells] = np.where(np.abs(amps) >= COEFF_CLIP, amps, 0.0)
+    return out.reshape(2 * top + 1, top + 1)
+
+
+def _mode_cells(s, top, labels):
+    """Flat indices (m + top) * (top + 1) + j of int64 labels [j, m, j, m, ...], or None unless each is a mode.
+
+    ravel_multi_index refuses any pair outside 0 <= m + top <= 2 top,
+    0 <= j <= top (an m that wraps in m + top lands far outside); the
+    cached mask of the cells that hold a mode does the rest.
+    """
+    if labels is None:
+        return None
+    j, m = labels[0::2], labels[1::2]
+    try:
+        cells = np.ravel_multi_index((m + top, j), (2 * top + 1, top + 1))
+    except ValueError:
+        return None
+    return cells if np.count_nonzero(_mode_mask(s, top)[cells]) == cells.size else None
+
+
+def _mode_mask(s, top):
+    """Read-only flat mask of the cells (m + top, j) of A[m + top, j] with |s| <= j and |m| <= j."""
+    key = ("modes", s, top)
+    mask = _tables.get(key)
+    if mask is None:
+        j = np.arange(top + 1)
+        mask = _tables.put(key, ((j >= abs(s)) & (np.abs(np.arange(-top, top + 1))[:, None] <= j)).ravel())
+    return mask
 
 
 def _label_array(keys):
-    """int64 [[j, m], ...] of the keys, or None unless each is a pair of labels equal to ints.
+    """int64 [j, m, j, m, ...] of the keys, or None unless each is a pair of labels equal to ints.
 
     fromiter reads a label as int() does, which takes '3' to 3 and 2.5 to 2,
     so each label must also compare equal to the integer read from it.
@@ -139,7 +164,7 @@ def _label_array(keys):
         ints = np.fromiter(flat, np.int64, len(flat))
     except (TypeError, ValueError, OverflowError):
         return None
-    return ints.reshape(-1, 2) if ints.tolist() == flat else None
+    return ints if ints.tolist() == flat else None
 
 
 def _raise_first_fault(s, L, entries):
@@ -204,7 +229,7 @@ def synthesize(c, grid):
             f" {grid.band_limit}"
         )
     radial = radial_factors(grid, c.spin_weight, c.matrix)
-    return GridFunction(grid, c.spin_weight, rings_to_grid(grid, radial))
+    return GridFunction._wrap(grid, c.spin_weight, rings_to_grid(grid, radial))
 
 
 def mode_counts(spin_weight, j_max):

@@ -12,7 +12,6 @@ from swsh.bundle import (
     ROTATION_STEP,
     EmbeddedSection,
     _axis_frame,
-    _wigner_turn,
     apply_J_rotation,
     apply_projected_orbital,
     apply_projected_spin,
@@ -41,7 +40,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode, eval_swsh
 from swsh.operators import ladder_coefficient
-from swsh.tables import _tables, radial_factors, real_matmul, rings_to_grid, wigner_d
+from swsh.tables import _tables, mode_coefficients, radial_factors, real_matmul, rings_to_grid, wigner_d
 from swsh.transform import coefficient_set, synthesize
 
 from conftest import random_entries
@@ -153,6 +152,41 @@ def test_section_shape_validated():
         EmbeddedSection(grid, 1, np.zeros(grid.shape))
     with pytest.raises(GridMismatch):
         EmbeddedSection(grid, 2, np.zeros(grid.shape + (3,)))
+
+
+def test_section_is_of_the_components_as_given(rng):
+    # a section made from a view keeps its own components, so writing the
+    # view's base afterwards changes neither them, their analysis nor the
+    # generator, and the caller's array stays writable
+    grid = make_grid(8)
+    base = np.zeros((2,) + grid.shape + (3,), dtype=np.complex128)
+    base[0] = random_section(rng, grid, 1, 4).components
+    sec = EmbeddedSection(grid, 1, base[0])
+    gen = apply_J_rotation(sec, X_AXIS).components
+    base[0] = 1.0
+    fresh = EmbeddedSection(grid, 1, sec.components.copy())
+    assert not np.shares_memory(sec.components, base) and base.flags.writeable
+    assert not sec.components.flags.writeable
+    assert np.array_equal(sec.component_coefficients, fresh.component_coefficients)
+    assert np.array_equal(apply_J_rotation(sec, X_AXIS).components, gen)
+    assert np.array_equal(apply_J_rotation(fresh, X_AXIS).components, gen)
+
+
+def test_component_coefficients_view_the_one_analysis(rng):
+    # [slots..., m + L, j], read-only, sharing memory with the stored
+    # slots-last analysis, and equal to analyzing each component alone
+    grid = make_grid(7)
+    for h in (1, 2):
+        sec = random_section(rng, grid, h, 3)
+        coeffs = sec.component_coefficients
+        L = grid.band_limit
+        assert coeffs.shape == (3,) * h + (2 * L + 1, L + 1)
+        assert not coeffs.flags.writeable
+        assert np.shares_memory(coeffs, sec._coefficients)
+        comps = np.moveaxis(sec.components, tuple(range(2, 2 + h)), tuple(range(h)))
+        for slot in np.ndindex((3,) * h):
+            want = mode_coefficients(grid, 0, comps[slot], L)
+            assert np.abs(coeffs[slot] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_frame_m_vector_is_null_and_transverse():
@@ -465,6 +499,11 @@ def test_rotation_ladder_raises_m():
     assert np.abs(raised - want).max() <= 1e-5
 
 
+def _wigner_turn(d, coeffs):
+    """sum_n d[j, m + L, n + L] coeffs[..., n + L, j] for every j."""
+    return np.swapaxes(real_matmul(d, np.swapaxes(coeffs, -1, -2)), -1, -2)
+
+
 def _rotated_modes(grid, labels, axis, angle):
     """Samples of f(R^-1 k), R = R(axis, angle), for each basis mode f = Y_jm in labels.
 
@@ -526,10 +565,17 @@ def test_resample_columns_are_the_horner_harmonics(axis):
 
 
 def test_rotation_axis_must_be_unit():
+    # refused before anything is cached, also on a second try
     grid = make_grid(4)
     sec = embed(constant_field(grid, -1))
-    with pytest.raises(ValueError):
-        apply_J_rotation(sec, (0.0, 0.0, 2.0))
+    bad = ((0.0, 0.0, 2.0), (float("nan"), 0.0, 1.0), (0.0, float("inf"), 0.0), (1.0, 0.0),
+           (0.0, 0.0, 1.0, 0.0), ((0.0, 0.0, 1.0),))
+    held = len(_tables)
+    for axis in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="axis"):
+                apply_J_rotation(sec, axis)
+    assert len(_tables) == held
 
 
 @pytest.mark.parametrize("h", [1, 2])
@@ -597,6 +643,21 @@ def test_conjugated_generator_matches_four_rotations(rng, L, h):
         want = _four_rotation_generator(sec, np.array(axis))
         got = apply_J_rotation(sec, axis).components
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_operators_on_grids_with_extra_nodes(rng, h):
+    # more colatitudes and azimuths than the band needs: the slots-last
+    # analysis and synthesis must pick the right azimuthal frequencies
+    L = 9
+    grid = make_grid(L, n_theta=L + 3, n_phi=2 * L + 5)
+    sec = random_section(rng, grid, h, L - h - 3)
+    for axis in (X_AXIS, Y_AXIS, (0.6, 0.0, 0.8), (1 / 3, 2 / 3, 2 / 3)):
+        want = _four_rotation_generator(sec, np.array(axis))
+        got = apply_J_rotation(sec, axis).components
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+    frame = standard_frame(grid)
+    _assert_axes_match(apply_projected_orbital(sec), _orbital_per_axis(sec, frame))
 
 
 @pytest.mark.parametrize("h", [1, 2])
