@@ -280,8 +280,8 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
 
     Components are differentiated as ordinary scalar functions on the
     sphere, spectrally by default, both derivatives from the section's
-    analysis in one _synthesis.  Callers holding closed-form derivatives (frame
-    fields, say, whose raw components are not band-limited) may pass
+    analysis in one _synthesis.  Callers holding closed-form derivatives
+    (frame fields, say, whose raw components are not band-limited) may pass
     d_theta/d_phi arrays of the component shape to bypass the spectral
     step.  The frame vectors are per-node scalars for P, so the two
     derivatives are projected once, in one real matmul per node, and the
