@@ -57,7 +57,7 @@ from .multiplets import (
 )
 from .operators import OperatorSpec, apply_grid, ladder_coefficient, verify_casimir_identity
 from .serial import fmt17, json_dumps
-from .tables import ring_modes
+from .tables import mode_table, ring_modes
 from .transform import (
     analyze,
     coefficient_set,
@@ -202,14 +202,14 @@ def _random_sections(rng, s, band, count):
 def _suite_ortho(args, rng):
     """Quadrature Gram residual of every mode up to L, streamed one m at a time.
 
-    The modes of one m are sampled by Horner and split into azimuthal bins
-    R[k, t] by the FFT over phi; a Gram entry is then
-    sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's block is
-    formed from bin m.  An entry between two modes of different m is bounded
-    by Cauchy-Schwarz from each mode's bin-m norm n and off-bin norm e:
-    |G_ab| <= n_a e_b + e_a n_b + e_a e_b.  The residual is the larger of
-    the worst block error and that bound, so it bounds every entry of
-    G - I without forming the dense Gram.
+    The modes of one m are sampled from their rows of the grid's mode table
+    and split into azimuthal bins R[k, t] by the FFT over phi; a Gram entry
+    is then sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's
+    block is formed from bin m.  An entry between two modes of different m
+    is bounded by Cauchy-Schwarz from each mode's bin-m norm n and off-bin
+    norm e: |G_ab| <= n_a e_b + e_a n_b + e_a e_b.  The residual is the
+    larger of the worst block error and that bound, so it bounds every
+    entry of G - I without forming the dense Gram.
     """
     s = _pick(args.s, -1)
     L = _pick(args.L, 16)
@@ -217,13 +217,14 @@ def _suite_ortho(args, rng):
     if L < abs(s):
         raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
     grid = make_grid(L)
+    table = mode_table(grid, s)
     w = grid.theta_weights / (2.0 * np.pi)
     modes = 0
     block_err = norm_max = leak_max = 0.0
     for m in range(-L, L + 1):
         js = range(max(abs(m), abs(s)), L + 1)
-        samples = [sample_swsh(grid, SWMode(s, j, m)).samples for j in js]
-        rings = ring_modes(grid, np.array(samples), L)
+        samples = table[m + L, js.start :, :, None] * np.exp(1j * m * grid.phi)
+        rings = ring_modes(grid, samples, L)
         own = rings[:, m + L]
         block = (np.conj(own) * w) @ own.T
         block_err = max(block_err, float(np.abs(block - np.eye(len(js))).max()))

@@ -1,16 +1,10 @@
-"""One j-recurrence for every table: mode tables, their derivatives, Wigner d.
+"""Every table from the one j-recurrence of modes._climb: mode tables, their
+derivatives, Wigner d.
 
     mode_table(grid, s, k)[m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t),
 
-zero below j0 = max(|m|, |s|).  A batch of (s, m) rows climbs from j0, where
-a profile is one half-angle monomial in closed form (_seeds), by the three-
-term recurrence and, for the derivative orders in the same loop, by its
-theta-derivatives, plain calculus that restates no ladder algebra:
-
-    a_{j+1} p_{j+1}   = b_j p_j - a_j p_{j-1},
-    a_{j+1} p'_{j+1}  = b_j p'_j - sin(theta) p_j - a_j p'_{j-1},
-    a_{j+1} p''_{j+1} = b_j p''_j - 2 sin(theta) p'_j - cos(theta) p_j - a_j p''_{j-1},
-    a_j = sqrt((j^2 - m^2)(j^2 - s^2) / (j^2 (4 j^2 - 1))),  b_j = cos(theta) + m s / (j (j+1)).
+zero below j0 = max(|m|, |s|): the rows m = -L..L climb together from
+their closed-form seeds, and every row j is kept.
 
 wigner_d climbs rows s = -n at the one colatitude beta:
 d^j_{mn}(beta) = (-1)^n sqrt(4 pi / (2j+1)) p_{-n,j,m}(beta).  One byte-bounded
@@ -28,76 +22,15 @@ FFT over phi, on make_grid's uniform azimuths, and rings_to_grid inverts
 it.  Leading component axes pass through.
 """
 
-import math
-
 import numpy as np
 
-from . import kernels
 from .errors import BandLimitExceeded, GridMismatch
 from .grid import GridCache, geometry_key
+from .modes import _climb, check_j_supported
 
 TABLE_CACHE_BYTES = 64 * 2**20
 
 _tables = GridCache(TABLE_CACHE_BYTES)
-
-
-def _seeds(s, m, theta, order):
-    """j0 = max(|m|, |s|) and d^k/dtheta^k p_{s j0 m}(theta) [k, row, t], k <= order.
-
-    With q = max(0, m - s), the single term of kernels.goldberg_terms is
-    +-exp(lead) c^e1 h^e2, c = cos(theta/2), h = sin(theta/2), and
-    exp(2 lead) = (2 j0 + 1) binomial(2 j0, j0 + a) / (4 pi), a the smaller of
-    s, m in magnitude; the exact binomial keeps the lead to rounding, where
-    log-factorials would lose 1e-13 at j0 = 64.  With u = cot(theta/2) and
-    v = tan(theta/2): p' = (e2 u - e1 v) p / 2 and, free of cancellation,
-    p'' = (e2 (e2 - 1) u^2 + e1 (e1 - 1) v^2 - 2 e1 e2 - e1 - e2) p / 4.
-    """
-    j = np.maximum(np.abs(m), np.abs(s))
-    q = np.maximum(0, m - s)
-    e1 = (2 * q + s - m)[:, None]
-    e2 = (2 * j - 2 * q - s + m)[:, None]
-    a = np.where(np.abs(m) >= np.abs(s), s, m)
-    pairs = zip(j.tolist(), a.tolist())
-    lead = 0.5 * np.log([math.comb(2 * k, k + b) * (2 * k + 1) / (4 * math.pi) for k, b in pairs])
-    sign = np.where((j - q - s - m) % 2, -1.0, 1.0)[:, None]
-    c, h = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    out = np.empty((order + 1, m.size, theta.size))
-    out[0] = sign * np.exp(lead[:, None] + e1 * np.log(c) + e2 * np.log(h))
-    u, v = c / h, h / c
-    if order >= 1:
-        out[1] = 0.5 * (e2 * u - e1 * v) * out[0]
-    if order >= 2:
-        out[2] = 0.25 * (e2 * (e2 - 1) * u * u + e1 * (e1 - 1) * v * v - 2 * e1 * e2 - e1 - e2)
-        out[2] *= out[0]
-    return j, out
-
-
-def _climb(s, m, theta, L, order=0):
-    """P[k, row, j, t] = d^k/dtheta^k p_{s[row], j, m[row]}(theta_t) for k <= order, j <= L."""
-    j0, seeds = _seeds(s, m, theta, order)
-    table = np.zeros((order + 1, m.size, L + 1, theta.size))
-    rows = np.flatnonzero(j0 <= L)
-    table[:, rows, j0[rows]] = seeds[:, rows]
-    x, sin = np.cos(theta), np.sin(theta)
-    m, s = m.astype(np.float64), s.astype(np.float64)
-
-    def alpha(j, r):
-        jj = j * j
-        return np.sqrt((jj - m[r] ** 2) * (jj - s[r] ** 2) / (jj * (4.0 * jj - 1.0)))[:, None]
-
-    for j in range(L):
-        live = np.flatnonzero(j0 <= j)
-        p = table[:, live, j]
-        row = x * p
-        if j > 0:
-            row += (m[live] * s[live] / (j * (j + 1)))[:, None] * p
-            row -= alpha(j, live) * table[:, live, j - 1]
-        if order >= 1:
-            row[1] -= sin * p[0]
-        if order >= 2:
-            row[2] -= 2.0 * sin * p[1] + x * p[0]
-        table[:, live, j + 1] = row / alpha(j + 1, live)
-    return table
 
 
 def mode_table(grid, s, order=0, band_limit=None):
@@ -123,9 +56,11 @@ def mode_table(grid, s, order=0, band_limit=None):
         orders, top = order, L
         if tables is not None:
             orders, top = max(order, tables.shape[0] - 1), max(L, tables.shape[2] - 1)
-        kernels.check_j_supported(top)
+        check_j_supported(top)
         ms = np.arange(-top, top + 1)
-        tables = _tables.put(key, _climb(np.full_like(ms, s), ms, grid.theta, top, orders))
+        tables = np.zeros((orders + 1, ms.size, top + 1, grid.theta.size))
+        _climb(np.full_like(ms, s), ms, grid.theta, top, orders, tables)
+        tables = _tables.put(key, tables)
     Lt = tables.shape[2] - 1
     return tables[pick, Lt - L : Lt + L + 1, : L + 1]
 
@@ -144,8 +79,9 @@ def wigner_d(L, beta):
             d = np.array([np.diag((abs(ms) <= j).astype(float)) for j in range(L + 1)])
         else:
             n, m = np.repeat(ms, ms.size), np.tile(ms, ms.size)
-            p = _climb(-n, m, np.array([float(beta)]), L)[0, :, :, 0]
-            d = p.reshape(ms.size, ms.size, L + 1).transpose(2, 1, 0)
+            p = np.zeros((1, n.size, L + 1, 1))
+            _climb(-n, m, np.array([float(beta)]), L, 0, p)
+            d = p[0, :, :, 0].reshape(ms.size, ms.size, L + 1).transpose(2, 1, 0)
             norm = np.sqrt(4.0 * np.pi / (2 * np.arange(L + 1) + 1))[:, None, None]
             d = np.ascontiguousarray(d * norm * np.where(ms % 2, -1.0, 1.0))
         d = _tables.put(key, d)

@@ -35,10 +35,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import kernels
 from .errors import BandLimitExceeded
 from .grid import GridFunction, as_integer
-from .modes import validate_mode
+from .modes import J_MAX, validate_mode
 from .serial import json_dumps
 from .tables import _tables, mode_coefficients, radial_factors, rings_to_grid
 
@@ -50,7 +49,7 @@ class CoefficientSet:
     """Mode coefficients of one spin-weighted function, held densely.
 
     matrix[m + L, j] is the amplitude of mode (j, m), read-only, with
-    L = min(band_limit, kernels.J_MAX); entries with no mode (j < |s| or
+    L = min(band_limit, J_MAX); entries with no mode (j < |s| or
     |m| > j) are zero.  entries is the read-only sparse view, (j, m) ->
     complex amplitude for every nonzero coefficient, in order of j then m.
     The constructor takes such a mapping; its keys must satisfy
@@ -113,7 +112,7 @@ def _entry_matrix(s, L, entries):
     the mapping's order and the first bad one raises and names the fault.
     Amplitudes below COEFF_CLIP, and NaN, become zero.
     """
-    top = min(L, kernels.J_MAX)
+    top = min(L, J_MAX)
     cells = _mode_cells(s, top, _label_array(entries))
     if cells is None:
         _raise_first_fault(s, L, entries)

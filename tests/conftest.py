@@ -1,10 +1,11 @@
 """Shared test fixtures and the independent reference evaluator.
 
-reference_swsh evaluates the same closed-form sum as the library but by
-plain power arithmetic (float binomials, ** powers, no log scale, no
-compensated accumulation). It is deliberately a different code path: it
-loses accuracy beyond j ~ 20 but is more than good enough to catch any
-structural bug in the production kernels at moderate j.
+reference_swsh evaluates the closed-form sum whose j-recurrence the
+library climbs, by plain power arithmetic (float binomials, ** powers, no
+log scale, no compensated accumulation). It is deliberately a different
+code path: it loses accuracy beyond j ~ 20 but is more than good enough
+to catch any structural bug in the library's recurrence at moderate j.
+horner_reference evaluates the same sum accurately up to j = 64.
 """
 
 import cmath

@@ -1,4 +1,4 @@
-"""Evaluation kernels for harmonic theta-profiles.
+"""Double-double Horner evaluation of the closed-form profile sum: the test reference.
 
 A mode's theta-profile is a signed sum of monomials in the half-angle
 cosine and sine,
@@ -18,36 +18,27 @@ alternate in sign and the sum cancels heavily at large j; compensated
 accumulation keeps the cancellation from eating the budget, while the
 common magnitude exp(lead + a*log c + b*log s) is applied once per point,
 where its rounding is harmless. Profiles stay finite (no overflow, no
-NaN) for every supported j.
+NaN) for every j <= 64.
 
 Derivative profiles are just more term tables: differentiating shifts the
 exponent ladder by one and mixes neighboring coefficients, so first and
 second derivatives reuse the same evaluator.
 
-This evaluator is the point evaluator behind profile() and eval_swsh,
-and the independent reference the j-recurrence of tables.py is tested
-against; no table is seeded or filled from it.  Its verified envelope is
-j <= J_MAX = 64; past about j = 70 it drifts from the recurrence, so
-larger j is rejected rather than evaluated.
+The library evaluates every profile by the j-recurrence of swsh.modes;
+this evaluator shares none of that code and is the independent reference
+the recurrence is tested against.  It agrees with the recurrence to
+rounding for j <= 64 and drifts from it past about j = 70.
 """
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidMode
-
-J_MAX = 64
-
 # log-factorial table; grown on demand
 _log_fact = [0.0]
-
-
-def check_j_supported(j):
-    if j > J_MAX:
-        raise InvalidMode(f"j={j} exceeds the supported maximum j = {J_MAX}")
 
 
 def log_factorial(n):
@@ -199,3 +190,22 @@ def eval_profile(table, theta):
     w = np.where(uside, u / v, v / u)
     vals = eval_table_numpy(table, np.log(c), np.log(s), w, uside)
     return vals.reshape(theta.shape)
+
+
+@functools.lru_cache(maxsize=65**2)
+def term_table(s, j, m, order=0):
+    """Term table of the order-th theta-derivative of the profile of mode (s, j, m)."""
+    if order == 0:
+        return goldberg_terms(s, j, m)
+    return differentiate_terms(term_table(s, j, m, order - 1))
+
+
+def profile(s, j, m, theta, order=0):
+    """Real theta-profile of sY_jm (or its order-th theta-derivative) at interior theta."""
+    return eval_profile(term_table(s, j, m, order), theta)
+
+
+def eval_swsh(s, j, m, theta, phi):
+    """sY_jm(theta, phi) at interior points, theta and phi broadcast together."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=np.float64), phi)
+    return profile(s, j, m, theta) * np.exp(1j * m * phi)

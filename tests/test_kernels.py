@@ -1,10 +1,13 @@
-"""Term tables and the double-double Horner evaluator.
+"""The test reference: term tables and the double-double Horner evaluator.
 
-The precision oracle here is exact rational arithmetic: a term table is
-a polynomial with exact dyadic coefficients, so its value at an exactly
-known (cos, sin) pair can be computed with Fractions and compared
-against the double-double Horner evaluator. That is an independent check
-of the one piece of arithmetic everything else leans on.
+The library's profiles, tables and Wigner-d all come from one
+j-recurrence; the tests check it against horner_reference, which
+evaluates the closed-form sum instead.  The precision oracle for that
+reference is exact rational arithmetic: a term table is a polynomial with
+exact dyadic coefficients, so its value at an exactly known (cos, sin)
+pair can be computed with Fractions and compared against the
+double-double Horner evaluator.  That keeps the reference itself honest.
+The j cap of the library is checked here too.
 """
 
 import math
@@ -13,9 +16,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swsh import SWMode, coefficient_set, kernels, make_grid
+from swsh import SWMode, coefficient_set, make_grid, modes
 from swsh.errors import InvalidMode
 from swsh.tables import mode_table
+
+import horner_reference as horner
 
 MODES = [
     (0, 0, 0),
@@ -53,7 +58,7 @@ def exact_table_value(table, c, s):
 
 @pytest.mark.parametrize("s,j,m", MODES)
 def test_exponents_nonnegative_and_homogeneous(s, j, m):
-    table = kernels.goldberg_terms(s, j, m)
+    table = horner.goldberg_terms(s, j, m)
     for _ in range(3):
         top = len(table.exact) - 1
         assert table.e1 >= 0
@@ -61,34 +66,34 @@ def test_exponents_nonnegative_and_homogeneous(s, j, m):
         # every term keeps the same total half-angle degree
         if any(coeff != 0 for coeff in table.exact):
             assert table.e1 + table.e2 == 2 * j
-        table = kernels.differentiate_terms(table)
+        table = horner.differentiate_terms(table)
 
 
 @pytest.mark.parametrize("s,j,m", MODES)
 def test_evaluators_match_exact_rational_sum(s, j, m):
     theta = np.array([0.37, 1.1, math.pi / 2, 2.0, 2.9])
     c, s_, log_c, log_s, w, uside = table_points(theta)
-    table = kernels.goldberg_terms(s, j, m)
+    table = horner.goldberg_terms(s, j, m)
     for order in range(3):
         want = np.array([exact_table_value(table, ci, si) for ci, si in zip(c, s_)])
         scale = max(np.abs(want).max(), 1e-30)
-        got_np = kernels.eval_table_numpy(table, log_c, log_s, w, uside)
+        got_np = horner.eval_table_numpy(table, log_c, log_s, w, uside)
         assert np.abs(got_np - want).max() / scale < 5e-15
-        table = kernels.differentiate_terms(table)
+        table = horner.differentiate_terms(table)
 
 
 def test_derivative_of_constant_mode_is_zero():
-    table = kernels.differentiate_terms(kernels.goldberg_terms(0, 0, 0))
+    table = horner.differentiate_terms(horner.goldberg_terms(0, 0, 0))
     _, _, log_c, log_s, w, uside = table_points(np.array([0.2, 1.3, 3.0]))
-    assert np.all(kernels.eval_table_numpy(table, log_c, log_s, w, uside) == 0.0)
+    assert np.all(horner.eval_table_numpy(table, log_c, log_s, w, uside) == 0.0)
 
 
 def test_no_overflow_or_nan_at_table_cap():
     theta = np.linspace(1e-6, math.pi - 1e-6, 301)
     _, _, log_c, log_s, w, uside = table_points(theta)
     for m in (-64, -31, 0, 17, 64):
-        table = kernels.goldberg_terms(0, 64, m)
-        vals = kernels.eval_table_numpy(table, log_c, log_s, w, uside)
+        table = horner.goldberg_terms(0, 64, m)
+        vals = horner.eval_table_numpy(table, log_c, log_s, w, uside)
         assert np.all(np.isfinite(vals))
         # unit-norm harmonics stay O(sqrt(j)) pointwise
         assert np.abs(vals).max() < 50.0
@@ -97,7 +102,7 @@ def test_no_overflow_or_nan_at_table_cap():
 def test_j_beyond_the_cap_rejected():
     # past j ~ 70 the recurrence drifts from Horner, so j = 65 is refused
     # everywhere a mode enters: a label, a coefficient set, a grid table
-    assert kernels.J_MAX == 64
+    assert modes.J_MAX == 64
     SWMode(0, 64, 0)
     with pytest.raises(InvalidMode):
         SWMode(0, 65, 0)
@@ -110,7 +115,7 @@ def test_j_beyond_the_cap_rejected():
 def test_log_factorial_matches_exact():
     for n in (0, 1, 2, 5, 20, 64, 128):
         assert math.isclose(
-            kernels.log_factorial(n), math.log(math.factorial(n)), rel_tol=1e-14
+            horner.log_factorial(n), math.log(math.factorial(n)), rel_tol=1e-14
         )
     with pytest.raises(ValueError):
-        kernels.log_factorial(-1)
+        horner.log_factorial(-1)

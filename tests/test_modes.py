@@ -193,6 +193,12 @@ def test_unsupported_order():
         eval_swsh_dtheta(SWMode(0, 1, 0), 1.0, 0.0, order=3)
 
 
+@pytest.mark.parametrize("order", [-1, 1.5, 3])
+def test_profile_rejects_unsupported_orders(order):
+    with pytest.raises(UnsupportedOrder):
+        profile(0, 2, 0, 0.5, order=order)
+
+
 def test_derivative_refuses_poles():
     with pytest.raises(DomainError):
         eval_swsh_dtheta(SWMode(0, 1, 0), 0.0, 0.0, order=1)

@@ -1,14 +1,17 @@
 """Mode and Wigner-d tables: recurrence against Horner, orthonormality, caching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from swsh import analyze, coefficient_set, make_grid, profile, synthesize
+from swsh import analyze, coefficient_set, make_grid, modes, profile, synthesize, tables
 from swsh.errors import GridMismatch
 from swsh.grid import GridCache, GridFunction, SphereGrid, geometry_key
-from swsh.modes import _term_table
-from swsh.tables import _seeds, mode_table, radial_factors, wigner_d
+from swsh.modes import _seeds
+from swsh.tables import mode_table, radial_factors, wigner_d
 
+import horner_reference as horner
 from conftest import random_entries
 
 SPINS = (0, 1, -1, 2, -2)
@@ -24,7 +27,7 @@ def test_recurrence_rows_match_horner_profiles(L, s):
         j0 = max(abs(m), abs(s))
         assert not table[m + L, :j0].any()
         for j in range(j0, L + 1):
-            want = profile(s, j, m, grid.theta)
+            want = horner.profile(s, j, m, grid.theta)
             worst = max(worst, float(np.abs(table[m + L, j] - want).max()))
     assert worst <= 1e-12
 
@@ -43,7 +46,7 @@ def test_derivative_tables_are_the_horner_derivatives(order):
             worst = 0.0
             for m in ms:
                 for j in range(max(abs(m), abs(s)), L + 1):
-                    want = profile(s, j, m, grid.theta, order=order)
+                    want = horner.profile(s, j, m, grid.theta, order=order)
                     worst = max(worst, float(np.abs(table[m + L, j] - want).max()))
             assert worst <= 1e-12 * np.abs(table).max()
 
@@ -56,7 +59,7 @@ def test_closed_form_seeds_are_the_horner_profiles():
     for s in range(-64, 65):
         j0, seeds = _seeds(np.full_like(ms, s), ms, theta, 0)
         for m, j, row in zip(ms.tolist(), j0.tolist(), seeds[0]):
-            want = profile(s, j, m, theta)
+            want = horner.profile(s, j, m, theta)
             assert np.abs(row - want).max() <= 5e-13 * np.abs(want).max()
 
 
@@ -193,15 +196,29 @@ def test_grid_cache_stays_within_its_byte_budget():
     assert cache.get("big") is None and cache.nbytes <= 3000
 
 
-def test_term_table_cache_stays_bounded():
-    # only point evaluation builds term tables now; evaluating every mode
-    # with j <= 20, all spin weights, asks for three times the bound
-    before = _term_table.cache_info()
+def test_point_evaluation_keeps_no_per_mode_state():
+    # every mode with j <= 12, all spin weights, at orders 0 and 2 (2925
+    # modes): nothing in swsh.modes caches, and no table is built or kept
+    assert not any(hasattr(f, "cache_info") for f in vars(modes).values())
+    held = len(tables._tables)
     theta = np.array([0.5])
-    for j in range(21):
+    for j in range(13):
         for s in range(-j, j + 1):
             for m in range(-j, j + 1):
                 profile(s, j, m, theta)
-    after = _term_table.cache_info()
-    assert after.misses - before.misses > after.maxsize
-    assert after.currsize <= after.maxsize
+                profile(s, j, m, theta, order=2)
+    assert len(tables._tables) == held
+
+
+def test_point_evaluation_working_memory_is_a_few_rows():
+    # the climb holds rows j - 1 and j, never the (j + 1) x points table:
+    # one that kept every row would hold 65 theta arrays per order
+    theta = np.linspace(0.01, 3.13, 200_000)
+    profile(-2, 64, 5, theta[:10], order=2)
+    tracemalloc.start()
+    try:
+        profile(-2, 64, 5, theta, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * theta.nbytes

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swsh import kernels, transform
+from swsh import modes, transform
 from swsh.errors import BandLimitExceeded, InvalidMode
 from swsh.grid import GridFunction, inner_product, make_grid, sample_swsh
 from swsh.modes import SWMode
@@ -36,7 +36,7 @@ def test_entries_validated():
     for s, L, bad, error in (
         (-1, 4, (0, 0), InvalidMode),  # j < |s|
         (0, 4, (2, 3), InvalidMode),  # |m| > j
-        (0, 100, (kernels.J_MAX + 1, 0), InvalidMode),  # j > J_MAX
+        (0, 100, (modes.J_MAX + 1, 0), InvalidMode),  # j > J_MAX
         (0, 4, (5, 0), BandLimitExceeded),  # j > L
     ):
         for entries in ({bad: 1.0}, {bad: 1.0, **good}, {(2, 0): 1.0, bad: 1.0, **good}):
@@ -49,7 +49,7 @@ def test_entries_validated():
     # labels that are not plain ints: each raises the type and message the
     # per-key validate_mode check gives, and a float-parsed check would not
     # (it would read '3' as 3 and None as NaN)
-    big, cap = 2**70, kernels.J_MAX
+    big, cap = 2**70, modes.J_MAX
     for bad, error, message in (
         (("3", 1), InvalidMode, "j='3' is not an integer"),
         ((b"3", 1), InvalidMode, "j=b'3' is not an integer"),
@@ -186,7 +186,7 @@ def test_huge_band_limit_stores_at_most_the_supported_modes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert c.matrix.shape == (2 * kernels.J_MAX + 1, kernels.J_MAX + 1)
+    assert c.matrix.shape == (2 * modes.J_MAX + 1, modes.J_MAX + 1)
     assert peak < 10**6
     assert c.band_limit == 10**6 and c.sorted_items() == []
 
