@@ -20,8 +20,8 @@ Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves.  A section is analyzed once, into A[m + L, j, D]; the turns
 contract over m per j, the kernel over the slots per m, and one private
-helper contracts with the theta-derivative tables per m and inverts the
-FFT over phi, giving samples grid.shape + (D, k) with no transpose back.
+helper contracts with the theta-derivative tables per m and applies one
+DFT matrix product over phi, giving samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|} is a real D x D matrix per node, built
 once per frame; the spin matrices of all three axes act per tensor slot as
 one constant real (3D, D) operator; and the orbital operator differentiates
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
 from .grid import GridFunction, SphereGrid, slot_power, standard_frame
-from .tables import _check_azimuths, _tables, mode_table, wigner_d
+from .tables import _tables, mode_table, phi_analysis, phi_synthesis, wigner_d
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
 ROTATION_STEP = 1e-4
@@ -108,16 +108,12 @@ class EmbeddedSection:
 def _analysis(grid, values):
     """Read-only spin-0 quadrature A[m + L, j, D] of values[t, p, D], L the grid's band limit.
 
-    One FFT over phi and one real matmul per m with the order-0 mode table.
+    One DFT matrix product over phi and one real matmul per m with the
+    order-0 mode table.
     """
-    _check_azimuths(grid)
-    L = grid.band_limit
-    spec = np.fft.fft(values, axis=1) * grid.phi_weight
-    # m = -L .. -1 sit at the last L azimuthal frequencies, m = 0 .. L at the first
-    rings = np.concatenate((spec[:, grid.n_phi - L :], spec[:, : L + 1]), axis=1)
-    rings *= grid.theta_weights[:, None, None]
-    rings = rings.transpose(1, 0, 2).view(np.float64)
-    a = np.matmul(mode_table(grid, 0), rings).view(np.complex128)
+    rings = phi_analysis(grid, values.swapaxes(0, 1), grid.band_limit)
+    rings *= grid.theta_weights[:, None]
+    a = np.matmul(mode_table(grid, 0), rings.view(np.float64)).view(np.complex128)
     a.setflags(write=False)
     return a
 
@@ -127,19 +123,15 @@ def _synthesis(grid, coeffs, phi_orders=(0,)):
 
     Y_jm = p_{0jm}(theta) exp(i m phi), L the grid's band limit, each
     phi order 0 or 1.  One real matmul per m with the theta-derivative
-    tables of orders 0 .. k, then one inverse FFT over phi.
+    tables of orders 0 .. k, then one DFT matrix product over phi, whose
+    C-ordered [k, t, D, p] result is returned as a transposed view.
     """
-    _check_azimuths(grid)
-    L = grid.band_limit
     table = mode_table(grid, 0, range(len(phi_orders)))
     radial = np.matmul(table.swapaxes(-1, -2), coeffs.view(np.float64)).view(np.complex128)
     for k, order in enumerate(phi_orders):
         if order:
-            radial[k] *= 1j * np.arange(-L, L + 1)[:, None, None]
-    radial = radial.transpose(2, 1, 3, 0)
-    spec = np.zeros(grid.shape + radial.shape[2:], dtype=np.complex128)
-    spec[:, : L + 1], spec[:, grid.n_phi - L :] = radial[:, L:], radial[:, :L]
-    return np.fft.ifft(spec, axis=1, norm="forward")
+            radial[k] *= 1j * np.arange(-grid.band_limit, grid.band_limit + 1)[:, None, None]
+    return phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -320,18 +312,21 @@ def _axis_frame(axis, L):
     """Q taking z to the unit axis, with d(theta) and e = exp(-i m phi)[m + L] of its Euler angles.
 
     Q = R_z(phi) R_y(theta), so in coefficient space D(Q) = e d(theta) and,
-    as d(-beta) = d(beta)^T, D(Q^-1) = d(theta)^T conj(e).
+    as d(-beta) = d(beta)^T, D(Q^-1) = d(theta)^T conj(e).  On the z axis,
+    theta = 0, d is None: d(0) is the identity, and there the turns reduce
+    to the phases e, which cancel around any kernel that acts per m.
     """
     x, y, z = axis
     theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
     e = np.exp(-1j * phi * np.arange(-L, L + 1))[:, None]
-    return _turn_z_to(theta, phi), wigner_d(L, theta), e
+    return _turn_z_to(theta, phi), (wigner_d(L, theta) if theta else None), e
 
 
 def _axis_stencil(axis, L, rank):
     """(d, e, kernel) of the generator about axis at band L, cached by (L, rank, axis).
 
-    d and e are those of _axis_frame, e shaped [m + L, 1, 1].  kernel[m + L]
+    d and e are those of _axis_frame, e shaped [m + L, 1, 1]; on the z axis
+    both are None, so the entry holds no d-table.  kernel[m + L]
     is the transpose of i/(12 ROTATION_STEP) Q^{(x) rank} K[m + L] Q^{(x) rank T},
     K[m + L] = sum_k w_k R_z(psi_k)^{(x) rank} exp(-i m psi_k) over the
     stencil angles psi_k the finite-difference sum about z on the
@@ -355,7 +350,8 @@ def _axis_stencil(axis, L, rank):
             kernel += w * np.exp(-1j * psi * m) * slot_power(_turn_z_to(0.0, psi), rank)
         qr = slot_power(q, rank)
         kernel = (1j / (12.0 * ROTATION_STEP)) * (qr @ kernel @ qr.T).transpose(0, 2, 1)
-        entry = _tables.put(key, (d, e[:, :, None], np.ascontiguousarray(kernel)))
+        e = None if d is None else e[:, :, None]
+        entry = _tables.put(key, (d, e, np.ascontiguousarray(kernel)))
     return entry
 
 
@@ -369,18 +365,22 @@ def apply_J_rotation(section, axis):
     stencil angle is a phase exp(-i m psi) and the stencil sum over angles
     and tensor slots, scaled to the generator, is one kernel per m, cached
     per axis; one Wigner matrix turns them back and one synthesis gives the
-    generator, exactly for band-limited sections.
+    generator, exactly for band-limited sections.  About z, where the turns
+    are the identity, the kernel acts on the coefficients alone.
     """
     grid, rank = section.grid, section.rank
     coeffs = section._coefficients
     d, e, kernel = _axis_stencil(axis, coeffs.shape[1] - 1, rank)
-    # per j into the axis frame, sum_n d[j, n, m] conj(e[n]) A[n, j], viewed [j, m, D]
-    tilted = (coeffs * np.conj(e)).transpose(1, 0, 2)
-    tilted = np.matmul(d.swapaxes(1, 2), tilted.view(np.float64)).view(np.complex128)
-    # per m the kernel on the slots, then per j back out of the axis frame
-    spun = np.matmul(tilted.transpose(1, 0, 2), kernel).transpose(1, 0, 2)
-    turned = np.matmul(d, spun.view(np.float64)).view(np.complex128).transpose(1, 0, 2)
-    turned *= e
+    if d is None:
+        turned = np.matmul(coeffs, kernel)
+    else:
+        # per j into the axis frame, sum_n d[j, n, m] conj(e[n]) A[n, j], viewed [j, m, D]
+        tilted = (coeffs * np.conj(e)).transpose(1, 0, 2)
+        tilted = np.matmul(d.swapaxes(1, 2), tilted.view(np.float64)).view(np.complex128)
+        # per m the kernel on the slots, then per j back out of the axis frame
+        spun = np.matmul(tilted.transpose(1, 0, 2), kernel).transpose(1, 0, 2)
+        turned = np.matmul(d, spun.view(np.float64)).view(np.complex128).transpose(1, 0, 2)
+        turned *= e
     generator = _synthesis(grid, turned).reshape(section.components.shape)
     return EmbeddedSection._wrap(grid, section.helicity, generator)
 

@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .grid import (
+    GridFunction,
     make_grid,
     pole_limit_extrapolate,
     read_grid_csv,
@@ -203,13 +204,13 @@ def _suite_ortho(args, rng):
     """Quadrature Gram residual of every mode up to L, streamed one m at a time.
 
     The modes of one m are sampled from their rows of the grid's mode table
-    and split into azimuthal bins R[k, t] by the FFT over phi; a Gram entry
-    is then sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's
-    block is formed from bin m.  An entry between two modes of different m
-    is bounded by Cauchy-Schwarz from each mode's bin-m norm n and off-bin
-    norm e: |G_ab| <= n_a e_b + e_a n_b + e_a e_b.  The residual is the
-    larger of the worst block error and that bound, so it bounds every
-    entry of G - I without forming the dense Gram.
+    and split into azimuthal bins R[k, t] by the DFT matrix product over
+    phi; a Gram entry is then sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] /
+    (2 pi).  Each m's block is formed from bin m.  An entry between two
+    modes of different m is bounded by Cauchy-Schwarz from each mode's
+    bin-m norm n and off-bin norm e: |G_ab| <= n_a e_b + e_a n_b + e_a e_b.
+    The residual is the larger of the worst block error and that bound, so
+    it bounds every entry of G - I without forming the dense Gram.
     """
     s = _pick(args.s, -1)
     L = _pick(args.L, 16)
@@ -223,7 +224,7 @@ def _suite_ortho(args, rng):
     block_err = norm_max = leak_max = 0.0
     for m in range(-L, L + 1):
         js = range(max(abs(m), abs(s)), L + 1)
-        samples = table[m + L, js.start :, :, None] * np.exp(1j * m * grid.phi)
+        samples = _m_samples(grid, table, m)[js.start :]
         rings = ring_modes(grid, samples, L)
         own = rings[:, m + L]
         block = (np.conj(own) * w) @ own.T
@@ -240,20 +241,40 @@ def _suite_ortho(args, rng):
     return params, results, resid, tol
 
 
+def _m_samples(grid, table, m):
+    """Samples [j, t, p] of every mode (s, j, m), from the row block of m of mode_table(grid, s).
+
+    The same product of profile and phase as sample_swsh, so byte for byte
+    its samples, with no climb per mode; rows j < max(|m|, |s|) are zero.
+    """
+    return table[m + grid.band_limit, :, :, None] * np.exp(1j * m * grid.phi)
+
+
 def _suite_ladder(args, rng):
+    """Grid-space J_+-, J_z and J^2 on every mode up to jMax, against their known actions.
+
+    The modes of each m are sampled once, from the grid's mode table, and
+    serve as the functions of that m and as the references of m -+ 1.
+    """
     s = _pick(args.s, -1)
     j_top = _pick(args.j, 8)
     tol = _pick(args.tolerance, 1e-8)
     grid = make_grid(max(j_top, abs(s)))
+    table = mode_table(grid, s)
     worst = 0.0
-    for j in range(abs(s), j_top + 1):
-        for m in range(-j, j + 1):
-            f = sample_swsh(grid, SWMode(s, j, m))
+    blocks = {}
+    for m in range(-j_top, j_top + 1):
+        blocks.pop(m - 2, None)
+        for k in range(max(m - 1, -j_top), min(m + 1, j_top) + 1):
+            if k not in blocks:
+                blocks[k] = _m_samples(grid, table, k)
+        for j in range(max(abs(m), abs(s)), j_top + 1):
+            f = GridFunction(grid, s, blocks[m][j])
             for kind, sign in (("Jplus", +1), ("Jminus", -1)):
                 got = apply_grid(OperatorSpec(kind, s), f)
                 lam = ladder_coefficient(j, m, sign)
                 if lam:
-                    ref = lam * sample_swsh(grid, SWMode(s, j, m + sign)).samples
+                    ref = lam * blocks[m + sign][j]
                 else:
                     ref = np.zeros(grid.shape)
                 worst = max(worst, float(np.abs(got.samples - ref).max()))

@@ -87,7 +87,10 @@ class SphereGrid:
 
     @cached_property
     def uniform_azimuths(self):
-        """Whether phi holds the n_phi uniform azimuths from phi = 0, to 1e-12, as FFTs need."""
+        """Whether phi holds the n_phi uniform azimuths from phi = 0, to 1e-12.
+
+        The azimuthal quadrature needs them.
+        """
         n = self.n_phi
         return bool(np.abs(self.phi - 2.0 * np.pi * np.arange(n) / n).max() <= 1e-12)
 
@@ -117,14 +120,18 @@ def geometry_key(grid):
     return grid._geometry_key
 
 
+def _arrays(value):
+    return [a for a in value if a is not None] if isinstance(value, tuple) else [value]
+
+
 def _nbytes(value):
-    return sum(a.nbytes for a in value) if isinstance(value, tuple) else value.nbytes
+    return sum(a.nbytes for a in _arrays(value))
 
 
 class GridCache:
     """Least-recently-used map to read-only arrays or tuples of them, bounded in total bytes.
 
-    An entry larger than the whole budget is returned to its caller but
+    A tuple may hold None in place of an array.  An entry larger than the whole budget is returned to its caller but
     never stored.  An array held by two entries counts in both.
     """
 
@@ -155,7 +162,7 @@ class GridCache:
 
     def put(self, key, value):
         """Store value (every array in it made read-only) under key, replacing any older entry."""
-        for a in value if isinstance(value, tuple) else (value,):
+        for a in _arrays(value):
             a.setflags(write=False)
         size = _nbytes(value)
         with self._lock:

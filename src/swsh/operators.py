@@ -7,8 +7,8 @@ operator has a table per grid geometry, spin weight and kind, its action on
 every profile p_{sjm}(theta) exp(i m phi), formed once from the mode tables
 of tables.py and their analytic theta-derivatives by the differential
 expression, and kept in the same byte-bounded cache; an application is then
-one contraction with the function's analysis coefficients and one inverse
-FFT.  The two are cross-validated in tests; the tables are built from the
+one contraction with the function's analysis coefficients and one DFT
+matrix product over phi.  The two are cross-validated in tests; the tables are built from the
 differential expressions only, never from the known ladder action, since
 the point of apply_grid is to confirm that action independently.
 

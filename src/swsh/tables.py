@@ -13,22 +13,30 @@ far in one entry (4.4 MB per order at L = 64), the operator tables of
 operators.py by grid geometry, spin weight and kind (4.4 MB each at
 L = 64), d-tables by (L, beta) (8.6 MB at L = 64), the rotation stencils
 of bundle.py, one per (L, rank, axis), each holding its axis's d-table,
-phases and kernel, and the masks of mode cells that transform.py checks
-coefficient labels against.
+phases and kernel (the z axis needs neither d-table nor phases), the
+azimuthal DFT matrices, one per n_phi, and the masks of mode cells that
+transform.py checks coefficient labels against.
 contract_table sums a table against coefficients A[m + L, j], reading only
 the bands used_band finds nonzero.
-ring_modes takes samples to the R_m(theta) of sum_m R_m exp(i m phi) by an
-FFT over phi, on make_grid's uniform azimuths, and rings_to_grid inverts
-it.  Leading component axes pass through.
+The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
+mod n) / n) over the n = n_phi uniform azimuths from phi = 0, for every
+frequency |f| <= J_MAX + 1, built from exact integer angles and cached
+once per n, 270 KB at n = 129.  phi_analysis and phi_synthesis slice its
+rows for the band and ladder shift asked for and apply them in one GEMM
+per call, which at these small n costs less than an FFT's fixed cost and
+keeps each transform O(L^3), like its colatitude step.  ring_modes takes
+samples to the R_m(theta) of sum_m R_m exp(i m phi) and rings_to_grid
+inverts it; leading component axes pass through.
 """
 
 import numpy as np
 
-from .errors import BandLimitExceeded, GridMismatch
+from .errors import BandLimitExceeded, GridMismatch, InvalidMode
 from .grid import GridCache, geometry_key
-from .modes import _climb, check_j_supported
+from .modes import J_MAX, _climb, check_j_supported
 
 TABLE_CACHE_BYTES = 64 * 2**20
+_F = J_MAX + 1  # the highest azimuthal frequency: a band of J_MAX shifted by a ladder
 
 _tables = GridCache(TABLE_CACHE_BYTES)
 
@@ -139,12 +147,62 @@ def _check_azimuths(grid):
         raise GridMismatch("transforms need n_phi uniform azimuths starting at phi = 0")
 
 
+def _dft_matrix(grid):
+    """Read-only W[f + F, p] = exp(2 pi i (f p mod n) / n) for |f| <= F = J_MAX + 1, n = n_phi.
+
+    Rows run over signed frequency, so the frequencies of one band sit in
+    one contiguous slice.  Each row is built from the exact integer residues
+    f p mod n, so an aliased frequency's row is exactly the row of the one
+    it folds onto, and exp(2 pi i (n - q) / n) is taken as the conjugate of
+    exp(2 pi i q / n).  Its 2F + 1 rows, not n, keep it O(n) on grids with
+    many azimuths.  Cached once per n.
+    """
+    _check_azimuths(grid)
+    n = grid.n_phi
+    key = ("dft", n)
+    w = _tables.get(key)
+    if w is None:
+        half = np.exp(2j * np.pi / n * np.arange(n // 2 + 1))
+        roots = np.concatenate((half, np.conj(half[1 : (n + 1) // 2][::-1])))
+        w = _tables.put(key, roots[np.outer(np.arange(-_F, _F + 1), np.arange(n)) % n])
+    return w
+
+
+def _check_frequencies(top):
+    if top > _F:
+        raise InvalidMode(f"azimuthal frequency {top} exceeds the supported maximum {_F}")
+
+
+def phi_analysis(grid, x, band_limit):
+    """y[m + L, ...] = sum_p exp(-i m phi_p) x[p, ...] dphi for |m| <= L: the azimuthal quadrature.
+
+    The phi axis leads x (any strides) and the frequency axis leads y.  One
+    GEMM with the rows L .. -L of the DFT matrix.
+    """
+    L = int(band_limit)
+    _check_frequencies(L)
+    w = _dft_matrix(grid)[_F - L : _F + L + 1][::-1] * grid.phi_weight
+    return (w @ x.reshape(grid.n_phi, -1)).reshape((2 * L + 1,) + x.shape[1:])
+
+
+def phi_synthesis(grid, y, shift=0):
+    """x[..., p] = sum_m y[m + L, ...] exp(i (m + shift) phi_p), C-ordered with phi last.
+
+    The frequency axis leads y.  One GEMM with the rows -L + shift ..
+    L + shift of the DFT matrix, so a frequency past the grid's takes
+    exactly the values, on the nodes, of the one it folds onto.
+    """
+    L = (y.shape[0] - 1) // 2
+    _check_frequencies(L + abs(shift))
+    w = _dft_matrix(grid)[_F - L + shift : _F + L + shift + 1]
+    return (y.reshape(2 * L + 1, -1).T @ w).reshape(y.shape[1:] + (grid.n_phi,))
+
+
 def ring_modes(grid, samples, band_limit):
     """R[..., m + L, t] = sum_p samples[..., t, p] exp(-i m phi_p) dphi for |m| <= L."""
-    _check_azimuths(grid)
-    spec = np.fft.fft(samples, axis=-1) * grid.phi_weight
-    ms = np.arange(-band_limit, band_limit + 1)
-    return np.swapaxes(spec[..., ms % grid.n_phi], -1, -2)
+    lead = samples.shape[:-1]
+    rings = phi_analysis(grid, samples.reshape(-1, grid.n_phi).T, band_limit)
+    return rings.reshape(rings.shape[:1] + lead).transpose(*range(1, len(lead)), 0, len(lead))
 
 
 def mode_coefficients(grid, s, samples, band_limit):
@@ -160,8 +218,5 @@ def rings_to_grid(grid, radial, shift=0):
     nodes an aliased frequency takes exactly the values of the one it
     folds onto.
     """
-    _check_azimuths(grid)
-    L = (radial.shape[-2] - 1) // 2
-    spec = np.zeros(radial.shape[:-2] + grid.shape, dtype=np.complex128)
-    spec[..., (np.arange(-L, L + 1) + shift) % grid.n_phi] = np.swapaxes(radial, -1, -2)
-    return np.fft.ifft(spec, axis=-1, norm="forward")
+    k = radial.ndim - 2
+    return phi_synthesis(grid, radial.transpose(k, *range(k), k + 1), shift)

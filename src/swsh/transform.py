@@ -1,14 +1,14 @@
 """Forward and inverse transforms between grid samples and mode coefficients.
 
 Both directions are separable in the azimuth and run through the per-grid
-mode tables of tables.py.  Analysis is an FFT over phi followed, per m, by
-one contraction of the (j, theta) table block with the weighted ring
-values; synthesis is the reverse, a contraction per m and an inverse FFT.
-A table costs O(L^3) to build, once per grid geometry and spin weight,
-and then each call costs O(L^3) arithmetic in a few array operations.
-Output is deterministic: the tables, the FFT and the contractions are
-fixed sequences of floating-point operations for a given input and grid,
-so repeated runs produce identical bytes.
+mode tables of tables.py.  Analysis is a DFT matrix product over phi
+followed, per m, by one contraction of the (j, theta) table block with the
+weighted ring values; synthesis is the reverse, a contraction per m and a
+DFT matrix product.  A table costs O(L^3) to build, once per grid geometry
+and spin weight, and then each call costs O(L^3) arithmetic in a few array
+operations.  Output is deterministic: the tables, the cached DFT matrix
+and the matrix products are fixed sequences of floating-point operations
+for a given input and grid, so repeated runs produce identical bytes.
 
 A CoefficientSet holds its amplitudes in the same dense A[m + L, j]
 matrix the contractions read and write, so analyze wraps its result and

@@ -12,6 +12,8 @@ from swsh.bundle import (
     ROTATION_STEP,
     EmbeddedSection,
     _axis_frame,
+    _axis_stencil,
+    _synthesis,
     apply_J_rotation,
     apply_projected_orbital,
     apply_projected_spin,
@@ -454,6 +456,9 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         monkeypatch.undo()
         assert puts == []
         assert standard_frame(grid).transverse_projector(h) is projector
+    # every analysis and synthesis read the one azimuthal matrix of the grid
+    dft = [key for key in _tables._items if isinstance(key, tuple) and key[:1] == ("dft",)]
+    assert ("dft", grid.n_phi) in dft and len(dft) == len(set(dft))
 
 
 def test_transverse_projector_is_the_slotwise_projector():
@@ -488,6 +493,25 @@ def test_rotation_of_zero_section_is_zero():
     assert np.abs(gen.components).max() == 0.0
 
 
+@pytest.mark.parametrize("h", [1, 2])
+def test_rotation_about_z_skips_the_identity_turns(rng, h):
+    # no d-table is built or cached for z, and the generator is the one the
+    # full pair of turns by d(0) = 1 and e = 1 gives, to the last bit
+    L = 13
+    grid = make_grid(L)
+    _tables._items.pop((L, 0.0), None)
+    sec = random_section(rng, grid, h, 5)
+    got = apply_J_rotation(sec, Z_AXIS).components
+    d, e, kernel = _axis_stencil(Z_AXIS, L, h)
+    assert d is None and e is None and _tables.get((L, 0.0)) is None
+    d = wigner_d(L, 0.0)
+    tilted = np.matmul(d.swapaxes(1, 2), sec._coefficients.transpose(1, 0, 2).view(np.float64))
+    spun = np.matmul(tilted.view(np.complex128).transpose(1, 0, 2), kernel).transpose(1, 0, 2)
+    turned = np.matmul(d, spun.view(np.float64)).view(np.complex128).transpose(1, 0, 2)
+    want = _synthesis(grid, turned).reshape(got.shape)
+    assert np.array_equal(got, want)
+
+
 def test_rotation_ladder_raises_m():
     grid = make_grid(6)
     j, m = 2, 1
@@ -516,6 +540,7 @@ def _rotated_modes(grid, labels, axis, angle):
     for i, (j, m) in enumerate(labels):
         coeffs[i, m + L, j] = 1.0
     _, d, e = _axis_frame(np.array(axis), L)
+    d = wigner_d(L, 0.0) if d is None else d
     in_frame = _wigner_turn(np.swapaxes(d, 1, 2), np.conj(e) * coeffs)
     spun = np.exp(-1j * angle * np.arange(-L, L + 1))[:, None] * in_frame
     turned = e * _wigner_turn(d, spun)

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swsh.cli import main
+from swsh import cli
+from swsh.cli import _m_samples, main
 from swsh.grid import make_grid, read_grid_csv, sample_swsh
 from swsh.modes import SWMode
 from swsh.multiplets import factor_search, massless_spectrum, spectrum_to_json
+from swsh.tables import mode_table
 from swsh.transform import (
     coefficient_set,
     read_coefficients_json,
@@ -238,6 +240,28 @@ def test_verify_ladder_small(capsys):
     code, out, _ = run(capsys, "verify", "ladder", "-s", "1", "-j", "4")
     assert code == 0
     assert report_of(out)["pass"] is True
+
+
+@pytest.mark.parametrize("L, s", [(4, 0), (16, -1), (12, 2)])
+def test_ladder_reference_samples_are_the_sample_swsh_bytes(L, s):
+    # the row blocks verify ladder reads instead of one climb per mode
+    grid = make_grid(L)
+    table = mode_table(grid, s)
+    for m in range(-L, L + 1):
+        block = _m_samples(grid, table, m)
+        assert not block[: max(abs(m), abs(s))].any()
+        for j in range(max(abs(m), abs(s)), L + 1):
+            assert block[j].tobytes() == sample_swsh(grid, SWMode(s, j, m)).samples.tobytes()
+
+
+def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify ladder climbed one mode")
+
+    monkeypatch.setattr(cli, "sample_swsh", refuse)
+    code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "5")
+    assert code == 0
+    assert report_of(out)["results"]["modes"] == 35
 
 
 def test_verify_lemma_small(capsys):

@@ -9,7 +9,7 @@ import pytest
 from swsh import transform
 from swsh.errors import SpinWeightMismatch
 from swsh.grid import GridFunction, make_grid, sample_swsh
-from swsh.modes import SWMode
+from swsh.modes import J_MAX, SWMode
 from swsh.operators import (
     KINDS,
     OperatorSpec,
@@ -303,6 +303,7 @@ def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
     f = synthesize(coefficient_set(-1, 10, random_entries(rng, -1, 10)), grid)
     for kind in KINDS:
         apply_grid(OperatorSpec(kind, -1), f)
+    dft = _tables.get(("dft", grid.n_phi))
     puts = []
     real_put = _tables.put
     monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
@@ -311,6 +312,9 @@ def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
         apply_grid(OperatorSpec(kind, -1), g)
         apply_grid(OperatorSpec(kind, -1), g, band_limit=7)
     assert puts == []
+    # one azimuthal matrix for the grid's n_phi serves every band and shift
+    assert dft is not None and dft.shape == (2 * J_MAX + 3, grid.n_phi)
+    assert _tables.get(("dft", grid.n_phi)) is dft
 
 
 def test_apply_grid_reuses_the_analysis(rng, monkeypatch):

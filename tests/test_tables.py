@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swsh import analyze, coefficient_set, make_grid, modes, profile, synthesize, tables
-from swsh.errors import GridMismatch
+from swsh.errors import GridMismatch, InvalidMode
 from swsh.grid import GridCache, GridFunction, SphereGrid, geometry_key
 from swsh.modes import _seeds
 from swsh.tables import mode_table, radial_factors, wigner_d
@@ -160,6 +160,58 @@ def test_transforms_reject_nonuniform_azimuths():
             analyze(f)
         with pytest.raises(GridMismatch):
             synthesize(coefficient_set(0, 4, {(0, 0): 1.0}), odd)
+
+
+def _uniform_grid(L, n_phi):
+    """A hand-built grid of L + 1 Gauss-Legendre rings and n_phi uniform azimuths."""
+    base = make_grid(L)
+    return SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), 2.0 * np.pi * np.arange(n_phi) / n_phi)
+
+
+AZIMUTHAL_CASES = [(make_grid(L), 0) for L in (0, 1, 8, 24, 64)] + [
+    (_uniform_grid(5, 16), 0),
+    (_uniform_grid(5, 16), 1),
+    (_uniform_grid(3, 1025), -1),
+    (make_grid(8), 1),
+    (make_grid(8), -1),
+    (make_grid(1), 1),
+    (make_grid(24), -1),
+]
+
+
+@pytest.mark.parametrize("grid, shift", AZIMUTHAL_CASES)
+def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
+    # the DFT matrix products against numpy.fft, the independent reference;
+    # with shift +-1 at L = band the top frequency aliases when n_phi = 2L + 1
+    L, n = grid.band_limit, grid.n_phi
+    ms = np.arange(-L, L + 1)
+    def draw(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    samples = draw((2,) + grid.shape)
+    want = np.swapaxes((np.fft.fft(samples, axis=-1) * grid.phi_weight)[..., ms % n], -1, -2)
+    got = tables.ring_modes(grid, samples, L)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    radial = draw((2, 2 * L + 1, grid.n_theta))
+    spec = np.zeros((2,) + grid.shape, dtype=np.complex128)
+    spec[..., (ms + shift) % n] = np.swapaxes(radial, -1, -2)
+    want = np.fft.ifft(spec, axis=-1, norm="forward")
+    got = tables.rings_to_grid(grid, radial, shift)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # one matrix per n_phi, its rows the frequencies up to J_MAX + 1: O(n_phi)
+    assert tables._dft_matrix(grid).shape == (2 * modes.J_MAX + 3, n)
+
+
+def test_azimuthal_frequencies_past_the_cap_rejected():
+    grid = make_grid(modes.J_MAX + 2)
+    with pytest.raises(InvalidMode):
+        tables.ring_modes(grid, np.ones(grid.shape), modes.J_MAX + 2)
+    radial = np.ones((2 * modes.J_MAX + 3, grid.n_theta))
+    tables.rings_to_grid(grid, radial)
+    with pytest.raises(InvalidMode):
+        tables.rings_to_grid(grid, radial, 1)
 
 
 def test_geometry_key_is_built_once_per_grid():
