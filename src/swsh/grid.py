@@ -131,8 +131,9 @@ def _nbytes(value):
 class GridCache:
     """Least-recently-used map to read-only arrays or tuples of them, bounded in total bytes.
 
-    A tuple may hold None in place of an array.  An entry larger than the whole budget is returned to its caller but
-    never stored.  An array held by two entries counts in both.
+    A tuple may hold None in place of an array.  An entry larger than the
+    whole budget is returned to its caller but never stored.  An array held
+    by two entries counts in both.
     """
 
     def __init__(self, max_bytes):
