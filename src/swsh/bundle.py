@@ -18,10 +18,11 @@ generator, are built once per axis and cached together.
 
 Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
-themselves.  A section is analyzed once, into A[m + L, j, D]; the turns
-contract over m per j, the kernel over the slots per m, and one private
-helper contracts with the theta-derivative tables per m and applies one
-DFT matrix product over phi, giving samples grid.shape + (D, k).
+themselves and of the transform in tables.py.  A section is analyzed
+once, by mode_coefficients, into A[m + L, j, D]; the turns contract over
+m per j, the kernel over the slots per m, and _synthesis contracts with
+the theta-derivative tables through contract_table and applies one DFT
+matrix product over phi, giving samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|} is a real D x D matrix per node, built
 once per frame; the spin matrices of all three axes act per tensor slot as
 one constant real (3D, D) operator; and the orbital operator differentiates
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
 from .grid import GridFunction, SphereGrid, slot_power, standard_frame
-from .tables import _tables, mode_table, phi_analysis, phi_synthesis, wigner_d
+from .tables import _tables, contract_table, mode_coefficients, mode_table, phi_synthesis, wigner_d
 
 _STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
 ROTATION_STEP = 1e-4
@@ -92,7 +93,10 @@ class EmbeddedSection:
 
         The one analysis every operator below reads.
         """
-        return _analysis(self.grid, self.components.reshape(self.grid.shape + (-1,)))
+        grid = self.grid
+        a = mode_coefficients(grid, 0, self.components.reshape(grid.shape + (-1,)), grid.band_limit)
+        a.setflags(write=False)
+        return a
 
     @cached_property
     def component_coefficients(self):
@@ -105,29 +109,16 @@ class EmbeddedSection:
         return np.moveaxis(a, (0, 1), (-2, -1))
 
 
-def _analysis(grid, values):
-    """Read-only spin-0 quadrature A[m + L, j, D] of values[t, p, D], L the grid's band limit.
-
-    One DFT matrix product over phi and one real matmul per m with the
-    order-0 mode table.
-    """
-    rings = phi_analysis(grid, values.swapaxes(0, 1), grid.band_limit)
-    rings *= grid.theta_weights[:, None]
-    a = np.matmul(mode_table(grid, 0), rings.view(np.float64)).view(np.complex128)
-    a.setflags(write=False)
-    return a
-
-
 def _synthesis(grid, coeffs, phi_orders=(0,)):
     """Samples [t, p, D, k] of d^k/dtheta^k (d/dphi)^phi_orders[k] of sum_{j, m} coeffs[m + L, j, D] Y_jm.
 
     Y_jm = p_{0jm}(theta) exp(i m phi), L the grid's band limit, each
-    phi order 0 or 1.  One real matmul per m with the theta-derivative
-    tables of orders 0 .. k, then one DFT matrix product over phi, whose
-    C-ordered [k, t, D, p] result is returned as a transposed view.
+    phi order 0 or 1.  contract_table with the theta-derivative tables of
+    orders 0 .. k, the factor i m for d/dphi, then one DFT matrix product
+    over phi, whose C-ordered [k, t, D, p] result is returned as a
+    transposed view.
     """
-    table = mode_table(grid, 0, range(len(phi_orders)))
-    radial = np.matmul(table.swapaxes(-1, -2), coeffs.view(np.float64)).view(np.complex128)
+    radial = contract_table(mode_table(grid, 0, range(len(phi_orders))), coeffs)
     for k, order in enumerate(phi_orders):
         if order:
             radial[k] *= 1j * np.arange(-grid.band_limit, grid.band_limit + 1)[:, None, None]

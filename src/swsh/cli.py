@@ -58,7 +58,7 @@ from .multiplets import (
 )
 from .operators import OperatorSpec, apply_grid, ladder_coefficient, verify_casimir_identity
 from .serial import fmt17, json_dumps
-from .tables import mode_table, ring_modes
+from .tables import mode_table, phi_analysis
 from .transform import (
     analyze,
     coefficient_set,
@@ -189,7 +189,9 @@ def _random_coefficients(rng, s, band):
 
 
 def _random_sections(rng, s, band, count):
-    """Unit-norm random embedded sections plus the work grid they live on."""
+    """Unit-norm random embedded sections plus the work grid they live on; count must be positive."""
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
     h = -s
     work = make_grid(band + abs(h) + 4)
     sections = []
@@ -204,11 +206,12 @@ def _suite_ortho(args, rng):
     """Quadrature Gram residual of every mode up to L, streamed one m at a time.
 
     The modes of one m are sampled from their rows of the grid's mode table
-    and split into azimuthal bins R[k, t] by the DFT matrix product over
-    phi; a Gram entry is then sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] /
-    (2 pi).  Each m's block is formed from bin m.  An entry between two
-    modes of different m is bounded by Cauchy-Schwarz from each mode's
-    bin-m norm n and off-bin norm e: |G_ab| <= n_a e_b + e_a n_b + e_a e_b.
+    as [j, t, p] and split into azimuthal bins R[k + L, j, t] by
+    phi_analysis; a Gram entry is then
+    sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's block is
+    formed from bin m.  An entry between two modes of different m is
+    bounded by Cauchy-Schwarz from each mode's bin-m norm n and off-bin
+    norm e: |G_ab| <= n_a e_b + e_a n_b + e_a e_b.
     The residual is the larger of the worst block error and that bound, so
     it bounds every entry of G - I without forming the dense Gram.
     """
@@ -225,13 +228,13 @@ def _suite_ortho(args, rng):
     for m in range(-L, L + 1):
         js = range(max(abs(m), abs(s)), L + 1)
         samples = _m_samples(grid, table, m)[js.start :]
-        rings = ring_modes(grid, samples, L)
-        own = rings[:, m + L]
+        rings = phi_analysis(grid, samples.transpose(2, 0, 1), L)
+        own = rings[m + L]
         block = (np.conj(own) * w) @ own.T
         block_err = max(block_err, float(np.abs(block - np.eye(len(js))).max()))
         norm_max = max(norm_max, float(np.sqrt(np.diag(block).real.max())))
-        rings[:, m + L] = 0.0
-        leak = np.sqrt((np.abs(rings) ** 2 @ w).sum(axis=1))
+        rings[m + L] = 0.0
+        leak = np.sqrt((np.abs(rings) ** 2 @ w).sum(axis=0))
         leak_max = max(leak_max, float(leak.max()))
         modes += len(js)
     cross = 2.0 * norm_max * leak_max + leak_max * leak_max
@@ -259,7 +262,9 @@ def _suite_ladder(args, rng):
     s = _pick(args.s, -1)
     j_top = _pick(args.j, 8)
     tol = _pick(args.tolerance, 1e-8)
-    grid = make_grid(max(j_top, abs(s)))
+    if j_top < abs(s):
+        raise ValueError(f"jMax {j_top} is below |spin weight| {abs(s)}")
+    grid = make_grid(j_top)
     table = mode_table(grid, s)
     worst = 0.0
     blocks = {}

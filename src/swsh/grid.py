@@ -189,8 +189,8 @@ def make_grid(band_limit, n_theta=None, n_phi=None):
         n_theta = L + 1
     if n_phi is None:
         n_phi = 2 * L + 1
-    n_theta = int(n_theta)
-    n_phi = int(n_phi)
+    n_theta = as_integer(n_theta, "n_theta")
+    n_phi = as_integer(n_phi, "n_phi")
     if n_theta <= 0 or n_phi <= 0:
         raise InsufficientNodes(f"a grid needs positive node counts, got {n_theta} x {n_phi}")
     key = (L, n_theta, n_phi)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BandLimitExceeded, SpinWeightMismatch
 from .grid import GridFunction, as_integer, geometry_key
-from .tables import _tables, contract_table, mode_table, rings_to_grid, used_band
+from .tables import _tables, contract_table, mode_table, phi_synthesis, used_band
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -99,7 +99,7 @@ def apply_grid(op, f, band_limit=None):
     grid = f.grid
     table = _operator_table(grid, f.spin_weight, op.kind, used_band(coeffs))
     shift = {"Jplus": +1, "Jminus": -1}.get(op.kind, 0)
-    samples = rings_to_grid(grid, contract_table(table, coeffs), shift)
+    samples = phi_synthesis(grid, contract_table(table, coeffs), shift)
     return GridFunction._wrap(grid, f.spin_weight, samples, frame=f.frame)
 
 

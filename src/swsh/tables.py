@@ -16,17 +16,20 @@ of bundle.py, one per (L, rank, axis), each holding its axis's d-table,
 phases and kernel (the z axis needs neither d-table nor phases), the
 azimuthal DFT matrices, one per n_phi, and the masks of mode cells that
 transform.py checks coefficient labels against.
-contract_table sums a table against coefficients A[m + L, j], reading only
-the bands used_band finds nonzero.
+
+The spherical transform lives here, in one layout: the frequency axis
+leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
+radial factors R[k..., m + L, t, ...]).  mode_coefficients is the one
+analysis and contract_table the one colatitude contraction; each does one
+real matmul per m and copies an operand only when its last axis is not
+contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
 mod n) / n) over the n = n_phi uniform azimuths from phi = 0, for every
 frequency |f| <= J_MAX + 1, built from exact integer angles and cached
 once per n, 270 KB at n = 129.  phi_analysis and phi_synthesis slice its
 rows for the band and ladder shift asked for and apply them in one GEMM
 per call, which at these small n costs less than an FFT's fixed cost and
-keeps each transform O(L^3), like its colatitude step.  ring_modes takes
-samples to the R_m(theta) of sum_m R_m exp(i m phi) and rings_to_grid
-inverts it; leading component axes pass through.
+keeps each transform O(L^3), like its colatitude step.
 """
 
 import numpy as np
@@ -96,45 +99,37 @@ def wigner_d(L, beta):
     return d
 
 
-def real_matmul(a, x):
-    """y[k..., ..., b, p] = sum_q a[k..., b, p, q] x[..., b, q] for a real stack a and complex x.
-
-    x is viewed as interleaved real pairs with every leading axis folded
-    into the columns, so the contraction is one real matmul per b (and per
-    leading index k of a, whose axes lead the result).
-    """
-    cols = x.reshape((-1,) + x.shape[-2:]).transpose(1, 2, 0)
-    cols = np.ascontiguousarray(cols, dtype=np.complex128)
-    y = np.matmul(a, cols.view(np.float64)).view(np.complex128)
-    y = y.transpose(*range(y.ndim - 3), -1, -3, -2)
-    return y.reshape(y.shape[:-3] + x.shape[:-2] + y.shape[-2:])
-
-
 def used_band(coeffs):
-    """Highest j with a nonzero coefficient in coeffs[..., m + L, j], 0 if there is none."""
-    L = coeffs.shape[-1] - 1
-    used = np.flatnonzero(coeffs.reshape(-1, L + 1).any(axis=0))
+    """Highest j with a nonzero coefficient in coeffs[m + L, j, ...], 0 if there is none."""
+    used = np.flatnonzero(coeffs.reshape(coeffs.shape[:2] + (-1,)).any(axis=(0, 2)))
     return int(used[-1]) if used.size else 0
 
 
 def contract_table(table, coeffs):
-    """R[..., m + L, t] = sum_j coeffs[..., m + L, j] * table[..., m + top, j, t].
+    """R[k..., m + L, t, ...] = sum_j table[k..., m + top, j, t] * coeffs[m + L, j, ...].
 
-    table is a [..., m + top, j, t] table of band top <= L, such as a slice of
-    mode_table; its leading axes lead R.  Coefficients past j = top must be
-    zero (used_band gives the least such top); rows |m| > top of R are zero.
+    table is a [k..., m + top, j, t] table of band top <= L, such as a slice
+    of mode_table; its leading axes lead R and the trailing axes of coeffs
+    trail it.  Coefficients past j = top must be zero (used_band gives the
+    least such top); rows |m| > top of R are zero.  One real matmul per m.
     """
-    L, top = coeffs.shape[-1] - 1, table.shape[-2] - 1
-    out = np.zeros(table.shape[:-3] + coeffs.shape[:-1] + table.shape[-1:], dtype=np.complex128)
-    rows = slice(L - top, L + top + 1)
-    out[..., rows, :] = real_matmul(table.swapaxes(-1, -2), coeffs[..., rows, : top + 1])
-    return out
+    L, top = coeffs.shape[1] - 1, table.shape[-2] - 1
+    cols = coeffs if top == L else coeffs[L - top : L + top + 1, : top + 1]
+    cols = cols.reshape(cols.shape[:2] + (-1,))
+    if cols.dtype != np.complex128 or (cols.shape[-1] > 1 and cols.strides[-1] != 16):
+        cols = np.ascontiguousarray(cols, dtype=np.complex128)  # viewed as real pairs below
+    r = np.matmul(table.swapaxes(-1, -2), cols.view(np.float64)).view(np.complex128)
+    if top < L:
+        out = np.zeros(r.shape[:-3] + (2 * L + 1,) + r.shape[-2:], dtype=np.complex128)
+        out[..., L - top : L + top + 1, :, :] = r
+        r = out
+    return r.reshape(r.shape[:-1] + coeffs.shape[2:])
 
 
 def radial_factors(grid, s, coeffs, order=0):
-    """R[..., m + L, t] = sum_j coeffs[..., m + L, j] * mode_table(grid, s, order)[m + L, j, t].
+    """R[m + L, t, ...] = sum_j mode_table(grid, s, order)[m + L, j, t] * coeffs[m + L, j, ...].
 
-    With a range of orders, R[k, ..., m + L, t] for order[k], from one
+    With a range of orders, R[k, m + L, t, ...] for order[k], from one
     contraction.  Only the table rows up to the highest j with a nonzero
     coefficient are read, so a table is never built past the band a
     function uses.
@@ -198,25 +193,14 @@ def phi_synthesis(grid, y, shift=0):
     return (y.reshape(2 * L + 1, -1).T @ w).reshape(y.shape[1:] + (grid.n_phi,))
 
 
-def ring_modes(grid, samples, band_limit):
-    """R[..., m + L, t] = sum_p samples[..., t, p] exp(-i m phi_p) dphi for |m| <= L."""
-    lead = samples.shape[:-1]
-    rings = phi_analysis(grid, samples.reshape(-1, grid.n_phi).T, band_limit)
-    return rings.reshape(rings.shape[:1] + lead).transpose(*range(1, len(lead)), 0, len(lead))
-
-
 def mode_coefficients(grid, s, samples, band_limit):
-    """Quadrature A[..., m + L, j] of samples[..., t, p] against every mode (s, j, m), j <= L."""
-    rings = ring_modes(grid, samples, band_limit) * grid.theta_weights
-    return real_matmul(mode_table(grid, s, 0, band_limit), rings)
+    """Quadrature A[m + L, j, ...] of samples[t, p, ...] against every mode (s, j, m), j <= L.
 
-
-def rings_to_grid(grid, radial, shift=0):
-    """Samples [..., t, p] of sum_m radial[..., m + L, t] exp(i (m + shift) phi) on the grid nodes.
-
-    The 2L+1 frequencies m + shift must be distinct modulo n_phi; on the
-    nodes an aliased frequency takes exactly the values of the one it
-    folds onto.
+    One DFT matrix product over phi, then one real matmul per m with the
+    order-0 mode table; trailing axes pass through.
     """
-    k = radial.ndim - 2
-    return phi_synthesis(grid, radial.transpose(k, *range(k), k + 1), shift)
+    rings = phi_analysis(grid, samples.swapaxes(0, 1), band_limit)
+    rings = rings.reshape(rings.shape[:2] + (-1,))
+    rings *= grid.theta_weights[:, None]
+    a = np.matmul(mode_table(grid, s, 0, band_limit), rings.view(np.float64)).view(np.complex128)
+    return a.reshape(a.shape[:2] + samples.shape[2:])

@@ -39,7 +39,7 @@ from .errors import BandLimitExceeded
 from .grid import GridFunction, as_integer
 from .modes import J_MAX, validate_mode
 from .serial import json_dumps
-from .tables import _tables, mode_coefficients, radial_factors, rings_to_grid
+from .tables import _tables, mode_coefficients, phi_synthesis, radial_factors
 
 COEFF_CLIP = 1e-13
 
@@ -228,7 +228,7 @@ def synthesize(c, grid):
             f" {grid.band_limit}"
         )
     radial = radial_factors(grid, c.spin_weight, c.matrix)
-    return GridFunction._wrap(grid, c.spin_weight, rings_to_grid(grid, radial))
+    return GridFunction._wrap(grid, c.spin_weight, phi_synthesis(grid, radial))
 
 
 def mode_counts(spin_weight, j_max):

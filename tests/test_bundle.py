@@ -42,7 +42,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode
 from swsh.operators import ladder_coefficient
-from swsh.tables import _tables, mode_coefficients, radial_factors, real_matmul, rings_to_grid, wigner_d
+from swsh.tables import _tables, mode_coefficients, phi_synthesis, radial_factors, wigner_d
 from swsh.transform import coefficient_set, synthesize
 
 import horner_reference as horner
@@ -387,12 +387,11 @@ def _orbital_per_axis(section, frame, d_theta=None, d_phi=None):
     """J_perp axis by axis: -i (e_phi,a d/dtheta - e_theta,a (1/sin) d/dphi), then projected."""
     grid, rank = section.grid, section.rank
     if d_theta is None:
-        lead, slots = tuple(range(rank)), tuple(range(2, 2 + rank))
-        coeffs = section.component_coefficients
-        m = np.arange(-grid.band_limit, grid.band_limit + 1)[:, None]
-        d_theta = rings_to_grid(grid, radial_factors(grid, 0, coeffs, order=1))
-        d_phi = rings_to_grid(grid, 1j * m * radial_factors(grid, 0, coeffs))
-        d_theta, d_phi = np.moveaxis(d_theta, lead, slots), np.moveaxis(d_phi, lead, slots)
+        coeffs = np.moveaxis(section.component_coefficients, (-2, -1), (0, 1))
+        m = np.arange(-grid.band_limit, grid.band_limit + 1).reshape((-1,) + (1,) * (rank + 1))
+        d_theta = phi_synthesis(grid, radial_factors(grid, 0, coeffs, order=1))
+        d_phi = phi_synthesis(grid, 1j * m * radial_factors(grid, 0, coeffs))
+        d_theta, d_phi = np.moveaxis(d_theta, -1, 1), np.moveaxis(d_phi, -1, 1)
     extra = (None,) * rank
     dphi_over_sin = d_phi * (1.0 / np.sin(grid.theta))[(..., None, *extra)]
     out = []
@@ -525,8 +524,8 @@ def test_rotation_ladder_raises_m():
 
 
 def _wigner_turn(d, coeffs):
-    """sum_n d[j, m + L, n + L] coeffs[..., n + L, j] for every j."""
-    return np.swapaxes(real_matmul(d, np.swapaxes(coeffs, -1, -2)), -1, -2)
+    """sum_n d[j, m + L, n + L] coeffs[n + L, j, ...] for every j."""
+    return np.einsum("jmn,nj...->mj...", d, coeffs)
 
 
 def _rotated_modes(grid, labels, axis, angle):
@@ -536,15 +535,16 @@ def _rotated_modes(grid, labels, axis, angle):
     frame, by the phase exp(-i m angle) there, and back.
     """
     L = grid.band_limit
-    coeffs = np.zeros((len(labels), 2 * L + 1, L + 1), dtype=np.complex128)
+    coeffs = np.zeros((2 * L + 1, L + 1, len(labels)), dtype=np.complex128)
     for i, (j, m) in enumerate(labels):
-        coeffs[i, m + L, j] = 1.0
+        coeffs[m + L, j, i] = 1.0
     _, d, e = _axis_frame(np.array(axis), L)
     d = wigner_d(L, 0.0) if d is None else d
+    e = e[:, :, None]
     in_frame = _wigner_turn(np.swapaxes(d, 1, 2), np.conj(e) * coeffs)
-    spun = np.exp(-1j * angle * np.arange(-L, L + 1))[:, None] * in_frame
+    spun = np.exp(-1j * angle * np.arange(-L, L + 1))[:, None, None] * in_frame
     turned = e * _wigner_turn(d, spun)
-    return rings_to_grid(grid, radial_factors(grid, 0, turned))
+    return np.moveaxis(phi_synthesis(grid, radial_factors(grid, 0, turned)), 1, 0)
 
 
 def _check_rotation_about_z(grid, angle):
@@ -641,16 +641,15 @@ def _four_rotation_generator(section, axis):
     synthesized, and each tensor slot is rotated by R(axis, angle).
     """
     grid, rank = section.grid, section.rank
-    coeffs = section.component_coefficients
-    L = coeffs.shape[-1] - 1
-    m = np.arange(-L, L + 1)[:, None]
+    coeffs = np.moveaxis(section.component_coefficients, (-2, -1), (0, 1))
+    L = coeffs.shape[1] - 1
+    m = np.arange(-L, L + 1).reshape((-1,) + (1,) * (rank + 1))
     acc = 0.0
     for mult, w in ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0)):
         angle = mult * ROTATION_STEP
         alpha, beta, gamma = _euler_zyz(axis, angle)
-        turned = real_matmul(wigner_d(L, beta), np.swapaxes(np.exp(-1j * gamma * m) * coeffs, -1, -2))
-        turned = np.exp(-1j * alpha * m) * np.swapaxes(turned, -1, -2)
-        pulled = rings_to_grid(grid, radial_factors(grid, 0, turned))
+        turned = np.exp(-1j * alpha * m) * _wigner_turn(wigner_d(L, beta), np.exp(-1j * gamma * m) * coeffs)
+        pulled = np.moveaxis(phi_synthesis(grid, radial_factors(grid, 0, turned)), 0, -2)
         rot = Rotation.from_rotvec(angle * axis).as_matrix()
         pulled = np.einsum("ab,b...->a...", rot, pulled)
         if rank == 2:

@@ -264,6 +264,22 @@ def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):
     assert report_of(out)["results"]["modes"] == 35
 
 
+@pytest.mark.parametrize("spin, j_max", [(-3, 2), (-1, -4)])
+def test_verify_ladder_refuses_a_band_below_the_spin(capsys, spin, j_max):
+    # no mode would be checked, so there is nothing to pass
+    code, out, err = run(capsys, "verify", "ladder", "-s", str(spin), "-j", str(j_max))
+    assert code == 2 and out == ""
+    assert "below |spin weight|" in err
+
+
+@pytest.mark.parametrize("suite", ["lemma", "commutators"])
+@pytest.mark.parametrize("count", [0, -2])
+def test_verify_section_suites_refuse_an_empty_draw(capsys, suite, count):
+    code, out, err = run(capsys, "verify", suite, "--count", str(count))
+    assert code == 2 and out == ""
+    assert "--count must be at least 1" in err
+
+
 def test_verify_lemma_small(capsys):
     code, out, _ = run(capsys, "verify", "lemma", "-L", "4", "--count", "2")
     assert code == 0

@@ -18,7 +18,7 @@ from swsh.operators import (
     ladder_coefficient,
     verify_casimir_identity,
 )
-from swsh.tables import _tables, radial_factors, rings_to_grid
+from swsh.tables import _tables, phi_synthesis, radial_factors
 from swsh.transform import analysis_matrix, analyze, coefficient_set, synthesize
 
 from conftest import random_entries
@@ -281,7 +281,7 @@ def _apply_grid_per_call(op, f, band_limit=None):
         shift = +1 if op.kind == "Jplus" else -1
         dp = radial_factors(grid, s, coeffs, order=1)
         radial = shift * dp - m * cot * p + h * p / sin
-    return rings_to_grid(grid, radial, shift)
+    return phi_synthesis(grid, radial, shift)
 
 
 @pytest.mark.parametrize("L", [8, 32, 64])

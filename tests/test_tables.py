@@ -9,7 +9,7 @@ from swsh import analyze, coefficient_set, make_grid, modes, profile, synthesize
 from swsh.errors import GridMismatch, InvalidMode
 from swsh.grid import GridCache, GridFunction, SphereGrid, geometry_key
 from swsh.modes import _seeds
-from swsh.tables import mode_table, radial_factors, wigner_d
+from swsh.tables import mode_coefficients, mode_table, radial_factors, wigner_d
 
 import horner_reference as horner
 from conftest import random_entries
@@ -117,6 +117,17 @@ def test_radial_factors_skip_only_zero_bands(rng):
     want = np.einsum("mjt,mj->mt", mode_table(grid, 0, 1), coeffs)
     assert np.abs(got - want).max() <= 1e-14
     assert not got[:5].any() and not got[12:].any()
+    # trailing axes pass through: a [..., 2] stack is its slices, bit for bit
+    stack = np.stack([coeffs, 1j * coeffs[::-1]], axis=-1)
+    got = radial_factors(grid, 0, stack, order=1)
+    assert got.shape == (17, grid.n_theta, 2)
+    assert np.array_equal(radial_factors(grid, 0, stack[..., ::-1], order=1), got[..., ::-1])
+    samples = rng.normal(size=grid.shape + (2,)) + 1j * rng.normal(size=grid.shape + (2,))
+    analysis = mode_coefficients(grid, 0, samples, 5)
+    assert analysis.shape == (11, 6, 2)
+    for i in range(2):
+        assert np.array_equal(got[..., i], radial_factors(grid, 0, stack[..., i], order=1))
+        assert np.array_equal(analysis[..., i], mode_coefficients(grid, 0, samples[..., i], 5))
 
 
 def test_tables_are_read_only():
@@ -188,16 +199,16 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
     def draw(shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    samples = draw((2,) + grid.shape)
-    want = np.swapaxes((np.fft.fft(samples, axis=-1) * grid.phi_weight)[..., ms % n], -1, -2)
-    got = tables.ring_modes(grid, samples, L)
+    samples = draw((n, grid.n_theta, 2))
+    want = (np.fft.fft(samples, axis=0) * grid.phi_weight)[ms % n]
+    got = tables.phi_analysis(grid, samples, L)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    radial = draw((2, 2 * L + 1, grid.n_theta))
-    spec = np.zeros((2,) + grid.shape, dtype=np.complex128)
-    spec[..., (ms + shift) % n] = np.swapaxes(radial, -1, -2)
+    radial = draw((2 * L + 1, grid.n_theta, 2))
+    spec = np.zeros((grid.n_theta, 2, n), dtype=np.complex128)
+    spec[..., (ms + shift) % n] = radial.transpose(1, 2, 0)
     want = np.fft.ifft(spec, axis=-1, norm="forward")
-    got = tables.rings_to_grid(grid, radial, shift)
+    got = tables.phi_synthesis(grid, radial, shift)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # one matrix per n_phi, its rows the frequencies up to J_MAX + 1: O(n_phi)
@@ -207,11 +218,11 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
 def test_azimuthal_frequencies_past_the_cap_rejected():
     grid = make_grid(modes.J_MAX + 2)
     with pytest.raises(InvalidMode):
-        tables.ring_modes(grid, np.ones(grid.shape), modes.J_MAX + 2)
+        tables.phi_analysis(grid, np.ones(grid.shape).T, modes.J_MAX + 2)
     radial = np.ones((2 * modes.J_MAX + 3, grid.n_theta))
-    tables.rings_to_grid(grid, radial)
+    tables.phi_synthesis(grid, radial)
     with pytest.raises(InvalidMode):
-        tables.rings_to_grid(grid, radial, 1)
+        tables.phi_synthesis(grid, radial, 1)
 
 
 def test_geometry_key_is_built_once_per_grid():
@@ -226,9 +237,9 @@ def test_geometry_key_is_built_once_per_grid():
 def test_stacked_orders_are_the_single_order_factors(rng):
     grid = make_grid(9)
     c = coefficient_set(0, 7, random_entries(rng, 0, 7)).matrix
-    coeffs = np.stack([c, 2j * c])
+    coeffs = np.stack([c, 2j * c], axis=-1)
     stacked = radial_factors(grid, 0, coeffs, order=range(3))
-    assert stacked.shape == (3, 2, 15, grid.n_theta)
+    assert stacked.shape == (3, 15, grid.n_theta, 2)
     for k in range(3):
         want = radial_factors(grid, 0, coeffs, order=k)
         assert np.abs(stacked[k] - want).max() <= 1e-15 * np.abs(want).max()

@@ -104,7 +104,7 @@ def _complex_error(value):
 
 
 def test_sizes_must_be_integers():
-    # a fractional spin weight or band limit is refused, never truncated
+    # a fractional spin weight, band limit or node count is refused, never truncated
     for s, L in ((-1.5, 12), (0, 12.7), (-1.5, 12.7), ("1", 4)):
         with pytest.raises(ValueError, match="must be an integer"):
             coefficient_set(s, L, {})
@@ -120,6 +120,10 @@ def test_sizes_must_be_integers():
     with pytest.raises(ValueError, match="must be an integer"):
         analyze(f, band_limit=4.7)
     assert analyze(f, band_limit=4.0) == analyze(f, band_limit=4)
+    for nodes in ({"n_theta": 12.7}, {"n_phi": 23.9}, {"n_theta": 12.7, "n_phi": 23.9}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_grid(8, **nodes)
+    assert make_grid(8, n_theta=12.0, n_phi=23.0) is make_grid(8, n_theta=12, n_phi=23)
 
 
 def test_tiny_entries_clipped():
