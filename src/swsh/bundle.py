@@ -207,11 +207,7 @@ def section_scale(c, a):
 
 def section_norm(section):
     """Quadrature L2 norm over nodes and tensor slots."""
-    grid = section.grid
-    axes = tuple(range(1, 1 + section.rank + 1))
-    ring = np.sum(np.abs(section.components) ** 2, axis=axes)
-    val = float(np.dot(grid.theta_weights, ring) * grid.phi_weight)
-    return math.sqrt(max(val, 0.0))
+    return _comp_norm(section.grid, section.components, section.rank)
 
 
 def _spin_generators(rank):
@@ -383,10 +379,13 @@ def commutator_report(h, test_sections, floor=0.1):
     contribute zero).  The two defect entries witness that the would-be
     standard SO(3) relations fail: they are expected to EXCEED the floor
     on at least one section, and the report records the largest observed
-    value together with the floor used.
+    value together with the floor used.  A defect is a norm, so the floor
+    must be positive and finite for that check to say anything.
     """
     if abs(h) not in (1, 2):
         raise UnsupportedHelicity(f"|h| must be 1 or 2, got h={h}")
+    if not 0.0 < floor < math.inf:
+        raise ValueError(f"defect floor must be positive and finite, got {floor}")
     test_sections = list(test_sections)
     pairs = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     worst = {"par_par": 0.0, "perp_par": 0.0, "perp_perp": 0.0}
@@ -444,6 +443,7 @@ def commutator_report(h, test_sections, floor=0.1):
 
 
 def _comp_norm(grid, components, rank):
+    """Quadrature L2 norm of components [t, p, slots...] over nodes and slots."""
     axes = tuple(range(1, 1 + rank + 1))
     ring = np.sum(np.abs(components) ** 2, axis=axes)
     return math.sqrt(max(float(np.dot(grid.theta_weights, ring) * grid.phi_weight), 0.0))

@@ -6,7 +6,8 @@ reports are emitted with fixed key order, so identical invocations give
 byte-identical stdout.
 
 Exit codes: 0 success/pass, 1 suite failure or exhausted search budget,
-2 invalid input (modes, domains, parsing, conflicting flags),
+2 invalid input (modes, domains, parsing, conflicting flags, a flag the
+verify suite does not read),
 3 band-limit violations, 4 unknown verification suite.
 """
 
@@ -114,7 +115,7 @@ def _build_parser():
     pv.add_argument("--tolerance", type=float, help="pass threshold")
     pv.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     pv.add_argument("--count", type=int, help="number of random draws/sections")
-    pv.add_argument("--floor", type=float, default=0.1, help="defect floor (commutators)")
+    pv.add_argument("--floor", type=float, help="defect floor (commutators, default 0.1)")
 
     pm = sub.add_parser("multiplets", help="multiplet spectra and factor search")
     kind = pm.add_mutually_exclusive_group(required=True)
@@ -331,7 +332,7 @@ def _suite_commutators(args, rng):
     count = _pick(args.count, 10)
     tol = _pick(args.tolerance, 1e-5)
     _, sections = _random_sections(rng, s, band, count)
-    report = commutator_report(-s, sections, floor=args.floor)
+    report = commutator_report(-s, sections, floor=_pick(args.floor, 0.1))
     resid = max(report["identity_residuals"].values())
     params = {"s": s, "h": -s, "band": band, "sections": count}
     passed = resid <= tol and report["defects_exceed_floor"]
@@ -421,26 +422,34 @@ def _suite_pointop(args, rng):
     return params, results, worst, tol
 
 
+# suite -> (runner, the flags it reads besides --seed)
 _SUITES = {
-    "ortho": _suite_ortho,
-    "ladder": _suite_ladder,
-    "casimir": _suite_casimir,
-    "lemma": _suite_lemma,
-    "commutators": _suite_commutators,
-    "poles": _suite_poles,
-    "spectrum-match": _suite_spectrum_match,
-    "pointop": _suite_pointop,
+    "ortho": (_suite_ortho, ("-s", "-L", "--tolerance")),
+    "ladder": (_suite_ladder, ("-s", "-j", "--tolerance")),
+    "casimir": (_suite_casimir, ("-s", "-L", "--tolerance")),
+    "lemma": (_suite_lemma, ("-s", "-L", "--count", "--tolerance")),
+    "commutators": (_suite_commutators, ("-s", "-L", "--count", "--tolerance", "--floor")),
+    "poles": (_suite_poles, ("-s", "-j", "-L", "--tolerance")),
+    "spectrum-match": (_suite_spectrum_match, ("-j", "--tolerance")),
+    "pointop": (_suite_pointop, ("-s", "-L", "--tolerance")),
 }
 
 
 def cmd_verify(args, parser):
-    suite = _SUITES.get(args.suite)
-    if suite is None:
+    if args.suite not in _SUITES:
         print(
             f"unknown suite {args.suite!r}; expected one of {', '.join(sorted(_SUITES))}",
             file=sys.stderr,
         )
         return 4
+    suite, reads = _SUITES[args.suite]
+    unread = [
+        flag
+        for flag in ("-s", "-L", "-j", "--count", "--tolerance", "--floor")
+        if flag not in reads and getattr(args, flag.lstrip("-")) is not None
+    ]
+    if unread:
+        raise ValueError(f"verify {args.suite} does not read {', '.join(unread)}")
     rng = np.random.default_rng(args.seed)
     out = suite(args, rng)
     if len(out) == 5:

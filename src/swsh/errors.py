@@ -43,4 +43,4 @@ class NegativeSpin(ValueError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Factor search branched more times than the configured limit."""
+    """A walk over factor_search's free pairs would branch past the limit."""

@@ -8,14 +8,14 @@ products track that soundness window explicitly so cutoff artifacts can
 never masquerade as structure; see spectrum_tensor.
 
 factor_search answers: which orbital spectra O satisfy
-V_a (x) O = target on the sound window?  It peels constraints from the
-lowest unresolved j upward with bounded backtracking, which is exact for
-the bounded multiplicities searched here.  The answer need not be
-unique, even without a cutoff: the massless helicity-1 tower factors
-exactly over both l in {0, 3, 6, ...} and l in {2, 5, 8, ...}.
+V_a (x) O = target on the sound window?  It solves the equation as a
+linear recurrence in l, with one free multiplicity for each j = 1..a.  The
+answer need not be unique, even without a cutoff: the massless helicity-1
+tower factors exactly over both l in {0, 3, 6, ...} and l in {2, 5, 8, ...}.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from types import MappingProxyType
 
 from .errors import NegativeSpin, SearchBudgetExceeded
@@ -158,9 +158,21 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
     For a truncated target the equation is enforced on the sound window
     min(target cutoff, l_max - a); orbital content that cannot influence
     the window is canonically zero.  For a complete target the equation
-    is enforced everywhere.  Peels from the lowest deficient j upward,
-    branching only when a value is genuinely undetermined; more than
-    branch_limit such branch points raises SearchBudgetExceeded.
+    is enforced everywhere.
+
+    With delta_0 = t_0 and delta_j = t_j - t_(j-1), the equation
+    t_j = sum_(l=|j-a|)^(j+a) o_l reads o_a = delta_0,
+    o_(a-j) + o_(a+j) = delta_j for 1 <= j <= a, and
+    o_(j+a) = o_(j-a-1) + delta_j for j > a.  So each chain l, l + 2a + 1, ...
+    is fixed by its first member: the chain through a outright, and each
+    pair of chains through a - j and a + j, j <= window, by one free
+    x_j = o_(a-j).  A value of x_j is admissible if every member of both
+    chains lies in [0, max_mult] up to l_top and is 0 above it; the answer
+    is the product of the admissible values, or none if a pair has none.
+    A depth-first walk over the pairs, with c_k values at pair k,
+    branches sum_k [c_k > 1] * prod_(i<k) c_i times; more than
+    branch_limit raises SearchBudgetExceeded before anything is
+    enumerated.
 
     Returns complete spectra, deterministically ordered.
     """
@@ -173,6 +185,8 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
         raise TypeError("target must be a MultipletSpectrum")
     if max_mult < 1:
         raise ValueError(f"max_mult must be positive, got {max_mult}")
+    if branch_limit < 0:
+        raise ValueError(f"branch_limit must be nonnegative, got {branch_limit}")
 
     if target.complete:
         if l_max is None:
@@ -190,70 +204,46 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
         return []  # content beyond what any admitted orbital factor can reach
 
     want = [target.multiplicities.get(j, 0) for j in range(window + 1)]
-    supply = [0] * (window + 1)
-    assigned = {}
-    solutions = []
-    budget = {"branches": 0}
+    delta = want[:1] + [want[j] - want[j - 1] for j in range(1, window + 1)]
 
-    def covered(l):
-        # the j values V_a (x) V_l contributes to, clipped to the window
-        lo = max(abs(l - a), 0)
-        hi = min(l + a, window)
-        return range(lo, hi + 1)
+    def chain(start, o):
+        # o_l along l = start, start + 2a + 1, ...; None if one is out of range
+        members = {}
+        for l in range(start, window + a + 1, 2 * a + 1):
+            if l > start:
+                o += delta[l - a]
+            if not (0 <= o <= max_mult if l <= l_top else o == 0):
+                return None
+            members[l] = o
+        return members
 
-    def coverers(j):
-        # the l values able to contribute at j
-        lo = max(0, j - a, a - j)
-        return range(lo, min(j + a, l_top) + 1)
-
-    def viable_values(l0):
-        # upper bound: never overshoot any covered j; lower bound: leave
-        # no covered j short of what the other undecided coverers can
-        # still supply.  Equal bounds mean the value is forced.
-        ub = max_mult
-        lb = 0
-        for j in covered(l0):
-            gap = want[j] - supply[j]
-            ub = min(ub, gap)
-            slack = sum(
-                max_mult for l in coverers(j) if l != l0 and l not in assigned
-            )
-            lb = max(lb, gap - slack)
-        if lb > ub:
+    fixed = chain(a, delta[0])
+    if fixed is None:
+        return []
+    pairs = []
+    for j in range(1, min(a, window) + 1):  # no equation reads a pair past the window
+        values = []
+        # o_(a+j) = delta[j] - x lies in [0, max_mult] too, so x needs no wider range
+        for x in range(max(0, delta[j] - max_mult), min(delta[j], max_mult) + 1):
+            low, high = chain(a - j, x), chain(a + j, delta[j] - x)
+            if low is not None and high is not None:
+                values.append({**low, **high})
+        if not values:
             return []
-        return range(max(lb, 0), ub + 1)
+        pairs.append(values)
 
-    def recurse():
-        j_star = next(
-            (j for j in range(window + 1) if supply[j] < want[j]), None
+    branches, paths = 0, 1
+    for values in pairs:
+        if len(values) > 1:
+            branches += paths
+        paths *= len(values)
+    if branches > branch_limit:
+        raise SearchBudgetExceeded(
+            f"factor search exceeded {branch_limit} branch points"
         )
-        if j_star is None:
-            solutions.append(dict(assigned))
-            return
-        candidates = [l for l in coverers(j_star) if l not in assigned]
-        if not candidates:
-            return
-        l0 = candidates[0]
-        vals = list(viable_values(l0))
-        if len(vals) > 1:
-            budget["branches"] += 1
-            if budget["branches"] > branch_limit:
-                raise SearchBudgetExceeded(
-                    f"factor search exceeded {branch_limit} branch points"
-                )
-        for v in vals:
-            assigned[l0] = v
-            for j in covered(l0):
-                supply[j] += v
-            recurse()
-            for j in covered(l0):
-                supply[j] -= v
-            del assigned[l0]
-
-    recurse()
     results = [
-        spectrum({l: v for l, v in sol.items() if v})
-        for sol in solutions
+        spectrum({l: o for part in (fixed, *picks) for l, o in part.items()})
+        for picks in product(*pairs)
     ]
     results.sort(key=lambda sp: tuple(sp.sorted_items()))
     return results

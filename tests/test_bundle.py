@@ -756,3 +756,6 @@ def test_commutator_report_validation():
     sec = embed(constant_field(grid, -2))
     with pytest.raises(UnsupportedHelicity):
         commutator_report(1, [sec])
+    for floor in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="floor"):
+            commutator_report(1, [], floor=floor)

@@ -280,6 +280,43 @@ def test_verify_section_suites_refuse_an_empty_draw(capsys, suite, count):
     assert "--count must be at least 1" in err
 
 
+@pytest.mark.parametrize("floor", ["0", "-1", "nan", "inf"])
+def test_verify_commutators_refuses_a_vacuous_floor(capsys, floor):
+    # a defect is a norm, so no floor <= 0 can fail the defect check
+    code, out, err = run(capsys, "verify", "commutators", "--count", "1", "--floor", floor)
+    assert code == 2 and out == ""
+    assert "floor must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ladder", "-L", "40"], "-L"),
+        (["ortho", "-j", "5"], "-j"),
+        (["casimir", "--count", "3"], "--count"),
+        (["spectrum-match", "-s", "1"], "-s"),
+        (["poles", "--floor", "0.2"], "--floor"),
+        (["lemma", "-j", "3"], "-j"),
+        (["pointop", "--count", "2"], "--count"),
+        (["commutators", "-j", "2"], "-j"),
+    ],
+)
+def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"does not read {flag}" in err
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_verify_every_suite_takes_a_seed_and_its_own_flags(capsys, monkeypatch, suite):
+    reads = cli._SUITES[suite][1]
+    monkeypatch.setitem(cli._SUITES, suite, (lambda args, rng: ({}, {}, 0.0, 0.0), reads))
+    values = {"--tolerance": "0.5", "--floor": "0.5"}
+    argv = [arg for flag in reads for arg in (flag, values.get(flag, "1"))]
+    code, _, err = run(capsys, "verify", suite, "--seed", "7", *argv)
+    assert code == 0 and err == ""
+
+
 def test_verify_lemma_small(capsys):
     code, out, _ = run(capsys, "verify", "lemma", "-L", "4", "--count", "2")
     assert code == 0
@@ -352,6 +389,15 @@ def test_multiplets_budget_exhaustion_exits_1(capsys):
     )
     assert code == 1
     assert "branch" in err
+
+
+def test_multiplets_negative_branch_limit_exits_2(capsys):
+    code, out, err = run(
+        capsys, "multiplets", "--massless", "1", "--jmax", "6",
+        "--factor-search", "0", "--branch-limit", "-1",
+    )
+    assert code == 2 and out == ""
+    assert "branch_limit must be nonnegative" in err
 
 
 # ------------------------------------------------------------------ subprocess

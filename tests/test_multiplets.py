@@ -2,8 +2,10 @@
 and massive towers, truncation-aware tensor products, and the orbital
 factor search."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -232,10 +234,95 @@ def test_factor_search_with_trivial_spin_returns_target():
 
 
 def test_factor_search_budget():
-    # three distinct solutions exist, so the peeling must branch at least
-    # once; a zero budget has to trip
+    # three distinct solutions exist, so the walk over the free pairs must
+    # branch at least once; a zero budget has to trip
     with pytest.raises(SearchBudgetExceeded):
         factor_search(massive_spectrum(1, 12), 1, l_max=12, branch_limit=0)
+
+
+def test_factor_search_budget_counts_branch_points_over_the_pairs():
+    # a = 2 has two free pairs with three admissible values each: one
+    # branch at the first pair, then one under each of its three values
+    target = massive_spectrum(2, 12)
+    assert len(factor_search(target, 2, l_max=12, branch_limit=4)) == 9
+    with pytest.raises(SearchBudgetExceeded):
+        factor_search(target, 2, l_max=12, branch_limit=3)
+    with pytest.raises(SearchBudgetExceeded):
+        factor_search(massive_spectrum(5, 20), 5)  # 121 branch points > 64
+
+
+def test_factor_search_counts_no_branch_when_a_pair_has_no_value():
+    # pair 1 admits several values and pair 2 none: there is no solution,
+    # and no walk needs to branch to find that out
+    orbital = spectrum({l: 1 + l % 2 for l in range(10)}, 9)
+    target = spectrum_tensor(spectrum({3: 1}), orbital)
+    assert factor_search(target, 2, l_max=6, max_mult=2, branch_limit=0) == []
+
+
+def test_factor_search_work_is_bounded_by_the_target_not_max_mult():
+    # each free value is bounded by a first difference of the target, so a
+    # huge max_mult costs no more than a small one
+    target = massless_spectrum(1, 12)
+    assert factor_search(target, 1, max_mult=10**9) == factor_search(target, 1)
+
+
+def brute_force_factors(target, a, l_max, max_mult):
+    """Every O in [0, max_mult]^(l_top + 1) with V_a (x) O = target on the window.
+
+    The window rules are factor_search's; l below a - window reaches no j
+    of the window and is held at zero, as content that cannot influence
+    the window is canonically zero.
+    """
+    if target.complete:
+        l_top = l_max
+        window = l_top + a
+    else:
+        window = min(target.j_max, l_max - a)
+        l_top = min(l_max, window + a)
+    if l_top < 0 or window < 0:
+        return []
+    if target.complete and target.max_j() > window:
+        return []
+    reach = np.array(
+        [[abs(j - a) <= l <= j + a for l in range(l_top + 1)] for j in range(window + 1)],
+        dtype=int,
+    )
+    want = np.array([target.multiplicities.get(j, 0) for j in range(window + 1)])
+    ranges = [
+        range(max_mult + 1) if reach[:, l].any() else (0,) for l in range(l_top + 1)
+    ]
+    orbitals = np.array(list(itertools.product(*ranges)), dtype=int)
+    hits = orbitals[(orbitals @ reach.T == want).all(axis=1)]
+    found = [spectrum(dict(enumerate(o.tolist()))) for o in hits]
+    found.sort(key=lambda sp: tuple(sp.sorted_items()))
+    return found
+
+
+BRUTE_FORCE_TARGETS = (
+    [massless_spectrum(h, cut) for h in range(3) for cut in (h, 4, 7)]
+    + [massive_spectrum(s, cut) for s in range(3) for cut in (0, 3, 7)]
+    + [
+        spectrum({}),
+        spectrum({0: 1}),
+        spectrum({1: 2, 2: 1}),
+        spectrum({0: 1, 1: 1, 2: 2, 3: 1}),
+        spectrum_tensor(spectrum({1: 1}), spectrum({0: 1, 2: 2, 3: 1})),
+        spectrum_tensor(spectrum({2: 1}), spectrum({l: 1 for l in range(6)}, 5)),
+        spectrum_tensor(spectrum({1: 1}), spectrum({l: 1 + l % 2 for l in range(7)}, 6)),
+    ]
+)
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("max_mult", (1, 2))
+def test_factor_search_finds_every_factor_a_brute_force_finds(a, max_mult):
+    for target in BRUTE_FORCE_TARGETS:
+        for l_max in range(7):
+            expected = brute_force_factors(target, a, l_max, max_mult)
+            got = factor_search(target, a, l_max=l_max, max_mult=max_mult, branch_limit=10**6)
+            assert [sp.sorted_items() for sp in got] == [
+                sp.sorted_items() for sp in expected
+            ], (target, a, l_max, max_mult)
 
 
 def test_factor_search_is_deterministic():
@@ -269,6 +356,8 @@ def test_factor_search_validation():
         factor_search({1: 1}, 1)
     with pytest.raises(ValueError):
         factor_search(target, 1, max_mult=0)
+    with pytest.raises(ValueError):
+        factor_search(target, 1, branch_limit=-1)  # would trip with no branch
 
 
 # ----------------------------------------------------------------------- JSON
