@@ -6,23 +6,19 @@ fiber spanned by e_h = 2^{-|h|/2}(a +- i b)^{(x)|h|} for a tangent frame
 (a, b).  This module builds those frames, embeds scalar spin-weighted
 functions as sections, and realizes the split of the rotation generator
 into a pointwise part (projected spin action) and a differential part
-(projected orbital action), together with the finite-difference rotation
-generator they are checked against.  That generator pulls each ambient
-component back in coefficient space at the four angles of a central
-stencil about an axis n: conjugated to the z axis, R(n, psi) = Q R_z(psi)
-Q^-1, the rotation at each angle is a phase, so per axis the coefficients
-turn by one pair of Wigner matrices d^j(theta_n), from the j-recurrence of
-tables.py, around a per-m stencil kernel, and are synthesized once.  The
-Wigner matrices, the azimuthal phases of Q and the kernel, scaled to the
-generator, are built once per axis and cached together.
+(projected orbital action), together with the rotation generator they are
+checked against.  That generator, J_n = n.L (x) 1 - i n.E, acts exactly
+in coefficient space: L_z by m, L_x and L_y by the ladder shifts of
+operators.py, and the spin matrices E_a on the tensor slots; the three
+axes are synthesized once per section and cached on it, and the
+generator about any axis n is sum_a n_a J_a.
 
 Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
-once, by mode_coefficients, into A[m + L, j, D]; the turns contract over
-m per j, the kernel over the slots per m, and _synthesis contracts with
-the theta-derivative tables through contract_table and applies one DFT
-matrix product over phi, giving samples grid.shape + (D, k).
+once, by mode_coefficients, into A[m + L, j, D], and _synthesis contracts
+coefficients with the theta-derivative tables through contract_table and
+applies one DFT matrix product over phi, giving samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|} is a real D x D matrix per node, built
 once per frame; the spin matrices of all three axes act per tensor slot as
 one constant real (3D, D) operator; and the orbital operator differentiates
@@ -38,11 +34,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
-from .grid import GridFunction, SphereGrid, slot_power, standard_frame
-from .tables import _tables, contract_table, mode_coefficients, mode_table, phi_synthesis, wigner_d
-
-_STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
-ROTATION_STEP = 1e-4
+from .grid import GridFunction, SphereGrid, standard_frame
+from .operators import ladder_shift
+from .tables import contract_table, mode_coefficients, mode_table, phi_synthesis
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +91,30 @@ class EmbeddedSection:
         a = mode_coefficients(grid, 0, self.components.reshape(grid.shape + (-1,)), grid.band_limit)
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def _rotation_generators(self):
+        """Read-only real gens[a] = the samples [t, p, D] of J_a, a = x, y, z, flattened as real pairs.
+
+        J_a = L_a (x) 1 - i E_a on the one analysis A[m + L, j, D]: L_z = m,
+        L_x = (L_+ + L_-)/2 and L_y = (L_+ - L_-)/2i by the ladder shifts,
+        and the spin term A (-i E_a)^T from the constant generators.  All
+        three axes are one coefficient array [m + L, j, D, 3] and one
+        _synthesis; laid out axis first, the generator about n is one real
+        product n @ gens.
+        """
+        a = self._coefficients
+        L = a.shape[1] - 1
+        up, down = ladder_shift(a, +1), ladder_shift(a, -1)
+        coeffs = (a @ (-1j * _SPIN[self.rank].T)).reshape(a.shape + (3,))
+        coeffs[..., 0] += 0.5 * (up + down)
+        coeffs[..., 1] += 0.5j * (down - up)
+        coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
+        samples = _synthesis(self.grid, coeffs.reshape(a.shape[:2] + (-1,)))[..., 0]
+        gens = np.moveaxis(samples.reshape(self.grid.shape + coeffs.shape[2:]), -1, 0)
+        gens = np.ascontiguousarray(gens).reshape(3, -1).view(np.float64)
+        gens.setflags(write=False)
+        return gens
 
     @cached_property
     def component_coefficients(self):
@@ -289,87 +307,22 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     return _axis_sections(section, parts)
 
 
-def _turn_z_to(theta, phi):
-    """R_z(phi) R_y(theta) multiplied out: the rotation taking z to the direction (theta, phi)."""
-    ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
-    return np.array([[cp * ct, -sp, cp * st], [sp * ct, cp, sp * st], [-st, 0.0, ct]])
+def apply_J_rotation(section, axis):
+    """Rotation generator J_n = n.L (x) 1 - i n.E: i d/dpsi at psi=0 of the pulled-back rotated section.
 
-
-def _axis_frame(axis, L):
-    """Q taking z to the unit axis, with d(theta) and e = exp(-i m phi)[m + L] of its Euler angles.
-
-    Q = R_z(phi) R_y(theta), so in coefficient space D(Q) = e d(theta) and,
-    as d(-beta) = d(beta)^T, D(Q^-1) = d(theta)^T conj(e).  On the z axis,
-    theta = 0, d is None: d(0) is the identity, and there the turns reduce
-    to the phases e, which cancel around any kernel that acts per m.
-    """
-    x, y, z = axis
-    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
-    e = np.exp(-1j * phi * np.arange(-L, L + 1))[:, None]
-    return _turn_z_to(theta, phi), (wigner_d(L, theta) if theta else None), e
-
-
-def _axis_stencil(axis, L, rank):
-    """(d, e, kernel) of the generator about axis at band L, cached by (L, rank, axis).
-
-    d and e are those of _axis_frame, e shaped [m + L, 1, 1]; on the z axis
-    both are None, so the entry holds no d-table.  kernel[m + L]
-    is the transpose of i/(12 ROTATION_STEP) Q^{(x) rank} K[m + L] Q^{(x) rank T},
-    K[m + L] = sum_k w_k R_z(psi_k)^{(x) rank} exp(-i m psi_k) over the
-    stencil angles psi_k the finite-difference sum about z on the
-    flattened tensor slots: conjugated by Q it turns the slots about the
-    axis.  The axis is checked before anything is built or cached.
+    Exact for band-limited sections.  The generator is linear in the unit
+    axis n, so it is sum_a n_a J_a over the section's cached x, y and z
+    generators (EmbeddedSection._rotation_generators).  The axis is checked
+    before anything is built.
     """
     u = np.asarray(axis, dtype=np.float64)
     if u.shape != (3,):
         raise ValueError(f"axis must be a vector of 3 components, got shape {u.shape}")
-    key = ("stencil", L, rank, u.tobytes())
-    entry = _tables.get(key)
-    if entry is None:
-        n = float(np.linalg.norm(u))
-        if not abs(n - 1.0) <= 1e-8:
-            raise ValueError(f"axis must be a finite unit vector, got {u.tolist()} of norm {n}")
-        q, d, e = _axis_frame(u / n, L)
-        m = np.arange(-L, L + 1)[:, None, None]
-        kernel = np.zeros((2 * L + 1, 3**rank, 3**rank), dtype=np.complex128)
-        for mult, w in _STENCIL:
-            psi = mult * ROTATION_STEP
-            kernel += w * np.exp(-1j * psi * m) * slot_power(_turn_z_to(0.0, psi), rank)
-        qr = slot_power(q, rank)
-        kernel = (1j / (12.0 * ROTATION_STEP)) * (qr @ kernel @ qr.T).transpose(0, 2, 1)
-        e = None if d is None else e[:, :, None]
-        entry = _tables.put(key, (d, e, np.ascontiguousarray(kernel)))
-    return entry
-
-
-def apply_J_rotation(section, axis):
-    """Rotation generator i d/dpsi at psi=0 of the pulled-back rotated section.
-
-    Fourth-order central stencil in the rotation angle with step
-    ROTATION_STEP.  R(axis, psi) = Q R_z(psi) Q^-1 with Q taking z to the
-    axis, so the components' coefficients A[m + L, j, D] are turned into
-    the axis frame by one Wigner matrix per j, where the rotation at every
-    stencil angle is a phase exp(-i m psi) and the stencil sum over angles
-    and tensor slots, scaled to the generator, is one kernel per m, cached
-    per axis; one Wigner matrix turns them back and one synthesis gives the
-    generator, exactly for band-limited sections.  About z, where the turns
-    are the identity, the kernel acts on the coefficients alone.
-    """
-    grid, rank = section.grid, section.rank
-    coeffs = section._coefficients
-    d, e, kernel = _axis_stencil(axis, coeffs.shape[1] - 1, rank)
-    if d is None:
-        turned = np.matmul(coeffs, kernel)
-    else:
-        # per j into the axis frame, sum_n d[j, n, m] conj(e[n]) A[n, j], viewed [j, m, D]
-        tilted = (coeffs * np.conj(e)).transpose(1, 0, 2)
-        tilted = np.matmul(d.swapaxes(1, 2), tilted.view(np.float64)).view(np.complex128)
-        # per m the kernel on the slots, then per j back out of the axis frame
-        spun = np.matmul(tilted.transpose(1, 0, 2), kernel).transpose(1, 0, 2)
-        turned = np.matmul(d, spun.view(np.float64)).view(np.complex128).transpose(1, 0, 2)
-        turned *= e
-    generator = _synthesis(grid, turned).reshape(section.components.shape)
-    return EmbeddedSection._wrap(grid, section.helicity, generator)
+    n = float(np.linalg.norm(u))
+    if not abs(n - 1.0) <= 1e-8:
+        raise ValueError(f"axis must be a finite unit vector, got {u.tolist()} of norm {n}")
+    generator = ((u / n) @ section._rotation_generators).view(np.complex128)
+    return EmbeddedSection._wrap(section.grid, section.helicity, generator.reshape(section.components.shape))
 
 
 def commutator_report(h, test_sections, floor=0.1):

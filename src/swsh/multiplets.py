@@ -19,6 +19,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .errors import NegativeSpin, SearchBudgetExceeded
+from .grid import as_integer
 from .serial import json_dumps
 
 
@@ -174,6 +175,7 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
     branch_limit raises SearchBudgetExceeded before anything is
     enumerated.
 
+    l_max, max_mult and branch_limit must be integers, or ValueError.
     Returns complete spectra, deterministically ordered.
     """
     if a != int(a):
@@ -183,6 +185,9 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
     a = int(a)
     if not isinstance(target, MultipletSpectrum):
         raise TypeError("target must be a MultipletSpectrum")
+    if l_max is not None:
+        l_max = as_integer(l_max, "l_max")
+    max_mult, branch_limit = as_integer(max_mult, "max_mult"), as_integer(branch_limit, "branch_limit")
     if max_mult < 1:
         raise ValueError(f"max_mult must be positive, got {max_mult}")
     if branch_limit < 0:
@@ -191,13 +196,13 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
     if target.complete:
         if l_max is None:
             l_max = target.max_j() + a
-        l_top = int(l_max)
+        l_top = l_max
         window = l_top + a
     else:
         if l_max is None:
             l_max = target.j_max + a
-        window = min(target.j_max, int(l_max) - a)
-        l_top = min(int(l_max), window + a)
+        window = min(target.j_max, l_max - a)
+        l_top = min(l_max, window + a)
     if l_top < 0 or window < 0:
         return []
     if target.complete and target.max_j() > window:

@@ -50,6 +50,28 @@ def ladder_coefficient(j, m, sign):
     return math.sqrt(val) if val > 0 else 0.0
 
 
+def ladder_shift(a, sign):
+    """J_+ (sign=+1) or J_- (sign=-1) on coefficients A[m + L, j, ...]; trailing axes pass through.
+
+    Row m, weighted by sqrt((j -+ m)(j +- m + 1)), moves to row m +- 1.
+    Both ladders read one weight table w[m + L - 1, j] = sqrt((j + m)(j - m + 1)),
+    m = 1 - L .. L, the weight of J_- from row m and of J_+ into it, zero
+    where the ladder leaves the multiplet; it is cached under ("ladder", L).
+    """
+    L = a.shape[1] - 1
+    weight = _tables.get(("ladder", L))
+    if weight is None:
+        j, m = np.arange(L + 1), np.arange(1 - L, L + 1)[:, None]
+        weight = _tables.put(("ladder", L), np.sqrt(np.maximum((j + m) * (j - m + 1), 0)))
+    weight = weight.reshape(weight.shape + (1,) * (a.ndim - 2))
+    out = np.zeros_like(a)
+    if sign > 0:
+        np.multiply(weight, a[:-1], out=out[1:])
+    else:
+        np.multiply(weight, a[1:], out=out[:-1])
+    return out
+
+
 def _check_spin(op, spin_weight):
     if op.spin_weight != spin_weight:
         raise SpinWeightMismatch(
@@ -72,13 +94,7 @@ def apply_coeff(op, c):
     if op.kind == "Jz":
         out = m * a
     elif op.kind in ("Jplus", "Jminus"):
-        sign = +1 if op.kind == "Jplus" else -1
-        moved = np.sqrt(np.maximum((j - sign * m) * (j + 1 + sign * m), 0)) * a
-        out = np.zeros_like(a)
-        if sign > 0:
-            out[1:] = moved[:-1]
-        else:
-            out[:-1] = moved[1:]
+        out = ladder_shift(a, +1 if op.kind == "Jplus" else -1)
     elif op.kind == "Jsquared":
         out = j * (j + 1) * a
     else:  # Helicity

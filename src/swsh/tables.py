@@ -1,19 +1,15 @@
-"""Every table from the one j-recurrence of modes._climb: mode tables, their
-derivatives, Wigner d.
+"""Every table from the one j-recurrence of modes._climb: mode tables and
+their derivatives,
 
     mode_table(grid, s, k)[m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t),
 
 zero below j0 = max(|m|, |s|): the rows m = -L..L climb together from
 their closed-form seeds, and every row j is kept.
 
-wigner_d climbs rows s = -n at the one colatitude beta:
-d^j_{mn}(beta) = (-1)^n sqrt(4 pi / (2j+1)) p_{-n,j,m}(beta).  One byte-bounded
-LRU holds mode tables by grid geometry and spin weight, all orders built so
-far in one entry (4.4 MB per order at L = 64), the operator tables of
-operators.py by grid geometry, spin weight and kind (4.4 MB each at
-L = 64), d-tables by (L, beta) (8.6 MB at L = 64), the rotation stencils
-of bundle.py, one per (L, rank, axis), each holding its axis's d-table,
-phases and kernel (the z axis needs neither d-table nor phases), the
+One byte-bounded LRU holds mode tables by grid geometry and spin weight,
+all orders built so far in one entry (4.4 MB per order at L = 64), the
+operator tables of operators.py by grid geometry, spin weight and kind
+(4.4 MB each at L = 64) and its ladder weights, one per band limit, the
 azimuthal DFT matrices, one per n_phi, and the masks of mode cells that
 transform.py checks coefficient labels against.
 
@@ -74,29 +70,6 @@ def mode_table(grid, s, order=0, band_limit=None):
         tables = _tables.put(key, tables)
     Lt = tables.shape[2] - 1
     return tables[pick, Lt - L : Lt + L + 1, : L + 1]
-
-
-def wigner_d(L, beta):
-    """Read-only d[j, m + L, n + L] = d^j_{mn}(beta), zero where |m| > j or |n| > j.
-
-    f(R_y(beta)^-1 k) has the coefficients sum_n d^j_{mn}(beta) c_{jn} when
-    f has the c_{jm}.  beta = 0 gives the identity exactly.
-    """
-    key = (int(L), float(beta))
-    d = _tables.get(key)
-    if d is None:
-        ms = np.arange(-L, L + 1)
-        if beta == 0.0:  # the seeds would take log(0)
-            d = np.array([np.diag((abs(ms) <= j).astype(float)) for j in range(L + 1)])
-        else:
-            n, m = np.repeat(ms, ms.size), np.tile(ms, ms.size)
-            p = np.zeros((1, n.size, L + 1, 1))
-            _climb(-n, m, np.array([float(beta)]), L, 0, p)
-            d = p[0, :, :, 0].reshape(ms.size, ms.size, L + 1).transpose(2, 1, 0)
-            norm = np.sqrt(4.0 * np.pi / (2 * np.arange(L + 1) + 1))[:, None, None]
-            d = np.ascontiguousarray(d * norm * np.where(ms % 2, -1.0, 1.0))
-        d = _tables.put(key, d)
-    return d
 
 
 def used_band(coeffs):

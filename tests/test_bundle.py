@@ -1,6 +1,6 @@
 """Embedded bundle sections: fiber embedding, the J = J_par + J_perp
-split, the finite-difference rotation generator they sum to, and the
-nonstandard commutator table."""
+split, the rotation generator they sum to, checked against a stencil over
+rotated copies, and the nonstandard commutator table."""
 
 import math
 
@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from swsh import bundle
 from swsh.bundle import (
-    ROTATION_STEP,
     EmbeddedSection,
-    _axis_frame,
-    _axis_stencil,
-    _synthesis,
     apply_J_rotation,
     apply_projected_orbital,
     apply_projected_spin,
@@ -34,6 +31,7 @@ from swsh.grid import (
     SphereGrid,
     apply_gauge,
     gauge_rotate_frame,
+    geometry_key,
     make_grid,
     norm,
     pole_limit_extrapolate,
@@ -42,11 +40,12 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode
 from swsh.operators import ladder_coefficient
-from swsh.tables import _tables, mode_coefficients, phi_synthesis, radial_factors, wigner_d
+from swsh.tables import _tables, mode_coefficients, phi_synthesis, radial_factors
 from swsh.transform import coefficient_set, synthesize
 
 import horner_reference as horner
 from conftest import random_entries
+from rotation_reference import four_rotation_generator, rotate_coefficients
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -435,25 +434,34 @@ def test_batched_axes_match_the_per_axis_formulas(rng, h):
 
 
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
-    # after one warm call on a grid, the operators and the generator about
-    # the same axis find every table, kernel and projector already built
+    # the operators need no table but the grid's mode table, its azimuthal
+    # matrix and the ladder weights of its band, and after one warm call
+    # they find these and the projector already built; a section
+    # synthesizes its rotation generators once, for every axis, and keeps
+    # them
     grid = make_grid(11)
-    axis = (0.6, 0.0, 0.8)
+    axes = (X_AXIS, (0.6, 0.0, 0.8), Z_AXIS)
+    real_put, real_synthesis = _tables.put, bundle._synthesis
     for h in (1, 2):
         warm = random_section(rng, grid, h, 4)
+        puts = []
+        monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
         apply_projected_spin(warm)
         apply_projected_orbital(warm)
-        apply_J_rotation(warm, axis)
+        apply_J_rotation(warm, axes[1])
+        assert set(puts) <= {(geometry_key(grid), 0), ("dft", grid.n_phi), ("ladder", grid.band_limit)}
         projector = standard_frame(grid).transverse_projector(h)
-        puts = []
-        real_put = _tables.put
-        monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
         sec = random_section(rng, grid, h, 4)
+        puts.clear()
+        synths = []
+        monkeypatch.setattr(bundle, "_synthesis", lambda *a, **k: synths.append(1) or real_synthesis(*a, **k))
         apply_projected_spin(sec)
         apply_projected_orbital(sec)
-        apply_J_rotation(sec, axis)
+        gens = [apply_J_rotation(sec, axis) for axis in axes + axes]
         monkeypatch.undo()
         assert puts == []
+        assert len(synths) == 2  # J_perp's and the three generators'
+        assert all(np.array_equal(g.components, again.components) for g, again in zip(gens, gens[3:]))
         assert standard_frame(grid).transverse_projector(h) is projector
     # every analysis and synthesis read the one azimuthal matrix of the grid
     dft = [key for key in _tables._items if isinstance(key, tuple) and key[:1] == ("dft",)]
@@ -492,25 +500,6 @@ def test_rotation_of_zero_section_is_zero():
     assert np.abs(gen.components).max() == 0.0
 
 
-@pytest.mark.parametrize("h", [1, 2])
-def test_rotation_about_z_skips_the_identity_turns(rng, h):
-    # no d-table is built or cached for z, and the generator is the one the
-    # full pair of turns by d(0) = 1 and e = 1 gives, to the last bit
-    L = 13
-    grid = make_grid(L)
-    _tables._items.pop((L, 0.0), None)
-    sec = random_section(rng, grid, h, 5)
-    got = apply_J_rotation(sec, Z_AXIS).components
-    d, e, kernel = _axis_stencil(Z_AXIS, L, h)
-    assert d is None and e is None and _tables.get((L, 0.0)) is None
-    d = wigner_d(L, 0.0)
-    tilted = np.matmul(d.swapaxes(1, 2), sec._coefficients.transpose(1, 0, 2).view(np.float64))
-    spun = np.matmul(tilted.view(np.complex128).transpose(1, 0, 2), kernel).transpose(1, 0, 2)
-    turned = np.matmul(d, spun.view(np.float64)).view(np.complex128).transpose(1, 0, 2)
-    want = _synthesis(grid, turned).reshape(got.shape)
-    assert np.array_equal(got, want)
-
-
 def test_rotation_ladder_raises_m():
     grid = make_grid(6)
     j, m = 2, 1
@@ -523,27 +512,16 @@ def test_rotation_ladder_raises_m():
     assert np.abs(raised - want).max() <= 1e-5
 
 
-def _wigner_turn(d, coeffs):
-    """sum_n d[j, m + L, n + L] coeffs[n + L, j, ...] for every j."""
-    return np.einsum("jmn,nj...->mj...", d, coeffs)
-
-
 def _rotated_modes(grid, labels, axis, angle):
     """Samples of f(R^-1 k), R = R(axis, angle), for each basis mode f = Y_jm in labels.
 
-    The coefficients turn as apply_J_rotation turns them: into the axis
-    frame, by the phase exp(-i m angle) there, and back.
+    The coefficients turn by the Euler-angle Wigner matrices of the rotation.
     """
     L = grid.band_limit
     coeffs = np.zeros((2 * L + 1, L + 1, len(labels)), dtype=np.complex128)
     for i, (j, m) in enumerate(labels):
         coeffs[m + L, j, i] = 1.0
-    _, d, e = _axis_frame(np.array(axis), L)
-    d = wigner_d(L, 0.0) if d is None else d
-    e = e[:, :, None]
-    in_frame = _wigner_turn(np.swapaxes(d, 1, 2), np.conj(e) * coeffs)
-    spun = np.exp(-1j * angle * np.arange(-L, L + 1))[:, None, None] * in_frame
-    turned = e * _wigner_turn(d, spun)
+    turned = rotate_coefficients(coeffs, axis, angle)
     return np.moveaxis(phi_synthesis(grid, radial_factors(grid, 0, turned)), 1, 0)
 
 
@@ -602,11 +580,12 @@ def test_rotation_axis_must_be_unit():
             with pytest.raises(ValueError, match="axis"):
                 apply_J_rotation(sec, axis)
     assert len(_tables) == held
+    assert "_rotation_generators" not in vars(sec)
 
 
 @pytest.mark.parametrize("h", [1, 2])
 def test_split_sums_to_the_rotation_generator(rng, h):
-    # J_par + J_perp against the finite-difference generator, axis by axis.
+    # J_par + J_perp against the rotation generator, axis by axis.
     band = 4
     grid = make_grid(band + h + 4)
     axes = (X_AXIS, Y_AXIS, Z_AXIS)
@@ -621,51 +600,13 @@ def test_split_sums_to_the_rotation_generator(rng, h):
             assert np.abs(d).max() <= 1e-5
 
 
-def _euler_zyz(axis, angle):
-    """ZYZ Euler angles of R(axis, angle), read off its quaternion.
-
-    R(axis, angle) = R_z(alpha) R_y(beta) R_z(gamma), accurate at small angles.
-    """
-    w = math.cos(0.5 * angle)
-    x, y, z = math.sin(0.5 * angle) * axis
-    plus, minus = math.atan2(z, w), math.atan2(-x, y)
-    beta = 2.0 * math.atan2(math.hypot(x, y), math.hypot(w, z))
-    return plus + minus, beta, plus - minus
-
-
-def _four_rotation_generator(section, axis):
-    """Reference: the same stencil as four rotated copies of the section.
-
-    At each angle every component's coefficients turn by the Euler-angle
-    Wigner matrix exp(-i m alpha) d(beta) exp(-i n gamma), they are
-    synthesized, and each tensor slot is rotated by R(axis, angle).
-    """
-    grid, rank = section.grid, section.rank
-    coeffs = np.moveaxis(section.component_coefficients, (-2, -1), (0, 1))
-    L = coeffs.shape[1] - 1
-    m = np.arange(-L, L + 1).reshape((-1,) + (1,) * (rank + 1))
-    acc = 0.0
-    for mult, w in ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0)):
-        angle = mult * ROTATION_STEP
-        alpha, beta, gamma = _euler_zyz(axis, angle)
-        turned = np.exp(-1j * alpha * m) * _wigner_turn(wigner_d(L, beta), np.exp(-1j * gamma * m) * coeffs)
-        pulled = np.moveaxis(phi_synthesis(grid, radial_factors(grid, 0, turned)), 0, -2)
-        rot = Rotation.from_rotvec(angle * axis).as_matrix()
-        pulled = np.einsum("ab,b...->a...", rot, pulled)
-        if rank == 2:
-            pulled = np.einsum("ab,cb...->ca...", rot, pulled)
-        acc = acc + w * pulled
-    lead = tuple(range(rank))
-    return 1j * np.moveaxis(acc, lead, tuple(r + 2 for r in lead)) / (12.0 * ROTATION_STEP)
-
-
 @pytest.mark.parametrize("h", [1, 2])
 @pytest.mark.parametrize("L", [10, 32])
 def test_conjugated_generator_matches_four_rotations(rng, L, h):
     grid = make_grid(L)
     sec = random_section(rng, grid, h, L - h - 4)
     for axis in (X_AXIS, Y_AXIS, Z_AXIS, (0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (1 / 3, 2 / 3, 2 / 3)):
-        want = _four_rotation_generator(sec, np.array(axis))
+        want = four_rotation_generator(sec, np.array(axis))
         got = apply_J_rotation(sec, axis).components
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -678,7 +619,7 @@ def test_operators_on_grids_with_extra_nodes(rng, h):
     grid = make_grid(L, n_theta=L + 3, n_phi=2 * L + 5)
     sec = random_section(rng, grid, h, L - h - 3)
     for axis in (X_AXIS, Y_AXIS, (0.6, 0.0, 0.8), (1 / 3, 2 / 3, 2 / 3)):
-        want = _four_rotation_generator(sec, np.array(axis))
+        want = four_rotation_generator(sec, np.array(axis))
         got = apply_J_rotation(sec, axis).components
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
     frame = standard_frame(grid)
@@ -687,25 +628,26 @@ def test_operators_on_grids_with_extra_nodes(rng, h):
 
 @pytest.mark.parametrize("h", [1, 2])
 def test_axis_kernels_are_never_mixed_up(rng, h):
-    # the conjugated stencil kernels are cached per axis: x, -x, y, a
-    # general axis and x again, each as computed from an empty cache and
-    # as the four-rotation stencil gives it
+    # one section's cached generators serve every axis: x, -x, y, a general
+    # axis and x again, each as a fresh copy of the section gives it alone
+    # and as the four-rotation stencil gives it
     grid = make_grid(10)
     sec = random_section(rng, grid, h, 5)
     axes = (X_AXIS, (-1.0, 0.0, 0.0), Y_AXIS, (1 / 3, 2 / 3, 2 / 3), X_AXIS)
     got = [apply_J_rotation(sec, axis).components for axis in axes]
     for axis, gen in zip(axes, got):
-        _tables.clear()
-        assert np.array_equal(gen, apply_J_rotation(sec, axis).components)
-        want = _four_rotation_generator(sec, np.array(axis))
+        fresh = EmbeddedSection(grid, h, sec.components)
+        assert np.array_equal(gen, apply_J_rotation(fresh, axis).components)
+        want = four_rotation_generator(sec, np.array(axis))
         assert np.abs(gen - want).max() <= 1e-11 * np.abs(want).max()
     assert np.array_equal(got[0], got[4])
+    assert np.array_equal(got[1], -got[0])
 
 
-@pytest.mark.parametrize("h, band", [(1, 5), (2, 2)])
+@pytest.mark.parametrize("h, band", [(1, 5), (2, 2), (2, 58)])
 def test_lemma_residual_at_small_bands(rng, h, band):
-    # the rotation stencil's cancellation happens once, in the kernel, so
-    # the lemma holds here far below the 1e-5 gate
+    # the generator is exact, so the lemma holds to rounding, far below the
+    # 1e-5 gate, up to the band 58 that |h| = 2 reaches at j = 64
     grid = make_grid(band + h + 4)
     for _ in range(5):
         sec = random_section(rng, grid, h, band)
@@ -716,6 +658,20 @@ def test_lemma_residual_at_small_bands(rng, h, band):
             gen = apply_J_rotation(sec, axis)
             d = spin[a].components + orb[a].components - gen.components
             assert np.abs(d).max() <= 1e-12
+
+
+@pytest.mark.parametrize("h, band", [(1, 5), (2, 8)])
+def test_rotation_generators_close_on_su2(rng, h, band):
+    # [J_a, J_b] = i eps_abc J_c on unit sections, to rounding
+    grid = make_grid(band + h + 4)
+    axes = (X_AXIS, Y_AXIS, Z_AXIS)
+    for _ in range(3):
+        sec = random_section(rng, grid, h, band)
+        sec = section_scale(1.0 / section_norm(sec), sec)
+        gen = [apply_J_rotation(sec, axis) for axis in axes]
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            comm = apply_J_rotation(gen[b], axes[a]).components - apply_J_rotation(gen[a], axes[b]).components
+            assert np.abs(comm - 1j * gen[c].components).max() <= 1e-12
 
 
 # ----------------------------------------------------------------- commutators

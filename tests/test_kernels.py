@@ -1,8 +1,8 @@
 """The test reference: term tables and the double-double Horner evaluator.
 
-The library's profiles, tables and Wigner-d all come from one
-j-recurrence; the tests check it against horner_reference, which
-evaluates the closed-form sum instead.  The precision oracle for that
+The library's profiles and tables all come from one j-recurrence; the
+tests check it against horner_reference, which evaluates the
+closed-form sum instead.  The precision oracle for that
 reference is exact rational arithmetic: a term table is a polynomial with
 exact dyadic coefficients, so its value at an exactly known (cos, sin)
 pair can be computed with Fractions and compared against the

@@ -360,6 +360,18 @@ def test_factor_search_validation():
         factor_search(target, 1, branch_limit=-1)  # would trip with no branch
 
 
+def test_factor_search_refuses_fractional_limits():
+    # a fractional l_max was floored and a fractional max_mult ran as an
+    # integer, or raised a bare TypeError on some targets
+    target = massless_spectrum(1, 12)
+    for kwargs in ({"l_max": 7.9}, {"max_mult": 2.5}, {"branch_limit": 63.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            factor_search(target, 1, **kwargs)
+    with pytest.raises(ValueError, match="max_mult"):
+        factor_search(spectrum({0: 1, 1: 4, 2: 4}, 2), 1, max_mult=2.5)
+    assert factor_search(target, 1, l_max=7.0, max_mult=2.0) == factor_search(target, 1, l_max=7, max_mult=2)
+
+
 # ----------------------------------------------------------------------- JSON
 
 def test_spectrum_json_layout():

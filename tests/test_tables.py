@@ -1,4 +1,4 @@
-"""Mode and Wigner-d tables: recurrence against Horner, orthonormality, caching."""
+"""Mode tables and the reference Wigner-d: recurrence against Horner, orthonormality, caching."""
 
 import tracemalloc
 
@@ -9,10 +9,11 @@ from swsh import analyze, coefficient_set, make_grid, modes, profile, synthesize
 from swsh.errors import GridMismatch, InvalidMode
 from swsh.grid import GridCache, GridFunction, SphereGrid, geometry_key
 from swsh.modes import _seeds
-from swsh.tables import mode_coefficients, mode_table, radial_factors, wigner_d
+from swsh.tables import mode_coefficients, mode_table, radial_factors
 
 import horner_reference as horner
 from conftest import random_entries
+from rotation_reference import wigner_d
 
 SPINS = (0, 1, -1, 2, -2)
 
