@@ -19,9 +19,10 @@ themselves and of the transform in tables.py.  A section is analyzed
 once, by mode_coefficients, into A[m + L, j, D], and _synthesis contracts
 coefficients with the theta-derivative tables through contract_table and
 applies one DFT matrix product over phi, giving samples grid.shape + (D, k).
-The projector (I - k k^T)^{(x)|h|} is a real D x D matrix per node, built
-once per frame; the spin matrices of all three axes act per tensor slot as
-one constant real (3D, D) operator; and the orbital operator differentiates
+The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
+matrix per node, cached with the tables of tables.py by grid geometry and
+rank; the spin matrices of all three axes act per tensor slot as one
+constant real (3D, D) operator; and the orbital operator differentiates
 ambient components as ordinary scalars (spectrally) before projecting.
 Both projected operators apply the projector to all three axes in one
 real matmul per node and return x, y and z as views of one array.
@@ -34,9 +35,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
-from .grid import GridFunction, SphereGrid, standard_frame
+from .grid import GridFunction, SphereGrid, geometry_key, standard_frame
 from .operators import ladder_shift
-from .tables import contract_table, mode_coefficients, mode_table, phi_synthesis
+from .tables import _tables, contract_table, mode_coefficients, mode_table, phi_synthesis
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,25 +259,42 @@ def _axis_sections(section, parts):
     return VectorOperatorResult(*(EmbeddedSection._wrap(section.grid, section.helicity, c) for c in out))
 
 
-def apply_projected_spin(section, frame=None):
+def _projector(grid, rank):
+    """Read-only P = (I - k k^T)^{(x) rank} on every node, shape grid.shape + (3**rank, 3**rank).
+
+    k is the node's direction, so P depends on the grid alone.  It acts on
+    the flattened tensor slots, P^{(x)2} as p (x) p.  Cached in _tables by
+    grid geometry and rank.
+    """
+    key = ("projector", geometry_key(grid), rank)
+    p = _tables.get(key)
+    if p is None:
+        k = standard_frame(grid).k_hat
+        p = np.eye(3) - k[..., :, None] * k[..., None, :]
+        if rank == 2:
+            p = (p[..., :, None, :, None] * p[..., None, :, None, :]).reshape(grid.shape + (9, 9))
+        p = _tables.put(key, p)
+    return p
+
+
+def apply_projected_spin(section):
     """J_par = -i P E_a v: spin matrices per slot, then the transverse projector P.
 
     All three axes at once: E v by the constant generators, then one real
-    matmul per node with the frame's projector.
+    matmul per node with the grid's projector.
     """
-    if frame is None:
-        frame = standard_frame(section.grid)
     rank, shape = section.rank, section.grid.shape
     v = section.components.reshape(shape + (3**rank, 1))
     spun = _pair_matmul(_SPIN[rank], v).reshape(shape + (3**rank, 3))
-    return _axis_sections(section, _pair_matmul(frame.transverse_projector(rank), spun))
+    return _axis_sections(section, _pair_matmul(_projector(section.grid, rank), spun))
 
 
-def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
+def apply_projected_orbital(section, d_theta=None, d_phi=None):
     """J_perp = -i (e_phi,a P d/dtheta - e_theta,a P (1/sin) d/dphi) for every axis a.
 
-    Components are differentiated as ordinary scalar functions on the
-    sphere, spectrally by default, both derivatives from the section's
+    e_theta, e_phi are the coordinate frame, the only one in which this is
+    J_perp.  Components are differentiated as ordinary scalar functions on
+    the sphere, spectrally by default, both derivatives from the section's
     analysis in one _synthesis.  Callers holding closed-form derivatives
     (frame fields, say, whose raw components are not band-limited) may pass
     d_theta/d_phi arrays of the component shape to bypass the spectral
@@ -284,8 +302,6 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
     derivatives are projected once, in one real matmul per node, and the
     three axes are formed from them.
     """
-    if frame is None:
-        frame = standard_frame(section.grid)
     grid, rank = section.grid, section.rank
     D = 3**rank
     if (d_theta is None) != (d_phi is None):
@@ -302,7 +318,8 @@ def apply_projected_orbital(section, frame=None, d_theta=None, d_phi=None):
             raise GridMismatch("d_phi shape does not match components")
         derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
     derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
-    proj = _pair_matmul(frame.transverse_projector(rank), derivs)
+    proj = _pair_matmul(_projector(grid, rank), derivs)
+    frame = standard_frame(grid)
     parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
     return _axis_sections(section, parts)
 

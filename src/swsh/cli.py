@@ -28,18 +28,7 @@ from .bundle import (
     section_scale,
     transversality_residual,
 )
-from .errors import (
-    BandLimitExceeded,
-    DomainError,
-    GridMismatch,
-    InsufficientNodes,
-    InvalidMode,
-    NegativeSpin,
-    SearchBudgetExceeded,
-    SpinWeightMismatch,
-    UnsupportedHelicity,
-    UnsupportedOrder,
-)
+from .errors import BandLimitExceeded, SearchBudgetExceeded, SpinWeightMismatch
 from .grid import (
     GridFunction,
     make_grid,
@@ -68,19 +57,6 @@ from .transform import (
     synthesize,
     write_coefficients_json,
 )
-
-_USER_ERRORS = (
-    InvalidMode,
-    DomainError,
-    UnsupportedOrder,
-    GridMismatch,
-    SpinWeightMismatch,
-    InsufficientNodes,
-    UnsupportedHelicity,
-    NegativeSpin,
-    ValueError,
-)
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -509,10 +485,7 @@ def main(argv=None):
     except SearchBudgetExceeded as exc:
         print(f"swsh: {exc}", file=sys.stderr)
         return 1
-    except _USER_ERRORS as exc:
-        print(f"swsh: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every other error type of errors.py is a ValueError
         print(f"swsh: {exc}", file=sys.stderr)
         return 2
 

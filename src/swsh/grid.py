@@ -23,18 +23,14 @@ from .errors import (
 from .modes import SWMode, NORTH, SOUTH, profile
 from .serial import fmt17
 
-# make_grid keeps the most recently used grids; each holds its frame and the
-# frame's projectors (about 6 MB at L = 64), so the bound caps what they pin
-GRID_CACHE_SIZE = 8
-
-_grid_cache = OrderedDict()
-_grid_lock = threading.Lock()
-
 
 def as_integer(value, name):
-    """value as an int; ValueError unless it equals one, so 12.7 is refused, not truncated."""
-    n = int(value)
-    if n != value:
+    """value as an int; ValueError unless it equals one, so 12.7 and inf are refused, not truncated."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or n != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return n
 
@@ -181,9 +177,13 @@ class GridCache:
 
 
 def make_grid(band_limit, n_theta=None, n_phi=None):
-    """Build (or fetch from a small LRU cache) the grid for the given band limit."""
-    L = int(band_limit)
-    if L != band_limit or L < 0:
+    """Build the grid for the given band limit.
+
+    Every call builds a new grid; tables are cached by geometry_key, so
+    equal grids share them.
+    """
+    L = as_integer(band_limit, "band limit")
+    if L < 0:
         raise ValueError(f"band limit must be a nonnegative integer, got {band_limit!r}")
     if n_theta is None:
         n_theta = L + 1
@@ -193,25 +193,13 @@ def make_grid(band_limit, n_theta=None, n_phi=None):
     n_phi = as_integer(n_phi, "n_phi")
     if n_theta <= 0 or n_phi <= 0:
         raise InsufficientNodes(f"a grid needs positive node counts, got {n_theta} x {n_phi}")
-    key = (L, n_theta, n_phi)
-    with _grid_lock:
-        grid = _grid_cache.get(key)
-        if grid is not None:
-            _grid_cache.move_to_end(key)
-            return grid
     x, w = np.polynomial.legendre.leggauss(n_theta)
     # leggauss returns x ascending, so arccos is descending; flip to
     # keep theta ascending (north pole side first).
     theta = np.arccos(x)[::-1]
     weights = w[::-1]
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    grid = SphereGrid(L, theta, weights, phi)
-    with _grid_lock:
-        grid = _grid_cache.setdefault(key, grid)
-        _grid_cache.move_to_end(key)
-        while len(_grid_cache) > GRID_CACHE_SIZE:
-            _grid_cache.popitem(last=False)
-    return grid
+    return SphereGrid(L, theta, weights, phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +292,6 @@ class FrameField:
     a_vec: np.ndarray
     b_vec: np.ndarray
     k_hat: np.ndarray
-    _projectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         want = self.grid.shape + (3,)
@@ -314,28 +301,6 @@ class FrameField:
                 raise GridMismatch(f"{name} shape {arr.shape} != {want}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def transverse_projector(self, rank):
-        """Read-only (I - k k^T)^{(x) rank} on every node, shape grid.shape + (3**rank, 3**rank).
-
-        It acts on the flattened tensor slots.  Built on first use for each
-        rank and kept with the frame, so it lives exactly as long as the frame.
-        """
-        p = self._projectors.get(rank)
-        if p is None:
-            k = self.k_hat
-            p = slot_power(np.eye(3) - k[..., :, None] * k[..., None, :], rank)
-            p.setflags(write=False)
-            p = self._projectors.setdefault(rank, p)
-        return p
-
-
-def slot_power(r, rank):
-    """r[..., :, :] acting on every tensor slot, r (x) r for rank 2, on the flattened slots."""
-    if rank == 1:
-        return r
-    lead = r.shape[:-2]
-    return (r[..., :, None, :, None] * r[..., None, :, None, :]).reshape(lead + (9, 9))
 
 
 def standard_frame(grid):

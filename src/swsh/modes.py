@@ -16,8 +16,8 @@ algebra:
     a_{j+1} p''_{j+1} = b_j p''_j - 2 sin(theta) p'_j - cos(theta) p_j - a_j p''_{j-1},
     a_j = sqrt((j^2 - m^2)(j^2 - s^2) / (j^2 (4 j^2 - 1))),  b_j = cos(theta) + m s / (j (j+1)).
 
-profile() climbs one row and holds only rows j - 1 and j; the mode and
-Wigner-d tables of tables.py climb many rows and keep every one.  Modes
+profile() climbs one row and holds only rows j - 1 and j; the mode
+tables of tables.py climb many rows and keep every one.  Modes
 are supported for j <= J_MAX = 64, the envelope in which the recurrence
 is verified against an independent double-double Horner evaluation of
 the closed-form sum.  Evaluation refuses the poles; the finite limiting

@@ -23,6 +23,11 @@ from .grid import as_integer
 from .serial import json_dumps
 
 
+def _as_integer(value, name):
+    """as_integer, with a decimal string (a JSON key, say) read as the integer it spells."""
+    return as_integer(int(value) if isinstance(value, str) else value, name)
+
+
 @dataclass(frozen=True, eq=False)
 class MultipletSpectrum:
     """Multiplicity map j -> count; j_max = None means exact everywhere."""
@@ -33,8 +38,8 @@ class MultipletSpectrum:
     def __post_init__(self):
         clean = {}
         for j, count in self.multiplicities.items():
-            j = int(j)
-            count = int(count)
+            j = _as_integer(j, "multiplet label j")
+            count = _as_integer(count, f"multiplicity of j={j}")
             if j < 0:
                 raise ValueError(f"multiplet label j={j} is negative")
             if count < 0:
@@ -43,7 +48,7 @@ class MultipletSpectrum:
                 clean[j] = count
         j_max = self.j_max
         if j_max is not None:
-            j_max = int(j_max)
+            j_max = _as_integer(j_max, "j_max")
             bad = [j for j in clean if j > j_max]
             if bad:
                 raise ValueError(f"entries above cutoff j_max={j_max}: {sorted(bad)}")
@@ -88,12 +93,10 @@ def spectrum(multiplicities, j_max=None):
 
 def tensor_decompose(a, b):
     """V_a (x) V_b = V_|a-b| + ... + V_(a+b), each once."""
+    a, b = as_integer(a, "a"), as_integer(b, "b")
     for name, val in (("a", a), ("b", b)):
-        if val != int(val):
-            raise ValueError(f"{name}={val!r} is not an integer")
         if val < 0:
             raise NegativeSpin(f"{name}={val} is negative")
-    a, b = int(a), int(b)
     return spectrum({j: 1 for j in range(abs(a - b), a + b + 1)})
 
 
@@ -129,10 +132,7 @@ def spectrum_tensor(sa, sb):
 
 def massless_spectrum(h, j_max):
     """One multiplet per j >= |h|: V_|h| + V_(|h|+1) + ..., truncated."""
-    if h != int(h):
-        raise ValueError(f"h={h!r} is not an integer")
-    h = abs(int(h))
-    j_max = int(j_max)
+    h, j_max = abs(as_integer(h, "h")), as_integer(j_max, "j_max")
     if j_max < h:
         raise ValueError(f"j_max={j_max} is below |h|={h}")
     return spectrum({j: 1 for j in range(h, j_max + 1)}, j_max)
@@ -140,12 +140,9 @@ def massless_spectrum(h, j_max):
 
 def massive_spectrum(s, j_max):
     """Massive spin-s tower: (2j+1) V_j below j=s, then (2s+1) V_j, truncated."""
-    if s != int(s):
-        raise ValueError(f"s={s!r} is not an integer")
+    s, j_max = as_integer(s, "s"), as_integer(j_max, "j_max")
     if s < 0:
         raise NegativeSpin(f"s={s} is negative")
-    s = int(s)
-    j_max = int(j_max)
     if j_max < 0:
         raise ValueError(f"j_max={j_max} is negative")
     return spectrum(
@@ -175,14 +172,12 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
     branch_limit raises SearchBudgetExceeded before anything is
     enumerated.
 
-    l_max, max_mult and branch_limit must be integers, or ValueError.
+    a, l_max, max_mult and branch_limit must be integers, or ValueError.
     Returns complete spectra, deterministically ordered.
     """
-    if a != int(a):
-        raise ValueError(f"a={a!r} is not an integer")
+    a = as_integer(a, "a")
     if a < 0:
         raise NegativeSpin(f"a={a} is negative")
-    a = int(a)
     if not isinstance(target, MultipletSpectrum):
         raise TypeError("target must be a MultipletSpectrum")
     if l_max is not None:

@@ -6,12 +6,14 @@ their derivatives,
 zero below j0 = max(|m|, |s|): the rows m = -L..L climb together from
 their closed-form seeds, and every row j is kept.
 
-One byte-bounded LRU holds mode tables by grid geometry and spin weight,
-all orders built so far in one entry (4.4 MB per order at L = 64), the
-operator tables of operators.py by grid geometry, spin weight and kind
-(4.4 MB each at L = 64) and its ladder weights, one per band limit, the
-azimuthal DFT matrices, one per n_phi, and the masks of mode cells that
-transform.py checks coefficient labels against.
+One byte-bounded LRU, the library's only module-level cache of derived
+state, holds mode tables by grid geometry and spin weight, all orders
+built so far in one entry (4.4 MB per order at L = 64), the operator
+tables of operators.py by grid geometry, spin weight and kind (4.4 MB
+each at L = 64) and its ladder weights, one per band limit, the
+transverse projectors of bundle.py by grid geometry and rank (5.4 MB at
+rank 2, L = 64), the azimuthal DFT matrices, one per n_phi, and the masks
+of mode cells that transform.py checks coefficient labels against.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],

@@ -412,21 +412,16 @@ def _assert_axes_match(result, want):
 
 @pytest.mark.parametrize("h", [1, 2, -1, -2])
 def test_batched_axes_match_the_per_axis_formulas(rng, h):
-    # random components, not transverse and not in the fiber, on the
-    # coordinate frame and on a gauge-rotated one
+    # random components, not transverse and not in the fiber
     grid = make_grid(9)
+    frame = standard_frame(grid)
     shape = grid.shape + (3,) * abs(h)
     comps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    xi = 0.7 * np.cos(grid.theta)[:, None] + 0.3 * np.sin(grid.phi)[None, :]
     for sec in (EmbeddedSection(grid, h, comps), random_section(rng, grid, abs(h), 4)):
-        for frame in (standard_frame(grid), gauge_rotate_frame(standard_frame(grid), xi)):
-            _assert_axes_match(apply_projected_spin(sec, frame=frame), _spin_per_axis(sec, frame))
-            _assert_axes_match(
-                apply_projected_orbital(sec, frame=frame), _orbital_per_axis(sec, frame)
-            )
+        _assert_axes_match(apply_projected_spin(sec), _spin_per_axis(sec, frame))
+        _assert_axes_match(apply_projected_orbital(sec), _orbital_per_axis(sec, frame))
         dth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dph = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        frame = standard_frame(grid)
         _assert_axes_match(
             apply_projected_orbital(sec, d_theta=dth, d_phi=dph),
             _orbital_per_axis(sec, frame, d_theta=dth, d_phi=dph),
@@ -435,10 +430,9 @@ def test_batched_axes_match_the_per_axis_formulas(rng, h):
 
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
     # the operators need no table but the grid's mode table, its azimuthal
-    # matrix and the ladder weights of its band, and after one warm call
-    # they find these and the projector already built; a section
-    # synthesizes its rotation generators once, for every axis, and keeps
-    # them
+    # matrix, the ladder weights of its band and its projector, and after
+    # one warm call they find these already built; a section synthesizes
+    # its rotation generators once, for every axis, and keeps them
     grid = make_grid(11)
     axes = (X_AXIS, (0.6, 0.0, 0.8), Z_AXIS)
     real_put, real_synthesis = _tables.put, bundle._synthesis
@@ -449,8 +443,9 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         apply_projected_spin(warm)
         apply_projected_orbital(warm)
         apply_J_rotation(warm, axes[1])
-        assert set(puts) <= {(geometry_key(grid), 0), ("dft", grid.n_phi), ("ladder", grid.band_limit)}
-        projector = standard_frame(grid).transverse_projector(h)
+        key = geometry_key(grid)
+        assert set(puts) <= {(key, 0), ("dft", grid.n_phi), ("ladder", grid.band_limit), ("projector", key, h)}
+        projector = bundle._projector(grid, h)
         sec = random_section(rng, grid, h, 4)
         puts.clear()
         synths = []
@@ -462,7 +457,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         assert puts == []
         assert len(synths) == 2  # J_perp's and the three generators'
         assert all(np.array_equal(g.components, again.components) for g, again in zip(gens, gens[3:]))
-        assert standard_frame(grid).transverse_projector(h) is projector
+        assert bundle._projector(grid, h) is projector
     # every analysis and synthesis read the one azimuthal matrix of the grid
     dft = [key for key in _tables._items if isinstance(key, tuple) and key[:1] == ("dft",)]
     assert ("dft", grid.n_phi) in dft and len(dft) == len(set(dft))
@@ -470,14 +465,18 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
 
 def test_transverse_projector_is_the_slotwise_projector():
     grid = make_grid(5)
-    frame = standard_frame(grid)
-    k = frame.k_hat
-    p1, p2 = frame.transverse_projector(1), frame.transverse_projector(2)
+    k = standard_frame(grid).k_hat
+    p1, p2 = bundle._projector(grid, 1), bundle._projector(grid, 2)
     assert not p1.flags.writeable and not p2.flags.writeable
     assert np.abs(p1 - (np.eye(3) - k[..., :, None] * k[..., None, :])).max() == 0.0
     for t, p in ((0, 0), (2, 7), (5, 10)):
         assert np.abs(p2[t, p] - np.kron(p1[t, p], p1[t, p])).max() <= 1e-16
     assert np.abs(np.einsum("tpij,tpj->tpi", p1, k)).max() <= 1e-15
+
+
+def test_equal_grids_share_one_projector():
+    # a function of the grid's nodes, cached by geometry, not by grid object
+    assert bundle._projector(make_grid(8), 2) is bundle._projector(make_grid(8), 2)
 
 
 # ---------------------------------------------------------- rotation generator

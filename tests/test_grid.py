@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from swsh import grid as grid_module
 from swsh.bundle import apply_projected_spin, embed
 from swsh.errors import (
     BandLimitExceeded,
@@ -17,7 +16,6 @@ from swsh.errors import (
     SpinWeightMismatch,
 )
 from swsh.grid import (
-    GRID_CACHE_SIZE,
     FrameField,
     GridFunction,
     SphereGrid,
@@ -35,6 +33,7 @@ from swsh.grid import (
     write_grid_csv,
 )
 from swsh.modes import NORTH, SOUTH, SWMode, eval_swsh_pole_limit, profile
+from swsh.tables import _tables
 
 from conftest import random_entries
 
@@ -93,14 +92,11 @@ def test_hand_built_grids_need_enough_nodes():
         SphereGrid(6, base.theta, base.theta_weights[:-1], base.phi)
 
 
-def test_grid_cache_returns_same_object():
-    assert make_grid(8) is make_grid(8)
-    assert make_grid(8) is not make_grid(8, n_theta=12)
-
-
-def test_grid_cache_bounds_what_its_grids_hold():
-    # each cached grid keeps its frame and the frame's projectors (5.4 MB of
-    # P^(x)2 at L = 64), so an unbounded cache would pin them for every L visited
+def test_dropped_grids_leave_nothing_outside_the_table_cache():
+    # a grid's projectors live in the byte-bounded table cache, keyed by
+    # geometry, so grids dropped after use pin nothing else (5.4 MB of
+    # P^(x)2 at L = 64 each, were they kept per grid)
+    _tables.clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -112,11 +108,7 @@ def test_grid_cache_bounds_what_its_grids_hold():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert len(grid_module._grid_cache) == GRID_CACHE_SIZE
-    frame = standard_frame(make_grid(64))
-    one = sum(a.nbytes for a in (frame.a_vec, frame.b_vec, frame.k_hat))
-    one += frame.transverse_projector(1).nbytes + frame.transverse_projector(2).nbytes
-    assert held <= GRID_CACHE_SIZE * one
+    assert held - _tables.nbytes <= 2**20
 
 
 def test_grid_equality_is_structural():
@@ -397,7 +389,7 @@ def test_csv_loads_nodes_off_by_an_ulp_onto_the_canonical_grid(tmp_path):
     write_grid_csv(f, p)
     _rewrite_thetas(p, lambda th: float(np.nextafter(th, 4.0)))
     h = read_grid_csv(p)
-    assert h.grid is g
+    assert h.grid == g
     assert np.array_equal(h.samples, f.samples)
 
 

@@ -364,12 +364,29 @@ def test_factor_search_refuses_fractional_limits():
     # a fractional l_max was floored and a fractional max_mult ran as an
     # integer, or raised a bare TypeError on some targets
     target = massless_spectrum(1, 12)
-    for kwargs in ({"l_max": 7.9}, {"max_mult": 2.5}, {"branch_limit": 63.5}):
+    for kwargs in ({"l_max": 7.9}, {"max_mult": 2.5}, {"branch_limit": 63.5}, {"l_max": float("inf")}):
         with pytest.raises(ValueError, match="must be an integer"):
             factor_search(target, 1, **kwargs)
     with pytest.raises(ValueError, match="max_mult"):
         factor_search(spectrum({0: 1, 1: 4, 2: 4}, 2), 1, max_mult=2.5)
     assert factor_search(target, 1, l_max=7.0, max_mult=2.0) == factor_search(target, 1, l_max=7, max_mult=2)
+
+
+def test_integer_inputs_are_refused_not_truncated():
+    # 12.7 was cut at j_max 12 and a label 1.5 relabelled as j = 1
+    for build in (
+        lambda: massless_spectrum(1, 12.7),
+        lambda: massless_spectrum(1.5, 12),
+        lambda: massive_spectrum(1, float("inf")),
+        lambda: massive_spectrum(0.5, 4),
+        lambda: spectrum({1.5: 2}),
+        lambda: spectrum({1: 2.5}),
+        lambda: spectrum({1: 2}, j_max=3.5),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+    assert massless_spectrum(1.0, 12.0) == massless_spectrum(1, 12)
+    assert spectrum({1.0: 2.0}, j_max=3.0) == spectrum({1: 2}, j_max=3)
 
 
 # ----------------------------------------------------------------------- JSON

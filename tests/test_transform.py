@@ -120,10 +120,11 @@ def test_sizes_must_be_integers():
     with pytest.raises(ValueError, match="must be an integer"):
         analyze(f, band_limit=4.7)
     assert analyze(f, band_limit=4.0) == analyze(f, band_limit=4)
-    for nodes in ({"n_theta": 12.7}, {"n_phi": 23.9}, {"n_theta": 12.7, "n_phi": 23.9}):
+    for nodes in ({"n_theta": 12.7}, {"n_phi": 23.9}, {"n_theta": 12.7, "n_phi": 23.9},
+                  {"n_theta": float("inf")}, {"n_phi": float("nan")}):
         with pytest.raises(ValueError, match="must be an integer"):
             make_grid(8, **nodes)
-    assert make_grid(8, n_theta=12.0, n_phi=23.0) is make_grid(8, n_theta=12, n_phi=23)
+    assert make_grid(8, n_theta=12.0, n_phi=23.0) == make_grid(8, n_theta=12, n_phi=23)
 
 
 def test_tiny_entries_clipped():
