@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch, UnsupportedHelicity
-from .grid import GridFunction, SphereGrid, geometry_key, standard_frame
+from .grid import GridFunction, SphereGrid, standard_frame
 from .operators import ladder_shift
 from .tables import _tables, contract_table, mode_coefficients, mode_table, phi_synthesis
 
@@ -266,15 +266,13 @@ def _projector(grid, rank):
     the flattened tensor slots, P^{(x)2} as p (x) p.  Cached in _tables by
     grid geometry and rank.
     """
-    key = ("projector", geometry_key(grid), rank)
-    p = _tables.get(key)
-    if p is None:
+    def build():
         k = standard_frame(grid).k_hat
         p = np.eye(3) - k[..., :, None] * k[..., None, :]
         if rank == 2:
             p = (p[..., :, None, :, None] * p[..., None, :, None, :]).reshape(grid.shape + (9, 9))
-        p = _tables.put(key, p)
-    return p
+        return p
+    return _tables.cached(("projector", grid.geometry_key, rank), build)
 
 
 def apply_projected_spin(section):

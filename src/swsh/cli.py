@@ -48,7 +48,7 @@ from .multiplets import (
 )
 from .operators import OperatorSpec, apply_grid, ladder_coefficient, verify_casimir_identity
 from .serial import fmt17, json_dumps
-from .tables import mode_table, phi_analysis
+from .tables import mode_samples, phi_analysis
 from .transform import (
     analyze,
     coefficient_set,
@@ -182,10 +182,9 @@ def _random_sections(rng, s, band, count):
 def _suite_ortho(args, rng):
     """Quadrature Gram residual of every mode up to L, streamed one m at a time.
 
-    The modes of one m are sampled from their rows of the grid's mode table
-    as [j, t, p] and split into azimuthal bins R[k + L, j, t] by
-    phi_analysis; a Gram entry is then
-    sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's block is
+    The modes of one m are sampled by mode_samples as [j, t, p] and split
+    into azimuthal bins R[k + L, j, t] by phi_analysis; a Gram entry is
+    then sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's block is
     formed from bin m.  An entry between two modes of different m is
     bounded by Cauchy-Schwarz from each mode's bin-m norm n and off-bin
     norm e: |G_ab| <= n_a e_b + e_a n_b + e_a e_b.
@@ -198,13 +197,12 @@ def _suite_ortho(args, rng):
     if L < abs(s):
         raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
     grid = make_grid(L)
-    table = mode_table(grid, s)
     w = grid.theta_weights / (2.0 * np.pi)
     modes = 0
     block_err = norm_max = leak_max = 0.0
     for m in range(-L, L + 1):
         js = range(max(abs(m), abs(s)), L + 1)
-        samples = _m_samples(grid, table, m)[js.start :]
+        samples = mode_samples(grid, s, m)[js.start :]
         rings = phi_analysis(grid, samples.transpose(2, 0, 1), L)
         own = rings[m + L]
         block = (np.conj(own) * w) @ own.T
@@ -221,20 +219,11 @@ def _suite_ortho(args, rng):
     return params, results, resid, tol
 
 
-def _m_samples(grid, table, m):
-    """Samples [j, t, p] of every mode (s, j, m), from the row block of m of mode_table(grid, s).
-
-    The same product of profile and phase as sample_swsh, so byte for byte
-    its samples, with no climb per mode; rows j < max(|m|, |s|) are zero.
-    """
-    return table[m + grid.band_limit, :, :, None] * np.exp(1j * m * grid.phi)
-
-
 def _suite_ladder(args, rng):
     """Grid-space J_+-, J_z and J^2 on every mode up to jMax, against their known actions.
 
-    The modes of each m are sampled once, from the grid's mode table, and
-    serve as the functions of that m and as the references of m -+ 1.
+    The modes of each m are sampled once, by mode_samples, and serve as
+    the functions of that m and as the references of m -+ 1.
     """
     s = _pick(args.s, -1)
     j_top = _pick(args.j, 8)
@@ -242,14 +231,13 @@ def _suite_ladder(args, rng):
     if j_top < abs(s):
         raise ValueError(f"jMax {j_top} is below |spin weight| {abs(s)}")
     grid = make_grid(j_top)
-    table = mode_table(grid, s)
     worst = 0.0
     blocks = {}
     for m in range(-j_top, j_top + 1):
         blocks.pop(m - 2, None)
         for k in range(max(m - 1, -j_top), min(m + 1, j_top) + 1):
             if k not in blocks:
-                blocks[k] = _m_samples(grid, table, k)
+                blocks[k] = mode_samples(grid, s, k)
         for j in range(max(abs(m), abs(s)), j_top + 1):
             f = GridFunction(grid, s, blocks[m][j])
             for kind, sign in (("Jplus", +1), ("Jminus", -1)):

@@ -7,8 +7,6 @@ functions of band at most L exactly, up to rounding, which is what the
 orthonormality and round-trip checks rely on.
 """
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,8 +18,9 @@ from .errors import (
     InsufficientNodes,
     SpinWeightMismatch,
 )
-from .modes import SWMode, NORTH, SOUTH, profile
+from .modes import SWMode, NORTH, SOUTH
 from .serial import fmt17
+from .tables import mode_table
 
 
 def as_integer(value, name):
@@ -78,8 +77,16 @@ class SphereGrid:
         return _coordinate_frame(self)
 
     @cached_property
-    def _geometry_key(self):
-        return (self.band_limit, self.theta.tobytes(), self.theta_weights.tobytes(), self.phi.tobytes())
+    def geometry_key(self):
+        """Hashable identity of the grid's nodes and weights, built once per grid.
+
+        Two grids share a key exactly when they compare equal, so caches
+        keyed by it never confuse grids of one band limit but different
+        nodes, and never hand a dead grid's entry to a new object that
+        reuses its id.  A node at -0.0 counts as one at 0.0.
+        """
+        arrays = (self.theta, self.theta_weights, self.phi)
+        return (self.band_limit,) + tuple((a + 0.0).tobytes() for a in arrays)
 
     @cached_property
     def uniform_azimuths(self):
@@ -95,92 +102,16 @@ class SphereGrid:
             return True
         if not isinstance(other, SphereGrid):
             return NotImplemented
-        return (
-            self.band_limit == other.band_limit
-            and np.array_equal(self.theta, other.theta)
-            and np.array_equal(self.theta_weights, other.theta_weights)
-            and np.array_equal(self.phi, other.phi)
-        )
+        return self.geometry_key == other.geometry_key
 
     __hash__ = object.__hash__
-
-
-def geometry_key(grid):
-    """Hashable identity of a grid's nodes and weights.
-
-    Two grids share a key exactly when they compare equal, so caches keyed
-    by it never confuse grids of one band limit but different nodes, and
-    never hand a dead grid's entry to a new object that reuses its id.
-    Built once per grid; every call returns the same tuple.
-    """
-    return grid._geometry_key
-
-
-def _arrays(value):
-    return [a for a in value if a is not None] if isinstance(value, tuple) else [value]
-
-
-def _nbytes(value):
-    return sum(a.nbytes for a in _arrays(value))
-
-
-class GridCache:
-    """Least-recently-used map to read-only arrays or tuples of them, bounded in total bytes.
-
-    A tuple may hold None in place of an array.  An entry larger than the
-    whole budget is returned to its caller but never stored.  An array held
-    by two entries counts in both.
-    """
-
-    def __init__(self, max_bytes):
-        self.max_bytes = int(max_bytes)
-        self._items = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._items)
-
-    @property
-    def nbytes(self):
-        return self._bytes
-
-    def clear(self):
-        with self._lock:
-            self._items.clear()
-            self._bytes = 0
-
-    def get(self, key):
-        with self._lock:
-            value = self._items.get(key)
-            if value is not None:
-                self._items.move_to_end(key)
-            return value
-
-    def put(self, key, value):
-        """Store value (every array in it made read-only) under key, replacing any older entry."""
-        for a in _arrays(value):
-            a.setflags(write=False)
-        size = _nbytes(value)
-        with self._lock:
-            old = self._items.pop(key, None)
-            if old is not None:
-                self._bytes -= _nbytes(old)
-            if size > self.max_bytes:
-                return value
-            while self._bytes + size > self.max_bytes:
-                _, old = self._items.popitem(last=False)
-                self._bytes -= _nbytes(old)
-            self._items[key] = value
-            self._bytes += size
-        return value
 
 
 def make_grid(band_limit, n_theta=None, n_phi=None):
     """Build the grid for the given band limit.
 
-    Every call builds a new grid; tables are cached by geometry_key, so
-    equal grids share them.
+    Every call builds a new grid; tables are cached by its geometry_key,
+    so equal grids share them.
     """
     L = as_integer(band_limit, "band limit")
     if L < 0:
@@ -244,16 +175,15 @@ class GridFunction:
 
 
 def sample_swsh(grid, mode):
-    """Evaluate one basis mode on every grid node."""
+    """Evaluate one basis mode on every grid node, from its row of the mode table of band j."""
     if not isinstance(mode, SWMode):
         mode = SWMode(*mode)
     if mode.j > grid.band_limit:
         raise BandLimitExceeded(
             f"mode j={mode.j} exceeds grid band limit {grid.band_limit}"
         )
-    p = profile(mode.s, mode.j, mode.m, grid.theta)
-    ph = np.exp(1j * mode.m * grid.phi)
-    return GridFunction._wrap(grid, int(mode.s), p[:, None] * ph[None, :])
+    p = mode_table(grid, mode.s, 0, mode.j)[mode.m + mode.j, mode.j]
+    return GridFunction._wrap(grid, int(mode.s), p[:, None] * np.exp(1j * mode.m * grid.phi))
 
 
 def inner_product(fa, fb):

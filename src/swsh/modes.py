@@ -16,14 +16,15 @@ algebra:
     a_{j+1} p''_{j+1} = b_j p''_j - 2 sin(theta) p'_j - cos(theta) p_j - a_j p''_{j-1},
     a_j = sqrt((j^2 - m^2)(j^2 - s^2) / (j^2 (4 j^2 - 1))),  b_j = cos(theta) + m s / (j (j+1)).
 
-profile() climbs one row and holds only rows j - 1 and j; the mode
-tables of tables.py climb many rows and keep every one.  Modes
-are supported for j <= J_MAX = 64, the envelope in which the recurrence
-is verified against an independent double-double Horner evaluation of
-the closed-form sum.  Evaluation refuses the poles; the finite limiting
-data there lives exclusively in eval_swsh_pole_limit, because as plain
-functions the modes are singular at theta = 0, pi even though the
-objects they describe are not.
+profile() climbs one row and holds only rows j - 1 and j; it serves
+point evaluation.  The mode tables of tables.py climb many rows and keep
+every one; grid sampling reads them.  Modes are supported for
+j <= J_MAX = 64, the envelope in which the recurrence is verified against
+an independent double-double Horner evaluation of the closed-form sum.
+Evaluation refuses the poles; the finite limiting data there lives
+exclusively in eval_swsh_pole_limit, because as plain functions the modes
+are singular at theta = 0, pi even though the objects they describe are
+not.
 """
 
 import math
@@ -59,7 +60,11 @@ def check_j_supported(j):
 def validate_mode(s, j, m):
     """Raise InvalidMode unless (s, j, m) is an admissible mode with j <= J_MAX."""
     for name, val in (("s", s), ("j", j), ("m", m)):
-        if val != int(val):
+        try:
+            whole = val == int(val)
+        except (OverflowError, ValueError):  # inf, NaN, 'x'; None keeps int()'s TypeError
+            whole = False
+        if not whole:
             raise InvalidMode(f"{name}={val!r} is not an integer")
     if j < 0:
         raise InvalidMode(f"j={j} is negative")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandLimitExceeded, SpinWeightMismatch
-from .grid import GridFunction, as_integer, geometry_key
+from .errors import SpinWeightMismatch
+from .grid import GridFunction, as_integer
 from .tables import _tables, contract_table, mode_table, phi_synthesis, used_band
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
@@ -59,10 +59,11 @@ def ladder_shift(a, sign):
     where the ladder leaves the multiplet; it is cached under ("ladder", L).
     """
     L = a.shape[1] - 1
-    weight = _tables.get(("ladder", L))
-    if weight is None:
+
+    def build():
         j, m = np.arange(L + 1), np.arange(1 - L, L + 1)[:, None]
-        weight = _tables.put(("ladder", L), np.sqrt(np.maximum((j + m) * (j - m + 1), 0)))
+        return np.sqrt(np.maximum((j + m) * (j - m + 1), 0))
+    weight = _tables.cached(("ladder", L), build)
     weight = weight.reshape(weight.shape + (1,) * (a.ndim - 2))
     out = np.zeros_like(a)
     if sign > 0:
@@ -127,7 +128,7 @@ def _operator_table(grid, s, kind, band_limit):
     otherwise.  Cached under ("op", grid geometry, s, kind); a cached table
     of a larger band is sliced, one of a smaller band rebuilt.
     """
-    key = ("op", geometry_key(grid), s, kind)
+    key = ("op", grid.geometry_key, s, kind)
     table = _tables.get(key)
     if table is None or table.shape[1] <= band_limit:
         table = _tables.put(key, _differential_table(grid, s, kind, band_limit))

@@ -6,14 +6,17 @@ their derivatives,
 zero below j0 = max(|m|, |s|): the rows m = -L..L climb together from
 their closed-form seeds, and every row j is kept.
 
-One byte-bounded LRU, the library's only module-level cache of derived
-state, holds mode tables by grid geometry and spin weight, all orders
-built so far in one entry (4.4 MB per order at L = 64), the operator
-tables of operators.py by grid geometry, spin weight and kind (4.4 MB
-each at L = 64) and its ladder weights, one per band limit, the
-transverse projectors of bundle.py by grid geometry and rank (5.4 MB at
-rank 2, L = 64), the azimuthal DFT matrices, one per n_phi, and the masks
-of mode cells that transform.py checks coefficient labels against.
+One byte-bounded LRU of read-only arrays, the GridCache _tables and the
+library's only module-level cache of derived state, holds mode tables by
+grid geometry and spin weight, all orders built so far in one entry
+(4.4 MB per order at L = 64), the operator tables of operators.py by grid
+geometry, spin weight and kind (4.4 MB each at L = 64) and its ladder
+weights, one per band limit, the transverse projectors of bundle.py by
+grid geometry and rank (5.4 MB at rank 2, L = 64), the azimuthal DFT
+matrices, one per n_phi, and the masks of mode cells that transform.py
+checks coefficient labels against.  Each is fetched by one
+GridCache.cached(key, build) call, or by get and put where an entry grows.  mode_samples(grid, s, m) samples the modes (s, j, m) on
+the grid from row m of the order-0 mode table.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -30,14 +33,71 @@ per call, which at these small n costs less than an FFT's fixed cost and
 keeps each transform O(L^3), like its colatitude step.
 """
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from .errors import BandLimitExceeded, GridMismatch, InvalidMode
-from .grid import GridCache, geometry_key
 from .modes import J_MAX, _climb, check_j_supported
 
 TABLE_CACHE_BYTES = 64 * 2**20
 _F = J_MAX + 1  # the highest azimuthal frequency: a band of J_MAX shifted by a ladder
+
+
+class GridCache:
+    """Least-recently-used map to read-only arrays, bounded in total bytes.
+
+    An array larger than the whole budget is returned to its caller but
+    never stored.  An array held by two entries counts in both.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = int(max_bytes)
+        self._items = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._items)
+
+    @property
+    def nbytes(self):
+        return self._bytes
+
+    def clear(self):
+        with self._lock:
+            self._items.clear()
+            self._bytes = 0
+
+    def get(self, key):
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        """Store the array value, made read-only, under key, replacing any older entry."""
+        value.setflags(write=False)
+        with self._lock:
+            old = self._items.pop(key, None)
+            if old is not None:
+                self._bytes -= old.nbytes
+            if value.nbytes > self.max_bytes:
+                return value
+            while self._bytes + value.nbytes > self.max_bytes:
+                _, old = self._items.popitem(last=False)
+                self._bytes -= old.nbytes
+            self._items[key] = value
+            self._bytes += value.nbytes
+        return value
+
+    def cached(self, key, build):
+        """The array under key; on a miss, build() stored under it."""
+        value = self.get(key)
+        return self.put(key, build()) if value is None else value
+
 
 _tables = GridCache(TABLE_CACHE_BYTES)
 
@@ -59,7 +119,7 @@ def mode_table(grid, s, order=0, band_limit=None):
     else:
         pick = order = int(order)
     s = int(s)
-    key = (geometry_key(grid), s)
+    key = (grid.geometry_key, s)
     tables = _tables.get(key)
     if tables is None or tables.shape[0] <= order or tables.shape[2] <= L:
         orders, top = order, L
@@ -72,6 +132,19 @@ def mode_table(grid, s, order=0, band_limit=None):
         tables = _tables.put(key, tables)
     Lt = tables.shape[2] - 1
     return tables[pick, Lt - L : Lt + L + 1, : L + 1]
+
+
+def mode_samples(grid, s, m, band_limit=None):
+    """Samples [j, t, p] of every mode (s, j, m), j <= L, on the grid's nodes.
+
+    Row m of the order-0 mode_table of band L times exp(i m phi); rows
+    j < max(|m|, |s|) are zero.  L is band_limit, at most the grid's (the
+    default).
+    """
+    L = grid.band_limit if band_limit is None else int(band_limit)
+    if abs(m) > L:
+        raise InvalidMode(f"|m| = {abs(m)} exceeds the band limit {L}")
+    return mode_table(grid, s, 0, L)[m + L, :, :, None] * np.exp(1j * m * grid.phi)
 
 
 def used_band(coeffs):
@@ -129,13 +202,12 @@ def _dft_matrix(grid):
     """
     _check_azimuths(grid)
     n = grid.n_phi
-    key = ("dft", n)
-    w = _tables.get(key)
-    if w is None:
+
+    def build():
         half = np.exp(2j * np.pi / n * np.arange(n // 2 + 1))
         roots = np.concatenate((half, np.conj(half[1 : (n + 1) // 2][::-1])))
-        w = _tables.put(key, roots[np.outer(np.arange(-_F, _F + 1), np.arange(n)) % n])
-    return w
+        return roots[np.outer(np.arange(-_F, _F + 1), np.arange(n)) % n]
+    return _tables.cached(("dft", n), build)
 
 
 def _check_frequencies(top):

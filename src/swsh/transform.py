@@ -142,12 +142,10 @@ def _mode_cells(s, top, labels):
 
 def _mode_mask(s, top):
     """Read-only flat mask of the cells (m + top, j) of A[m + top, j] with |s| <= j and |m| <= j."""
-    key = ("modes", s, top)
-    mask = _tables.get(key)
-    if mask is None:
+    def build():
         j = np.arange(top + 1)
-        mask = _tables.put(key, ((j >= abs(s)) & (np.abs(np.arange(-top, top + 1))[:, None] <= j)).ravel())
-    return mask
+        return ((j >= abs(s)) & (np.abs(np.arange(-top, top + 1))[:, None] <= j)).ravel()
+    return _tables.cached(("modes", s, top), build)
 
 
 def _label_array(keys):

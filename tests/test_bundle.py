@@ -31,7 +31,6 @@ from swsh.grid import (
     SphereGrid,
     apply_gauge,
     gauge_rotate_frame,
-    geometry_key,
     make_grid,
     norm,
     pole_limit_extrapolate,
@@ -443,7 +442,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         apply_projected_spin(warm)
         apply_projected_orbital(warm)
         apply_J_rotation(warm, axes[1])
-        key = geometry_key(grid)
+        key = grid.geometry_key
         assert set(puts) <= {(key, 0), ("dft", grid.n_phi), ("ladder", grid.band_limit), ("projector", key, h)}
         projector = bundle._projector(grid, h)
         sec = random_section(rng, grid, h, 4)

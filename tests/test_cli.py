@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from swsh import cli
-from swsh.cli import _m_samples, main
+from swsh.cli import main
+from swsh.errors import InvalidMode
 from swsh.grid import make_grid, read_grid_csv, sample_swsh
-from swsh.modes import SWMode
+from swsh.modes import SWMode, profile
 from swsh.multiplets import factor_search, massless_spectrum, spectrum_to_json
-from swsh.tables import mode_table
+from swsh.tables import mode_samples
 from swsh.transform import (
     coefficient_set,
     read_coefficients_json,
@@ -158,6 +159,18 @@ def test_transform_missing_input_exits_2(capsys, tmp_path):
     assert err.startswith("swsh:")
 
 
+def test_transform_infinite_label_exits_2(capsys, tmp_path):
+    src = tmp_path / "c.json"
+    payload = {"spin_weight": 0, "band_limit": 4, "entries": [{"j": 1, "m": 0, "re": 1.0, "im": 0.0}]}
+    src.write_text(json.dumps(payload).replace('"j": 1', '"j": Infinity'))
+    code, out, err = run(
+        capsys, "transform", "synthesize", "--in", str(src), "--out", str(tmp_path / "f.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err == "swsh: j=inf is not an integer\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_transform_band_limit_violation_exits_3(capsys, tmp_path):
     src = tmp_path / "c.json"
     write_coefficients_json(coefficient_set(-1, 8, {(8, 0): 1.0}), src)
@@ -244,14 +257,19 @@ def test_verify_ladder_small(capsys):
 
 @pytest.mark.parametrize("L, s", [(4, 0), (16, -1), (12, 2)])
 def test_ladder_reference_samples_are_the_sample_swsh_bytes(L, s):
-    # the row blocks verify ladder reads instead of one climb per mode
+    # the row blocks verify ladder reads instead of one climb per mode, and
+    # a one-row climb of profile times the phase as the reference
     grid = make_grid(L)
-    table = mode_table(grid, s)
     for m in range(-L, L + 1):
-        block = _m_samples(grid, table, m)
+        block = mode_samples(grid, s, m)
         assert not block[: max(abs(m), abs(s))].any()
+        phase = np.exp(1j * m * grid.phi)
         for j in range(max(abs(m), abs(s)), L + 1):
             assert block[j].tobytes() == sample_swsh(grid, SWMode(s, j, m)).samples.tobytes()
+            climbed = profile(s, j, m, grid.theta)[:, None] * phase
+            assert block[j].tobytes() == climbed.tobytes()
+    with pytest.raises(InvalidMode):
+        mode_samples(grid, s, -L - 1)  # would wrap to row m = L
 
 
 def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):

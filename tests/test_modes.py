@@ -47,6 +47,15 @@ def test_invalid_modes_rejected():
         SWMode(0, 1.5, 0)
 
 
+@pytest.mark.parametrize("label", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_labels_are_not_integers(label):
+    for args, name in (((0, label, 0), "j"), ((label, 2, 0), "s"), ((0, 2, label), "m")):
+        with pytest.raises(InvalidMode) as info:
+            SWMode(*args)
+        assert type(info.value) is InvalidMode
+        assert str(info.value) == f"{name}={label!r} is not an integer"
+
+
 def test_poles_refused():
     with pytest.raises(DomainError):
         eval_swsh(SWMode(0, 0, 0), 0.0, 0.0)

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from swsh.errors import NegativeSpin, SearchBudgetExceeded
 from swsh.multiplets import (
-    MultipletSpectrum,
     factor_search,
     massive_spectrum,
     massless_spectrum,

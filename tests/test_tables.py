@@ -7,9 +7,9 @@ import pytest
 
 from swsh import analyze, coefficient_set, make_grid, modes, profile, synthesize, tables
 from swsh.errors import GridMismatch, InvalidMode
-from swsh.grid import GridCache, GridFunction, SphereGrid, geometry_key
+from swsh.grid import GridFunction, SphereGrid
 from swsh.modes import _seeds
-from swsh.tables import mode_coefficients, mode_table, radial_factors
+from swsh.tables import GridCache, mode_coefficients, mode_table, radial_factors
 
 import horner_reference as horner
 from conftest import random_entries
@@ -228,11 +228,22 @@ def test_azimuthal_frequencies_past_the_cap_rejected():
 
 def test_geometry_key_is_built_once_per_grid():
     grid = make_grid(6)
-    assert geometry_key(grid) is geometry_key(grid)
+    assert grid.geometry_key is grid.geometry_key
     twin = SphereGrid(6, grid.theta.copy(), grid.theta_weights.copy(), grid.phi.copy())
-    assert geometry_key(twin) == geometry_key(grid)
+    assert twin.geometry_key == grid.geometry_key
     other = make_grid(6, n_theta=8)
-    assert geometry_key(other) != geometry_key(grid)
+    assert other.geometry_key != grid.geometry_key
+
+
+def test_a_negative_zero_azimuth_shares_the_key():
+    # -0.0 == 0.0, so the twin compares equal and must share every table
+    grid = make_grid(6)
+    phi = grid.phi.copy()
+    phi[0] = -0.0
+    twin = SphereGrid(6, grid.theta, grid.theta_weights, phi)
+    assert np.signbit(twin.phi[0])
+    assert twin == grid and twin.geometry_key == grid.geometry_key
+    assert mode_table(twin, -1).base is mode_table(grid, -1).base
 
 
 def test_stacked_orders_are_the_single_order_factors(rng):
@@ -258,6 +269,25 @@ def test_grid_cache_stays_within_its_byte_budget():
     big = np.zeros(1000)
     assert cache.put("big", big) is big
     assert cache.get("big") is None and cache.nbytes <= 3000
+
+
+def test_grid_cache_builds_each_key_once():
+    cache = GridCache(max_bytes=3000)
+    built = []
+
+    def build(n):
+        return lambda: built.append(n) or np.zeros(n)
+
+    first = cache.cached("a", build(10))
+    assert cache.cached("a", build(20)) is first and first.size == 10
+    assert not first.flags.writeable
+    cache.cached("b", build(30))
+    assert cache.cached("b", build(40)).size == 30
+    assert built == [10, 30]
+    # an array past the budget is returned but not kept, so it is built again
+    assert cache.cached("big", build(1000)).size == 1000
+    assert cache.cached("big", build(1000)).size == 1000
+    assert built == [10, 30, 1000, 1000]
 
 
 def test_point_evaluation_keeps_no_per_mode_state():

@@ -1,7 +1,6 @@
 """Forward/inverse transforms and coefficient serialization."""
 
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,6 @@ from swsh.grid import GridFunction, inner_product, make_grid, sample_swsh
 from swsh.modes import SWMode
 from swsh.transform import (
     COEFF_CLIP,
-    CoefficientSet,
     analysis_matrix,
     analyze,
     coefficient_set,
@@ -55,7 +53,9 @@ def test_entries_validated():
         ((b"3", 1), InvalidMode, "j=b'3' is not an integer"),
         ((3, "1"), InvalidMode, "m='1' is not an integer"),
         ((None, 1), TypeError, _int_error(None)),
-        ((float("nan"), 0), ValueError, _int_error(float("nan"))),
+        ((float("nan"), 0), InvalidMode, "j=nan is not an integer"),
+        ((float("inf"), 0), InvalidMode, "j=inf is not an integer"),
+        ((0, float("-inf")), InvalidMode, "m=-inf is not an integer"),
         ((2.5, 1), InvalidMode, "j=2.5 is not an integer"),
         ((big, 0), InvalidMode, f"j={big} exceeds the supported maximum j = {cap}"),
         ((3, big), InvalidMode, f"invalid mode: |m| > j (j=3, m={big})"),
