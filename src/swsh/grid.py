@@ -20,7 +20,7 @@ from .errors import (
 )
 from .modes import SWMode, NORTH, SOUTH
 from .serial import fmt17
-from .tables import mode_table
+from .tables import mode_row
 
 
 def as_integer(value, name):
@@ -98,8 +98,6 @@ class SphereGrid:
         return bool(np.abs(self.phi - 2.0 * np.pi * np.arange(n) / n).max() <= 1e-12)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, SphereGrid):
             return NotImplemented
         return self.geometry_key == other.geometry_key
@@ -175,14 +173,14 @@ class GridFunction:
 
 
 def sample_swsh(grid, mode):
-    """Evaluate one basis mode on every grid node, from its row of the mode table of band j."""
+    """Evaluate one basis mode on every grid node, from its profile mode_row."""
     if not isinstance(mode, SWMode):
         mode = SWMode(*mode)
     if mode.j > grid.band_limit:
         raise BandLimitExceeded(
             f"mode j={mode.j} exceeds grid band limit {grid.band_limit}"
         )
-    p = mode_table(grid, mode.s, 0, mode.j)[mode.m + mode.j, mode.j]
+    p = mode_row(grid, mode.s, mode.j, mode.m)
     return GridFunction._wrap(grid, int(mode.s), p[:, None] * np.exp(1j * mode.m * grid.phi))
 
 

@@ -4,7 +4,9 @@ their derivatives,
     mode_table(grid, s, k)[m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t),
 
 zero below j0 = max(|m|, |s|): the rows m = -L..L climb together from
-their closed-form seeds, and every row j is kept.
+their closed-form seeds, and every row j is kept.  mode_samples samples
+every mode (s, j, m) of one m on the grid from row m; mode_row reads one
+mode's profile from a cached table, or else climbs that row alone.
 
 One byte-bounded LRU of read-only arrays, the GridCache _tables and the
 library's only module-level cache of derived state, holds mode tables by
@@ -15,8 +17,7 @@ weights, one per band limit, the transverse projectors of bundle.py by
 grid geometry and rank (5.4 MB at rank 2, L = 64), the azimuthal DFT
 matrices, one per n_phi, and the masks of mode cells that transform.py
 checks coefficient labels against.  Each is fetched by one
-GridCache.cached(key, build) call, or by get and put where an entry grows.  mode_samples(grid, s, m) samples the modes (s, j, m) on
-the grid from row m of the order-0 mode table.
+GridCache.cached(key, build) call, or by get and put where an entry grows.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -134,17 +135,24 @@ def mode_table(grid, s, order=0, band_limit=None):
     return tables[pick, Lt - L : Lt + L + 1, : L + 1]
 
 
-def mode_samples(grid, s, m, band_limit=None):
+def mode_samples(grid, s, m):
     """Samples [j, t, p] of every mode (s, j, m), j <= L, on the grid's nodes.
 
-    Row m of the order-0 mode_table of band L times exp(i m phi); rows
-    j < max(|m|, |s|) are zero.  L is band_limit, at most the grid's (the
-    default).
+    Row m of the order-0 mode_table times exp(i m phi), L the grid's band
+    limit; rows j < max(|m|, |s|) are zero.
     """
-    L = grid.band_limit if band_limit is None else int(band_limit)
+    L = grid.band_limit
     if abs(m) > L:
         raise InvalidMode(f"|m| = {abs(m)} exceeds the band limit {L}")
-    return mode_table(grid, s, 0, L)[m + L, :, :, None] * np.exp(1j * m * grid.phi)
+    return mode_table(grid, s)[m + L, :, :, None] * np.exp(1j * m * grid.phi)
+
+
+def mode_row(grid, s, j, m):
+    """p_{sjm} at the grid's colatitudes: a cached mode table's row, else row m climbed unstored."""
+    tables = _tables.get((grid.geometry_key, int(s)))
+    if tables is None or tables.shape[2] <= j:
+        return _climb(np.array([int(s)]), np.array([int(m)]), grid.theta, int(j))[0, 0]
+    return tables[0, m + tables.shape[2] - 1, j]
 
 
 def used_band(coeffs):

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swsh import analyze, coefficient_set, make_grid, modes, profile, synthesize, tables
+from swsh import (SWMode, analyze, coefficient_set, make_grid, modes, profile, sample_swsh,
+                  synthesize, tables)
 from swsh.errors import GridMismatch, InvalidMode
 from swsh.grid import GridFunction, SphereGrid
 from swsh.modes import _seeds
@@ -288,6 +289,25 @@ def test_grid_cache_builds_each_key_once():
     assert cache.cached("big", build(1000)).size == 1000
     assert cache.cached("big", build(1000)).size == 1000
     assert built == [10, 30, 1000, 1000]
+
+
+def test_sampling_one_mode_builds_no_table(monkeypatch):
+    # sample_swsh climbs its one row unless a cached mode table reaches its
+    # band, and both ways give the same bytes
+    tables._tables.clear()
+    grid, mode = make_grid(24), SWMode(-1, 20, 3)
+    climbed = sample_swsh(grid, mode).samples
+    assert len(tables._tables) == 0
+    mode_table(grid, -1, 0, 19)
+    assert sample_swsh(grid, mode).samples.tobytes() == climbed.tobytes()
+    mode_table(grid, -1, 0, 20)
+
+    def refuse(*args):
+        raise AssertionError("climbed past a cached table")
+
+    monkeypatch.setattr(tables, "_climb", refuse)
+    assert sample_swsh(grid, mode).samples.tobytes() == climbed.tobytes()
+    tables._tables.clear()
 
 
 def test_point_evaluation_keeps_no_per_mode_state():
