@@ -3,160 +3,67 @@
 Stable mode evaluation, quadrature grids and transforms, the helicity
 angular-momentum operator suite, embedded polarization-bundle sections,
 and integer multiplet bookkeeping, with a verification CLI (swsh).
+
+Importing the package loads none of its modules.  _MODULES lists each
+public name under the module that defines it; the first access to a name
+imports that module and binds the name here (PEP 562), so numpy and the
+numeric modules load only when something uses them.
 """
 
-from .errors import (
-    BandLimitExceeded,
-    DomainError,
-    GridMismatch,
-    InsufficientNodes,
-    InvalidMode,
-    NegativeSpin,
-    SearchBudgetExceeded,
-    SpinWeightMismatch,
-    UnsupportedHelicity,
-    UnsupportedOrder,
-)
-from .modes import (
-    NORTH,
-    SOUTH,
-    SWMode,
-    eval_swsh,
-    eval_swsh_dtheta,
-    eval_swsh_pole_limit,
-    profile,
-    validate_mode,
-)
-from .grid import (
-    FrameField,
-    GridFunction,
-    SphereGrid,
-    apply_gauge,
-    frame_residual,
-    gauge_rotate_frame,
-    inner_product,
-    make_grid,
-    norm,
-    pole_limit_extrapolate,
-    read_grid_csv,
-    sample_swsh,
-    standard_frame,
-    write_grid_csv,
-)
-from .transform import (
-    CoefficientSet,
-    analyze,
-    coefficient_set,
-    coefficients_from_json,
-    coefficients_to_json,
-    mode_counts,
-    read_coefficients_json,
-    synthesize,
-    write_coefficients_json,
-)
-from .operators import (
-    OperatorSpec,
-    apply_coeff,
-    apply_grid,
-    ladder_coefficient,
-    verify_casimir_identity,
-)
-from .bundle import (
-    EmbeddedSection,
-    VectorOperatorResult,
-    apply_J_rotation,
-    apply_projected_orbital,
-    apply_projected_spin,
-    commutator_report,
-    e_h_tensor,
-    embed,
-    extract,
-    rank1_residual,
-    section_add,
-    section_norm,
-    section_scale,
-    transversality_residual,
-)
-from .multiplets import (
-    MultipletSpectrum,
-    factor_search,
-    massive_spectrum,
-    massless_spectrum,
-    spectrum,
-    spectrum_tensor,
-    spectrum_to_json,
-    tensor_decompose,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandLimitExceeded",
-    "CoefficientSet",
-    "DomainError",
-    "EmbeddedSection",
-    "FrameField",
-    "GridFunction",
-    "GridMismatch",
-    "InsufficientNodes",
-    "InvalidMode",
-    "MultipletSpectrum",
-    "NegativeSpin",
-    "NORTH",
-    "OperatorSpec",
-    "SOUTH",
-    "SearchBudgetExceeded",
-    "SphereGrid",
-    "SpinWeightMismatch",
-    "SWMode",
-    "UnsupportedHelicity",
-    "UnsupportedOrder",
-    "VectorOperatorResult",
-    "analyze",
-    "apply_J_rotation",
-    "apply_coeff",
-    "apply_gauge",
-    "apply_grid",
-    "apply_projected_orbital",
-    "apply_projected_spin",
-    "coefficient_set",
-    "coefficients_from_json",
-    "coefficients_to_json",
-    "commutator_report",
-    "e_h_tensor",
-    "embed",
-    "eval_swsh",
-    "eval_swsh_dtheta",
-    "eval_swsh_pole_limit",
-    "extract",
-    "factor_search",
-    "frame_residual",
-    "gauge_rotate_frame",
-    "inner_product",
-    "ladder_coefficient",
-    "make_grid",
-    "massive_spectrum",
-    "massless_spectrum",
-    "mode_counts",
-    "norm",
-    "pole_limit_extrapolate",
-    "profile",
-    "rank1_residual",
-    "read_coefficients_json",
-    "read_grid_csv",
-    "sample_swsh",
-    "section_add",
-    "section_norm",
-    "section_scale",
-    "spectrum",
-    "spectrum_tensor",
-    "spectrum_to_json",
-    "standard_frame",
-    "synthesize",
-    "tensor_decompose",
-    "transversality_residual",
-    "validate_mode",
-    "verify_casimir_identity",
-    "write_coefficients_json",
-    "write_grid_csv",
-]
+_MODULES = {
+    "errors": (
+        "BandLimitExceeded", "DomainError", "GridMismatch", "InsufficientNodes",
+        "InvalidMode", "NegativeSpin", "NORTH", "SOUTH", "SearchBudgetExceeded",
+        "SpinWeightMismatch", "UnsupportedHelicity", "UnsupportedOrder",
+    ),
+    "modes": (
+        "SWMode", "eval_swsh", "eval_swsh_dtheta", "eval_swsh_pole_limit", "profile",
+        "validate_mode",
+    ),
+    "grid": (
+        "FrameField", "GridFunction", "SphereGrid", "apply_gauge", "frame_residual",
+        "gauge_rotate_frame", "inner_product", "make_grid", "norm",
+        "pole_limit_extrapolate", "read_grid_csv", "sample_swsh", "standard_frame",
+        "write_grid_csv",
+    ),
+    "transform": (
+        "CoefficientSet", "analyze", "coefficient_set", "coefficients_from_json",
+        "coefficients_to_json", "read_coefficients_json", "synthesize",
+        "write_coefficients_json",
+    ),
+    "operators": (
+        "OperatorSpec", "apply_coeff", "apply_grid", "ladder_coefficient",
+        "verify_casimir_identity",
+    ),
+    "bundle": (
+        "EmbeddedSection", "VectorOperatorResult", "apply_J_rotation",
+        "apply_projected_orbital", "apply_projected_spin", "commutator_report",
+        "e_h_tensor", "embed", "extract", "rank1_residual", "section_add",
+        "section_norm", "section_scale", "transversality_residual",
+    ),
+    "multiplets": (
+        "MultipletSpectrum", "factor_search", "massive_spectrum", "massless_spectrum",
+        "mode_counts", "spectrum", "spectrum_tensor", "spectrum_to_json",
+        "tensor_decompose",
+    ),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

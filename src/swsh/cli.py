@@ -1,9 +1,14 @@
 """Command line surface: evaluation, transforms, verification, multiplets.
 
-Every run is reproducible: randomized suites draw from one PRNG seeded
+Every run is reproducible: a randomized suite draws from one PRNG seeded
 by --seed (default 0), numeric output carries 17 significant digits, and
 reports are emitted with fixed key order, so identical invocations give
 byte-identical stdout.
+
+Each command and verify suite imports the modules it runs when it runs;
+this module loads only errors and serial.  So a cold process pays for
+numpy and the numeric modules only where it uses them, and multiplets
+and verify spectrum-match, integer bookkeeping, run without numpy.
 
 Exit codes: 0 success/pass, 1 suite failure or exhausted search budget,
 2 invalid input (modes, domains, parsing, conflicting flags, a flag the
@@ -14,49 +19,9 @@ verify suite does not read),
 import argparse
 import sys
 
-import numpy as np
-
-from .bundle import (
-    EmbeddedSection,
-    apply_J_rotation,
-    apply_projected_orbital,
-    apply_projected_spin,
-    commutator_report,
-    embed,
-    extract,
-    section_norm,
-    section_scale,
-    transversality_residual,
-)
-from .errors import BandLimitExceeded, SearchBudgetExceeded, SpinWeightMismatch
-from .grid import (
-    GridFunction,
-    make_grid,
-    pole_limit_extrapolate,
-    read_grid_csv,
-    sample_swsh,
-    write_grid_csv,
-)
-from .modes import NORTH, SOUTH, SWMode, eval_swsh, eval_swsh_pole_limit
-from .multiplets import (
-    factor_search,
-    massive_spectrum,
-    massless_spectrum,
-    spectrum,
-    spectrum_tensor,
-    spectrum_to_json,
-)
-from .operators import OperatorSpec, apply_grid, ladder_coefficient, verify_casimir_identity
+from .errors import NORTH, SOUTH, BandLimitExceeded, SearchBudgetExceeded, SpinWeightMismatch
 from .serial import fmt17, json_dumps
-from .tables import mode_samples, phi_analysis
-from .transform import (
-    analyze,
-    coefficient_set,
-    mode_counts,
-    read_coefficients_json,
-    synthesize,
-    write_coefficients_json,
-)
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -111,6 +76,9 @@ def _print_value(value):
 
 
 def cmd_eval(args, parser):
+    from .grid import make_grid, sample_swsh, write_grid_csv
+    from .modes import SWMode, eval_swsh, eval_swsh_pole_limit
+
     mode = SWMode(args.s, args.j, args.m)
     picked = [
         args.pole is not None,
@@ -135,6 +103,9 @@ def cmd_eval(args, parser):
 
 
 def cmd_transform(args, parser):
+    from .grid import make_grid, read_grid_csv, write_grid_csv
+    from .transform import analyze, read_coefficients_json, synthesize, write_coefficients_json
+
     if args.mode == "analyze":
         f = read_grid_csv(args.infile)
         if args.s is not None and args.s != f.spin_weight:
@@ -158,6 +129,8 @@ def _pick(value, default):
 
 
 def _random_coefficients(rng, s, band):
+    from .transform import coefficient_set
+
     entries = {}
     for j in range(abs(s), band + 1):
         for m in range(-j, j + 1):
@@ -167,6 +140,10 @@ def _random_coefficients(rng, s, band):
 
 def _random_sections(rng, s, band, count):
     """Unit-norm random embedded sections plus the work grid they live on; count must be positive."""
+    from .bundle import embed, section_norm, section_scale
+    from .grid import make_grid
+    from .transform import synthesize
+
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
     h = -s
@@ -179,7 +156,7 @@ def _random_sections(rng, s, band, count):
     return work, sections
 
 
-def _suite_ortho(args, rng):
+def _suite_ortho(args):
     """Quadrature Gram residual of every mode up to L, streamed one m at a time.
 
     The modes of one m are sampled by mode_samples as [j, t, p] and split
@@ -191,6 +168,11 @@ def _suite_ortho(args, rng):
     The residual is the larger of the worst block error and that bound, so
     it bounds every entry of G - I without forming the dense Gram.
     """
+    import numpy as np
+
+    from .grid import make_grid
+    from .tables import mode_samples, phi_analysis
+
     s = _pick(args.s, -1)
     L = _pick(args.L, 16)
     tol = _pick(args.tolerance, 1e-11)
@@ -219,12 +201,18 @@ def _suite_ortho(args, rng):
     return params, results, resid, tol
 
 
-def _suite_ladder(args, rng):
+def _suite_ladder(args):
     """Grid-space J_+-, J_z and J^2 on every mode up to jMax, against their known actions.
 
     The modes of each m are sampled once, by mode_samples, and serve as
     the functions of that m and as the references of m -+ 1.
     """
+    import numpy as np
+
+    from .grid import GridFunction, make_grid
+    from .operators import OperatorSpec, apply_grid, ladder_coefficient
+    from .tables import mode_samples
+
     s = _pick(args.s, -1)
     j_top = _pick(args.j, 8)
     tol = _pick(args.tolerance, 1e-8)
@@ -259,7 +247,12 @@ def _suite_ladder(args, rng):
     return params, results, worst, tol
 
 
-def _suite_casimir(args, rng):
+def _suite_casimir(args):
+    import numpy as np
+
+    from .operators import verify_casimir_identity
+
+    rng = np.random.default_rng(args.seed)
     s = _pick(args.s, -1)
     L = _pick(args.L, 10)
     tol = _pick(args.tolerance, 1e-11)
@@ -270,7 +263,12 @@ def _suite_casimir(args, rng):
     return params, results, resid, tol
 
 
-def _suite_lemma(args, rng):
+def _suite_lemma(args):
+    import numpy as np
+
+    from .bundle import apply_J_rotation, apply_projected_orbital, apply_projected_spin
+
+    rng = np.random.default_rng(args.seed)
     s = _pick(args.s, -1)
     band = _pick(args.L, 8)
     count = _pick(args.count, 5)
@@ -290,7 +288,12 @@ def _suite_lemma(args, rng):
     return params, results, worst, tol
 
 
-def _suite_commutators(args, rng):
+def _suite_commutators(args):
+    import numpy as np
+
+    from .bundle import commutator_report
+
+    rng = np.random.default_rng(args.seed)
     s = _pick(args.s, -1)
     band = _pick(args.L, 8)
     count = _pick(args.count, 10)
@@ -303,7 +306,10 @@ def _suite_commutators(args, rng):
     return params, report, resid, tol, passed
 
 
-def _suite_poles(args, rng):
+def _suite_poles(args):
+    from .grid import make_grid, pole_limit_extrapolate, sample_swsh
+    from .modes import SWMode, eval_swsh_pole_limit
+
     s = _pick(args.s, -1)
     j = _pick(args.j, 2)
     tol = _pick(args.tolerance, 1e-8)
@@ -322,7 +328,15 @@ def _suite_poles(args, rng):
     return params, results, worst, tol
 
 
-def _suite_spectrum_match(args, rng):
+def _suite_spectrum_match(args):
+    from .multiplets import (
+        massive_spectrum,
+        massless_spectrum,
+        mode_counts,
+        spectrum,
+        spectrum_tensor,
+    )
+
     j_top = _pick(args.j, 20)
     tol = _pick(args.tolerance, 0.0)
     mismatches = 0
@@ -345,7 +359,18 @@ def _suite_spectrum_match(args, rng):
     return params, results, float(mismatches), tol
 
 
-def _suite_pointop(args, rng):
+def _suite_pointop(args):
+    import numpy as np
+
+    from .bundle import (
+        EmbeddedSection,
+        apply_projected_orbital,
+        apply_projected_spin,
+        extract,
+        transversality_residual,
+    )
+
+    rng = np.random.default_rng(args.seed)
     s = _pick(args.s, -1)
     band = _pick(args.L, 8)
     tol = _pick(args.tolerance, 1e-10)
@@ -414,8 +439,7 @@ def cmd_verify(args, parser):
     ]
     if unread:
         raise ValueError(f"verify {args.suite} does not read {', '.join(unread)}")
-    rng = np.random.default_rng(args.seed)
-    out = suite(args, rng)
+    out = suite(args)
     if len(out) == 5:
         params, results, resid, tol, passed = out
     else:
@@ -434,6 +458,8 @@ def cmd_verify(args, parser):
 
 
 def cmd_multiplets(args, parser):
+    from .multiplets import factor_search, massive_spectrum, massless_spectrum, spectrum_to_json
+
     if args.massless is not None:
         base = massless_spectrum(args.massless, args.jmax)
     else:

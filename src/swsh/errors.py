@@ -1,9 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types, pole names and the integer check shared across the package.
 
-Everything derives from ValueError so callers that only care about "bad
-input" can catch one base class, while the CLI maps specific types to
-specific exit codes.
+Every exception derives from ValueError, except SearchBudgetExceeded, so
+callers that only care about "bad input" can catch one base class, while
+the CLI maps specific types to specific exit codes.  Nothing here needs
+numpy, so the integer commands of the CLI can use it without loading it.
 """
+
+NORTH = "north"
+SOUTH = "south"
+
+
+def as_integer(value, name):
+    """value as an int; ValueError unless it equals one, so 12.7 and inf are refused, not truncated."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
 
 
 class InvalidMode(ValueError):

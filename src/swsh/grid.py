@@ -13,25 +13,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    NORTH,
+    SOUTH,
     BandLimitExceeded,
     GridMismatch,
     InsufficientNodes,
     SpinWeightMismatch,
+    as_integer,
 )
-from .modes import SWMode, NORTH, SOUTH
+from .modes import SWMode
 from .serial import fmt17
 from .tables import mode_row
-
-
-def as_integer(value, name):
-    """value as an int; ValueError unless it equals one, so 12.7 and inf are refused, not truncated."""
-    try:
-        n = int(value)
-    except (OverflowError, ValueError):
-        n = None
-    if n is None or n != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +94,8 @@ class SphereGrid:
             return NotImplemented
         return self.geometry_key == other.geometry_key
 
-    __hash__ = object.__hash__
+    def __hash__(self):
+        return hash(self.geometry_key)
 
 
 def make_grid(band_limit, n_theta=None, n_phi=None):

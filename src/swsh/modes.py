@@ -32,10 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidMode, UnsupportedOrder
-
-NORTH = "north"
-SOUTH = "south"
+from .errors import NORTH, SOUTH, DomainError, InvalidMode, UnsupportedOrder
 
 J_MAX = 64
 

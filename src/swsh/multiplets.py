@@ -12,14 +12,16 @@ V_a (x) O = target on the sound window?  It solves the equation as a
 linear recurrence in l, with one free multiplicity for each j = 1..a.  The
 answer need not be unique, even without a cutoff: the massless helicity-1
 tower factors exactly over both l in {0, 3, 6, ...} and l in {2, 5, 8, ...}.
+
+mode_counts gives the number of transform modes at each j, the count the
+massless spectra are checked against.  Nothing here needs numpy.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
 
-from .errors import NegativeSpin, SearchBudgetExceeded
-from .grid import as_integer
+from .errors import NegativeSpin, SearchBudgetExceeded, as_integer
 from .serial import json_dumps
 
 
@@ -247,6 +249,12 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
     ]
     results.sort(key=lambda sp: tuple(sp.sorted_items()))
     return results
+
+
+def mode_counts(spin_weight, j_max):
+    """Number of independent modes at each j up to j_max."""
+    s = abs(int(spin_weight))
+    return {j: (2 * j + 1 if j >= s else 0) for j in range(int(j_max) + 1)}
 
 
 def spectrum_to_json(sp):

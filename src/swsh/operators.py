@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpinWeightMismatch
-from .grid import GridFunction, as_integer
+from .errors import SpinWeightMismatch, as_integer
+from .grid import GridFunction
 from .tables import _tables, contract_table, mode_table, phi_synthesis, used_band
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 

@@ -108,8 +108,12 @@ def mode_table(grid, s, order=0, band_limit=None):
 
     order may also be a range of orders, for one view [k, m + L, j, t] of
     the tables of orders order[k].  L is band_limit, at most the grid's
-    (the default).  A cached entry holds the highest order and band asked
-    for so far; asking past either rebuilds it.
+    (the default).  A cached entry holds the highest order asked for so
+    far and at least the highest band; asking past either rebuilds it, and
+    a rebuild for a higher band at least doubles the entry's band, up to
+    the grid's and J_MAX, so a rising sweep of bands rebuilds it
+    O(log L) times.  A row does not depend on the band it was climbed to,
+    so every band reads the same bytes from any entry.
     """
     Lg = grid.band_limit
     L = Lg if band_limit is None else int(band_limit)
@@ -125,7 +129,8 @@ def mode_table(grid, s, order=0, band_limit=None):
     if tables is None or tables.shape[0] <= order or tables.shape[2] <= L:
         orders, top = order, L
         if tables is not None:
-            orders, top = max(order, tables.shape[0] - 1), max(L, tables.shape[2] - 1)
+            orders, old = max(order, tables.shape[0] - 1), tables.shape[2] - 1
+            top = max(L, old if L <= old else min(2 * old, Lg, J_MAX))
         check_j_supported(top)
         ms = np.arange(-top, top + 1)
         tables = np.zeros((orders + 1, ms.size, top + 1, grid.theta.size))

@@ -35,8 +35,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BandLimitExceeded
-from .grid import GridFunction, as_integer
+from .errors import BandLimitExceeded, as_integer
+from .grid import GridFunction
 from .modes import J_MAX, validate_mode
 from .serial import json_dumps
 from .tables import _tables, mode_coefficients, phi_synthesis, radial_factors
@@ -227,12 +227,6 @@ def synthesize(c, grid):
         )
     radial = radial_factors(grid, c.spin_weight, c.matrix)
     return GridFunction._wrap(grid, c.spin_weight, phi_synthesis(grid, radial))
-
-
-def mode_counts(spin_weight, j_max):
-    """Number of independent modes at each j up to j_max."""
-    s = abs(int(spin_weight))
-    return {j: (2 * j + 1 if j >= s else 0) for j in range(int(j_max) + 1)}
 
 
 def coefficients_to_json(c):

@@ -31,9 +31,9 @@ from swsh.bundle import (
 )
 from swsh.grid import make_grid, pole_limit_extrapolate, sample_swsh
 from swsh.modes import NORTH, SOUTH, SWMode
-from swsh.multiplets import factor_search, massive_spectrum, massless_spectrum
+from swsh.multiplets import factor_search, massive_spectrum, massless_spectrum, mode_counts
 from swsh.operators import OperatorSpec, apply_grid, ladder_coefficient
-from swsh.transform import analyze, coefficient_set, mode_counts, synthesize
+from swsh.transform import analyze, coefficient_set, synthesize
 
 AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 SKIP_TWO = {0: 1, 3: 1, 6: 1, 9: 1, 12: 1}

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swsh.grid
 from swsh import cli
 from swsh.cli import main
 from swsh.errors import InvalidMode
@@ -276,7 +277,7 @@ def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("verify ladder climbed one mode")
 
-    monkeypatch.setattr(cli, "sample_swsh", refuse)
+    monkeypatch.setattr(swsh.grid, "sample_swsh", refuse)
     code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "5")
     assert code == 0
     assert report_of(out)["results"]["modes"] == 35
@@ -328,7 +329,7 @@ def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
 @pytest.mark.parametrize("suite", sorted(cli._SUITES))
 def test_verify_every_suite_takes_a_seed_and_its_own_flags(capsys, monkeypatch, suite):
     reads = cli._SUITES[suite][1]
-    monkeypatch.setitem(cli._SUITES, suite, (lambda args, rng: ({}, {}, 0.0, 0.0), reads))
+    monkeypatch.setitem(cli._SUITES, suite, (lambda args: ({}, {}, 0.0, 0.0), reads))
     values = {"--tolerance": "0.5", "--floor": "0.5"}
     argv = [arg for flag in reads for arg in (flag, values.get(flag, "1"))]
     code, _, err = run(capsys, "verify", suite, "--seed", "7", *argv)
@@ -420,16 +421,72 @@ def test_multiplets_negative_branch_limit_exits_2(capsys):
 
 # ------------------------------------------------------------------ subprocess
 
-def test_console_entry_smoke():
-    # the child runs this checkout's swsh, whether or not a copy is installed
+def run_child(*args):
+    """A fresh interpreter's run of args, on this checkout's swsh whether or not a copy is installed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "swsh.cli", "eval", "-s", "0", "-j", "0", "-m", "0",
-         "--theta", "1.0", "--phi", "0.0"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_smoke():
+    proc = run_child("-m", "swsh.cli", "eval", "-s", "0", "-j", "0", "-m", "0",
+                     "--theta", "1.0", "--phi", "0.0")
     assert proc.returncode == 0
     assert proc.stdout == "0.28209479177387814 0.0\n"
+
+
+def modules_loaded_by(code):
+    """The names in sys.modules of a fresh interpreter after it runs code."""
+    proc = run_child("-c", code + "\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def modules_loaded_by_main(*argv):
+    return modules_loaded_by(
+        "import contextlib, io\n"
+        "from swsh.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multiplets", "--massless", "1", "--jmax", "12", "--factor-search", "1"],
+        ["verify", "spectrum-match"],
+    ],
+)
+def test_integer_commands_run_without_numpy(argv):
+    loaded = modules_loaded_by_main(*argv)
+    assert "swsh.multiplets" in loaded
+    assert "numpy" not in loaded
+
+
+def test_verify_ortho_loads_no_bundle_or_multiplets():
+    loaded = modules_loaded_by_main("verify", "ortho", "-L", "4")
+    assert "swsh.tables" in loaded
+    assert not loaded & {"swsh.bundle", "swsh.multiplets"}
+
+
+def test_bare_package_import_loads_no_numeric_module():
+    loaded = modules_loaded_by("import swsh")
+    assert "swsh" in loaded
+    assert not [name for name in loaded if name.startswith("swsh.") or name == "numpy"]
+
+
+def test_every_public_name_resolves_and_star_binds_it():
+    assert set(swsh.__all__) <= set(dir(swsh))
+    for name in swsh.__all__:
+        assert getattr(swsh, name) is not None
+    bound = {}
+    exec("from swsh import *", bound)
+    assert all(bound[name] is getattr(swsh, name) for name in swsh.__all__)
+    with pytest.raises(AttributeError):
+        swsh.no_such_name

@@ -122,6 +122,16 @@ def test_grid_equality_is_structural():
     assert a == b and a is not b
 
 
+def test_equal_grids_hash_alike():
+    a, b = make_grid(6), make_grid(6)
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    seen = {a: "first"}
+    seen[b] = "second"
+    assert len(seen) == 1 and seen[make_grid(6)] == "second"
+    assert make_grid(6, n_theta=9) not in seen
+
+
 # ------------------------------------------------------------------ sampling
 
 def test_constant_mode_samples():

@@ -310,6 +310,25 @@ def test_sampling_one_mode_builds_no_table(monkeypatch):
     tables._tables.clear()
 
 
+def test_a_rising_band_sweep_rebuilds_its_table_a_few_times(monkeypatch):
+    # a rebuild for a higher band at least doubles the entry's band, and a
+    # row is the same whatever band its table climbed to
+    grid = make_grid(64)
+    tops = []
+    climb = tables._climb
+    monkeypatch.setattr(tables, "_climb", lambda *args: tops.append(args[3]) or climb(*args))
+
+    def sweep(bands):
+        tables._tables.clear()
+        return [synthesize(coefficient_set(0, j, {(j, 0): 1.0}), grid).samples.tobytes()
+                for j in bands]
+
+    rising = sweep(range(1, 65))
+    assert len(tops) <= 8 and tops[-1] == 64
+    assert sweep(range(64, 0, -1))[::-1] == rising
+    tables._tables.clear()
+
+
 def test_point_evaluation_keeps_no_per_mode_state():
     # every mode with j <= 12, all spin weights, at orders 0 and 2 (2925
     # modes): nothing in swsh.modes caches, and no table is built or kept

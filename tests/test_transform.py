@@ -10,6 +10,7 @@ from swsh import modes, transform
 from swsh.errors import BandLimitExceeded, InvalidMode
 from swsh.grid import GridFunction, inner_product, make_grid, sample_swsh
 from swsh.modes import SWMode
+from swsh.multiplets import mode_counts
 from swsh.transform import (
     COEFF_CLIP,
     analysis_matrix,
@@ -17,7 +18,6 @@ from swsh.transform import (
     coefficient_set,
     coefficients_from_json,
     coefficients_to_json,
-    mode_counts,
     read_coefficients_json,
     synthesize,
     write_coefficients_json,
