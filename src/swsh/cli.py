@@ -10,6 +10,12 @@ this module loads only errors and serial.  So a cold process pays for
 numpy and the numeric modules only where it uses them, and multiplets
 and verify spectrum-match, integer bookkeeping, run without numpy.
 
+Each verify suite is one row of _SUITES: its runner and the flags it
+reads besides --seed, each with its default.  Any other flag set on the
+suite exits 2; each unset flag it reads takes the row's default, and a
+runner returns (parameters, results, residual), plus one more pass
+condition where the residual alone does not decide.
+
 Exit codes: 0 success/pass, 1 suite failure or exhausted search budget,
 2 invalid input (modes, domains, parsing, conflicting flags, a flag the
 verify suite does not read),
@@ -32,6 +38,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one mode at a point, a pole, or a grid")
+    pe.set_defaults(handler=cmd_eval)
     pe.add_argument("-s", type=int, required=True, help="spin weight")
     pe.add_argument("-j", type=int, required=True, help="total angular momentum")
     pe.add_argument("-m", type=int, required=True, help="magnetic index")
@@ -42,6 +49,7 @@ def _build_parser():
     pe.add_argument("--out", help="CSV output path for --grid")
 
     pt = sub.add_parser("transform", help="analysis/synthesis between CSV and JSON")
+    pt.set_defaults(handler=cmd_transform)
     pt.add_argument("mode", choices=["analyze", "synthesize"])
     pt.add_argument("--in", dest="infile", required=True, help="input file")
     pt.add_argument("--out", dest="outfile", required=True, help="output file")
@@ -49,7 +57,8 @@ def _build_parser():
     pt.add_argument("-s", type=int, help="expected spin weight (checked)")
 
     pv = sub.add_parser("verify", help="run one verification suite, report JSON")
-    pv.add_argument("suite", help="ortho|ladder|casimir|lemma|commutators|poles|spectrum-match|pointop")
+    pv.set_defaults(handler=cmd_verify)
+    pv.add_argument("suite", help="|".join(_SUITES))
     pv.add_argument("-L", type=int, help="band limit")
     pv.add_argument("-s", type=int, help="spin weight")
     pv.add_argument("-j", type=int, help="total angular momentum (poles, ladder)")
@@ -59,6 +68,7 @@ def _build_parser():
     pv.add_argument("--floor", type=float, help="defect floor (commutators, default 0.1)")
 
     pm = sub.add_parser("multiplets", help="multiplet spectra and factor search")
+    pm.set_defaults(handler=cmd_multiplets)
     kind = pm.add_mutually_exclusive_group(required=True)
     kind.add_argument("--massless", type=int, metavar="H", help="helicity")
     kind.add_argument("--massive", type=int, metavar="S", help="spin")
@@ -106,26 +116,16 @@ def cmd_transform(args, parser):
     from .grid import make_grid, read_grid_csv, write_grid_csv
     from .transform import analyze, read_coefficients_json, synthesize, write_coefficients_json
 
-    if args.mode == "analyze":
-        f = read_grid_csv(args.infile)
-        if args.s is not None and args.s != f.spin_weight:
-            raise SpinWeightMismatch(
-                f"input has spin weight {f.spin_weight}, expected {args.s}"
-            )
-        write_coefficients_json(analyze(f, band_limit=args.L), args.outfile)
+    analyzing = args.mode == "analyze"
+    data = read_grid_csv(args.infile) if analyzing else read_coefficients_json(args.infile)
+    if args.s is not None and args.s != data.spin_weight:
+        raise SpinWeightMismatch(f"input has spin weight {data.spin_weight}, expected {args.s}")
+    if analyzing:
+        write_coefficients_json(analyze(data, band_limit=args.L), args.outfile)
     else:
-        c = read_coefficients_json(args.infile)
-        if args.s is not None and args.s != c.spin_weight:
-            raise SpinWeightMismatch(
-                f"input has spin weight {c.spin_weight}, expected {args.s}"
-            )
-        grid = make_grid(c.band_limit if args.L is None else args.L)
-        write_grid_csv(synthesize(c, grid), args.outfile)
+        grid = make_grid(data.band_limit if args.L is None else args.L)
+        write_grid_csv(synthesize(data, grid), args.outfile)
     return 0
-
-
-def _pick(value, default):
-    return default if value is None else value
 
 
 def _random_coefficients(rng, s, band):
@@ -173,9 +173,7 @@ def _suite_ortho(args):
     from .grid import make_grid
     from .tables import mode_samples, phi_analysis
 
-    s = _pick(args.s, -1)
-    L = _pick(args.L, 16)
-    tol = _pick(args.tolerance, 1e-11)
+    s, L = args.s, args.L
     if L < abs(s):
         raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
     grid = make_grid(L)
@@ -196,9 +194,7 @@ def _suite_ortho(args):
         modes += len(js)
     cross = 2.0 * norm_max * leak_max + leak_max * leak_max
     resid = max(block_err, cross)
-    params = {"s": s, "L": L}
-    results = {"modes": modes}
-    return params, results, resid, tol
+    return {"s": s, "L": L}, {"modes": modes}, resid
 
 
 def _suite_ladder(args):
@@ -213,9 +209,7 @@ def _suite_ladder(args):
     from .operators import OperatorSpec, apply_grid, ladder_coefficient
     from .tables import mode_samples
 
-    s = _pick(args.s, -1)
-    j_top = _pick(args.j, 8)
-    tol = _pick(args.tolerance, 1e-8)
+    s, j_top = args.s, args.j
     if j_top < abs(s):
         raise ValueError(f"jMax {j_top} is below |spin weight| {abs(s)}")
     grid = make_grid(j_top)
@@ -242,9 +236,8 @@ def _suite_ladder(args):
             worst = max(
                 worst, float(np.abs(got.samples - j * (j + 1) * f.samples).max())
             )
-    params = {"s": s, "jMax": j_top}
     results = {"modes": sum(2 * j + 1 for j in range(abs(s), j_top + 1))}
-    return params, results, worst, tol
+    return {"s": s, "jMax": j_top}, results, worst
 
 
 def _suite_casimir(args):
@@ -252,15 +245,9 @@ def _suite_casimir(args):
 
     from .operators import verify_casimir_identity
 
-    rng = np.random.default_rng(args.seed)
-    s = _pick(args.s, -1)
-    L = _pick(args.L, 10)
-    tol = _pick(args.tolerance, 1e-11)
-    c = _random_coefficients(rng, s, L)
-    resid = verify_casimir_identity(s, c)
-    params = {"s": s, "L": L}
-    results = {"entries": len(c.entries)}
-    return params, results, resid, tol
+    c = _random_coefficients(np.random.default_rng(args.seed), args.s, args.L)
+    resid = verify_casimir_identity(args.s, c)
+    return {"s": args.s, "L": args.L}, {"entries": len(c.entries)}, resid
 
 
 def _suite_lemma(args):
@@ -268,13 +255,9 @@ def _suite_lemma(args):
 
     from .bundle import apply_J_rotation, apply_projected_orbital, apply_projected_spin
 
-    rng = np.random.default_rng(args.seed)
-    s = _pick(args.s, -1)
-    band = _pick(args.L, 8)
-    count = _pick(args.count, 5)
-    tol = _pick(args.tolerance, 1e-5)
+    s, band, count = args.s, args.L, args.count
     axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    work, sections = _random_sections(rng, s, band, count)
+    work, sections = _random_sections(np.random.default_rng(args.seed), s, band, count)
     worst = 0.0
     for sec in sections:
         spin_part = apply_projected_spin(sec)
@@ -284,8 +267,7 @@ def _suite_lemma(args):
             d = spin_part[a].components + orb_part[a].components - gen.components
             worst = max(worst, float(np.abs(d).max()))
     params = {"s": s, "h": -s, "band": band, "sections": count}
-    results = {"work_band": work.band_limit}
-    return params, results, worst, tol
+    return params, {"work_band": work.band_limit}, worst
 
 
 def _suite_commutators(args):
@@ -293,27 +275,20 @@ def _suite_commutators(args):
 
     from .bundle import commutator_report
 
-    rng = np.random.default_rng(args.seed)
-    s = _pick(args.s, -1)
-    band = _pick(args.L, 8)
-    count = _pick(args.count, 10)
-    tol = _pick(args.tolerance, 1e-5)
-    _, sections = _random_sections(rng, s, band, count)
-    report = commutator_report(-s, sections, floor=_pick(args.floor, 0.1))
+    s, band, count = args.s, args.L, args.count
+    _, sections = _random_sections(np.random.default_rng(args.seed), s, band, count)
+    report = commutator_report(-s, sections, floor=args.floor)
     resid = max(report["identity_residuals"].values())
     params = {"s": s, "h": -s, "band": band, "sections": count}
-    passed = resid <= tol and report["defects_exceed_floor"]
-    return params, report, resid, tol, passed
+    return params, report, resid, report["defects_exceed_floor"]
 
 
 def _suite_poles(args):
     from .grid import make_grid, pole_limit_extrapolate, sample_swsh
     from .modes import SWMode, eval_swsh_pole_limit
 
-    s = _pick(args.s, -1)
-    j = _pick(args.j, 2)
-    tol = _pick(args.tolerance, 1e-8)
-    grid = make_grid(_pick(args.L, 256))
+    s, j = args.s, args.j
+    grid = make_grid(args.L)
     worst = 0.0
     worst_diag = 0.0
     for m in range(-j, j + 1):
@@ -324,8 +299,7 @@ def _suite_poles(args):
             worst = max(worst, abs(limit - exact))
             worst_diag = max(worst_diag, diag)
     params = {"s": s, "j": j, "grid_L": grid.band_limit}
-    results = {"extrapolationResidual": worst_diag}
-    return params, results, worst, tol
+    return params, {"extrapolationResidual": worst_diag}, worst
 
 
 def _suite_spectrum_match(args):
@@ -337,8 +311,7 @@ def _suite_spectrum_match(args):
         spectrum_tensor,
     )
 
-    j_top = _pick(args.j, 20)
-    tol = _pick(args.tolerance, 0.0)
+    j_top = args.j
     mismatches = 0
     for spin in range(0, 4):
         # massive tower must agree with the explicit tensor construction
@@ -355,8 +328,7 @@ def _suite_spectrum_match(args):
             if counts[j] != (2 * j + 1) * mless.multiplicity(j):
                 mismatches += 1
     params = {"jMax": j_top, "spins": [0, 1, 2, 3]}
-    results = {"mismatches": mismatches}
-    return params, results, float(mismatches), tol
+    return params, {"mismatches": mismatches}, float(mismatches)
 
 
 def _suite_pointop(args):
@@ -369,22 +341,13 @@ def _suite_pointop(args):
         extract,
         transversality_residual,
     )
+    from .grid import standard_frame
 
-    rng = np.random.default_rng(args.seed)
-    s = _pick(args.s, -1)
-    band = _pick(args.L, 8)
-    tol = _pick(args.tolerance, 1e-10)
+    s, band = args.s, args.L
     h = -s
-    work, sections = _random_sections(rng, s, band, 2)
+    work, sections = _random_sections(np.random.default_rng(args.seed), s, band, 2)
     base, probe = sections
-    k = np.stack(
-        [
-            np.sin(work.theta)[:, None] * np.cos(work.phi)[None, :],
-            np.sin(work.theta)[:, None] * np.sin(work.phi)[None, :],
-            np.cos(work.theta)[:, None] * np.ones(work.n_phi)[None, :],
-        ],
-        axis=-1,
-    )
+    k = standard_frame(work).k_hat
     worst = 0.0
     # pointwise form: each axis of the projected spin action multiplies by h*k_a
     par = apply_projected_spin(base)
@@ -406,21 +369,22 @@ def _suite_pointop(args):
     perp = apply_projected_orbital(base)
     for a in range(3):
         worst = max(worst, transversality_residual(perp[a]))
-    params = {"s": s, "h": h, "band": band}
-    results = {"node": [it, ip]}
-    return params, results, worst, tol
+    return {"s": s, "h": h, "band": band}, {"node": [it, ip]}, worst
 
 
-# suite -> (runner, the flags it reads besides --seed)
+# suite -> (runner, {flag it reads besides --seed: the flag's default})
 _SUITES = {
-    "ortho": (_suite_ortho, ("-s", "-L", "--tolerance")),
-    "ladder": (_suite_ladder, ("-s", "-j", "--tolerance")),
-    "casimir": (_suite_casimir, ("-s", "-L", "--tolerance")),
-    "lemma": (_suite_lemma, ("-s", "-L", "--count", "--tolerance")),
-    "commutators": (_suite_commutators, ("-s", "-L", "--count", "--tolerance", "--floor")),
-    "poles": (_suite_poles, ("-s", "-j", "-L", "--tolerance")),
-    "spectrum-match": (_suite_spectrum_match, ("-j", "--tolerance")),
-    "pointop": (_suite_pointop, ("-s", "-L", "--tolerance")),
+    "ortho": (_suite_ortho, {"-s": -1, "-L": 16, "--tolerance": 1e-11}),
+    "ladder": (_suite_ladder, {"-s": -1, "-j": 8, "--tolerance": 1e-8}),
+    "casimir": (_suite_casimir, {"-s": -1, "-L": 10, "--tolerance": 1e-11}),
+    "lemma": (_suite_lemma, {"-s": -1, "-L": 8, "--count": 5, "--tolerance": 1e-5}),
+    "commutators": (
+        _suite_commutators,
+        {"-s": -1, "-L": 8, "--count": 10, "--tolerance": 1e-5, "--floor": 0.1},
+    ),
+    "poles": (_suite_poles, {"-s": -1, "-j": 2, "-L": 256, "--tolerance": 1e-8}),
+    "spectrum-match": (_suite_spectrum_match, {"-j": 20, "--tolerance": 0.0}),
+    "pointop": (_suite_pointop, {"-s": -1, "-L": 8, "--tolerance": 1e-10}),
 }
 
 
@@ -431,21 +395,18 @@ def cmd_verify(args, parser):
             file=sys.stderr,
         )
         return 4
-    suite, reads = _SUITES[args.suite]
-    unread = [
-        flag
-        for flag in ("-s", "-L", "-j", "--count", "--tolerance", "--floor")
-        if flag not in reads and getattr(args, flag.lstrip("-")) is not None
-    ]
+    suite, defaults = _SUITES[args.suite]
+    # every suite flag's value as given, in the order the rows first name the flags
+    given = {flag: getattr(args, flag.lstrip("-")) for _, row in _SUITES.values() for flag in row}
+    unread = [flag for flag, value in given.items() if value is not None and flag not in defaults]
     if unread:
         raise ValueError(f"verify {args.suite} does not read {', '.join(unread)}")
-    out = suite(args)
-    if len(out) == 5:
-        params, results, resid, tol, passed = out
-    else:
-        params, results, resid, tol = out
-        passed = resid <= tol
-    params = {"suite": args.suite, **params, "tolerance": tol, "seed": args.seed}
+    for flag, default in defaults.items():
+        if given[flag] is None:
+            setattr(args, flag.lstrip("-"), default)
+    params, results, resid, *conditions = suite(args)
+    passed = resid <= args.tolerance and all(conditions)
+    params = {"suite": args.suite, **params, "tolerance": args.tolerance, "seed": args.seed}
     report = {
         "command": "verify",
         "parameters": params,
@@ -485,14 +446,8 @@ def cmd_multiplets(args, parser):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "eval": cmd_eval,
-        "transform": cmd_transform,
-        "verify": cmd_verify,
-        "multiplets": cmd_multiplets,
-    }
     try:
-        return handlers[args.command](args, parser)
+        return args.handler(args, parser)
     except BandLimitExceeded as exc:
         print(f"swsh: {exc}", file=sys.stderr)
         return 3

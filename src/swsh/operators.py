@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
-from .tables import _tables, contract_table, mode_table, phi_synthesis, used_band
+from .tables import _tables, contract_table, grown_band, mode_table, phi_synthesis, used_band
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -126,12 +126,14 @@ def _operator_table(grid, s, kind, band_limit):
     L is band_limit.  Row m + L is the theta factor of the result, whose
     azimuthal factor is exp(i (m +- 1) phi) for the ladders and exp(i m phi)
     otherwise.  Cached under ("op", grid geometry, s, kind); a cached table
-    of a larger band is sliced, one of a smaller band rebuilt.
+    of a larger band is sliced, one of a smaller band rebuilt at the
+    grown_band of its band, as mode tables are.
     """
     key = ("op", grid.geometry_key, s, kind)
     table = _tables.get(key)
     if table is None or table.shape[1] <= band_limit:
-        table = _tables.put(key, _differential_table(grid, s, kind, band_limit))
+        top = grown_band(band_limit, -1 if table is None else table.shape[1] - 1, grid.band_limit)
+        table = _tables.put(key, _differential_table(grid, s, kind, top))
     top = table.shape[1] - 1
     return table[top - band_limit : top + band_limit + 1, : band_limit + 1]
 

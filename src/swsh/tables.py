@@ -103,17 +103,25 @@ class GridCache:
 _tables = GridCache(TABLE_CACHE_BYTES)
 
 
+def grown_band(band, held, grid_band):
+    """The band to build a table at for band when the cached one holds band held (-1: none).
+
+    Never below either; past the held band it at least doubles it, up to
+    grid_band and J_MAX, so a rising sweep of bands rebuilds a table
+    O(log L) times.
+    """
+    return max(band, held if band <= held else min(2 * held, grid_band, J_MAX))
+
+
 def mode_table(grid, s, order=0, band_limit=None):
     """Read-only table [m + L, j, t] of order-th theta-derivative profiles.
 
     order may also be a range of orders, for one view [k, m + L, j, t] of
     the tables of orders order[k].  L is band_limit, at most the grid's
     (the default).  A cached entry holds the highest order asked for so
-    far and at least the highest band; asking past either rebuilds it, and
-    a rebuild for a higher band at least doubles the entry's band, up to
-    the grid's and J_MAX, so a rising sweep of bands rebuilds it
-    O(log L) times.  A row does not depend on the band it was climbed to,
-    so every band reads the same bytes from any entry.
+    far and at least the highest band; asking past either rebuilds it, at
+    the grown_band of the entry's.  A row does not depend on the band it
+    was climbed to, so every band reads the same bytes from any entry.
     """
     Lg = grid.band_limit
     L = Lg if band_limit is None else int(band_limit)
@@ -127,10 +135,8 @@ def mode_table(grid, s, order=0, band_limit=None):
     key = (grid.geometry_key, s)
     tables = _tables.get(key)
     if tables is None or tables.shape[0] <= order or tables.shape[2] <= L:
-        orders, top = order, L
-        if tables is not None:
-            orders, old = max(order, tables.shape[0] - 1), tables.shape[2] - 1
-            top = max(L, old if L <= old else min(2 * old, Lg, J_MAX))
+        orders = order if tables is None else max(order, tables.shape[0] - 1)
+        top = grown_band(L, -1 if tables is None else tables.shape[2] - 1, Lg)
         check_j_supported(top)
         ms = np.arange(-top, top + 1)
         tables = np.zeros((orders + 1, ms.size, top + 1, grid.theta.size))
@@ -257,8 +263,10 @@ def mode_coefficients(grid, s, samples, band_limit):
     """Quadrature A[m + L, j, ...] of samples[t, p, ...] against every mode (s, j, m), j <= L.
 
     One DFT matrix product over phi, then one real matmul per m with the
-    order-0 mode table; trailing axes pass through.
+    order-0 mode table; trailing axes pass through.  L must be at most J_MAX.
     """
+    if band_limit > J_MAX:
+        raise InvalidMode(f"analysis band limit {band_limit} exceeds the supported maximum j = {J_MAX}")
     rings = phi_analysis(grid, samples.swapaxes(0, 1), band_limit)
     rings = rings.reshape(rings.shape[:2] + (-1,))
     rings *= grid.theta_weights[:, None]

@@ -183,6 +183,19 @@ def test_transform_band_limit_violation_exits_3(capsys, tmp_path):
     assert "band limit" in err
 
 
+def test_transform_analyze_above_j_max_exits_2(capsys, tmp_path):
+    f_csv = tmp_path / "f.csv"
+    assert run(capsys, "eval", "-s", "0", "-j", "2", "-m", "1", "--grid", "70",
+               "--out", str(f_csv))[0] == 0
+    out = str(tmp_path / "f.json")
+    code, _, err = run(capsys, "transform", "analyze", "--in", str(f_csv), "--out", out)
+    assert code == 2
+    assert err == "swsh: analysis band limit 70 exceeds the supported maximum j = 64\n"
+    code, _, err = run(capsys, "transform", "analyze", "--in", str(f_csv), "--out", out, "-L", "64")
+    assert code == 0 and err == ""
+    assert read_coefficients_json(out).entries.keys() == {(2, 1)}
+
+
 # ---------------------------------------------------------------------- verify
 
 def report_of(out):
@@ -326,14 +339,59 @@ def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
     assert f"does not read {flag}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["spectrum-match", "--floor", "1", "-L", "2", "-s", "1"], "-s, -L, --floor"),
+        (["ortho", "--floor", "1", "--count", "1", "-j", "1"], "-j, --count, --floor"),
+    ],
+)
+def test_verify_names_every_unread_flag_in_one_order(capsys, argv, flags):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"swsh: verify {argv[0]} does not read {flags}\n"
+
+
 @pytest.mark.parametrize("suite", sorted(cli._SUITES))
 def test_verify_every_suite_takes_a_seed_and_its_own_flags(capsys, monkeypatch, suite):
     reads = cli._SUITES[suite][1]
-    monkeypatch.setitem(cli._SUITES, suite, (lambda args: ({}, {}, 0.0, 0.0), reads))
+    monkeypatch.setitem(cli._SUITES, suite, (lambda args: ({}, {}, 0.0), reads))
     values = {"--tolerance": "0.5", "--floor": "0.5"}
     argv = [arg for flag in reads for arg in (flag, values.get(flag, "1"))]
     code, _, err = run(capsys, "verify", suite, "--seed", "7", *argv)
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize(
+    "suite, parameters",
+    [
+        ("ortho", {"s": -1, "L": 16, "tolerance": 1e-11}),
+        ("ladder", {"s": -1, "jMax": 8, "tolerance": 1e-08}),
+        ("casimir", {"s": -1, "L": 10, "tolerance": 1e-11}),
+        ("lemma", {"s": -1, "h": 1, "band": 8, "sections": 5, "tolerance": 1e-05}),
+        ("commutators", {"s": -1, "h": 1, "band": 8, "sections": 10, "tolerance": 1e-05}),
+        ("poles", {"s": -1, "j": 2, "grid_L": 256, "tolerance": 1e-08}),
+        ("spectrum-match", {"jMax": 20, "spins": [0, 1, 2, 3], "tolerance": 0.0}),
+        ("pointop", {"s": -1, "h": 1, "band": 8, "tolerance": 1e-10}),
+    ],
+)
+def test_verify_every_suite_reports_its_defaults(capsys, suite, parameters):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0
+    report = report_of(out)
+    assert report["parameters"] == {"suite": suite, **parameters, "seed": 0}
+    assert list(report["parameters"]) == ["suite", *parameters, "seed"]
+    if suite == "commutators":
+        assert report["results"]["defect_floor"] == 0.1
+
+
+def test_verify_help_lists_exactly_the_suites(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = "".join(out.split("positional arguments:")[1].split("options:")[0].split())
+    assert listed == "suite" + "|".join(cli._SUITES)
 
 
 def test_verify_lemma_small(capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from swsh import transform
+from swsh import operators, transform
 from swsh.errors import SpinWeightMismatch
 from swsh.grid import GridFunction, make_grid, sample_swsh
 from swsh.modes import J_MAX, SWMode
@@ -315,6 +315,29 @@ def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
     # one azimuthal matrix for the grid's n_phi serves every band and shift
     assert dft is not None and dft.shape == (2 * J_MAX + 3, grid.n_phi)
     assert _tables.get(("dft", grid.n_phi)) is dft
+
+
+def test_a_rising_band_sweep_rebuilds_its_operator_table_a_few_times(monkeypatch):
+    # operator tables grow as mode tables do, and a row is the same
+    # whatever band its table was built to
+    grid = make_grid(64)
+    built = []
+    real = operators._differential_table
+    monkeypatch.setattr(
+        operators, "_differential_table",
+        lambda g, s, kind, L: built.append((s, kind)) or real(g, s, kind, L),
+    )
+    cases = [(0, "Jsquared"), (0, "Jplus"), (-2, "Jminus")]
+
+    def sweep(bands):
+        _tables.clear()
+        return {(j, s, kind): apply_grid(OperatorSpec(kind, s), sample_swsh(grid, (s, j, 0)))
+                .samples.tobytes() for j in bands for s, kind in cases if j >= abs(s)}
+
+    rising = sweep(range(1, 65))
+    assert max(built.count(case) for case in cases) <= 8
+    assert sweep(range(64, 0, -1)) == rising
+    _tables.clear()
 
 
 def test_apply_grid_reuses_the_analysis(rng, monkeypatch):

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swsh import modes, transform
+from swsh import modes, tables, transform
 from swsh.errors import BandLimitExceeded, InvalidMode
 from swsh.grid import GridFunction, inner_product, make_grid, sample_swsh
-from swsh.modes import SWMode
+from swsh.modes import J_MAX, SWMode
 from swsh.multiplets import mode_counts
 from swsh.transform import (
     COEFF_CLIP,
@@ -328,6 +328,23 @@ def test_band_limit_vs_grid():
     f = sample_swsh(make_grid(4), SWMode(0, 2, 0))
     with pytest.raises(BandLimitExceeded):
         analyze(f, band_limit=6)
+
+
+def test_an_analysis_above_j_max_names_its_limit(monkeypatch):
+    grid = make_grid(J_MAX + 6)
+    f = sample_swsh(grid, SWMode(-1, 3, 2))
+
+    def refuse(*args):
+        raise AssertionError("an analysis past J_MAX reached a table or DFT")
+
+    monkeypatch.setattr(tables, "phi_analysis", refuse)
+    monkeypatch.setattr(tables, "mode_table", refuse)
+    for band, asked in ((J_MAX + 6, None), (J_MAX + 1, J_MAX + 1)):
+        message = f"analysis band limit {band} exceeds the supported maximum j = {J_MAX}"
+        with pytest.raises(InvalidMode, match=message):
+            analyze(f, band_limit=asked)
+    monkeypatch.undo()
+    assert analyze(f, band_limit=J_MAX).entries.keys() == {(3, 2)}
 
 
 def test_below_spin_band_is_empty():
