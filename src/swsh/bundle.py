@@ -119,13 +119,12 @@ class EmbeddedSection:
 
     @cached_property
     def component_coefficients(self):
-        """Read-only spin-0 A[slots..., m + L, j] of every ambient component, L the grid's.
+        """Read-only spin-0 A[m + L, j, slots...] of every ambient component, L the grid's.
 
-        A view of the one stored analysis, with the tensor slots leading.
+        A view of the one stored analysis, its flat slot axis split into the tensor slots.
         """
         a = self._coefficients
-        a = a.reshape(a.shape[:2] + (3,) * self.rank)
-        return np.moveaxis(a, (0, 1), (-2, -1))
+        return a.reshape(a.shape[:2] + (3,) * self.rank)
 
 
 def _synthesis(grid, coeffs, phi_orders=(0,)):

@@ -97,12 +97,12 @@ def cmd_eval(args, parser):
     ]
     if sum(picked) != 1:
         parser.error("give exactly one of --theta/--phi, --pole, --grid")
+    if (args.grid is None) != (args.out is None):
+        parser.error("--grid requires --out" if args.out is None else "--out requires --grid")
     if args.pole is not None:
         _print_value(eval_swsh_pole_limit(mode, args.pole))
         return 0
     if args.grid is not None:
-        if args.out is None:
-            parser.error("--grid requires --out")
         f = sample_swsh(make_grid(args.grid), mode)
         write_grid_csv(f, args.out)
         return 0

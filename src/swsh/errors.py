@@ -22,7 +22,7 @@ def as_integer(value, name):
 
 
 class InvalidMode(ValueError):
-    """(s, j, m) violates j >= |s|, |m| <= j, or the supported cap j <= 64."""
+    """(s, j, m) violates j >= |s| or |m| <= j, or a j or band leaves the envelope j <= modes.J_MAX."""
 
 
 class DomainError(ValueError):

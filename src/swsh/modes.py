@@ -18,9 +18,11 @@ algebra:
 
 profile() climbs one row and holds only rows j - 1 and j; it serves
 point evaluation.  The mode tables of tables.py climb many rows and keep
-every one; grid sampling reads them.  Modes are supported for
-j <= J_MAX = 64, the envelope in which the recurrence is verified against
-an independent double-double Horner evaluation of the closed-form sum.
+every one; grid sampling reads them.  J_MAX declares the envelope j <= J_MAX
+in which the recurrence is verified against an independent double-double
+Horner evaluation of the closed-form sum; check_j_supported holds it, with
+one message form, at the public entries: validate_mode, CoefficientSet
+(its declared band), mode_coefficients (an analysis band) and mode_table.
 Evaluation refuses the poles; the finite limiting data there lives
 exclusively in eval_swsh_pole_limit, because as plain functions the modes
 are singular at theta = 0, pi even though the objects they describe are
@@ -49,9 +51,10 @@ class SWMode:
         validate_mode(self.s, self.j, self.m)
 
 
-def check_j_supported(j):
-    if j > J_MAX:
-        raise InvalidMode(f"j={j} exceeds the supported maximum j = {J_MAX}")
+def check_j_supported(value, what):
+    """Raise InvalidMode("<what> exceeds the supported maximum j = J_MAX") if value > J_MAX."""
+    if value > J_MAX:
+        raise InvalidMode(f"{what} exceeds the supported maximum j = {J_MAX}")
 
 
 def validate_mode(s, j, m):
@@ -69,7 +72,7 @@ def validate_mode(s, j, m):
         raise InvalidMode(f"invalid mode: j < |s| (j={j}, s={s})")
     if abs(m) > j:
         raise InvalidMode(f"invalid mode: |m| > j (j={j}, m={m})")
-    check_j_supported(j)
+    check_j_supported(j, f"j={j}")
 
 
 def _seeds(s, m, theta, order):

@@ -31,7 +31,8 @@ frequency |f| <= J_MAX + 1, built from exact integer angles and cached
 once per n, 270 KB at n = 129.  phi_analysis and phi_synthesis slice its
 rows for the band and ladder shift asked for and apply them in one GEMM
 per call, which at these small n costs less than an FFT's fixed cost and
-keeps each transform O(L^3), like its colatitude step.
+keeps each transform O(L^3), like its colatitude step.  Their callers sit
+behind the entries that hold j <= J_MAX (modes.py), so no slice leaves W.
 """
 
 import threading
@@ -137,7 +138,7 @@ def mode_table(grid, s, order=0, band_limit=None):
     if tables is None or tables.shape[0] <= order or tables.shape[2] <= L:
         orders = order if tables is None else max(order, tables.shape[0] - 1)
         top = grown_band(L, -1 if tables is None else tables.shape[2] - 1, Lg)
-        check_j_supported(top)
+        check_j_supported(top, f"j={top}")
         ms = np.arange(-top, top + 1)
         tables = np.zeros((orders + 1, ms.size, top + 1, grid.theta.size))
         _climb(np.full_like(ms, s), ms, grid.theta, top, orders, tables)
@@ -229,11 +230,6 @@ def _dft_matrix(grid):
     return _tables.cached(("dft", n), build)
 
 
-def _check_frequencies(top):
-    if top > _F:
-        raise InvalidMode(f"azimuthal frequency {top} exceeds the supported maximum {_F}")
-
-
 def phi_analysis(grid, x, band_limit):
     """y[m + L, ...] = sum_p exp(-i m phi_p) x[p, ...] dphi for |m| <= L: the azimuthal quadrature.
 
@@ -241,7 +237,6 @@ def phi_analysis(grid, x, band_limit):
     GEMM with the rows L .. -L of the DFT matrix.
     """
     L = int(band_limit)
-    _check_frequencies(L)
     w = _dft_matrix(grid)[_F - L : _F + L + 1][::-1] * grid.phi_weight
     return (w @ x.reshape(grid.n_phi, -1)).reshape((2 * L + 1,) + x.shape[1:])
 
@@ -254,7 +249,6 @@ def phi_synthesis(grid, y, shift=0):
     exactly the values, on the nodes, of the one it folds onto.
     """
     L = (y.shape[0] - 1) // 2
-    _check_frequencies(L + abs(shift))
     w = _dft_matrix(grid)[_F - L + shift : _F + L + shift + 1]
     return (y.reshape(2 * L + 1, -1).T @ w).reshape(y.shape[1:] + (grid.n_phi,))
 
@@ -265,8 +259,7 @@ def mode_coefficients(grid, s, samples, band_limit):
     One DFT matrix product over phi, then one real matmul per m with the
     order-0 mode table; trailing axes pass through.  L must be at most J_MAX.
     """
-    if band_limit > J_MAX:
-        raise InvalidMode(f"analysis band limit {band_limit} exceeds the supported maximum j = {J_MAX}")
+    check_j_supported(band_limit, f"analysis band limit {band_limit}")
     rings = phi_analysis(grid, samples.swapaxes(0, 1), band_limit)
     rings = rings.reshape(rings.shape[:2] + (-1,))
     rings *= grid.theta_weights[:, None]

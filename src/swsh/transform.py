@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BandLimitExceeded, as_integer
 from .grid import GridFunction
-from .modes import J_MAX, validate_mode
+from .modes import check_j_supported, validate_mode
 from .serial import json_dumps
 from .tables import _tables, mode_coefficients, phi_synthesis, radial_factors
 
@@ -49,10 +49,10 @@ class CoefficientSet:
     """Mode coefficients of one spin-weighted function, held densely.
 
     matrix[m + L, j] is the amplitude of mode (j, m), read-only, with
-    L = min(band_limit, J_MAX); entries with no mode (j < |s| or
-    |m| > j) are zero.  entries is the read-only sparse view, (j, m) ->
-    complex amplitude for every nonzero coefficient, in order of j then m.
-    The constructor takes such a mapping; its keys must satisfy
+    L = band_limit, which must lie in [|s|, J_MAX]; entries with no mode
+    (j < |s| or |m| > j) are zero.  entries is the read-only sparse view,
+    (j, m) -> complex amplitude for every nonzero coefficient, in order of
+    j then m.  The constructor takes such a mapping; its keys must satisfy
     |s| <= j <= band_limit and |m| <= j.  Missing keys mean zero, and
     amplitudes below COEFF_CLIP or NaN are dropped.
     """
@@ -65,6 +65,7 @@ class CoefficientSet:
         s, L = as_integer(spin_weight, "spin weight"), as_integer(band_limit, "band limit")
         if L < abs(s):
             raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
+        check_j_supported(L, f"coefficient band limit {L}")
         self._set(s, L, _entry_matrix(s, L, entries))
 
     def _set(self, s, L, matrix):
@@ -75,7 +76,7 @@ class CoefficientSet:
 
     @classmethod
     def _wrap(cls, s, L, matrix):
-        """A set around a clipped A[m + L, j] whose nonzeros all sit on modes."""
+        """A set around a clipped A[m + L, j], L <= J_MAX, whose nonzeros all sit on modes."""
         c = cls.__new__(cls)
         c._set(s, L, matrix)
         return c
@@ -106,46 +107,45 @@ class CoefficientSet:
 
 
 def _entry_matrix(s, L, entries):
-    """Clipped A[m + min(L, J_MAX), j] of a (j, m) -> amplitude mapping.
+    """Clipped A[m + L, j] of a (j, m) -> amplitude mapping.
 
     Every label is checked at once; if any is bad, the keys are walked in
     the mapping's order and the first bad one raises and names the fault.
     Amplitudes below COEFF_CLIP, and NaN, become zero.
     """
-    top = min(L, J_MAX)
-    cells = _mode_cells(s, top, _label_array(entries))
+    cells = _mode_cells(s, L, _label_array(entries))
     if cells is None:
         _raise_first_fault(s, L, entries)
     # through complex(), since fromiter alone would also read bytes
     amps = np.fromiter(map(complex, entries.values()), np.complex128, len(entries))
-    out = np.zeros((2 * top + 1) * (top + 1), dtype=np.complex128)
+    out = np.zeros((2 * L + 1) * (L + 1), dtype=np.complex128)
     out[cells] = np.where(np.abs(amps) >= COEFF_CLIP, amps, 0.0)
-    return out.reshape(2 * top + 1, top + 1)
+    return out.reshape(2 * L + 1, L + 1)
 
 
-def _mode_cells(s, top, labels):
-    """Flat indices (m + top) * (top + 1) + j of int64 labels [j, m, j, m, ...], or None unless each is a mode.
+def _mode_cells(s, L, labels):
+    """Flat indices (m + L) * (L + 1) + j of int64 labels [j, m, j, m, ...], or None unless each is a mode.
 
-    ravel_multi_index refuses any pair outside 0 <= m + top <= 2 top,
-    0 <= j <= top (an m that wraps in m + top lands far outside); the
+    ravel_multi_index refuses any pair outside 0 <= m + L <= 2 L,
+    0 <= j <= L (an m that wraps in m + L lands far outside); the
     cached mask of the cells that hold a mode does the rest.
     """
     if labels is None:
         return None
     j, m = labels[0::2], labels[1::2]
     try:
-        cells = np.ravel_multi_index((m + top, j), (2 * top + 1, top + 1))
+        cells = np.ravel_multi_index((m + L, j), (2 * L + 1, L + 1))
     except ValueError:
         return None
-    return cells if np.count_nonzero(_mode_mask(s, top)[cells]) == cells.size else None
+    return cells if np.count_nonzero(_mode_mask(s, L)[cells]) == cells.size else None
 
 
-def _mode_mask(s, top):
-    """Read-only flat mask of the cells (m + top, j) of A[m + top, j] with |s| <= j and |m| <= j."""
+def _mode_mask(s, L):
+    """Read-only flat mask of the cells (m + L, j) of A[m + L, j] with |s| <= j and |m| <= j."""
     def build():
-        j = np.arange(top + 1)
-        return ((j >= abs(s)) & (np.abs(np.arange(-top, top + 1))[:, None] <= j)).ravel()
-    return _tables.cached(("modes", s, top), build)
+        j = np.arange(L + 1)
+        return ((j >= abs(s)) & (np.abs(np.arange(-L, L + 1))[:, None] <= j)).ravel()
+    return _tables.cached(("modes", s, L), build)
 
 
 def _label_array(keys):
@@ -186,6 +186,8 @@ def analysis_matrix(f, band_limit=None):
     """
     grid = f.grid
     L = grid.band_limit if band_limit is None else as_integer(band_limit, "band limit")
+    if L < 0:
+        raise ValueError(f"analysis band limit {L} is negative")
     if L > grid.band_limit:
         raise BandLimitExceeded(
             f"analysis band limit {L} exceeds grid band limit {grid.band_limit}"

@@ -69,7 +69,7 @@ def four_rotation_generator(section, axis):
     synthesized, and each tensor slot is rotated by R(axis, angle).
     """
     grid, rank = section.grid, section.rank
-    coeffs = np.moveaxis(section.component_coefficients, (-2, -1), (0, 1))
+    coeffs = section.component_coefficients
     acc = 0.0
     for mult, w in STENCIL:
         angle = mult * ROTATION_STEP

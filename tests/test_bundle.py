@@ -174,20 +174,19 @@ def test_section_is_of_the_components_as_given(rng):
 
 
 def test_component_coefficients_view_the_one_analysis(rng):
-    # [slots..., m + L, j], read-only, sharing memory with the stored
-    # slots-last analysis, and equal to analyzing each component alone
+    # [m + L, j, slots...], read-only, sharing memory with the stored
+    # analysis, and equal to analyzing each component alone
     grid = make_grid(7)
     for h in (1, 2):
         sec = random_section(rng, grid, h, 3)
         coeffs = sec.component_coefficients
         L = grid.band_limit
-        assert coeffs.shape == (3,) * h + (2 * L + 1, L + 1)
+        assert coeffs.shape == (2 * L + 1, L + 1) + (3,) * h
         assert not coeffs.flags.writeable
         assert np.shares_memory(coeffs, sec._coefficients)
-        comps = np.moveaxis(sec.components, tuple(range(2, 2 + h)), tuple(range(h)))
         for slot in np.ndindex((3,) * h):
-            want = mode_coefficients(grid, 0, comps[slot], L)
-            assert np.abs(coeffs[slot] - want).max() <= 1e-15 * np.abs(want).max()
+            want = mode_coefficients(grid, 0, sec.components[(..., *slot)], L)
+            assert np.abs(coeffs[(..., *slot)] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_frame_m_vector_is_null_and_transverse():
@@ -385,7 +384,7 @@ def _orbital_per_axis(section, frame, d_theta=None, d_phi=None):
     """J_perp axis by axis: -i (e_phi,a d/dtheta - e_theta,a (1/sin) d/dphi), then projected."""
     grid, rank = section.grid, section.rank
     if d_theta is None:
-        coeffs = np.moveaxis(section.component_coefficients, (-2, -1), (0, 1))
+        coeffs = section.component_coefficients
         m = np.arange(-grid.band_limit, grid.band_limit + 1).reshape((-1,) + (1,) * (rank + 1))
         d_theta = phi_synthesis(grid, radial_factors(grid, 0, coeffs, order=1))
         d_phi = phi_synthesis(grid, 1j * m * radial_factors(grid, 0, coeffs))

@@ -81,6 +81,17 @@ def test_eval_grid_requires_out(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("target", [["--theta", "1", "--phi", "0"], ["--pole", "north"]])
+def test_eval_out_without_grid_exits_2_and_writes_nothing(capsys, tmp_path, target):
+    path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "-s", "0", "-j", "1", "-m", "0", *target, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: --out requires --grid\n")
+    assert not path.exists()
+
+
 def test_eval_grid_writes_reproducible_csv(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (p1, p2):
@@ -194,6 +205,16 @@ def test_transform_analyze_above_j_max_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "transform", "analyze", "--in", str(f_csv), "--out", out, "-L", "64")
     assert code == 0 and err == ""
     assert read_coefficients_json(out).entries.keys() == {(2, 1)}
+
+
+def test_transform_analyze_negative_band_exits_2(capsys, tmp_path):
+    f_csv, out = tmp_path / "f.csv", tmp_path / "f.json"
+    assert run(capsys, "eval", "-s", "0", "-j", "2", "-m", "1", "--grid", "4",
+               "--out", str(f_csv))[0] == 0
+    code, stdout, err = run(capsys, "transform", "analyze", "--in", str(f_csv),
+                            "--out", str(out), "-L", "-1")
+    assert (code, stdout, err) == (2, "", "swsh: analysis band limit -1 is negative\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------- verify

@@ -7,7 +7,6 @@ reference is exact rational arithmetic: a term table is a polynomial with
 exact dyadic coefficients, so its value at an exactly known (cos, sin)
 pair can be computed with Fractions and compared against the
 double-double Horner evaluator.  That keeps the reference itself honest.
-The j cap of the library is checked here too.
 """
 
 import math
@@ -15,10 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-
-from swsh import SWMode, coefficient_set, make_grid, modes
-from swsh.errors import InvalidMode
-from swsh.tables import mode_table
 
 import horner_reference as horner
 
@@ -97,19 +92,6 @@ def test_no_overflow_or_nan_at_table_cap():
         assert np.all(np.isfinite(vals))
         # unit-norm harmonics stay O(sqrt(j)) pointwise
         assert np.abs(vals).max() < 50.0
-
-
-def test_j_beyond_the_cap_rejected():
-    # past j ~ 70 the recurrence drifts from Horner, so j = 65 is refused
-    # everywhere a mode enters: a label, a coefficient set, a grid table
-    assert modes.J_MAX == 64
-    SWMode(0, 64, 0)
-    with pytest.raises(InvalidMode):
-        SWMode(0, 65, 0)
-    with pytest.raises(InvalidMode):
-        coefficient_set(0, 65, {(65, 0): 1.0})
-    with pytest.raises(InvalidMode):
-        mode_table(make_grid(65), 0)
 
 
 def test_log_factorial_matches_exact():

@@ -7,7 +7,7 @@ import pytest
 
 from swsh import (SWMode, analyze, coefficient_set, make_grid, modes, profile, sample_swsh,
                   synthesize, tables)
-from swsh.errors import GridMismatch, InvalidMode
+from swsh.errors import GridMismatch
 from swsh.grid import GridFunction, SphereGrid
 from swsh.modes import _seeds
 from swsh.tables import GridCache, mode_coefficients, mode_table, radial_factors
@@ -215,16 +215,6 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # one matrix per n_phi, its rows the frequencies up to J_MAX + 1: O(n_phi)
     assert tables._dft_matrix(grid).shape == (2 * modes.J_MAX + 3, n)
-
-
-def test_azimuthal_frequencies_past_the_cap_rejected():
-    grid = make_grid(modes.J_MAX + 2)
-    with pytest.raises(InvalidMode):
-        tables.phi_analysis(grid, np.ones(grid.shape).T, modes.J_MAX + 2)
-    radial = np.ones((2 * modes.J_MAX + 3, grid.n_theta))
-    tables.phi_synthesis(grid, radial)
-    with pytest.raises(InvalidMode):
-        tables.phi_synthesis(grid, radial, 1)
 
 
 def test_geometry_key_is_built_once_per_grid():
