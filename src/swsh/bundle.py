@@ -209,7 +209,7 @@ def rank1_residual(section, frame=None):
 
 
 def section_add(a, b):
-    if a.grid is not b.grid and a.grid != b.grid:
+    if a.grid != b.grid:
         raise GridMismatch("sections live on different grids")
     if a.helicity != b.helicity:
         raise UnsupportedHelicity(

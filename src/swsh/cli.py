@@ -142,12 +142,15 @@ def _random_sections(rng, s, band, count):
     """Unit-norm random embedded sections plus the work grid they live on; count must be positive."""
     from .bundle import embed, section_norm, section_scale
     from .grid import make_grid
+    from .modes import J_MAX
     from .transform import synthesize
 
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
-    h = -s
-    work = make_grid(band + abs(h) + 4)
+    pad = abs(s) + 4  # the work grid's band is -L + |h| + 4, inside the envelope
+    if band > J_MAX - pad:
+        raise ValueError(f"-L {band} exceeds this suite's limit {J_MAX - pad} for |h| = {abs(s)}")
+    work = make_grid(band + pad)
     sections = []
     for _ in range(count):
         f = synthesize(_random_coefficients(rng, s, band), work)

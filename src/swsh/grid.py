@@ -26,35 +26,41 @@ from .serial import fmt17
 from .tables import mode_row
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SphereGrid:
-    """Product grid: Gauss-Legendre colatitudes x uniform azimuths."""
+    """Product grid of n_theta Gauss-Legendre colatitudes x n_phi uniform azimuths.
+
+    The three sizes are the grid.  Its read-only nodes are derived from
+    them: theta ascending (north pole side first) with its quadrature
+    weights theta_weights, and phi = 2 pi p / n_phi from phi = 0.  Equal
+    grids compare, hash and share their cached tables alike.
+    """
 
     band_limit: int
-    theta: np.ndarray
-    theta_weights: np.ndarray
-    phi: np.ndarray
+    n_theta: int
+    n_phi: int
 
     def __post_init__(self):
-        for name in ("theta", "theta_weights", "phi"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        L, shape = self.band_limit, self.shape
-        if self.theta_weights.shape != self.theta.shape:
-            raise GridMismatch(f"{shape[0]} colatitudes but {self.theta_weights.size} weights")
-        if shape[0] < L + 1 or shape[1] < 2 * L + 1:  # fewer nodes would alias silently
+        L = as_integer(self.band_limit, "band limit")
+        if L < 0:
+            raise ValueError(f"band limit must be a nonnegative integer, got {self.band_limit!r}")
+        n_theta, n_phi = as_integer(self.n_theta, "n_theta"), as_integer(self.n_phi, "n_phi")
+        if n_theta <= 0 or n_phi <= 0:
+            raise InsufficientNodes(f"a grid needs positive node counts, got {n_theta} x {n_phi}")
+        if n_theta < L + 1 or n_phi < 2 * L + 1:  # fewer nodes would alias silently
             raise InsufficientNodes(
-                f"band limit {L} needs at least {L + 1} x {2 * L + 1} nodes, got {shape}"
+                f"band limit {L} needs at least {L + 1} x {2 * L + 1} nodes, got {(n_theta, n_phi)}"
             )
-
-    @property
-    def n_theta(self):
-        return self.theta.shape[0]
-
-    @property
-    def n_phi(self):
-        return self.phi.shape[0]
+        x, w = np.polynomial.legendre.leggauss(n_theta)
+        # leggauss returns x ascending, so arccos is descending; flip to
+        # keep theta ascending (north pole side first).
+        nodes = (np.arccos(x)[::-1], w[::-1], 2.0 * np.pi * np.arange(n_phi) / n_phi)
+        for name, value in zip(("theta", "theta_weights", "phi"), nodes):
+            value = np.ascontiguousarray(value)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        for name, value in (("band_limit", L), ("n_theta", n_theta), ("n_phi", n_phi)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self):
@@ -70,58 +76,24 @@ class SphereGrid:
 
     @cached_property
     def geometry_key(self):
-        """Hashable identity of the grid's nodes and weights, built once per grid.
+        """(band_limit, n_theta, n_phi), built once per grid: the key of its cached tables.
 
-        Two grids share a key exactly when they compare equal, so caches
-        keyed by it never confuse grids of one band limit but different
-        nodes, and never hand a dead grid's entry to a new object that
-        reuses its id.  A node at -0.0 counts as one at 0.0.
+        Two grids share a key exactly when they compare equal, and the
+        key never holds the grid, so a dead grid's tables pin nothing
+        but their own bytes.
         """
-        arrays = (self.theta, self.theta_weights, self.phi)
-        return (self.band_limit,) + tuple((a + 0.0).tobytes() for a in arrays)
-
-    @cached_property
-    def uniform_azimuths(self):
-        """Whether phi holds the n_phi uniform azimuths from phi = 0, to 1e-12.
-
-        The azimuthal quadrature needs them.
-        """
-        n = self.n_phi
-        return bool(np.abs(self.phi - 2.0 * np.pi * np.arange(n) / n).max() <= 1e-12)
-
-    def __eq__(self, other):
-        if not isinstance(other, SphereGrid):
-            return NotImplemented
-        return self.geometry_key == other.geometry_key
-
-    def __hash__(self):
-        return hash(self.geometry_key)
+        return (self.band_limit, self.n_theta, self.n_phi)
 
 
 def make_grid(band_limit, n_theta=None, n_phi=None):
-    """Build the grid for the given band limit.
+    """SphereGrid(L, n_theta, n_phi) with the defaults n_theta = L + 1, n_phi = 2L + 1.
 
     Every call builds a new grid; tables are cached by its geometry_key,
     so equal grids share them.
     """
     L = as_integer(band_limit, "band limit")
-    if L < 0:
-        raise ValueError(f"band limit must be a nonnegative integer, got {band_limit!r}")
-    if n_theta is None:
-        n_theta = L + 1
-    if n_phi is None:
-        n_phi = 2 * L + 1
-    n_theta = as_integer(n_theta, "n_theta")
-    n_phi = as_integer(n_phi, "n_phi")
-    if n_theta <= 0 or n_phi <= 0:
-        raise InsufficientNodes(f"a grid needs positive node counts, got {n_theta} x {n_phi}")
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    # leggauss returns x ascending, so arccos is descending; flip to
-    # keep theta ascending (north pole side first).
-    theta = np.arccos(x)[::-1]
-    weights = w[::-1]
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    return SphereGrid(L, theta, weights, phi)
+    return SphereGrid(band_limit, L + 1 if n_theta is None else n_theta,
+                      2 * L + 1 if n_phi is None else n_phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +151,7 @@ def sample_swsh(grid, mode):
 
 def inner_product(fa, fb):
     """Quadrature form of integral(conj(fa) * fb) over the sphere."""
-    if not (fa.grid is fb.grid or fa.grid == fb.grid):
+    if fa.grid != fb.grid:
         raise GridMismatch("functions live on different grids")
     if fa.spin_weight != fb.spin_weight:
         raise SpinWeightMismatch(

@@ -10,14 +10,15 @@ mode's profile from a cached table, or else climbs that row alone.
 
 One byte-bounded LRU of read-only arrays, the GridCache _tables and the
 library's only module-level cache of derived state, holds mode tables by
-grid geometry and spin weight, all orders built so far in one entry
-(4.4 MB per order at L = 64), the operator tables of operators.py by grid
-geometry, spin weight and kind (4.4 MB each at L = 64) and its ladder
-weights, one per band limit, the transverse projectors of bundle.py by
-grid geometry and rank (5.4 MB at rank 2, L = 64), the azimuthal DFT
-matrices, one per n_phi, and the masks of mode cells that transform.py
-checks coefficient labels against.  Each is fetched by one
-GridCache.cached(key, build) call, or by get and put where an entry grows.
+the grid's geometry_key (L, n_theta, n_phi), so equal grids share them,
+and spin weight, all orders built so far in one entry (4.4 MB per order
+at L = 64), the operator tables of operators.py by geometry_key, spin
+weight and kind (4.4 MB each at L = 64) and its ladder weights, one per
+band limit, the transverse projectors of bundle.py by geometry_key and
+rank (5.4 MB at rank 2, L = 64), the azimuthal DFT matrices, one per
+n_phi, and the masks of mode cells that transform.py checks coefficient
+labels against.  Each is fetched by one GridCache.cached(key, build)
+call, or by get and put where an entry grows.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -26,13 +27,14 @@ analysis and contract_table the one colatitude contraction; each does one
 real matmul per m and copies an operand only when its last axis is not
 contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
-mod n) / n) over the n = n_phi uniform azimuths from phi = 0, for every
-frequency |f| <= J_MAX + 1, built from exact integer angles and cached
-once per n, 270 KB at n = 129.  phi_analysis and phi_synthesis slice its
-rows for the band and ladder shift asked for and apply them in one GEMM
-per call, which at these small n costs less than an FFT's fixed cost and
-keeps each transform O(L^3), like its colatitude step.  Their callers sit
-behind the entries that hold j <= J_MAX (modes.py), so no slice leaves W.
+mod n) / n) over the n = n_phi azimuths, uniform from phi = 0 on every
+grid, for every frequency |f| <= J_MAX + 1, built from exact integer
+angles and cached once per n, 270 KB at n = 129.  phi_analysis and
+phi_synthesis slice its rows for the band and ladder shift asked for and
+apply them in one GEMM per call, which at these small n costs less than
+an FFT's fixed cost and keeps each transform O(L^3), like its colatitude
+step.  Their callers sit behind the entries that hold j <= J_MAX
+(modes.py), so no slice leaves W.
 """
 
 import threading
@@ -40,7 +42,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import BandLimitExceeded, GridMismatch, InvalidMode
+from .errors import BandLimitExceeded, InvalidMode
 from .modes import J_MAX, _climb, check_j_supported
 
 TABLE_CACHE_BYTES = 64 * 2**20
@@ -205,11 +207,6 @@ def radial_factors(grid, s, coeffs, order=0):
     return contract_table(mode_table(grid, s, order, used_band(coeffs)), coeffs)
 
 
-def _check_azimuths(grid):
-    if not grid.uniform_azimuths:
-        raise GridMismatch("transforms need n_phi uniform azimuths starting at phi = 0")
-
-
 def _dft_matrix(grid):
     """Read-only W[f + F, p] = exp(2 pi i (f p mod n) / n) for |f| <= F = J_MAX + 1, n = n_phi.
 
@@ -220,7 +217,6 @@ def _dft_matrix(grid):
     exp(2 pi i q / n).  Its 2F + 1 rows, not n, keep it O(n) on grids with
     many azimuths.  Cached once per n.
     """
-    _check_azimuths(grid)
     n = grid.n_phi
 
     def build():

@@ -537,8 +537,7 @@ def test_rotation_tables_are_keyed_by_grid_geometry():
     # hand-built grids that die between calls: a recycled object id must
     # never hand one grid's tables to another
     for n_theta in (L + 1, L + 3, L + 2, L + 1):
-        base = make_grid(L, n_theta=n_theta)
-        grid = SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), base.phi.copy())
+        grid = SphereGrid(L, n_theta, 2 * L + 1)
         _check_rotation_about_z(grid, 0.5)
         del grid
 

@@ -15,7 +15,7 @@ from swsh import cli
 from swsh.cli import main
 from swsh.errors import InvalidMode
 from swsh.grid import make_grid, read_grid_csv, sample_swsh
-from swsh.modes import SWMode, profile
+from swsh.modes import J_MAX, SWMode, profile
 from swsh.multiplets import factor_search, massless_spectrum, spectrum_to_json
 from swsh.tables import mode_samples
 from swsh.transform import (
@@ -333,6 +333,20 @@ def test_verify_section_suites_refuse_an_empty_draw(capsys, suite, count):
     assert "--count must be at least 1" in err
 
 
+@pytest.mark.parametrize("suite", ["lemma", "commutators", "pointop"])
+@pytest.mark.parametrize("s", [-1, -2])
+def test_verify_section_suites_name_their_own_band_edge(capsys, suite, s):
+    # the work grid's band is -L + |h| + 4, so -L stops |h| + 4 below J_MAX
+    # and the refusal names -L, not the work band the user never gave
+    edge = J_MAX - abs(s) - 4
+    count = () if suite == "pointop" else ("--count", "1")
+    code, _, err = run(capsys, "verify", suite, "-s", str(s), "-L", str(edge), *count)
+    assert code == 0, err
+    code, out, err = run(capsys, "verify", suite, "-s", str(s), "-L", str(edge + 1), *count)
+    assert code == 2 and out == ""
+    assert err == f"swsh: -L {edge + 1} exceeds this suite's limit {edge} for |h| = {-s}\n"
+
+
 @pytest.mark.parametrize("floor", ["0", "-1", "nan", "inf"])
 def test_verify_commutators_refuses_a_vacuous_floor(capsys, floor):
     # a defect is a norm, so no floor <= 0 can fail the defect check
@@ -510,6 +524,14 @@ def run_child(*args):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    proc = run_child("-c", blocks[0].split("```")[0])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_smoke():

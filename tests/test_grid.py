@@ -33,7 +33,7 @@ from swsh.grid import (
     write_grid_csv,
 )
 from swsh.modes import NORTH, SOUTH, SWMode, eval_swsh_pole_limit, profile
-from swsh.tables import _tables
+from swsh.tables import _tables, mode_table
 
 from conftest import random_entries
 
@@ -82,14 +82,34 @@ def test_nonpositive_node_counts_rejected_by_name(n_theta, n_phi):
 def test_hand_built_grids_need_enough_nodes():
     # with n_phi = 7 < 2L + 1 at L = 6, analysis would alias the sampled
     # mode (s, j, m) = (0, 5, 5) onto (2, -2) without a word
-    base = make_grid(6)
-    phi7 = 2.0 * np.pi * np.arange(7) / 7
     with pytest.raises(InsufficientNodes):
-        SphereGrid(6, base.theta, base.theta_weights, phi7)
+        SphereGrid(6, 7, 7)
     with pytest.raises(InsufficientNodes):
-        SphereGrid(6, base.theta[:6], base.theta_weights[:6], base.phi)
-    with pytest.raises(GridMismatch):
-        SphereGrid(6, base.theta, base.theta_weights[:-1], base.phi)
+        SphereGrid(6, 6, 13)
+
+
+@pytest.mark.parametrize("L, n_theta, n_phi", [(0, 1, 1), (1, 2, 3), (16, 17, 33), (64, 65, 129),
+                                               (5, 9, 16)])
+def test_grid_nodes_are_the_gauss_legendre_rule_times_uniform_azimuths(L, n_theta, n_phi):
+    grid = SphereGrid(L, n_theta, n_phi)
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    want = {"theta": np.arccos(x)[::-1], "theta_weights": w[::-1],
+            "phi": 2.0 * np.pi * np.arange(n_phi) / n_phi}
+    for name, arr in want.items():
+        got = getattr(grid, name)
+        assert got.tobytes() == np.ascontiguousarray(arr).tobytes()
+        assert not got.flags.writeable
+    assert grid.shape == (n_theta, n_phi)
+
+
+def test_a_grid_is_its_three_sizes():
+    grid = SphereGrid(6, 7, 13)
+    made = make_grid(6)
+    assert grid == made and hash(grid) == hash(made)
+    assert mode_table(grid, 0).base is mode_table(made, 0).base
+    # checked by name, as make_grid is, before any node is built
+    with pytest.raises(ValueError, match="band limit must be an integer, got 6.5"):
+        SphereGrid(6.5, 8, 14)
 
 
 def test_dropped_grids_leave_nothing_outside_the_table_cache():
@@ -113,13 +133,9 @@ def test_dropped_grids_leave_nothing_outside_the_table_cache():
 
 def test_grid_equality_is_structural():
     a = make_grid(6)
-    b = SphereGrid(
-        band_limit=6,
-        theta=a.theta.copy(),
-        theta_weights=a.theta_weights.copy(),
-        phi=a.phi.copy(),
-    )
+    b = SphereGrid(band_limit=6, n_theta=7, n_phi=13)
     assert a == b and a is not b
+    assert a != SphereGrid(6, 8, 13) and a != SphereGrid(5, 7, 13)
 
 
 def test_equal_grids_hash_alike():
@@ -254,8 +270,7 @@ def test_standard_frames_are_never_shared_between_grids():
     # never hand one grid's frame to another
     L = 4
     for n_theta in (L + 1, L + 3, L + 2, L + 1):
-        base = make_grid(L, n_theta=n_theta)
-        grid = SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), base.phi.copy())
+        grid = SphereGrid(L, n_theta, 2 * L + 1)
         _assert_frame_of(standard_frame(grid), grid)
         del grid
         gc.collect()

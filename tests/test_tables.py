@@ -7,8 +7,7 @@ import pytest
 
 from swsh import (SWMode, analyze, coefficient_set, make_grid, modes, profile, sample_swsh,
                   synthesize, tables)
-from swsh.errors import GridMismatch
-from swsh.grid import GridFunction, SphereGrid
+from swsh.grid import SphereGrid
 from swsh.modes import _seeds
 from swsh.tables import GridCache, mode_coefficients, mode_table, radial_factors
 
@@ -157,34 +156,15 @@ def test_grids_sharing_a_band_limit_never_share_a_table():
     for grid, table in ((coarse, a), (fine, b)):
         assert np.allclose(table[6 + 2, 3], profile(0, 3, 2, grid.theta), rtol=0, atol=1e-14)
     assert not np.shares_memory(a, b)
-    # a structurally equal grid built by hand reuses the table
-    twin = SphereGrid(6, coarse.theta.copy(), coarse.theta_weights.copy(), coarse.phi.copy())
+    # an equal grid built from its sizes reuses the table
+    twin = SphereGrid(6, 7, 13)
     assert np.shares_memory(mode_table(twin, 0), a)
 
 
-def test_transforms_reject_nonuniform_azimuths():
-    grid = make_grid(4)
-    phi = grid.phi.copy()
-    phi[1] += 0.01
-    odd = SphereGrid(4, grid.theta, grid.theta_weights, phi)
-    f = GridFunction(odd, 0, np.ones(odd.shape))
-    for _ in range(2):  # the verdict is kept with the grid, never a pass
-        with pytest.raises(GridMismatch):
-            analyze(f)
-        with pytest.raises(GridMismatch):
-            synthesize(coefficient_set(0, 4, {(0, 0): 1.0}), odd)
-
-
-def _uniform_grid(L, n_phi):
-    """A hand-built grid of L + 1 Gauss-Legendre rings and n_phi uniform azimuths."""
-    base = make_grid(L)
-    return SphereGrid(L, base.theta.copy(), base.theta_weights.copy(), 2.0 * np.pi * np.arange(n_phi) / n_phi)
-
-
 AZIMUTHAL_CASES = [(make_grid(L), 0) for L in (0, 1, 8, 24, 64)] + [
-    (_uniform_grid(5, 16), 0),
-    (_uniform_grid(5, 16), 1),
-    (_uniform_grid(3, 1025), -1),
+    (make_grid(5, n_phi=16), 0),
+    (make_grid(5, n_phi=16), 1),
+    (make_grid(3, n_phi=1025), -1),
     (make_grid(8), 1),
     (make_grid(8), -1),
     (make_grid(1), 1),
@@ -220,21 +200,10 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
 def test_geometry_key_is_built_once_per_grid():
     grid = make_grid(6)
     assert grid.geometry_key is grid.geometry_key
-    twin = SphereGrid(6, grid.theta.copy(), grid.theta_weights.copy(), grid.phi.copy())
-    assert twin.geometry_key == grid.geometry_key
+    twin = SphereGrid(6, 7, 13)
+    assert twin.geometry_key == grid.geometry_key == (6, 7, 13)
     other = make_grid(6, n_theta=8)
     assert other.geometry_key != grid.geometry_key
-
-
-def test_a_negative_zero_azimuth_shares_the_key():
-    # -0.0 == 0.0, so the twin compares equal and must share every table
-    grid = make_grid(6)
-    phi = grid.phi.copy()
-    phi[0] = -0.0
-    twin = SphereGrid(6, grid.theta, grid.theta_weights, phi)
-    assert np.signbit(twin.phi[0])
-    assert twin == grid and twin.geometry_key == grid.geometry_key
-    assert mode_table(twin, -1).base is mode_table(grid, -1).base
 
 
 def test_stacked_orders_are_the_single_order_factors(rng):
