@@ -107,7 +107,7 @@ class EmbeddedSection:
         a = self._coefficients
         L = a.shape[1] - 1
         up, down = ladder_shift(a, +1), ladder_shift(a, -1)
-        coeffs = (a @ (-1j * _SPIN[self.rank].T)).reshape(a.shape + (3,))
+        coeffs = (a @ _SPIN_TERM[self.rank]).reshape(a.shape + (3,))
         coeffs[..., 0] += 0.5 * (up + down)
         coeffs[..., 1] += 0.5j * (down - up)
         coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
@@ -243,6 +243,7 @@ def _spin_generators(rank):
 
 
 _SPIN = {rank: _spin_generators(rank) for rank in (1, 2)}
+_SPIN_TERM = {rank: -1j * gens.T for rank, gens in _SPIN.items()}  # (-i E_a)^T, slots flattened
 
 
 def _pair_matmul(op, x):
@@ -272,6 +273,11 @@ def _projector(grid, rank):
             p = (p[..., :, None, :, None] * p[..., None, :, None, :]).reshape(grid.shape + (9, 9))
         return p
     return _tables.cached(("projector", grid.geometry_key, rank), build)
+
+
+def _inverse_sine(grid):
+    """Read-only 1 / sin(theta_t) on the grid's colatitudes, cached in _tables by n_theta."""
+    return _tables.cached(("inverse-sine", grid.n_theta), lambda: 1.0 / np.sin(grid.theta))
 
 
 def apply_projected_spin(section):
@@ -314,7 +320,7 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
         if d_phi.shape != section.components.shape:
             raise GridMismatch("d_phi shape does not match components")
         derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
-    derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
+    derivs[..., 0] *= _inverse_sine(grid)[:, None, None]
     proj = _pair_matmul(_projector(grid, rank), derivs)
     frame = standard_frame(grid)
     parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]

@@ -288,9 +288,10 @@ def _suite_commutators(args):
 
 def _suite_poles(args):
     from .grid import make_grid, pole_limit_extrapolate, sample_swsh
-    from .modes import SWMode, eval_swsh_pole_limit
+    from .modes import SWMode, eval_swsh_pole_limit, validate_mode
 
     s, j = args.s, args.j
+    validate_mode(s, j, 0)  # before sampling: a j < 0 would leave no m to check
     grid = make_grid(args.L)
     worst = 0.0
     worst_diag = 0.0
@@ -407,6 +408,8 @@ def cmd_verify(args, parser):
     for flag, default in defaults.items():
         if given[flag] is None:
             setattr(args, flag.lstrip("-"), default)
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise ValueError(f"--tolerance must be finite and at least 0, got {args.tolerance}")
     params, results, resid, *conditions = suite(args)
     passed = resid <= args.tolerance and all(conditions)
     params = {"suite": args.suite, **params, "tolerance": args.tolerance, "seed": args.seed}

@@ -27,6 +27,7 @@ from .tables import _tables, contract_table, grown_band, mode_table, phi_synthes
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
+_SHIFTS = {"Jplus": +1, "Jminus": -1}  # the azimuthal order each kind adds; 0 for the rest
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,7 @@ def apply_grid(op, f, band_limit=None):
     coeffs = analysis_matrix(f, band_limit=band_limit)
     grid = f.grid
     table = _operator_table(grid, f.spin_weight, op.kind, used_band(coeffs))
-    shift = {"Jplus": +1, "Jminus": -1}.get(op.kind, 0)
-    samples = phi_synthesis(grid, contract_table(table, coeffs), shift)
+    samples = phi_synthesis(grid, contract_table(table, coeffs), _SHIFTS.get(op.kind, 0))
     return GridFunction._wrap(grid, f.spin_weight, samples, frame=f.frame)
 
 

@@ -15,10 +15,13 @@ and spin weight, all orders built so far in one entry (4.4 MB per order
 at L = 64), the operator tables of operators.py by geometry_key, spin
 weight and kind (4.4 MB each at L = 64) and its ladder weights, one per
 band limit, the transverse projectors of bundle.py by geometry_key and
-rank (5.4 MB at rank 2, L = 64), the azimuthal DFT matrices, one per
-n_phi, and the masks of mode cells that transform.py checks coefficient
-labels against.  Each is fetched by one GridCache.cached(key, build)
-call, or by get and put where an entry grows.
+rank (5.4 MB at rank 2, L = 64) and its 1 / sin(theta) by n_theta, two
+azimuthal matrices per n_phi, the DFT matrix and the phi-weighted
+analysis matrix made from it, and the masks of mode cells that
+transform.py checks coefficient labels against.  Each is fetched by one
+GridCache.cached(key, build) call, or by get and put where an entry
+grows.  So a transform call on a warm grid, at its band or any lower
+one, builds nothing: it slices cached operands and pays for its products.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -29,11 +32,12 @@ contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
 mod n) / n) over the n = n_phi azimuths, uniform from phi = 0 on every
 grid, for every frequency |f| <= J_MAX + 1, built from exact integer
-angles and cached once per n, 270 KB at n = 129.  phi_analysis and
-phi_synthesis slice its rows for the band and ladder shift asked for and
-apply them in one GEMM per call, which at these small n costs less than
-an FFT's fixed cost and keeps each transform O(L^3), like its colatitude
-step.  Their callers sit behind the entries that hold j <= J_MAX
+angles and cached once per n, 270 KB at n = 129.  phi_synthesis slices its
+rows for the band and ladder shift asked for, and phi_analysis slices the
+same-sized analysis matrix, its rows reversed and weighted by dphi; each
+applies its rows in one GEMM per call, which at these small n costs less
+than an FFT's fixed cost and keeps each transform O(L^3), like its
+colatitude step.  Their callers sit behind the entries that hold j <= J_MAX
 (modes.py), so no slice leaves W.
 """
 
@@ -170,7 +174,14 @@ def mode_row(grid, s, j, m):
 
 
 def used_band(coeffs):
-    """Highest j with a nonzero coefficient in coeffs[m + L, j, ...], 0 if there is none."""
+    """Highest j with a nonzero coefficient in coeffs[m + L, j, ...], 0 if there is none.
+
+    Column L is read first, since it is nonzero in almost every call; the
+    whole array is scanned only when it is zero.
+    """
+    top = coeffs.shape[1] - 1
+    if coeffs[:, top].any():
+        return top
     used = np.flatnonzero(coeffs.reshape(coeffs.shape[:2] + (-1,)).any(axis=(0, 2)))
     return int(used[-1]) if used.size else 0
 
@@ -226,14 +237,25 @@ def _dft_matrix(grid):
     return _tables.cached(("dft", n), build)
 
 
+def _dft_analysis_matrix(grid):
+    """Read-only _dft_matrix(grid)[::-1] * phi_weight: row f + F is exp(-2 pi i f p / n) dphi.
+
+    The rows of one band sit in one contiguous slice, which holds exactly
+    the bytes of that band's rows of W reversed and weighted.  Cached once
+    per n = n_phi, not per band, so an analysis at any band builds nothing.
+    """
+    return _tables.cached(("dft-analysis", grid.n_phi), lambda: _dft_matrix(grid)[::-1] * grid.phi_weight)
+
+
 def phi_analysis(grid, x, band_limit):
     """y[m + L, ...] = sum_p exp(-i m phi_p) x[p, ...] dphi for |m| <= L: the azimuthal quadrature.
 
     The phi axis leads x (any strides) and the frequency axis leads y.  One
-    GEMM with the rows L .. -L of the DFT matrix.
+    GEMM with the rows |m| <= L of the cached analysis matrix, a slice that
+    holds the bytes of the DFT matrix's rows L .. -L times dphi.
     """
     L = int(band_limit)
-    w = _dft_matrix(grid)[_F - L : _F + L + 1][::-1] * grid.phi_weight
+    w = _dft_analysis_matrix(grid)[_F - L : _F + L + 1]
     return (w @ x.reshape(grid.n_phi, -1)).reshape((2 * L + 1,) + x.shape[1:])
 
 

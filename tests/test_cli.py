@@ -278,6 +278,33 @@ def test_verify_tolerance_can_force_failure(capsys):
     assert report["maxResidual"] > 1e-30
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+def test_verify_refuses_a_tolerance_before_the_suite_runs(capsys, monkeypatch, tolerance):
+    # NaN fails every comparison and a negative value every residual, so
+    # neither can judge a run; the suite is not started
+    suite = lambda args: pytest.fail("the suite ran")  # noqa: E731
+    monkeypatch.setitem(cli._SUITES, "ortho", (suite, cli._SUITES["ortho"][1]))
+    code, out, err = run(capsys, "verify", "ortho", f"--tolerance={tolerance}")
+    assert code == 2 and out == ""
+    assert err.startswith("swsh: --tolerance must be finite and at least 0, got ")
+
+
+def test_verify_accepts_a_zero_tolerance(capsys):
+    # spectrum-match's default: its residual is a count of mismatches
+    code, out, _ = run(capsys, "verify", "spectrum-match", "-j", "4", "--tolerance", "0")
+    assert code == 0
+    assert report_of(out)["parameters"]["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("s, j", [(0, -1), (-1, -3)])
+def test_verify_poles_refuses_a_negative_j_before_sampling(capsys, monkeypatch, s, j):
+    # a j < 0 leaves no m to check, which once passed with residual 0.0
+    monkeypatch.setattr(swsh.grid, "sample_swsh", lambda *args: pytest.fail("sampled"))
+    code, out, err = run(capsys, "verify", "poles", "-s", str(s), "-j", str(j))
+    assert code == 2 and out == ""
+    assert err == f"swsh: j={j} is negative\n"
+
+
 def test_verify_unknown_suite_exits_4(capsys):
     code, _, err = run(capsys, "verify", "does-not-exist")
     assert code == 4

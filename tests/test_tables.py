@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swsh import (SWMode, analyze, coefficient_set, make_grid, modes, profile, sample_swsh,
-                  synthesize, tables)
+from swsh import (OperatorSpec, SWMode, analyze, apply_grid, coefficient_set, make_grid, modes,
+                  profile, sample_swsh, synthesize, tables)
 from swsh.grid import SphereGrid
 from swsh.modes import _seeds
 from swsh.tables import GridCache, mode_coefficients, mode_table, radial_factors
@@ -195,6 +195,65 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # one matrix per n_phi, its rows the frequencies up to J_MAX + 1: O(n_phi)
     assert tables._dft_matrix(grid).shape == (2 * modes.J_MAX + 3, n)
+
+
+@pytest.mark.parametrize("n_phi, L", [(25, 12), (25, 5), (16, 5), (16, 0), (129, 64), (1025, 3)])
+def test_phi_analysis_is_the_weighted_reversed_dft_rows_bit_for_bit(rng, n_phi, L):
+    # the cached analysis matrix's slice holds the bytes of the band's DFT
+    # rows, reversed and weighted by dphi, so the GEMM gives the same bytes
+    grid = make_grid(L, n_phi=n_phi)
+    F = modes.J_MAX + 1
+    samples = rng.normal(size=(n_phi, grid.n_theta, 2)) + 1j * rng.normal(size=(n_phi, grid.n_theta, 2))
+    for band in (L, L // 2):
+        w = tables._dft_matrix(grid)[F - band : F + band + 1][::-1] * grid.phi_weight
+        want = (w @ samples.reshape(n_phi, -1)).reshape((2 * band + 1,) + samples.shape[1:])
+        assert tables.phi_analysis(grid, samples, band).tobytes() == want.tobytes()
+    assert tables._dft_analysis_matrix(grid) is tables._dft_analysis_matrix(make_grid(L, n_phi=n_phi))
+
+
+def test_warm_transforms_put_nothing_in_the_cache(rng, monkeypatch):
+    # after one call of each at the grid's band, the transforms and a grid
+    # operator at that band or a lower one only slice cached operands
+    grid, low = make_grid(12), 7
+    sets = {band: [coefficient_set(s, band, random_entries(rng, s, band)) for s in (0, -2)]
+            for band in (grid.band_limit, low)}
+    ops = [OperatorSpec(kind, s) for kind, s in (("Jplus", 0), ("Jminus", -2))]
+
+    def run(band, limit=None):
+        for c, op in zip(sets[band], ops):
+            f = synthesize(c, grid)
+            analyze(f, band_limit=limit)
+            apply_grid(op, f, band_limit=limit)
+
+    run(grid.band_limit)
+    puts, put = [], tables._tables.put
+    monkeypatch.setattr(tables._tables, "put", lambda key, value: puts.append(key) or put(key, value))
+    run(grid.band_limit)
+    run(low, low)
+    run(grid.band_limit, low)
+    assert puts == []
+
+
+def used_band_by_full_scan(coeffs):
+    nonzero = [j for j in range(coeffs.shape[1]) if coeffs[:, j].any()]
+    return max(nonzero, default=0)
+
+
+@pytest.mark.parametrize("case", ["dense", "zero top column", "all zero", "slot axes", "slot top"])
+def test_used_band_is_the_highest_nonzero_column(rng, case):
+    L = 6
+    coeffs = rng.normal(size=(2 * L + 1, L + 1)) + 1j * rng.normal(size=(2 * L + 1, L + 1))
+    if case == "zero top column":
+        coeffs[:, L - 1 :] = 0.0
+    elif case == "all zero":
+        coeffs[:] = 0.0
+    elif case.startswith("slot"):
+        coeffs = np.zeros((2 * L + 1, L + 1, 3, 3), dtype=np.complex128)
+        coeffs[L + 2, 4, 2, 1] = 1e-300
+        coeffs[0, L, 0, 2] = 1j if case == "slot top" else 0.0
+    assert tables.used_band(coeffs) == used_band_by_full_scan(coeffs)
+    assert tables.used_band(coeffs) == {"dense": L, "zero top column": L - 2, "all zero": 0,
+                                        "slot axes": 4, "slot top": L}[case]
 
 
 def test_geometry_key_is_built_once_per_grid():
