@@ -280,8 +280,8 @@ def test_verify_tolerance_can_force_failure(capsys):
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
 def test_verify_refuses_a_tolerance_before_the_suite_runs(capsys, monkeypatch, tolerance):
-    # NaN fails every comparison and a negative value every residual, so
-    # neither can judge a run; the suite is not started
+    # NaN and a negative value fail every residual and inf passes every
+    # finite one, so none can judge a run; the suite is not started
     suite = lambda args: pytest.fail("the suite ran")  # noqa: E731
     monkeypatch.setitem(cli._SUITES, "ortho", (suite, cli._SUITES["ortho"][1]))
     code, out, err = run(capsys, "verify", "ortho", f"--tolerance={tolerance}")
