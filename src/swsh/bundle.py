@@ -17,7 +17,7 @@ Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
 once, by mode_coefficients, into A[m + L, j, D], and _synthesis contracts
-coefficients with the theta-derivative tables through contract_table and
+coefficients with the theta-derivative tables through radial_factors and
 applies one DFT matrix product over phi, giving samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
 matrix per node, cached with the tables of tables.py by grid geometry and
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import GridMismatch, UnsupportedHelicity
 from .grid import GridFunction, SphereGrid, standard_frame
 from .operators import ladder_shift
-from .tables import _tables, contract_table, mode_coefficients, mode_table, phi_synthesis
+from .tables import _tables, mode_coefficients, pair_matmul, phi_synthesis, radial_factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +131,12 @@ def _synthesis(grid, coeffs, phi_orders=(0,)):
     """Samples [t, p, D, k] of d^k/dtheta^k (d/dphi)^phi_orders[k] of sum_{j, m} coeffs[m + L, j, D] Y_jm.
 
     Y_jm = p_{0jm}(theta) exp(i m phi), L the grid's band limit, each
-    phi order 0 or 1.  contract_table with the theta-derivative tables of
+    phi order 0 or 1.  radial_factors with the theta-derivative tables of
     orders 0 .. k, the factor i m for d/dphi, then one DFT matrix product
     over phi, whose C-ordered [k, t, D, p] result is returned as a
     transposed view.
     """
-    radial = contract_table(mode_table(grid, 0, range(len(phi_orders))), coeffs)
+    radial = radial_factors(grid, 0, coeffs, range(len(phi_orders)))
     for k, order in enumerate(phi_orders):
         if order:
             radial[k] *= 1j * np.arange(-grid.band_limit, grid.band_limit + 1)[:, None, None]
@@ -246,12 +246,6 @@ _SPIN = {rank: _spin_generators(rank) for rank in (1, 2)}
 _SPIN_TERM = {rank: -1j * gens.T for rank, gens in _SPIN.items()}  # (-i E_a)^T, slots flattened
 
 
-def _pair_matmul(op, x):
-    """op @ x for a real operator stack op[..., i, j] and complex x[..., j, k], x as real pairs."""
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    return np.matmul(op, x.view(np.float64)).view(np.complex128)
-
-
 def _axis_sections(section, parts):
     """-i parts[..., a] as the x, y, z sections, views of one C-ordered array."""
     out = np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
@@ -288,8 +282,8 @@ def apply_projected_spin(section):
     """
     rank, shape = section.rank, section.grid.shape
     v = section.components.reshape(shape + (3**rank, 1))
-    spun = _pair_matmul(_SPIN[rank], v).reshape(shape + (3**rank, 3))
-    return _axis_sections(section, _pair_matmul(_projector(section.grid, rank), spun))
+    spun = pair_matmul(_SPIN[rank], v).reshape(shape + (3**rank, 3))
+    return _axis_sections(section, pair_matmul(_projector(section.grid, rank), spun))
 
 
 def apply_projected_orbital(section, d_theta=None, d_phi=None):
@@ -321,7 +315,7 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
             raise GridMismatch("d_phi shape does not match components")
         derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
     derivs[..., 0] *= _inverse_sine(grid)[:, None, None]
-    proj = _pair_matmul(_projector(grid, rank), derivs)
+    proj = pair_matmul(_projector(grid, rank), derivs)
     frame = standard_frame(grid)
     parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
     return _axis_sections(section, parts)

@@ -1,4 +1,4 @@
-"""Exception types, pole names and the integer check shared across the package.
+"""Exception types, the pole names and their one check, and the integer check shared across the package.
 
 Every exception derives from ValueError, except SearchBudgetExceeded, so
 callers that only care about "bad input" can catch one base class, while
@@ -8,6 +8,14 @@ numpy, so the integer commands of the CLI can use it without loading it.
 
 NORTH = "north"
 SOUTH = "south"
+
+
+def pole_name(pole):
+    """NORTH or SOUTH for a pole named in any case and with surrounding blanks; ValueError otherwise."""
+    name = str(pole).strip().lower()
+    if name not in (NORTH, SOUTH):
+        raise ValueError(f"pole must be {NORTH!r} or {SOUTH!r}, got {pole!r}")
+    return name
 
 
 def as_integer(value, name):

@@ -14,12 +14,12 @@ import numpy as np
 
 from .errors import (
     NORTH,
-    SOUTH,
     BandLimitExceeded,
     GridMismatch,
     InsufficientNodes,
     SpinWeightMismatch,
     as_integer,
+    pole_name,
 )
 from .modes import SWMode
 from .serial import fmt17
@@ -266,17 +266,15 @@ def pole_limit_extrapolate(f, pole):
     if grid.n_theta < 3:
         raise InsufficientNodes("pole extrapolation needs at least 3 colatitude rings")
     s = f.spin_weight
-    if pole == NORTH:
+    if pole_name(pole) == NORTH:
         idx = [0, 1, 2]
         u = 1.0 - np.cos(grid.theta[idx])
         phase = np.exp(1j * s * grid.phi)
-    elif pole == SOUTH:
+    else:
         n = grid.n_theta
         idx = [n - 1, n - 2, n - 3]
         u = 1.0 + np.cos(grid.theta[idx])
         phase = np.exp(-1j * s * grid.phi)
-    else:
-        raise ValueError(f"pole must be {NORTH!r} or {SOUTH!r}, got {pole!r}")
     rings = f.samples[idx, :] * phase[None, :]
     means = rings.mean(axis=1)
     # Lagrange weights for extrapolation to u = 0.
@@ -325,8 +323,8 @@ def read_grid_csv(path):
         body = fh.read().split()
     if not header.startswith("# "):
         raise ValueError("missing header line")
-    fields = dict(kv.split("=", 1) for kv in header[2:].split())
     try:
+        fields = dict(kv.split("=", 1) for kv in header[2:].split())
         s = int(fields["spin_weight"])
         L = int(fields["L"])
         frame = fields["frame"]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORTH, SOUTH, DomainError, InvalidMode, UnsupportedOrder
+from .errors import NORTH, SOUTH, DomainError, InvalidMode, UnsupportedOrder, pole_name  # noqa: F401 (SOUTH)
 
 J_MAX = 64
 
@@ -214,11 +214,8 @@ def eval_swsh_pole_limit(mode, pole):
     the values are +-sqrt((2j+1)/4pi) with sign (-1)^|s| (north) and
     (-1)^j (south).
     """
-    p = str(pole).strip().lower()
-    if p not in (NORTH, SOUTH):
-        raise ValueError(f"pole must be 'north' or 'south', got {pole!r}")
     amp = math.sqrt((2 * mode.j + 1) / (4.0 * math.pi))
-    if p == NORTH:
+    if pole_name(pole) == NORTH:
         if mode.m != -mode.s:
             return 0.0 + 0.0j
         return complex((-1.0 if mode.s % 2 else 1.0) * amp)

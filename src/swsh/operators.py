@@ -23,11 +23,23 @@ import numpy as np
 
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
-from .tables import _tables, contract_table, grown_band, mode_table, phi_synthesis, used_band
+from .modes import J_MAX
+from .tables import band_table, contract_table, mode_table, phi_synthesis
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
 _SHIFTS = {"Jplus": +1, "Jminus": -1}  # the azimuthal order each kind adds; 0 for the rest
+
+
+def _ladder_weights():
+    """Read-only W[m + J_MAX - 1, j] = sqrt((j + m)(j - m + 1)), 1 - J_MAX <= m <= J_MAX, 0 off the multiplet."""
+    j, m = np.arange(J_MAX + 1), np.arange(1 - J_MAX, J_MAX + 1)[:, None]
+    weights = np.sqrt(np.maximum((j + m) * (j - m + 1), 0))
+    weights.setflags(write=False)
+    return weights
+
+
+_LADDER = _ladder_weights()
 
 
 @dataclass(frozen=True)
@@ -55,16 +67,11 @@ def ladder_shift(a, sign):
     """J_+ (sign=+1) or J_- (sign=-1) on coefficients A[m + L, j, ...]; trailing axes pass through.
 
     Row m, weighted by sqrt((j -+ m)(j +- m + 1)), moves to row m +- 1.
-    Both ladders read one weight table w[m + L - 1, j] = sqrt((j + m)(j - m + 1)),
-    m = 1 - L .. L, the weight of J_- from row m and of J_+ into it, zero
-    where the ladder leaves the multiplet; it is cached under ("ladder", L).
+    Both ladders read the rows m = 1 - L .. L and columns j <= L of the
+    constant _LADDER, the weight of J_- from row m and of J_+ into it.
     """
     L = a.shape[1] - 1
-
-    def build():
-        j, m = np.arange(L + 1), np.arange(1 - L, L + 1)[:, None]
-        return np.sqrt(np.maximum((j + m) * (j - m + 1), 0))
-    weight = _tables.cached(("ladder", L), build)
+    weight = _LADDER[J_MAX - L : J_MAX + L, : L + 1]
     weight = weight.reshape(weight.shape + (1,) * (a.ndim - 2))
     out = np.zeros_like(a)
     if sign > 0:
@@ -115,7 +122,7 @@ def apply_grid(op, f, band_limit=None):
     _check_spin(op, f.spin_weight)
     coeffs = analysis_matrix(f, band_limit=band_limit)
     grid = f.grid
-    table = _operator_table(grid, f.spin_weight, op.kind, used_band(coeffs))
+    table = _operator_table(grid, f.spin_weight, op.kind, coeffs.shape[1] - 1)
     samples = phi_synthesis(grid, contract_table(table, coeffs), _SHIFTS.get(op.kind, 0))
     return GridFunction._wrap(grid, f.spin_weight, samples, frame=f.frame)
 
@@ -125,17 +132,11 @@ def _operator_table(grid, s, kind, band_limit):
 
     L is band_limit.  Row m + L is the theta factor of the result, whose
     azimuthal factor is exp(i (m +- 1) phi) for the ladders and exp(i m phi)
-    otherwise.  Cached under ("op", grid geometry, s, kind); a cached table
-    of a larger band is sliced, one of a smaller band rebuilt at the
-    grown_band of its band, as mode tables are.
+    otherwise.  Cached under ("op", grid geometry, s, kind) and grown by
+    band_table, as mode tables are.
     """
-    key = ("op", grid.geometry_key, s, kind)
-    table = _tables.get(key)
-    if table is None or table.shape[1] <= band_limit:
-        top = grown_band(band_limit, -1 if table is None else table.shape[1] - 1, grid.band_limit)
-        table = _tables.put(key, _differential_table(grid, s, kind, top))
-    top = table.shape[1] - 1
-    return table[top - band_limit : top + band_limit + 1, : band_limit + 1]
+    return band_table(("op", grid.geometry_key, s, kind), grid, band_limit,
+                      lambda top, held: _differential_table(grid, s, kind, top))
 
 
 def _differential_table(grid, s, kind, L):

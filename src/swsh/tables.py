@@ -13,22 +13,25 @@ library's only module-level cache of derived state, holds mode tables by
 the grid's geometry_key (L, n_theta, n_phi), so equal grids share them,
 and spin weight, all orders built so far in one entry (4.4 MB per order
 at L = 64), the operator tables of operators.py by geometry_key, spin
-weight and kind (4.4 MB each at L = 64) and its ladder weights, one per
-band limit, the transverse projectors of bundle.py by geometry_key and
-rank (5.4 MB at rank 2, L = 64) and its 1 / sin(theta) by n_theta, two
-azimuthal matrices per n_phi, the DFT matrix and the phi-weighted
-analysis matrix made from it, and the masks of mode cells that
-transform.py checks coefficient labels against.  Each is fetched by one
-GridCache.cached(key, build) call, or by get and put where an entry
-grows.  So a transform call on a warm grid, at its band or any lower
-one, builds nothing: it slices cached operands and pays for its products.
+weight and kind (4.4 MB each at L = 64), the transverse projectors of
+bundle.py by geometry_key and rank (5.4 MB at rank 2, L = 64) and its
+1 / sin(theta) by n_theta, two azimuthal matrices per n_phi, the DFT
+matrix and the phi-weighted analysis matrix made from it, and the masks
+of mode cells that transform.py checks coefficient labels against.  Each
+is fetched by one GridCache.cached(key, build) call, or, for the tables
+indexed by band, by band_table, the one rule that grows and slices them:
+a band-L table is the centered slice [..., T - L : T + L + 1, : L + 1, :]
+of the one entry of band T >= L, and every table is read at the band its
+coefficients declare.  So a transform call on a warm grid, at its band
+or any lower one, builds nothing: it slices cached operands and pays for
+its products.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
 radial factors R[k..., m + L, t, ...]).  mode_coefficients is the one
 analysis and contract_table the one colatitude contraction; each does one
-real matmul per m and copies an operand only when its last axis is not
-contiguous.
+real matmul per m by pair_matmul, which copies an operand only when its
+last axis is not contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
 mod n) / n) over the n = n_phi azimuths, uniform from phi = 0 on every
 grid, for every frequency |f| <= J_MAX + 1, built from exact integer
@@ -110,14 +113,22 @@ class GridCache:
 _tables = GridCache(TABLE_CACHE_BYTES)
 
 
-def grown_band(band, held, grid_band):
-    """The band to build a table at for band when the cached one holds band held (-1: none).
+def band_table(key, grid, band, build, short=lambda held: False):
+    """The band-L slice [..., T - L : T + L + 1, : L + 1, :] of the table [..., m + T, j, t] cached under key.
 
-    Never below either; past the held band it at least doubles it, up to
-    grid_band and J_MAX, so a rising sweep of bands rebuilds a table
-    O(log L) times.
+    The one rule for every table indexed by band; L is band.  A missing
+    entry, one of a band T < L, or one that short(held) refuses is replaced
+    by build(T, held), held None if missing, at T = L, or past a held band
+    at least double it, up to the grid's band and J_MAX, so a rising sweep
+    of bands rebuilds a table O(log L) times.  A row does not depend on the
+    band it was built to, so every band reads the same bytes from any entry.
     """
-    return max(band, held if band <= held else min(2 * held, grid_band, J_MAX))
+    held = _tables.get(key)
+    top = -1 if held is None else held.shape[-2] - 1
+    if top < band or short(held):
+        top = max(band, min(2 * top, grid.band_limit, J_MAX)) if top < band else top
+        held = _tables.put(key, build(top, held))
+    return held[..., top - band : top + band + 1, : band + 1, :]
 
 
 def mode_table(grid, s, order=0, band_limit=None):
@@ -125,10 +136,8 @@ def mode_table(grid, s, order=0, band_limit=None):
 
     order may also be a range of orders, for one view [k, m + L, j, t] of
     the tables of orders order[k].  L is band_limit, at most the grid's
-    (the default).  A cached entry holds the highest order asked for so
-    far and at least the highest band; asking past either rebuilds it, at
-    the grown_band of the entry's.  A row does not depend on the band it
-    was climbed to, so every band reads the same bytes from any entry.
+    (the default).  The cached entry [k, m + T, j, t] holds every order up
+    to the highest asked for so far; band_table grows it.
     """
     Lg = grid.band_limit
     L = Lg if band_limit is None else int(band_limit)
@@ -139,18 +148,15 @@ def mode_table(grid, s, order=0, band_limit=None):
     else:
         pick = order = int(order)
     s = int(s)
-    key = (grid.geometry_key, s)
-    tables = _tables.get(key)
-    if tables is None or tables.shape[0] <= order or tables.shape[2] <= L:
-        orders = order if tables is None else max(order, tables.shape[0] - 1)
-        top = grown_band(L, -1 if tables is None else tables.shape[2] - 1, Lg)
+
+    def build(top, held):
+        orders = order if held is None else max(order, held.shape[0] - 1)
         check_j_supported(top, f"j={top}")
         ms = np.arange(-top, top + 1)
         tables = np.zeros((orders + 1, ms.size, top + 1, grid.theta.size))
         _climb(np.full_like(ms, s), ms, grid.theta, top, orders, tables)
-        tables = _tables.put(key, tables)
-    Lt = tables.shape[2] - 1
-    return tables[pick, Lt - L : Lt + L + 1, : L + 1]
+        return tables
+    return band_table((grid.geometry_key, s), grid, L, build, lambda held: held.shape[0] <= order)[pick]
 
 
 def mode_samples(grid, s, m):
@@ -173,37 +179,25 @@ def mode_row(grid, s, j, m):
     return tables[0, m + tables.shape[2] - 1, j]
 
 
-def used_band(coeffs):
-    """Highest j with a nonzero coefficient in coeffs[m + L, j, ...], 0 if there is none.
+def pair_matmul(op, x):
+    """op @ x for a real operator stack op[..., i, j] and complex x[..., j, k], x read as real pairs.
 
-    Column L is read first, since it is nonzero in almost every call; the
-    whole array is scanned only when it is zero.
+    x is copied only when it is not complex128 or its last axis is not
+    contiguous; the product is one real matmul.
     """
-    top = coeffs.shape[1] - 1
-    if coeffs[:, top].any():
-        return top
-    used = np.flatnonzero(coeffs.reshape(coeffs.shape[:2] + (-1,)).any(axis=(0, 2)))
-    return int(used[-1]) if used.size else 0
+    if x.dtype != np.complex128 or (x.shape[-1] > 1 and x.strides[-1] != 16):
+        x = np.ascontiguousarray(x, dtype=np.complex128)
+    return np.matmul(op, x.view(np.float64)).view(np.complex128)
 
 
 def contract_table(table, coeffs):
-    """R[k..., m + L, t, ...] = sum_j table[k..., m + top, j, t] * coeffs[m + L, j, ...].
+    """R[k..., m + L, t, ...] = sum_j table[k..., m + L, j, t] * coeffs[m + L, j, ...].
 
-    table is a [k..., m + top, j, t] table of band top <= L, such as a slice
-    of mode_table; its leading axes lead R and the trailing axes of coeffs
-    trail it.  Coefficients past j = top must be zero (used_band gives the
-    least such top); rows |m| > top of R are zero.  One real matmul per m.
+    table is a [k..., m + L, j, t] table of the band L of coeffs, such as a
+    slice of mode_table; its leading axes lead R and the trailing axes of
+    coeffs trail it.  One real matmul per m.
     """
-    L, top = coeffs.shape[1] - 1, table.shape[-2] - 1
-    cols = coeffs if top == L else coeffs[L - top : L + top + 1, : top + 1]
-    cols = cols.reshape(cols.shape[:2] + (-1,))
-    if cols.dtype != np.complex128 or (cols.shape[-1] > 1 and cols.strides[-1] != 16):
-        cols = np.ascontiguousarray(cols, dtype=np.complex128)  # viewed as real pairs below
-    r = np.matmul(table.swapaxes(-1, -2), cols.view(np.float64)).view(np.complex128)
-    if top < L:
-        out = np.zeros(r.shape[:-3] + (2 * L + 1,) + r.shape[-2:], dtype=np.complex128)
-        out[..., L - top : L + top + 1, :, :] = r
-        r = out
+    r = pair_matmul(table.swapaxes(-1, -2), coeffs.reshape(coeffs.shape[:2] + (-1,)))
     return r.reshape(r.shape[:-1] + coeffs.shape[2:])
 
 
@@ -211,11 +205,10 @@ def radial_factors(grid, s, coeffs, order=0):
     """R[m + L, t, ...] = sum_j mode_table(grid, s, order)[m + L, j, t] * coeffs[m + L, j, ...].
 
     With a range of orders, R[k, m + L, t, ...] for order[k], from one
-    contraction.  Only the table rows up to the highest j with a nonzero
-    coefficient are read, so a table is never built past the band a
-    function uses.
+    contraction.  L is the band of coeffs, so the table is read, and built
+    if it must be, at the band a function declares.
     """
-    return contract_table(mode_table(grid, s, order, used_band(coeffs)), coeffs)
+    return contract_table(mode_table(grid, s, order, coeffs.shape[1] - 1), coeffs)
 
 
 def _dft_matrix(grid):
@@ -281,5 +274,5 @@ def mode_coefficients(grid, s, samples, band_limit):
     rings = phi_analysis(grid, samples.swapaxes(0, 1), band_limit)
     rings = rings.reshape(rings.shape[:2] + (-1,))
     rings *= grid.theta_weights[:, None]
-    a = np.matmul(mode_table(grid, s, 0, band_limit), rings.view(np.float64)).view(np.complex128)
+    a = pair_matmul(mode_table(grid, s, 0, band_limit), rings)
     return a.reshape(a.shape[:2] + samples.shape[2:])

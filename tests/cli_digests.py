@@ -1,0 +1,100 @@
+"""Print one sha256 per swsh CLI case, to compare two checkouts' outputs byte for byte.
+
+    python tests/cli_digests.py [--src DIR]
+
+Each case runs its swsh commands, in order, in a fresh temporary
+directory, with DIR (default: the src directory next to this file) first
+on PYTHONPATH.  Its digest covers every command's stdout, stderr and exit
+code and then every file the directory holds at the end, by name and
+content.  Run it against two checkouts and diff the output: equal lines
+mean byte-identical behavior on that case.  pytest does not collect this
+file, since its name does not start with test_.
+
+The cases: every verify suite at its defaults and with -s -2 and 2,
+eval --grid, and transform flows on sparse coefficient sets (content far
+below the declared band, synthesized at higher bands and analyzed back
+at the same and at lower bands).
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SUITES = ("ortho", "ladder", "casimir", "lemma", "commutators", "poles", "spectrum-match", "pointop")
+
+
+def _sparse_set(s, band, entries):
+    """Coefficient JSON of spin weight s declaring band, nonzero only at entries {(j, m): (re, im)}."""
+    rows = [{"j": j, "m": m, "re": re, "im": im} for (j, m), (re, im) in sorted(entries.items())]
+    return json.dumps({"spin_weight": s, "band_limit": band, "entries": rows})
+
+
+SPARSE = {
+    "s0.json": _sparse_set(0, 12, {(0, 0): (1.0, 0.0), (1, -1): (0.25, -0.5), (2, 2): (0.0, 0.75)}),
+    "s-2.json": _sparse_set(-2, 20, {(2, -2): (0.5, 0.5), (3, 1): (-1.0, 0.125), (5, 0): (0.3, 0.0)}),
+}
+
+
+def _cases():
+    cases = {}
+    for suite in SUITES:
+        cases[f"verify {suite}"] = [["verify", suite]]
+        for s in ("-2", "2"):
+            cases[f"verify {suite} -s {s}"] = [["verify", suite, "-s", s]]
+    cases["eval --grid 8"] = [["eval", "-s", "-1", "-j", "3", "-m", "2", "--grid", "8", "--out", "g.csv"]]
+    cases["eval --grid 20, analyze at 20 and 9"] = [
+        ["eval", "-s", "2", "-j", "7", "-m", "-3", "--grid", "20", "--out", "g.csv"],
+        ["transform", "analyze", "--in", "g.csv", "--out", "full.json"],
+        ["transform", "analyze", "--in", "g.csv", "--out", "low.json", "-L", "9"],
+    ]
+    for name, s in (("s0.json", "0"), ("s-2.json", "-2")):
+        for band in ("24", "40"):
+            cases[f"sparse {name} synthesize -L {band}, analyze back and at 6"] = [
+                ["transform", "synthesize", "--in", name, "--out", "g.csv", "-L", band, "-s", s],
+                ["transform", "analyze", "--in", "g.csv", "--out", "back.json"],
+                ["transform", "analyze", "--in", "g.csv", "--out", "low.json", "-L", "6"],
+                ["transform", "synthesize", "--in", "low.json", "--out", "low.csv"],
+            ]
+        cases[f"sparse {name} synthesize at its band"] = [
+            ["transform", "synthesize", "--in", name, "--out", "g.csv"],
+        ]
+    return cases
+
+
+def _digest(commands, src):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in SPARSE.items():
+            Path(tmp, name).write_text(text + "\n")
+        for argv in commands:
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from swsh.cli import main; sys.exit(main())", *argv],
+                cwd=tmp, env=env, capture_output=True,
+            )
+            for part in (" ".join(argv).encode(), run.stdout, run.stderr, str(run.returncode).encode()):
+                h.update(len(part).to_bytes(8, "little") + part)
+        for path in sorted(Path(tmp).iterdir()):
+            data = path.read_bytes()
+            h.update(path.name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the swsh package")
+    args = parser.parse_args()
+    src = str(Path(args.src).resolve())
+    for name, commands in _cases().items():
+        print(f"{_digest(commands, src)}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

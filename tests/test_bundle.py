@@ -428,8 +428,8 @@ def test_batched_axes_match_the_per_axis_formulas(rng, h):
 
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
     # the operators need no table but the grid's mode table, its two
-    # azimuthal matrices, the ladder weights of its band, its projector and
-    # its 1 / sin(theta), and after one warm call they find these already
+    # azimuthal matrices, its projector and its 1 / sin(theta), and after
+    # one warm call they find these already
     # built; a section synthesizes its rotation generators once, for every
     # axis, and keeps them
     grid = make_grid(11)
@@ -444,8 +444,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         apply_J_rotation(warm, axes[1])
         key = grid.geometry_key
         assert set(puts) <= {(key, 0), ("dft", grid.n_phi), ("dft-analysis", grid.n_phi),
-                             ("ladder", grid.band_limit), ("projector", key, h),
-                             ("inverse-sine", grid.n_theta)}
+                             ("projector", key, h), ("inverse-sine", grid.n_theta)}
         projector = bundle._projector(grid, h)
         sec = random_section(rng, grid, h, 4)
         puts.clear()

@@ -183,6 +183,18 @@ def test_transform_infinite_label_exits_2(capsys, tmp_path):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_transform_analyze_refuses_a_header_token_without_equals(capsys, tmp_path):
+    csv, out = tmp_path / "f.csv", tmp_path / "f.json"
+    assert run(capsys, "eval", "-s", "0", "-j", "1", "-m", "0", "--grid", "1", "--out", str(csv))[0] == 0
+    header, rows = csv.read_text().split("\n", 1)
+    assert header == "# spin_weight=0 L=1 frame=spherical"
+    csv.write_text("# spin_weight=0 L=1 frame\n" + rows)
+    code, stdout, err = run(capsys, "transform", "analyze", "--in", str(csv), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "swsh: malformed header '# spin_weight=0 L=1 frame'\n"
+    assert not out.exists()
+
+
 def test_transform_band_limit_violation_exits_3(capsys, tmp_path):
     src = tmp_path / "c.json"
     write_coefficients_json(coefficient_set(-1, 8, {(8, 0): 1.0}), src)

@@ -330,6 +330,21 @@ def test_pole_extrapolation_linearity(rng):
     assert max(res_n, res_s) < 1e-8  # all phi content matches the pole phase
 
 
+@pytest.mark.parametrize("name, pole", [("North", NORTH), (" SOUTH ", SOUTH), ("east", None)])
+def test_both_pole_functions_read_a_pole_name_alike(name, pole):
+    # the extrapolation and the exact limit read a pole name in any case and
+    # with surrounding blanks, and refuse any other name with one message
+    mode = SWMode(-1, 2, 1)
+    f = sample_swsh(make_grid(8), mode)
+    if pole is None:
+        for call in (lambda: pole_limit_extrapolate(f, name), lambda: eval_swsh_pole_limit(mode, name)):
+            with pytest.raises(ValueError, match="^pole must be 'north' or 'south', got 'east'$"):
+                call()
+    else:
+        assert pole_limit_extrapolate(f, name) == pole_limit_extrapolate(f, pole)
+        assert eval_swsh_pole_limit(mode, name) == eval_swsh_pole_limit(mode, pole)
+
+
 def test_pole_extrapolation_needs_three_rings():
     g = make_grid(1, n_theta=2, n_phi=3)
     f = sample_swsh(g, SWMode(0, 1, 0))

@@ -161,10 +161,15 @@ def _casimir_per_entry(c):
     return worst
 
 
-@pytest.mark.parametrize("L", [10, 64])
+@pytest.mark.parametrize("L", [0, 1, 10, 64])
 @pytest.mark.parametrize("s", [-2, 0, 1])
 def test_matrix_actions_equal_the_per_entry_loop(rng, L, s):
-    # a dense set, a sparse one, and one with amplitudes near the clip
+    # a dense set, a sparse one, and one with amplitudes near the clip;
+    # bands 0, 1 and 64 read the edges of the ladder weight constant
+    if L < abs(s):  # no set of spin weight s declares a band below |s|
+        with pytest.raises(ValueError, match="below"):
+            coefficient_set(s, L)
+        return
     labels = [(j, m) for j in range(abs(s), L + 1) for m in range(-j, j + 1)]
     dense = {key: complex(rng.normal(), rng.normal()) for key in labels}
     tiny = {key: 1e-13 * v for key, v in random_entries(rng, s, L, count=40).items()}

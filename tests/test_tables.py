@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from swsh import (OperatorSpec, SWMode, analyze, apply_grid, coefficient_set, make_grid, modes,
-                  profile, sample_swsh, synthesize, tables)
+                  operators, profile, sample_swsh, synthesize, tables)
 from swsh.grid import SphereGrid
 from swsh.modes import _seeds
 from swsh.tables import GridCache, mode_coefficients, mode_table, radial_factors
+from swsh.transform import analysis_matrix
 
 import horner_reference as horner
 from conftest import random_entries
@@ -234,26 +235,34 @@ def test_warm_transforms_put_nothing_in_the_cache(rng, monkeypatch):
     assert puts == []
 
 
-def used_band_by_full_scan(coeffs):
-    nonzero = [j for j in range(coeffs.shape[1]) if coeffs[:, j].any()]
-    return max(nonzero, default=0)
-
-
-@pytest.mark.parametrize("case", ["dense", "zero top column", "all zero", "slot axes", "slot top"])
-def test_used_band_is_the_highest_nonzero_column(rng, case):
-    L = 6
-    coeffs = rng.normal(size=(2 * L + 1, L + 1)) + 1j * rng.normal(size=(2 * L + 1, L + 1))
-    if case == "zero top column":
-        coeffs[:, L - 1 :] = 0.0
-    elif case == "all zero":
-        coeffs[:] = 0.0
-    elif case.startswith("slot"):
-        coeffs = np.zeros((2 * L + 1, L + 1, 3, 3), dtype=np.complex128)
-        coeffs[L + 2, 4, 2, 1] = 1e-300
-        coeffs[0, L, 0, 2] = 1j if case == "slot top" else 0.0
-    assert tables.used_band(coeffs) == used_band_by_full_scan(coeffs)
-    assert tables.used_band(coeffs) == {"dense": L, "zero top column": L - 2, "all zero": 0,
-                                        "slot axes": 4, "slot top": L}[case]
+def test_sparse_content_is_read_at_the_declared_band(rng, monkeypatch):
+    # content that stops at j = 2 in a set declaring band 12 is synthesized
+    # and apply_grid-ed from tables climbed to band 12, no lower, and a warm
+    # repeat puts nothing in the cache
+    tables._tables.clear()
+    grid, s, L = make_grid(12), -1, 12
+    c = coefficient_set(s, L, {(j, m): complex(rng.normal(), rng.normal())
+                               for j in (1, 2) for m in range(-j, j + 1)})
+    op = OperatorSpec("Jplus", s)
+    tops, climb = [], tables._climb
+    monkeypatch.setattr(tables, "_climb", lambda *args: tops.append(args[3]) or climb(*args))
+    f = synthesize(c, grid)
+    raised = apply_grid(op, f)
+    assert tops == [L, L]  # order 0 for both transforms, then orders 0 and 1 for J_+'s table
+    assert tables._tables.get(("op", grid.geometry_key, s, "Jplus")).shape[-2] == L + 1
+    m = np.arange(-L, L + 1)[:, None]
+    want = np.einsum("mjt,mj,mp->tp", mode_table(grid, s), c.matrix, np.exp(1j * m * grid.phi))
+    assert np.abs(f.samples - want).max() <= 1e-15 * np.abs(want).max()
+    op_table = operators._operator_table(grid, s, "Jplus", L)
+    want = np.einsum("mjt,mj,mp->tp", op_table, analysis_matrix(f), np.exp(1j * (m + 1) * grid.phi))
+    assert np.abs(raised.samples - want).max() <= 1e-15 * np.abs(want).max()
+    puts, put = [], tables._tables.put
+    monkeypatch.setattr(tables._tables, "put", lambda key, value: puts.append(key) or put(key, value))
+    again = synthesize(c, grid)
+    assert apply_grid(op, again).samples.tobytes() == raised.samples.tobytes()
+    assert again.samples.tobytes() == f.samples.tobytes()
+    assert puts == []
+    tables._tables.clear()
 
 
 def test_geometry_key_is_built_once_per_grid():
