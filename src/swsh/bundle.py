@@ -16,8 +16,8 @@ generator about any axis n is sum_a n_a J_a.
 Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
-once, by mode_coefficients, into A[m + L, j, D], and _synthesis contracts
-coefficients with the theta-derivative tables through radial_factors and
+once, by mode_coefficients, into A[m + L, j, D]; radial_factors, or J_perp's
+own cached table of the spin-0 orders 0 and 1, contracts it, and _synthesis
 applies one DFT matrix product over phi, giving samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
 matrix per node, cached with the tables of tables.py by grid geometry and
@@ -34,10 +34,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, UnsupportedHelicity
+from .errors import GridMismatch, UnsupportedHelicity, as_integer
 from .grid import GridFunction, SphereGrid, standard_frame
 from .operators import ladder_shift
-from .tables import _tables, mode_coefficients, pair_matmul, phi_synthesis, radial_factors
+from .tables import (_tables, band_table, contract_table, mode_coefficients, pair_matmul, phi_synthesis,
+                     profile_table, radial_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +59,7 @@ class EmbeddedSection:
     components: np.ndarray
 
     def __post_init__(self):
-        h = int(self.helicity)
+        h = as_integer(self.helicity, "helicity")
         if abs(h) not in (1, 2):
             raise UnsupportedHelicity(f"|h| must be 1 or 2, got h={h}")
         object.__setattr__(self, "helicity", h)
@@ -111,7 +112,8 @@ class EmbeddedSection:
         coeffs[..., 0] += 0.5 * (up + down)
         coeffs[..., 1] += 0.5j * (down - up)
         coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
-        samples = _synthesis(self.grid, coeffs.reshape(a.shape[:2] + (-1,)))[..., 0]
+        radial = radial_factors(self.grid, 0, coeffs.reshape(a.shape[:2] + (-1,)))
+        samples = _synthesis(self.grid, radial[None])[..., 0]
         gens = np.moveaxis(samples.reshape(self.grid.shape + coeffs.shape[2:]), -1, 0)
         gens = np.ascontiguousarray(gens).reshape(3, -1).view(np.float64)
         gens.setflags(write=False)
@@ -127,19 +129,12 @@ class EmbeddedSection:
         return a.reshape(a.shape[:2] + (3,) * self.rank)
 
 
-def _synthesis(grid, coeffs, phi_orders=(0,)):
-    """Samples [t, p, D, k] of d^k/dtheta^k (d/dphi)^phi_orders[k] of sum_{j, m} coeffs[m + L, j, D] Y_jm.
+def _synthesis(grid, radial):
+    """Samples [t, p, D, k] = sum_m radial[k, m + L, t, D] exp(i m phi), L the grid's band limit.
 
-    Y_jm = p_{0jm}(theta) exp(i m phi), L the grid's band limit, each
-    phi order 0 or 1.  radial_factors with the theta-derivative tables of
-    orders 0 .. k, the factor i m for d/dphi, then one DFT matrix product
-    over phi, whose C-ordered [k, t, D, p] result is returned as a
-    transposed view.
+    One DFT matrix product over phi, whose C-ordered [k, t, D, p] result
+    is returned as a transposed view.
     """
-    radial = radial_factors(grid, 0, coeffs, range(len(phi_orders)))
-    for k, order in enumerate(phi_orders):
-        if order:
-            radial[k] *= 1j * np.arange(-grid.band_limit, grid.band_limit + 1)[:, None, None]
     return phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
 
 
@@ -305,7 +300,12 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
         raise ValueError("pass both d_theta and d_phi or neither")
     if d_theta is None:
         # every ambient component at once: [..., 0] d/dphi, [..., 1] d/dtheta
-        derivs = _synthesis(grid, section._coefficients, phi_orders=(1, 0))
+        a = section._coefficients  # analyzed first: it checks the band against J_MAX
+        L = a.shape[1] - 1
+        table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: profile_table(grid, 0, top, 1))
+        radial = contract_table(table, a)
+        radial[0] *= 1j * np.arange(-L, L + 1)[:, None, None]
+        derivs = _synthesis(grid, radial)
     else:
         d_theta = np.asarray(d_theta, dtype=np.complex128)
         d_phi = np.asarray(d_phi, dtype=np.complex128)

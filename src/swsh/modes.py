@@ -22,7 +22,7 @@ every one; grid sampling reads them.  J_MAX declares the envelope j <= J_MAX
 in which the recurrence is verified against an independent double-double
 Horner evaluation of the closed-form sum; check_j_supported holds it, with
 one message form, at the public entries: validate_mode, CoefficientSet
-(its declared band), mode_coefficients (an analysis band) and mode_table.
+(its declared band), mode_coefficients (an analysis band) and profile_table.
 Evaluation refuses the poles; the finite limiting data there lives
 exclusively in eval_swsh_pole_limit, because as plain functions the modes
 are singular at theta = 0, pi even though the objects they describe are

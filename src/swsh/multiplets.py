@@ -253,8 +253,8 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
 
 def mode_counts(spin_weight, j_max):
     """Number of independent modes at each j up to j_max."""
-    s = abs(int(spin_weight))
-    return {j: (2 * j + 1 if j >= s else 0) for j in range(int(j_max) + 1)}
+    s = abs(as_integer(spin_weight, "spin weight"))
+    return {j: (2 * j + 1 if j >= s else 0) for j in range(as_integer(j_max, "j_max") + 1)}
 
 
 def spectrum_to_json(sp):

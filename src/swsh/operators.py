@@ -4,7 +4,7 @@ Coefficient space: the exact diagonal and ladder actions as scalings of the
 dense coefficient matrix (apply_coeff).
 Grid space: the actual differential expressions (apply_grid).  Each
 operator has a table per grid geometry, spin weight and kind, its action on
-every profile p_{sjm}(theta) exp(i m phi), formed once from the mode tables
+every profile p_{sjm}(theta) exp(i m phi), formed once from the profiles
 of tables.py and their analytic theta-derivatives by the differential
 expression, and kept in the same byte-bounded cache; an application is then
 one contraction with the function's analysis coefficients and one DFT
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
 from .modes import J_MAX
-from .tables import band_table, contract_table, mode_table, phi_synthesis
+from .tables import band_table, contract_table, mode_table, phi_synthesis, profile_table
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -136,26 +136,26 @@ def _operator_table(grid, s, kind, band_limit):
     band_table, as mode tables are.
     """
     return band_table(("op", grid.geometry_key, s, kind), grid, band_limit,
-                      lambda top, held: _differential_table(grid, s, kind, top))
+                      lambda top: _differential_table(grid, s, kind, top))
 
 
 def _differential_table(grid, s, kind, L):
-    """The operator's differential expression applied to the order-0/1/2 mode tables."""
+    """The differential expression on the cached mode table (J_z, helicity) or on one profile_table climb."""
     h = -s
     m = np.arange(-L, L + 1)[:, None, None]
     if kind == "Jz":
-        return m * mode_table(grid, s, 0, L)
+        return m * mode_table(grid, s, L)
     if kind == "Helicity":
-        return h * mode_table(grid, s, 0, L)
+        return h * mode_table(grid, s, L)
     cos = np.cos(grid.theta)
     sin = np.sin(grid.theta)
     cot = cos / sin
     if kind == "Jsquared":
-        p, dp, d2p = mode_table(grid, s, range(3), L)
+        p, dp, d2p = profile_table(grid, s, L, 2)
         pot = (m * m + s * s + 2 * s * m * cos) / sin**2
         return -d2p - cot * dp + pot * p
     shift = +1 if kind == "Jplus" else -1
-    p, dp = mode_table(grid, s, range(2), L)
+    p, dp = profile_table(grid, s, L, 1)
     return shift * dp - m * cot * p + h * p / sin
 
 

@@ -1,30 +1,31 @@
-"""Every table from the one j-recurrence of modes._climb: mode tables and
+"""Every table from the one j-recurrence of modes._climb: profiles and
 their derivatives,
 
-    mode_table(grid, s, k)[m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t),
+    profile_table(grid, s, L, order)[k, m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t),
 
 zero below j0 = max(|m|, |s|): the rows m = -L..L climb together from
-their closed-form seeds, and every row j is kept.  mode_samples samples
-every mode (s, j, m) of one m on the grid from row m; mode_row reads one
-mode's profile from a cached table, or else climbs that row alone.
+their closed-form seeds, and every row j is kept.  mode_table caches its
+order 0.  mode_samples samples every mode (s, j, m) of one m on the grid
+from row m; mode_row reads one mode's profile from a cached table, or
+else evaluates it by modes.profile.
 
 One byte-bounded LRU of read-only arrays, the GridCache _tables and the
 library's only module-level cache of derived state, holds mode tables by
 the grid's geometry_key (L, n_theta, n_phi), so equal grids share them,
-and spin weight, all orders built so far in one entry (4.4 MB per order
-at L = 64), the operator tables of operators.py by geometry_key, spin
-weight and kind (4.4 MB each at L = 64), the transverse projectors of
-bundle.py by geometry_key and rank (5.4 MB at rank 2, L = 64) and its
-1 / sin(theta) by n_theta, two azimuthal matrices per n_phi, the DFT
-matrix and the phi-weighted analysis matrix made from it, and the masks
-of mode cells that transform.py checks coefficient labels against.  Each
-is fetched by one GridCache.cached(key, build) call, or, for the tables
-indexed by band, by band_table, the one rule that grows and slices them:
-a band-L table is the centered slice [..., T - L : T + L + 1, : L + 1, :]
-of the one entry of band T >= L, and every table is read at the band its
-coefficients declare.  So a transform call on a warm grid, at its band
-or any lower one, builds nothing: it slices cached operands and pays for
-its products.
+and spin weight, at order 0 only (4.4 MB at L = 64), the operator tables
+of operators.py by geometry_key, spin weight and kind (4.4 MB each at
+L = 64), and of bundle.py J_perp's spin-0 orders 0 and 1 by geometry_key
+(8.7 MB at L = 64), the transverse projectors by geometry_key and rank
+(5.4 MB at rank 2, L = 64) and 1 / sin(theta) by n_theta, two azimuthal
+matrices per n_phi, the DFT matrix and the phi-weighted analysis matrix
+made from it, and the masks of mode cells that transform.py checks
+coefficient labels against.  Each is fetched by one GridCache.cached(key,
+build) call, or, for the tables indexed by band, by band_table, the one
+rule that grows and slices them: a band-L table is the centered slice
+[..., T - L : T + L + 1, : L + 1, :] of the one entry of band T >= L, and
+every table is read at the band its coefficients declare.  So a
+transform call on a warm grid, at its band or any lower one, builds
+nothing: it slices cached operands and pays for its products.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -50,7 +51,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .errors import BandLimitExceeded, InvalidMode
-from .modes import J_MAX, _climb, check_j_supported
+from .modes import J_MAX, _climb, check_j_supported, profile
 
 TABLE_CACHE_BYTES = 64 * 2**20
 _F = J_MAX + 1  # the highest azimuthal frequency: a band of J_MAX shifted by a ladder
@@ -113,57 +114,55 @@ class GridCache:
 _tables = GridCache(TABLE_CACHE_BYTES)
 
 
-def band_table(key, grid, band, build, short=lambda held: False):
+def band_table(key, grid, band, build):
     """The band-L slice [..., T - L : T + L + 1, : L + 1, :] of the table [..., m + T, j, t] cached under key.
 
     The one rule for every table indexed by band; L is band.  A missing
-    entry, one of a band T < L, or one that short(held) refuses is replaced
-    by build(T, held), held None if missing, at T = L, or past a held band
-    at least double it, up to the grid's band and J_MAX, so a rising sweep
-    of bands rebuilds a table O(log L) times.  A row does not depend on the
-    band it was built to, so every band reads the same bytes from any entry.
+    entry, or one of a band T < L, is replaced by build(T), at T = L, or
+    past a held band at least double it, up to the grid's band and J_MAX,
+    so a rising sweep of bands rebuilds a table O(log L) times.  A row does
+    not depend on the band it was built to, so every band reads the same
+    bytes from any entry.
     """
     held = _tables.get(key)
     top = -1 if held is None else held.shape[-2] - 1
-    if top < band or short(held):
-        top = max(band, min(2 * top, grid.band_limit, J_MAX)) if top < band else top
-        held = _tables.put(key, build(top, held))
+    if top < band:
+        top = max(band, min(2 * top, grid.band_limit, J_MAX))
+        held = _tables.put(key, build(top))
     return held[..., top - band : top + band + 1, : band + 1, :]
 
 
-def mode_table(grid, s, order=0, band_limit=None):
-    """Read-only table [m + L, j, t] of order-th theta-derivative profiles.
+def profile_table(grid, s, L, order):
+    """Fresh table [k, m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t), k <= order, from one climb.
 
-    order may also be a range of orders, for one view [k, m + L, j, t] of
-    the tables of orders order[k].  L is band_limit, at most the grid's
-    (the default).  The cached entry [k, m + T, j, t] holds every order up
-    to the highest asked for so far; band_table grows it.
+    Never cached: mode_table keeps order 0, and each derived table climbs its own orders.
+    """
+    check_j_supported(L, f"j={L}")
+    ms = np.arange(-L, L + 1)
+    table = np.zeros((order + 1, ms.size, L + 1, grid.theta.size))
+    _climb(np.full_like(ms, int(s)), ms, grid.theta, L, order, table)
+    return table
+
+
+def mode_table(grid, s, band_limit=None):
+    """Read-only table [m + L, j, t] of the profiles p_{sjm}(theta_t).
+
+    L is band_limit, at most the grid's (the default).  The cached entry
+    [m + T, j, t] is order 0 of profile_table; band_table grows it.
     """
     Lg = grid.band_limit
     L = Lg if band_limit is None else int(band_limit)
     if not 0 <= L <= Lg:
         raise BandLimitExceeded(f"table band limit {L} outside [0, {Lg}]")
-    if isinstance(order, range):
-        pick, order = slice(order.start, order.stop, order.step), max(order)
-    else:
-        pick = order = int(order)
     s = int(s)
-
-    def build(top, held):
-        orders = order if held is None else max(order, held.shape[0] - 1)
-        check_j_supported(top, f"j={top}")
-        ms = np.arange(-top, top + 1)
-        tables = np.zeros((orders + 1, ms.size, top + 1, grid.theta.size))
-        _climb(np.full_like(ms, s), ms, grid.theta, top, orders, tables)
-        return tables
-    return band_table((grid.geometry_key, s), grid, L, build, lambda held: held.shape[0] <= order)[pick]
+    return band_table((grid.geometry_key, s), grid, L, lambda top: profile_table(grid, s, top, 0)[0])
 
 
 def mode_samples(grid, s, m):
     """Samples [j, t, p] of every mode (s, j, m), j <= L, on the grid's nodes.
 
-    Row m of the order-0 mode_table times exp(i m phi), L the grid's band
-    limit; rows j < max(|m|, |s|) are zero.
+    Row m of mode_table times exp(i m phi), L the grid's band limit; rows
+    j < max(|m|, |s|) are zero.
     """
     L = grid.band_limit
     if abs(m) > L:
@@ -172,11 +171,11 @@ def mode_samples(grid, s, m):
 
 
 def mode_row(grid, s, j, m):
-    """p_{sjm} at the grid's colatitudes: a cached mode table's row, else row m climbed unstored."""
-    tables = _tables.get((grid.geometry_key, int(s)))
-    if tables is None or tables.shape[2] <= j:
-        return _climb(np.array([int(s)]), np.array([int(m)]), grid.theta, int(j))[0, 0]
-    return tables[0, m + tables.shape[2] - 1, j]
+    """p_{sjm} at the grid's colatitudes: a cached mode table's row, else modes.profile, unstored."""
+    table = _tables.get((grid.geometry_key, int(s)))
+    if table is None or table.shape[1] <= j:
+        return profile(s, j, m, grid.theta)
+    return table[m + table.shape[1] - 1, j]
 
 
 def pair_matmul(op, x):
@@ -193,22 +192,21 @@ def pair_matmul(op, x):
 def contract_table(table, coeffs):
     """R[k..., m + L, t, ...] = sum_j table[k..., m + L, j, t] * coeffs[m + L, j, ...].
 
-    table is a [k..., m + L, j, t] table of the band L of coeffs, such as a
-    slice of mode_table; its leading axes lead R and the trailing axes of
-    coeffs trail it.  One real matmul per m.
+    table is a [k..., m + L, j, t] table of the band L of coeffs, such as
+    mode_table or profile_table; its leading axes lead R and the trailing
+    axes of coeffs trail it.  One real matmul per m.
     """
     r = pair_matmul(table.swapaxes(-1, -2), coeffs.reshape(coeffs.shape[:2] + (-1,)))
     return r.reshape(r.shape[:-1] + coeffs.shape[2:])
 
 
-def radial_factors(grid, s, coeffs, order=0):
-    """R[m + L, t, ...] = sum_j mode_table(grid, s, order)[m + L, j, t] * coeffs[m + L, j, ...].
+def radial_factors(grid, s, coeffs):
+    """R[m + L, t, ...] = sum_j mode_table(grid, s)[m + L, j, t] * coeffs[m + L, j, ...].
 
-    With a range of orders, R[k, m + L, t, ...] for order[k], from one
-    contraction.  L is the band of coeffs, so the table is read, and built
-    if it must be, at the band a function declares.
+    L is the band of coeffs, so the table is read, and built if it must
+    be, at the band a function declares.
     """
-    return contract_table(mode_table(grid, s, order, coeffs.shape[1] - 1), coeffs)
+    return contract_table(mode_table(grid, s, coeffs.shape[1] - 1), coeffs)
 
 
 def _dft_matrix(grid):
@@ -274,5 +272,5 @@ def mode_coefficients(grid, s, samples, band_limit):
     rings = phi_analysis(grid, samples.swapaxes(0, 1), band_limit)
     rings = rings.reshape(rings.shape[:2] + (-1,))
     rings *= grid.theta_weights[:, None]
-    a = pair_matmul(mode_table(grid, s, 0, band_limit), rings)
+    a = pair_matmul(mode_table(grid, s, band_limit), rings)
     return a.reshape(a.shape[:2] + samples.shape[2:])

@@ -1,0 +1,88 @@
+"""Print one sha256 per in-process swsh case, to compare two checkouts' outputs byte for byte.
+
+    python tests/inproc_digests.py [--src DIR]
+
+All cases run in one process that imports swsh from DIR (default: the
+src directory next to this file), in a fixed order, on inputs drawn from
+one seeded generator, so two checkouts see the same inputs and the same
+cache history.  A case's digest covers the bytes of every array it
+returns.  Run it against two checkouts and diff the output: equal lines
+mean byte-identical results on that case.  pytest does not collect this
+file, since its name does not start with test_.
+
+The cases: synthesize, analyze and apply_grid of every operator kind, at
+the grid's band and a lower one, in either order, for spin weights 0,
++-1 and +-2; and the projected spin and orbital operators and the
+rotation generator of embedded sections of helicity +-1 and +-2, for one
+section in the fiber and one of random ambient components.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+BAND, LOW = 12, 7
+SPINS = (0, 1, -1, 2, -2)
+HELICITIES = (1, -1, 2, -2)
+AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1 / 3, 2 / 3, 2 / 3))
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str((a.dtype.str, a.shape)).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def _entries(rng, s, band):
+    return {(j, m): complex(rng.normal(), rng.normal())
+            for j in range(abs(s), band + 1) for m in range(-j, j + 1)}
+
+
+def _transform_cases(swsh, rng):
+    grid = swsh.make_grid(BAND)
+    for s in SPINS:
+        # the negative spin weights meet the lower band first, so their tables grow
+        for band in (BAND, LOW) if s >= 0 else (LOW, BAND):
+            f = swsh.synthesize(swsh.coefficient_set(s, band, _entries(rng, s, band)), grid)
+            yield f"s={s} synthesize, analyze at L={band}", [f.samples, swsh.analyze(f, band_limit=band).matrix]
+            for kind in swsh.operators.KINDS:
+                g = swsh.apply_grid(swsh.OperatorSpec(kind, s), f, band_limit=band)
+                yield f"s={s} apply_grid {kind} at L={band}", [g.samples]
+
+
+def _bundle_cases(swsh, rng):
+    grid = swsh.make_grid(10)
+    for h in HELICITIES:
+        shape = grid.shape + (3,) * abs(h)
+        fiber = swsh.embed(swsh.synthesize(swsh.coefficient_set(-h, 6, _entries(rng, -h, 6)), grid))
+        ambient = swsh.EmbeddedSection(grid, h, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for name, sec in (("fiber", fiber), ("ambient", ambient)):
+            spin, orbital = swsh.apply_projected_spin(sec), swsh.apply_projected_orbital(sec)
+            yield f"h={h} {name} projected spin", [part.components for part in spin]
+            yield f"h={h} {name} projected orbital", [part.components for part in orbital]
+            yield f"h={h} {name} rotation", [swsh.apply_J_rotation(sec, axis).components for axis in AXES]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the swsh package")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import swsh
+    import swsh.operators  # noqa: F401 (KINDS)
+
+    rng = np.random.default_rng(11)
+    for cases in (_transform_cases, _bundle_cases):
+        for name, arrays in cases(swsh, rng):
+            print(f"{_digest(arrays)}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

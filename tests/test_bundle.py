@@ -39,7 +39,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode
 from swsh.operators import ladder_coefficient
-from swsh.tables import _tables, mode_coefficients, phi_synthesis, radial_factors
+from swsh.tables import _tables, contract_table, mode_coefficients, phi_synthesis, profile_table, radial_factors
 from swsh.transform import coefficient_set, synthesize
 
 import horner_reference as horner
@@ -145,6 +145,15 @@ def test_unsupported_helicity_rejected():
         e_h_tensor(grid, 0)
     with pytest.raises(UnsupportedHelicity):
         EmbeddedSection(grid, 3, np.zeros(grid.shape + (3, 3, 3)))
+
+
+def test_a_fractional_helicity_is_refused():
+    # 1.5 names no helicity; it is not truncated to 1
+    grid = make_grid(3)
+    for h in (1.5, -2.5, float("nan")):
+        with pytest.raises(ValueError, match="helicity must be an integer"):
+            EmbeddedSection(grid, h, np.zeros(grid.shape + (3,)))
+    assert EmbeddedSection(grid, 1.0, np.zeros(grid.shape + (3,))).helicity == 1
 
 
 def test_section_shape_validated():
@@ -386,7 +395,7 @@ def _orbital_per_axis(section, frame, d_theta=None, d_phi=None):
     if d_theta is None:
         coeffs = section.component_coefficients
         m = np.arange(-grid.band_limit, grid.band_limit + 1).reshape((-1,) + (1,) * (rank + 1))
-        d_theta = phi_synthesis(grid, radial_factors(grid, 0, coeffs, order=1))
+        d_theta = phi_synthesis(grid, contract_table(profile_table(grid, 0, grid.band_limit, 1)[1], coeffs))
         d_phi = phi_synthesis(grid, 1j * m * radial_factors(grid, 0, coeffs))
         d_theta, d_phi = np.moveaxis(d_theta, -1, 1), np.moveaxis(d_phi, -1, 1)
     extra = (None,) * rank
@@ -427,11 +436,10 @@ def test_batched_axes_match_the_per_axis_formulas(rng, h):
 
 
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
-    # the operators need no table but the grid's mode table, its two
-    # azimuthal matrices, its projector and its 1 / sin(theta), and after
-    # one warm call they find these already
-    # built; a section synthesizes its rotation generators once, for every
-    # axis, and keeps them
+    # the operators need no table but the grid's mode table, J_perp's table,
+    # its two azimuthal matrices, its projector and its 1 / sin(theta), and
+    # after one warm call they find these already built; a section
+    # synthesizes its rotation generators once, for every axis, and keeps them
     grid = make_grid(11)
     axes = (X_AXIS, (0.6, 0.0, 0.8), Z_AXIS)
     real_put, real_synthesis = _tables.put, bundle._synthesis
@@ -443,7 +451,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         apply_projected_orbital(warm)
         apply_J_rotation(warm, axes[1])
         key = grid.geometry_key
-        assert set(puts) <= {(key, 0), ("dft", grid.n_phi), ("dft-analysis", grid.n_phi),
+        assert set(puts) <= {(key, 0), ("orbital", key), ("dft", grid.n_phi), ("dft-analysis", grid.n_phi),
                              ("projector", key, h), ("inverse-sine", grid.n_theta)}
         projector = bundle._projector(grid, h)
         sec = random_section(rng, grid, h, 4)

@@ -17,7 +17,7 @@ from swsh.errors import InvalidMode
 from swsh.grid import make_grid, read_grid_csv, sample_swsh
 from swsh.modes import J_MAX, SWMode, profile
 from swsh.multiplets import factor_search, massless_spectrum, spectrum_to_json
-from swsh.tables import mode_samples
+from swsh.tables import _tables, mode_samples
 from swsh.transform import (
     coefficient_set,
     read_coefficients_json,
@@ -354,6 +354,19 @@ def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "5")
     assert code == 0
     assert report_of(out)["results"]["modes"] == 35
+
+
+def test_a_cold_verify_ladder_puts_each_table_once(capsys, monkeypatch):
+    # the mode table is cached at order 0 and each operator table climbs its
+    # own derivative orders, so no entry is rebuilt to add an order
+    _tables.clear()
+    puts, put = [], _tables.put
+    monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or put(key, value))
+    code, _, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "8")
+    assert code == 0
+    assert (make_grid(8).geometry_key, -1) in puts
+    assert len(puts) == len(set(puts)), puts
+    _tables.clear()
 
 
 @pytest.mark.parametrize("spin, j_max", [(-3, 2), (-1, -4)])

@@ -18,7 +18,7 @@ from swsh.operators import (
     ladder_coefficient,
     verify_casimir_identity,
 )
-from swsh.tables import _tables, phi_synthesis, radial_factors
+from swsh.tables import _tables, contract_table, phi_synthesis, profile_table, radial_factors
 from swsh.transform import analysis_matrix, analyze, coefficient_set, synthesize
 
 from conftest import random_entries
@@ -272,19 +272,20 @@ def _apply_grid_per_call(op, f, band_limit=None):
     sin = np.sin(grid.theta)
     cot = np.cos(grid.theta) / sin
     p = radial_factors(grid, s, coeffs)
+    derivatives = profile_table(grid, s, L, 2)
     shift = 0
     if op.kind == "Jz":
         radial = m * p
     elif op.kind == "Helicity":
         radial = h * p
     elif op.kind == "Jsquared":
-        dp = radial_factors(grid, s, coeffs, order=1)
-        d2p = radial_factors(grid, s, coeffs, order=2)
+        dp = contract_table(derivatives[1], coeffs)
+        d2p = contract_table(derivatives[2], coeffs)
         pot = (m * m + s * s + 2 * s * m * np.cos(grid.theta)) / sin**2
         radial = -d2p - cot * dp + pot * p
     else:
         shift = +1 if op.kind == "Jplus" else -1
-        dp = radial_factors(grid, s, coeffs, order=1)
+        dp = contract_table(derivatives[1], coeffs)
         radial = shift * dp - m * cot * p + h * p / sin
     return phi_synthesis(grid, radial, shift)
 

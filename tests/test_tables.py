@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swsh import (OperatorSpec, SWMode, analyze, apply_grid, coefficient_set, make_grid, modes,
-                  operators, profile, sample_swsh, synthesize, tables)
+from swsh import (OperatorSpec, SWMode, analyze, apply_grid, apply_projected_orbital, coefficient_set,
+                  embed, make_grid, modes, operators, profile, sample_swsh, synthesize, tables)
 from swsh.grid import SphereGrid
 from swsh.modes import _seeds
-from swsh.tables import GridCache, mode_coefficients, mode_table, radial_factors
+from swsh.tables import GridCache, contract_table, mode_coefficients, mode_table, profile_table
 from swsh.transform import analysis_matrix
 
 import horner_reference as horner
@@ -44,7 +44,7 @@ def test_derivative_tables_are_the_horner_derivatives(order):
         grid = make_grid(L)
         ms = [m for m in range(-L, L + 1) if m % stride == 0 or abs(m) <= 2]
         for s in SPINS:
-            table = mode_table(grid, s, order)
+            table = profile_table(grid, s, L, order)[order]
             worst = 0.0
             for m in ms:
                 for j in range(max(abs(m), abs(s)), L + 1):
@@ -115,20 +115,21 @@ def test_radial_factors_skip_only_zero_bands(rng):
     coeffs = np.zeros((17, 9), dtype=np.complex128)
     for j in range(4):
         coeffs[8 - j : 8 + j + 1, j] = rng.normal(size=2 * j + 1)
-    got = radial_factors(grid, 0, coeffs, order=1)
-    want = np.einsum("mjt,mj->mt", mode_table(grid, 0, 1), coeffs)
+    derivative = profile_table(grid, 0, 8, 1)[1]
+    got = contract_table(derivative, coeffs)
+    want = np.einsum("mjt,mj->mt", derivative, coeffs)
     assert np.abs(got - want).max() <= 1e-14
     assert not got[:5].any() and not got[12:].any()
     # trailing axes pass through: a [..., 2] stack is its slices, bit for bit
     stack = np.stack([coeffs, 1j * coeffs[::-1]], axis=-1)
-    got = radial_factors(grid, 0, stack, order=1)
+    got = contract_table(derivative, stack)
     assert got.shape == (17, grid.n_theta, 2)
-    assert np.array_equal(radial_factors(grid, 0, stack[..., ::-1], order=1), got[..., ::-1])
+    assert np.array_equal(contract_table(derivative, stack[..., ::-1]), got[..., ::-1])
     samples = rng.normal(size=grid.shape + (2,)) + 1j * rng.normal(size=grid.shape + (2,))
     analysis = mode_coefficients(grid, 0, samples, 5)
     assert analysis.shape == (11, 6, 2)
     for i in range(2):
-        assert np.array_equal(got[..., i], radial_factors(grid, 0, stack[..., i], order=1))
+        assert np.array_equal(got[..., i], contract_table(derivative, stack[..., i]))
         assert np.array_equal(analysis[..., i], mode_coefficients(grid, 0, samples[..., i], 5))
 
 
@@ -265,6 +266,23 @@ def test_sparse_content_is_read_at_the_declared_band(rng, monkeypatch):
     tables._tables.clear()
 
 
+def test_cached_mode_tables_hold_order_zero_only(rng):
+    # after every operator kind and a bundle J_perp, each (geometry_key, s)
+    # entry is one [m + L, j, t] table: the derivative orders live only in
+    # the tables built from them
+    tables._tables.clear()
+    grid = make_grid(12)
+    for s in (0, -2):
+        f = synthesize(coefficient_set(s, 12, random_entries(rng, s, 12)), grid)
+        for kind in operators.KINDS:
+            apply_grid(OperatorSpec(kind, s), f)
+    apply_projected_orbital(embed(synthesize(coefficient_set(-1, 12, random_entries(rng, -1, 12)), grid)))
+    held = {key[1]: table for key, table in tables._tables._items.items() if key[0] == grid.geometry_key}
+    assert held.keys() == {0, -2, -1}
+    assert all(table.shape == (25, 13, grid.n_theta) for table in held.values())
+    tables._tables.clear()
+
+
 def test_geometry_key_is_built_once_per_grid():
     grid = make_grid(6)
     assert grid.geometry_key is grid.geometry_key
@@ -278,10 +296,10 @@ def test_stacked_orders_are_the_single_order_factors(rng):
     grid = make_grid(9)
     c = coefficient_set(0, 7, random_entries(rng, 0, 7)).matrix
     coeffs = np.stack([c, 2j * c], axis=-1)
-    stacked = radial_factors(grid, 0, coeffs, order=range(3))
+    stacked = contract_table(profile_table(grid, 0, 7, 2), coeffs)
     assert stacked.shape == (3, 15, grid.n_theta, 2)
     for k in range(3):
-        want = radial_factors(grid, 0, coeffs, order=k)
+        want = contract_table(profile_table(grid, 0, 7, k)[k], coeffs)
         assert np.abs(stacked[k] - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -319,19 +337,20 @@ def test_grid_cache_builds_each_key_once():
 
 
 def test_sampling_one_mode_builds_no_table(monkeypatch):
-    # sample_swsh climbs its one row unless a cached mode table reaches its
-    # band, and both ways give the same bytes
+    # sample_swsh evaluates its one profile unless a cached mode table
+    # reaches its band, and both ways give the same bytes
     tables._tables.clear()
     grid, mode = make_grid(24), SWMode(-1, 20, 3)
     climbed = sample_swsh(grid, mode).samples
     assert len(tables._tables) == 0
-    mode_table(grid, -1, 0, 19)
+    mode_table(grid, -1, 19)
     assert sample_swsh(grid, mode).samples.tobytes() == climbed.tobytes()
-    mode_table(grid, -1, 0, 20)
+    mode_table(grid, -1, 20)
 
     def refuse(*args):
         raise AssertionError("climbed past a cached table")
 
+    monkeypatch.setattr(modes, "_climb", refuse)
     monkeypatch.setattr(tables, "_climb", refuse)
     assert sample_swsh(grid, mode).samples.tobytes() == climbed.tobytes()
     tables._tables.clear()

@@ -364,6 +364,11 @@ def test_mode_counts_shape():
     counts = mode_counts(-2, 4)
     assert counts == {0: 0, 1: 0, 2: 5, 3: 7, 4: 9}
     assert mode_counts(0, 2) == {0: 1, 1: 3, 2: 5}
+    assert mode_counts(-2.0, 3.0) == mode_counts(-2, 3)
+    # fractions are refused, not truncated to the counts of s = 1, j_max = 3
+    for args in ((-1.7, 3.9), (-1, 3.9), (-1.7, 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            mode_counts(*args)
 
 
 # -------------------------------------------------------------- serialization
