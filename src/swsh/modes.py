@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORTH, SOUTH, DomainError, InvalidMode, UnsupportedOrder, pole_name  # noqa: F401 (SOUTH)
+from .errors import NORTH, DomainError, InvalidMode, UnsupportedOrder, pole_name
 
 J_MAX = 64
 

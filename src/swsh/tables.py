@@ -10,7 +10,7 @@ from row m; mode_row reads one mode's profile from a cached table, or
 else evaluates it by modes.profile.
 
 One byte-bounded LRU of read-only arrays, the GridCache _tables and the
-library's only module-level cache of derived state, holds mode tables by
+library's only module-level cache of derived arrays, holds mode tables by
 the grid's geometry_key (L, n_theta, n_phi), so equal grids share them,
 and spin weight, at order 0 only (4.4 MB at L = 64), the operator tables
 of operators.py by geometry_key, spin weight and kind (4.4 MB each at
@@ -18,14 +18,16 @@ L = 64), and of bundle.py J_perp's spin-0 orders 0 and 1 by geometry_key
 (8.7 MB at L = 64), the transverse projectors by geometry_key and rank
 (5.4 MB at rank 2, L = 64) and 1 / sin(theta) by n_theta, two azimuthal
 matrices per n_phi, the DFT matrix and the phi-weighted analysis matrix
-made from it, and the masks of mode cells that transform.py checks
-coefficient labels against.  Each is fetched by one GridCache.cached(key,
-build) call, or, for the tables indexed by band, by band_table, the one
-rule that grows and slices them: a band-L table is the centered slice
+made from it.  Each is fetched by one GridCache.cached(key, build) call,
+or, for the tables indexed by band, by band_table, the one rule that
+grows and slices them: a band-L table is the centered slice
 [..., T - L : T + L + 1, : L + 1, :] of the one entry of band T >= L, and
 every table is read at the band its coefficients declare.  So a
 transform call on a warm grid, at its band or any lower one, builds
-nothing: it slices cached operands and pays for its products.
+nothing: it slices cached operands and pays for its products.  The one
+other module-level cache holds no array: transform.py's label index
+{(j, m): flat cell} per |s| and band, a functools.lru_cache of at most 8
+dicts, each about 0.55 MiB and built in about 1 ms at L = 64.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],

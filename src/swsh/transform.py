@@ -16,10 +16,11 @@ synthesize reads the set without a per-entry step.  Coefficients with
 magnitude below 1e-13 are stored as exact zeros, and so are NaN amplitudes
 given in a mapping; analyze refuses non-finite samples.  The sparse
 (j, m) -> amplitude view lists the nonzero coefficients and is built on
-first use.  A mapping's labels are read into one int64 array and checked
-at once, by their flat cell indices against a cached mask of the cells
-that hold a mode; only when one fails are the keys walked in order, to
-name the first bad one.
+first use.  A mapping's labels are looked up, all in one pass, in a
+cached index of the modes of its band and spin, which gives each its flat
+cell; a label the index lacks, or a complex one (2+0j equals 2 to a dict),
+sends the set on one walk over its entries in order, which validates
+each and names the first bad one.
 
 A grid function is analyzed at most once at its grid's band limit: the
 read-only matrix is kept on the GridFunction, so analyze and every
@@ -28,9 +29,11 @@ is analyzed afresh each time.
 """
 
 import json
+import numbers
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import starmap
 from types import MappingProxyType
 
 import numpy as np
@@ -39,7 +42,7 @@ from .errors import BandLimitExceeded, as_integer
 from .grid import GridFunction
 from .modes import check_j_supported, validate_mode
 from .serial import json_dumps
-from .tables import _tables, mode_coefficients, phi_synthesis, radial_factors
+from .tables import mode_coefficients, phi_synthesis, radial_factors
 
 COEFF_CLIP = 1e-13
 
@@ -109,13 +112,22 @@ class CoefficientSet:
 def _entry_matrix(s, L, entries):
     """Clipped A[m + L, j] of a (j, m) -> amplitude mapping.
 
-    Every label is checked at once; if any is bad, the keys are walked in
-    the mapping's order and the first bad one raises and names the fault.
+    Every label is looked up in the index of the modes |s| <= j <= L.  Once
+    each lookup succeeds, every label equals an int, so the sum of the
+    labels fails to be a real number only if some label is complex (or a
+    Decimal, which numbers.Real does not register); such a set, and one
+    with a label the index lacks, takes _walk_cells, which accepts or
+    raises the first fault.
     Amplitudes below COEFF_CLIP, and NaN, become zero.
     """
-    cells = _mode_cells(s, L, _label_array(entries))
-    if cells is None:
-        _raise_first_fault(s, L, entries)
+    index = _label_index(abs(s), L)
+    try:
+        cells = np.fromiter(map(index.__getitem__, entries), np.intp, len(entries))
+        indexed = isinstance(sum(starmap(operator.add, entries)), numbers.Real)
+    except (KeyError, TypeError):
+        indexed = False
+    if not indexed:
+        cells = _walk_cells(s, L, entries)
     # through complex(), since fromiter alone would also read bytes
     amps = np.fromiter(map(complex, entries.values()), np.complex128, len(entries))
     out = np.zeros((2 * L + 1) * (L + 1), dtype=np.complex128)
@@ -123,55 +135,23 @@ def _entry_matrix(s, L, entries):
     return out.reshape(2 * L + 1, L + 1)
 
 
-def _mode_cells(s, L, labels):
-    """Flat indices (m + L) * (L + 1) + j of int64 labels [j, m, j, m, ...], or None unless each is a mode.
-
-    ravel_multi_index refuses any pair outside 0 <= m + L <= 2 L,
-    0 <= j <= L (an m that wraps in m + L lands far outside); the
-    cached mask of the cells that hold a mode does the rest.
-    """
-    if labels is None:
-        return None
-    j, m = labels[0::2], labels[1::2]
-    try:
-        cells = np.ravel_multi_index((m + L, j), (2 * L + 1, L + 1))
-    except ValueError:
-        return None
-    return cells if np.count_nonzero(_mode_mask(s, L)[cells]) == cells.size else None
+@lru_cache(maxsize=8)
+def _label_index(j_low, L):
+    """{(j, m): (m + L) * (L + 1) + j}, the flat cells of A[m + L, j] of the modes j_low <= j <= L."""
+    return {(j, m): (m + L) * (L + 1) + j for j in range(j_low, L + 1) for m in range(-j, j + 1)}
 
 
-def _mode_mask(s, L):
-    """Read-only flat mask of the cells (m + L, j) of A[m + L, j] with |s| <= j and |m| <= j."""
-    def build():
-        j = np.arange(L + 1)
-        return ((j >= abs(s)) & (np.abs(np.arange(-L, L + 1))[:, None] <= j)).ravel()
-    return _tables.cached(("modes", s, L), build)
-
-
-def _label_array(keys):
-    """int64 [j, m, j, m, ...] of the keys, or None unless each is a pair of labels equal to ints.
-
-    fromiter reads a label as int() does, which takes '3' to 3 and 2.5 to 2,
-    so each label must also compare equal to the integer read from it.
-    """
-    try:
-        if set(map(len, keys)) - {2}:
-            return None
-        flat = list(chain.from_iterable(keys))
-        ints = np.fromiter(flat, np.int64, len(flat))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return ints if ints.tolist() == flat else None
-
-
-def _raise_first_fault(s, L, entries):
-    """Raise for the first entry, in the mapping's order, that validate_mode,
-    the band limit or complex() refuses."""
+def _walk_cells(s, L, entries):
+    """Flat cells of the entries, walked in the mapping's order: the first one
+    that validate_mode, the band limit or complex() refuses raises."""
+    cells = []
     for (j, m), v in entries.items():
         validate_mode(s, j, m)
         if j > L:
             raise BandLimitExceeded(f"entry j={j} exceeds band limit {L}")
         complex(v)
+        cells.append((int(m) + L) * (L + 1) + int(j))
+    return np.array(cells, dtype=np.intp)
 
 
 def coefficient_set(spin_weight, band_limit, entries=None):

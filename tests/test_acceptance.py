@@ -29,8 +29,9 @@ from swsh.bundle import (
     section_norm,
     section_scale,
 )
+from swsh.errors import NORTH, SOUTH
 from swsh.grid import make_grid, pole_limit_extrapolate, sample_swsh
-from swsh.modes import NORTH, SOUTH, SWMode
+from swsh.modes import SWMode
 from swsh.multiplets import factor_search, massive_spectrum, massless_spectrum, mode_counts
 from swsh.operators import OperatorSpec, apply_grid, ladder_coefficient
 from swsh.transform import analyze, coefficient_set, synthesize

@@ -12,6 +12,8 @@ from swsh.bundle import apply_projected_spin, embed
 from swsh.errors import (
     BandLimitExceeded,
     GridMismatch,
+    NORTH,
+    SOUTH,
     InsufficientNodes,
     SpinWeightMismatch,
 )
@@ -32,7 +34,7 @@ from swsh.grid import (
     standard_frame,
     write_grid_csv,
 )
-from swsh.modes import NORTH, SOUTH, SWMode, eval_swsh_pole_limit, profile
+from swsh.modes import SWMode, eval_swsh_pole_limit, profile
 from swsh.tables import _tables, mode_table
 
 from conftest import random_entries

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from swsh.errors import DomainError, InvalidMode, UnsupportedOrder
+from swsh.errors import NORTH, SOUTH, DomainError, InvalidMode, UnsupportedOrder
 from swsh.modes import (
-    NORTH,
-    SOUTH,
     SWMode,
     eval_swsh,
     eval_swsh_dtheta,

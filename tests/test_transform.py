@@ -1,6 +1,8 @@
 """Forward/inverse transforms and coefficient serialization."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +87,49 @@ def test_entries_validated():
             coefficient_set(0, 4, entries)
         assert type(info.value) is error and str(info.value).startswith(message), entries
     assert coefficient_set(0, 4, {(1, 0): "1+2j"}).get(1, 0) == 1 + 2j
+
+
+def test_a_complex_label_is_refused_though_it_equals_an_int():
+    # 2+0j == 2 and hashes alike, so a bare dict lookup would take it;
+    # it raises int()'s TypeError, alone, after good keys, or next to a
+    # float32 label that makes the labels' sum a numpy complex64
+    good = {(2, 1): 1.0, (3, -2): 2.0j}
+    for entries in (
+        {(2 + 0j, 1): 1.0},
+        {**good, (2 + 0j, 0): 1.0},
+        {**good, (4, -1 + 0j): 1.0},
+        {**good, (2 + 0j, np.float32(0)): 1.0},
+    ):
+        with pytest.raises(TypeError) as info:
+            coefficient_set(0, 4, entries)
+        assert type(info.value) is TypeError and str(info.value) == _int_error(2 + 0j), entries
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_numeric_labels_equal_to_ints_are_read_as_those_ints():
+    good = {(2, 1): 1.0, (3, -2): 2.0j}
+    want = coefficient_set(0, 4, {**good, (2, 0): 3.0})
+    for label in (np.complex128(2), Fraction(2), Decimal(2)):
+        assert coefficient_set(0, 4, {**good, (label, 0): 3.0}) == want, label
+        assert coefficient_set(0, 4, {(label, 0): 3.0, **good}) == want, label
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_the_label_walk_and_the_label_index_give_the_same_bytes(monkeypatch):
+    # int and float labels are read through the index; Decimal labels (not
+    # registered as real numbers) and numpy complex ones take the walk
+    walks = []
+    walk = transform._walk_cells
+    monkeypatch.setattr(transform, "_walk_cells", lambda *a: walks.append(1) or walk(*a))
+    rng = np.random.default_rng(26)
+    for s, L in ((0, 12), (-2, 12), (1, 5)):
+        ints = random_entries(rng, s, L, count=40)
+        want = coefficient_set(s, L, ints).matrix.tobytes()
+        for label, walked in ((int, 0), (float, 0), (Decimal, 1), (np.complex128, 1)):
+            walks.clear()
+            twin = {(label(j), label(m)): v for (j, m), v in ints.items()}
+            assert coefficient_set(s, L, twin).matrix.tobytes() == want, (s, L, label)
+            assert len(walks) == walked, (s, L, label)
 
 
 def _int_error(label):
