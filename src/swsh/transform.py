@@ -116,9 +116,9 @@ def _entry_matrix(s, L, entries):
     each lookup succeeds, every label equals an int, so the sum of the
     labels fails to be a real number only if some label is complex (or a
     Decimal, which numbers.Real does not register); such a set, and one
-    with a label the index lacks, takes _walk_cells, which accepts or
-    raises the first fault.
-    Amplitudes below COEFF_CLIP, and NaN, become zero.
+    with a label the index lacks, takes _walk_cells, which accepts it or
+    raises the first fault.  Amplitudes below COEFF_CLIP, and NaN, become
+    zero.
     """
     index = _label_index(abs(s), L)
     try:
