@@ -17,7 +17,7 @@ Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
 once, by mode_coefficients, into A[m + L, j, D]; radial_factors, or J_perp's
-own cached table of the spin-0 orders 0 and 1, contracts it, and _synthesis
+cached spin-0 table [m csc(theta) p, dp/dtheta], contracts it, and _synthesis
 applies one DFT matrix product over phi, giving samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
 matrix per node, cached with the tables of tables.py by grid geometry and
@@ -38,7 +38,7 @@ from .errors import GridMismatch, UnsupportedHelicity, as_integer
 from .grid import GridFunction, SphereGrid, standard_frame
 from .operators import ladder_shift
 from .tables import (_tables, band_table, contract_table, mode_coefficients, pair_matmul, phi_synthesis,
-                     profile_table, radial_factors)
+                     radial_factors, spin_tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,9 +264,11 @@ def _projector(grid, rank):
     return _tables.cached(("projector", grid.geometry_key, rank), build)
 
 
-def _inverse_sine(grid):
-    """Read-only 1 / sin(theta_t) on the grid's colatitudes, cached in _tables by n_theta."""
-    return _tables.cached(("inverse-sine", grid.n_theta), lambda: 1.0 / np.sin(grid.theta))
+def _orbital_table(grid, L):
+    """Fresh [k, m + L, j, t]: [m csc(theta) p_0, dp_0/dtheta] = lam [p_-1 + p_+1, p_-1 - p_+1] / 2."""
+    lower, upper = spin_tables(grid, (-1, 1), L)
+    half_lam = 0.5 * np.sqrt(np.arange(L + 1) * np.arange(1, L + 2))[:, None]  # lam = sqrt(j (j + 1))
+    return np.stack([half_lam * (lower + upper), half_lam * (lower - upper)])
 
 
 def apply_projected_spin(section):
@@ -299,12 +301,12 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
     if (d_theta is None) != (d_phi is None):
         raise ValueError("pass both d_theta and d_phi or neither")
     if d_theta is None:
-        # every ambient component at once: [..., 0] d/dphi, [..., 1] d/dtheta
+        # every ambient component at once: [..., 0] (1/sin) d/dphi, [..., 1] d/dtheta
         a = section._coefficients  # analyzed first: it checks the band against J_MAX
         L = a.shape[1] - 1
-        table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: profile_table(grid, 0, top, 1))
+        table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: _orbital_table(grid, top))
         radial = contract_table(table, a)
-        radial[0] *= 1j * np.arange(-L, L + 1)[:, None, None]
+        radial[0] *= 1j
         derivs = _synthesis(grid, radial)
     else:
         d_theta = np.asarray(d_theta, dtype=np.complex128)
@@ -314,7 +316,7 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
         if d_phi.shape != section.components.shape:
             raise GridMismatch("d_phi shape does not match components")
         derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
-    derivs[..., 0] *= _inverse_sine(grid)[:, None, None]
+        derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
     proj = pair_matmul(_projector(grid, rank), derivs)
     frame = standard_frame(grid)
     parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
@@ -371,32 +373,23 @@ def commutator_report(h, test_sections, floor=0.1):
         perp_of_par = [apply_projected_orbital(par[i]) for i in range(3)]
         perp_of_perp = [apply_projected_orbital(perp[i]) for i in range(3)]
         par_of_par = [apply_projected_spin(par[i]) for i in range(3)]
+
+        def rel(x):
+            return _comp_norm(section.grid, x, section.rank) / nrm
+
         for a, b, c in pairs:
             # [J_par_a, J_par_b] = 0, defect against i eps J_par_c
             comm = par_of_par[b][a].components - par_of_par[a][b].components
-            worst["par_par"] = max(
-                worst["par_par"], _comp_norm(section.grid, comm, section.rank) / nrm
-            )
-            d = comm - 1j * par[c].components
-            defect["par"] = max(
-                defect["par"], _comp_norm(section.grid, d, section.rank) / nrm
-            )
+            worst["par_par"] = max(worst["par_par"], rel(comm))
+            defect["par"] = max(defect["par"], rel(comm - 1j * par[c].components))
             # [J_perp_a, J_par_b] = i eps J_par_c
             comm = perp_of_par[b][a].components - par_of_perp[a][b].components
-            r = comm - 1j * par[c].components
-            worst["perp_par"] = max(
-                worst["perp_par"], _comp_norm(section.grid, r, section.rank) / nrm
-            )
+            worst["perp_par"] = max(worst["perp_par"], rel(comm - 1j * par[c].components))
             # [J_perp_a, J_perp_b] = i eps (J_perp_c - J_par_c)
             comm = perp_of_perp[b][a].components - perp_of_perp[a][b].components
             r = comm - 1j * (perp[c].components - par[c].components)
-            worst["perp_perp"] = max(
-                worst["perp_perp"], _comp_norm(section.grid, r, section.rank) / nrm
-            )
-            d = comm - 1j * perp[c].components
-            defect["perp"] = max(
-                defect["perp"], _comp_norm(section.grid, d, section.rank) / nrm
-            )
+            worst["perp_perp"] = max(worst["perp_perp"], rel(r))
+            defect["perp"] = max(defect["perp"], rel(comm - 1j * perp[c].components))
     return {
         "h": h,
         "n_sections": len(test_sections),

@@ -7,26 +7,23 @@ The value of a mode factorizes as
 with a real theta-profile p.  Every profile comes from one j-recurrence,
 _climb: a batch of (s, m) rows starts at j0 = max(|m|, |s|), where a
 profile is one half-angle monomial in closed form (_seeds), and climbs by
-the three-term recurrence and, for the derivative orders in the same
-loop, by its theta-derivatives, plain calculus that restates no ladder
-algebra:
 
-    a_{j+1} p_{j+1}   = b_j p_j - a_j p_{j-1},
-    a_{j+1} p'_{j+1}  = b_j p'_j - sin(theta) p_j - a_j p'_{j-1},
-    a_{j+1} p''_{j+1} = b_j p''_j - 2 sin(theta) p'_j - cos(theta) p_j - a_j p''_{j-1},
+    a_{j+1} p_{j+1} = b_j p_j - a_j p_{j-1},
     a_j = sqrt((j^2 - m^2)(j^2 - s^2) / (j^2 (4 j^2 - 1))),  b_j = cos(theta) + m s / (j (j+1)).
 
-profile() climbs one row and holds only rows j - 1 and j; it serves
-point evaluation.  The mode tables of tables.py climb many rows and keep
-every one; grid sampling reads them.  J_MAX declares the envelope j <= J_MAX
-in which the recurrence is verified against an independent double-double
-Horner evaluation of the closed-form sum; check_j_supported holds it, with
-one message form, at the public entries: validate_mode, CoefficientSet
-(its declared band), mode_coefficients (an analysis band) and profile_table.
-Evaluation refuses the poles; the finite limiting data there lives
-exclusively in eval_swsh_pole_limit, because as plain functions the modes
-are singular at theta = 0, pi even though the objects they describe are
-not.
+A theta-derivative climbs nothing of its own: _dtheta takes it from the
+profiles of the neighbouring spins, which climb in the same batch, by the
+spin-raising relation of CONVENTIONS.md.  profile() climbs the 1, 3 or 5
+spin rows of one m that its order needs, holding only rows j - 1 and j,
+for point evaluation; the tables of tables.py keep every row.  J_MAX
+declares the envelope j <= J_MAX in which the recurrence is verified
+against an independent double-double Horner evaluation of the closed-form
+sum; check_j_supported holds it, with one message form, at the public
+entries: validate_mode, CoefficientSet (its declared band),
+mode_coefficients (an analysis band) and every table build.  Evaluation
+refuses the poles; the finite limiting data there lives exclusively in
+eval_swsh_pole_limit, because as plain functions the modes are singular at
+theta = 0, pi even though the objects they describe are not.
 """
 
 import math
@@ -66,25 +63,25 @@ def validate_mode(s, j, m):
             whole = False
         if not whole:
             raise InvalidMode(f"{name}={val!r} is not an integer")
-    if j < 0:
+    # compared as ints, named as given: np.complex128(2) and Fraction(1) do not order
+    si, ji, mi = int(s), int(j), int(m)
+    if ji < 0:
         raise InvalidMode(f"j={j} is negative")
-    if j < abs(s):
+    if ji < abs(si):
         raise InvalidMode(f"invalid mode: j < |s| (j={j}, s={s})")
-    if abs(m) > j:
+    if abs(mi) > ji:
         raise InvalidMode(f"invalid mode: |m| > j (j={j}, m={m})")
-    check_j_supported(j, f"j={j}")
+    check_j_supported(ji, f"j={j}")
 
 
-def _seeds(s, m, theta, order):
-    """j0 = max(|m|, |s|) and d^k/dtheta^k p_{s j0 m}(theta) [k, row, t], k <= order.
+def _seeds(s, m, theta):
+    """j0 = max(|m|, |s|) and p_{s j0 m}(theta) [row, t].
 
     With q = max(0, m - s), the closed-form sum over q has the single term
     +-exp(lead) c^e1 h^e2, c = cos(theta/2), h = sin(theta/2), e1 = 2q + s - m,
     e2 = 2 j0 - e1, and exp(2 lead) = (2 j0 + 1) binomial(2 j0, j0 + a) / (4 pi),
     a the smaller of s, m in magnitude; the exact binomial keeps the lead to
-    rounding, where log-factorials would lose 1e-13 at j0 = 64.  With
-    u = cot(theta/2) and v = tan(theta/2): p' = (e2 u - e1 v) p / 2 and, free
-    of cancellation, p'' = (e2 (e2 - 1) u^2 + e1 (e1 - 1) v^2 - 2 e1 e2 - e1 - e2) p / 4.
+    rounding, where log-factorials would lose 1e-13 at j0 = 64.
     """
     j = np.maximum(np.abs(m), np.abs(s))
     q = np.maximum(0, m - s)
@@ -95,74 +92,76 @@ def _seeds(s, m, theta, order):
     lead = 0.5 * np.log([math.comb(2 * k, k + b) * (2 * k + 1) / (4 * math.pi) for k, b in pairs])
     sign = np.where((j - q - s - m) % 2, -1.0, 1.0)[:, None]
     c, h = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    out = np.empty((order + 1, m.size, theta.size))
-    out[0] = sign * np.exp(lead[:, None] + e1 * np.log(c) + e2 * np.log(h))
-    if order >= 1:
-        u, v = c / h, h / c
-        out[1] = 0.5 * (e2 * u - e1 * v) * out[0]
-    if order >= 2:
-        out[2] = 0.25 * (e2 * (e2 - 1) * u * u + e1 * (e1 - 1) * v * v - 2 * e1 * e2 - e1 - e2)
-        out[2] *= out[0]
-    return j, out
+    return j, sign * np.exp(lead[:, None] + e1 * np.log(c) + e2 * np.log(h))
 
 
-def _climb(s, m, theta, L, order=0, table=None):
-    """P[k, row, t] = d^k/dtheta^k p_{s[row], L, m[row]}(theta_t) for k <= order, zero where L < j0.
+def _climb(s, m, theta, L, table=None):
+    """P[row, t] = p_{s[row], L, m[row]}(theta_t), zero where L < j0.
 
-    Only rows j - 1 and j are held.  Given a zeroed table [k, row, j, t],
+    Only rows j - 1 and j are held.  Given a zeroed table [row, j, t],
     every row j <= L is also written to it; entries below j0 stay zero.
     The rows climb sorted by j0, so the live ones are always a leading
     slice and a row joins, with its seed, at its own j0.
     """
     by_j0 = np.argsort(np.maximum(np.abs(m), np.abs(s)), kind="stable")
     s, m = s[by_j0], m[by_j0]
-    j0, seeds = _seeds(s, m, theta, order)
+    j0, seeds = _seeds(s, m, theta)
     live = np.searchsorted(j0, np.arange(L + 1), side="right").tolist()
     prev, cur, nxt = (np.zeros_like(seeds) for _ in range(3))
     # a_j of the live rows; a row joining at j0 has a_j0 = 0, as the zeros here
     a_cur, a_next = np.zeros(m.size), np.zeros(m.size)
-    x, sin = np.cos(theta), np.sin(theta)
+    x = np.cos(theta)
     m, s = m.astype(np.float64), s.astype(np.float64)
     ms, m2, s2 = m * s, m * m, s * s
     n = 0
     for j in range(int(j0[0]), L + 1):
         if live[j] > n:
-            cur[:, n : live[j]] = seeds[:, n : live[j]]
+            cur[n : live[j]] = seeds[n : live[j]]
             n = live[j]
         if table is not None:
-            table[:, by_j0[:n], j] = cur[:, :n]
+            table[by_j0[:n], j] = cur[:n]
         if j == L:
             break
-        p = cur[:, :n]
-        row = np.multiply(x, p, out=nxt[:, :n])
+        p = cur[:n]
+        row = np.multiply(x, p, out=nxt[:n])
         if j > 0:
             row += (ms[:n] / (j * (j + 1)))[:, None] * p
-            row -= a_cur[:n, None] * prev[:, :n]
-        if order >= 1:
-            row[1] -= sin * p[0]
-        if order >= 2:
-            row[2] -= 2.0 * sin * p[1] + x * p[0]
+            row -= a_cur[:n, None] * prev[:n]
         jj = (j + 1) * (j + 1)
         np.sqrt((jj - m2[:n]) * (jj - s2[:n]) / (jj * (4.0 * jj - 1.0)), out=a_next[:n])
         row /= a_next[:n, None]
         prev, cur, nxt = cur, nxt, prev
         a_cur, a_next = a_next, a_cur
     out = np.empty_like(cur)
-    out[:, by_j0] = cur
+    out[by_j0] = cur
     return out
+
+
+def _dtheta(p, s, j):
+    """p'_s = (lam_- p_{s-1} - lam_+ p_{s+1}) / 2 for s in s[1:-1], from profiles p[k, ...] of spins s[k].
+
+    The spins s are consecutive; lam_+- = sqrt((j -+ s)(j +- s + 1)), clipped at 0; j broadcasts against p[k].
+    """
+    s = np.reshape(s[1:-1], (-1,) + (1,) * (p.ndim - 1))
+    up = np.sqrt(np.maximum((j - s) * (j + s + 1), 0))
+    down = np.sqrt(np.maximum((j + s) * (j - s + 1), 0))
+    return 0.5 * (down * p[:-2] - up * p[2:])
 
 
 def profile(s, j, m, theta, order=0):
     """Real theta-profile of sY_jm, or its order-th theta-derivative, at interior theta.
 
-    order is 0, 1 or 2; the (s, m) row climbs from its seed to j.
+    order is 0, 1 or 2: the rows of spins s - order .. s + order climb to j, and _dtheta takes order steps.
     """
     if order not in (0, 1, 2):
         raise UnsupportedOrder(f"profile order must be 0, 1 or 2, got {order!r}")
     validate_mode(s, j, m)
     theta = np.asarray(theta, dtype=np.float64)
-    p = _climb(np.array([int(s)]), np.array([int(m)]), theta.ravel(), int(j), int(order))
-    return p[order, 0].reshape(theta.shape)
+    spins = np.arange(int(s) - order, int(s) + order + 1)
+    p = _climb(spins, np.full_like(spins, int(m)), theta.ravel(), int(j))
+    for _ in range(order):
+        p, spins = _dtheta(p, spins, int(j)), spins[1:-1]
+    return p[0].reshape(theta.shape)
 
 
 def _check_interior(theta):

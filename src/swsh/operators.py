@@ -4,13 +4,13 @@ Coefficient space: the exact diagonal and ladder actions as scalings of the
 dense coefficient matrix (apply_coeff).
 Grid space: the actual differential expressions (apply_grid).  Each
 operator has a table per grid geometry, spin weight and kind, its action on
-every profile p_{sjm}(theta) exp(i m phi), formed once from the profiles
-of tables.py and their analytic theta-derivatives by the differential
-expression, and kept in the same byte-bounded cache; an application is then
-one contraction with the function's analysis coefficients and one DFT
-matrix product over phi.  The two are cross-validated in tests; the tables are built from the
-differential expressions only, never from the known ladder action, since
-the point of apply_grid is to confirm that action independently.
+every profile p_{sjm}(theta) exp(i m phi), formed once by the differential
+expression from the profiles of spins s - 1 .. s + 1 (s +- 2 for J^2) and
+their theta-derivatives by the spin-raising relation, and kept in the same
+byte-bounded cache; an application is then one contraction with the
+function's analysis coefficients and one DFT matrix product over phi.  The
+two are cross-validated in tests; the tables never read the known ladder
+action in m (_LADDER), since the point of apply_grid is to confirm it.
 
 The operator parameter h is always bound to the function's spin weight
 as h = -s at call time, so mixed-convention application cannot happen.
@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
-from .modes import J_MAX
-from .tables import band_table, contract_table, mode_table, phi_synthesis, profile_table
+from .modes import J_MAX, _dtheta
+from .tables import band_table, contract_table, mode_table, phi_synthesis, spin_tables
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -140,23 +140,25 @@ def _operator_table(grid, s, kind, band_limit):
 
 
 def _differential_table(grid, s, kind, L):
-    """The differential expression on the cached mode table (J_z, helicity) or on one profile_table climb."""
+    """The differential expression on the cached mode table (J_z, helicity) or on one spin_tables climb."""
     h = -s
     m = np.arange(-L, L + 1)[:, None, None]
     if kind == "Jz":
         return m * mode_table(grid, s, L)
     if kind == "Helicity":
         return h * mode_table(grid, s, L)
-    cos = np.cos(grid.theta)
-    sin = np.sin(grid.theta)
+    cos, sin, j = np.cos(grid.theta), np.sin(grid.theta), np.arange(L + 1)[:, None]
     cot = cos / sin
     if kind == "Jsquared":
-        p, dp, d2p = profile_table(grid, s, L, 2)
+        spins = np.arange(s - 2, s + 3)
+        p = spin_tables(grid, spins, L)
+        dp = _dtheta(p, spins, j)  # spins s - 1 .. s + 1
         pot = (m * m + s * s + 2 * s * m * cos) / sin**2
-        return -d2p - cot * dp + pot * p
+        return -_dtheta(dp, spins[1:-1], j)[0] - cot * dp[1] + pot * p[2]
+    spins = np.arange(s - 1, s + 2)
+    p = spin_tables(grid, spins, L)
     shift = +1 if kind == "Jplus" else -1
-    p, dp = profile_table(grid, s, L, 1)
-    return shift * dp - m * cot * p + h * p / sin
+    return shift * _dtheta(p, spins, j)[0] - m * cot * p[1] + h * p[1] / sin
 
 
 def verify_casimir_identity(spin_weight, c):

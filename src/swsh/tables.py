@@ -1,22 +1,23 @@
-"""Every table from the one j-recurrence of modes._climb: profiles and
-their derivatives,
+"""Every table from the one j-recurrence of modes._climb: the profiles of
+a short list of spins,
 
-    profile_table(grid, s, L, order)[k, m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t),
+    spin_tables(grid, spins, L)[k, m + L, j, t] = p_{spins[k], j, m}(theta_t),
 
-zero below j0 = max(|m|, |s|): the rows m = -L..L climb together from
-their closed-form seeds, and every row j is kept.  mode_table caches its
-order 0.  mode_samples samples every mode (s, j, m) of one m on the grid
-from row m; mode_row reads one mode's profile from a cached table, or
-else evaluates it by modes.profile.
+zero below j0 = max(|m|, |s|): the rows (spin, m), m = -L..L, climb
+together from their closed-form seeds, and every row j is kept.  A
+theta-derivative is taken from the neighbouring spins by modes._dtheta.
+mode_table caches one spin.  mode_samples samples every mode (s, j, m) of
+one m on the grid from row m; mode_row reads one mode's profile from a
+cached table, or else evaluates it by modes.profile.
 
 One byte-bounded LRU of read-only arrays, the GridCache _tables and the
 library's only module-level cache of derived arrays, holds mode tables by
 the grid's geometry_key (L, n_theta, n_phi), so equal grids share them,
-and spin weight, at order 0 only (4.4 MB at L = 64), the operator tables
-of operators.py by geometry_key, spin weight and kind (4.4 MB each at
-L = 64), and of bundle.py J_perp's spin-0 orders 0 and 1 by geometry_key
-(8.7 MB at L = 64), the transverse projectors by geometry_key and rank
-(5.4 MB at rank 2, L = 64) and 1 / sin(theta) by n_theta, two azimuthal
+and spin weight (4.4 MB at L = 64), the operator tables of operators.py by
+geometry_key, spin weight and kind (4.4 MB each at L = 64), and of
+bundle.py J_perp's spin-0 table [m csc(theta) p, dp/dtheta], made from
+spins +-1, by geometry_key (8.7 MB at L = 64), the transverse projectors
+by geometry_key and rank (5.4 MB at rank 2, L = 64), two azimuthal
 matrices per n_phi, the DFT matrix and the phi-weighted analysis matrix
 made from it.  Each is fetched by one GridCache.cached(key, build) call,
 or, for the tables indexed by band, by band_table, the one rule that
@@ -134,30 +135,30 @@ def band_table(key, grid, band, build):
     return held[..., top - band : top + band + 1, : band + 1, :]
 
 
-def profile_table(grid, s, L, order):
-    """Fresh table [k, m + L, j, t] = d^k/dtheta^k p_{sjm}(theta_t), k <= order, from one climb.
+def spin_tables(grid, spins, L):
+    """Fresh tables [k, m + L, j, t] = p_{spins[k], j, m}(theta_t) from one climb of a row per (spin, m).
 
-    Never cached: mode_table keeps order 0, and each derived table climbs its own orders.
+    Never cached: mode_table keeps one spin, and each derived table climbs the spins it reads.
     """
     check_j_supported(L, f"j={L}")
     ms = np.arange(-L, L + 1)
-    table = np.zeros((order + 1, ms.size, L + 1, grid.theta.size))
-    _climb(np.full_like(ms, int(s)), ms, grid.theta, L, order, table)
-    return table
+    table = np.zeros((len(spins) * ms.size, L + 1, grid.theta.size))
+    _climb(np.repeat(spins, ms.size), np.tile(ms, len(spins)), grid.theta, L, table)
+    return table.reshape((len(spins), ms.size) + table.shape[1:])
 
 
 def mode_table(grid, s, band_limit=None):
     """Read-only table [m + L, j, t] of the profiles p_{sjm}(theta_t).
 
     L is band_limit, at most the grid's (the default).  The cached entry
-    [m + T, j, t] is order 0 of profile_table; band_table grows it.
+    [m + T, j, t] is spin_tables of the one spin; band_table grows it.
     """
     Lg = grid.band_limit
     L = Lg if band_limit is None else int(band_limit)
     if not 0 <= L <= Lg:
         raise BandLimitExceeded(f"table band limit {L} outside [0, {Lg}]")
     s = int(s)
-    return band_table((grid.geometry_key, s), grid, L, lambda top: profile_table(grid, s, top, 0)[0])
+    return band_table((grid.geometry_key, s), grid, L, lambda top: spin_tables(grid, [s], top)[0])
 
 
 def mode_samples(grid, s, m):
@@ -195,7 +196,7 @@ def contract_table(table, coeffs):
     """R[k..., m + L, t, ...] = sum_j table[k..., m + L, j, t] * coeffs[m + L, j, ...].
 
     table is a [k..., m + L, j, t] table of the band L of coeffs, such as
-    mode_table or profile_table; its leading axes lead R and the trailing
+    mode_table or spin_tables; its leading axes lead R and the trailing
     axes of coeffs trail it.  One real matmul per m.
     """
     r = pair_matmul(table.swapaxes(-1, -2), coeffs.reshape(coeffs.shape[:2] + (-1,)))

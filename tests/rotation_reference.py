@@ -34,9 +34,9 @@ def wigner_d(L, beta):
     if beta == 0.0:  # the seeds would take log(0)
         return np.array([np.diag((abs(ms) <= j).astype(float)) for j in range(L + 1)])
     n, m = np.repeat(ms, ms.size), np.tile(ms, ms.size)
-    p = np.zeros((1, n.size, L + 1, 1))
-    _climb(-n, m, np.array([float(beta)]), L, 0, p)
-    d = p[0, :, :, 0].reshape(ms.size, ms.size, L + 1).transpose(2, 1, 0)
+    p = np.zeros((n.size, L + 1, 1))
+    _climb(-n, m, np.array([float(beta)]), L, p)
+    d = p[:, :, 0].reshape(ms.size, ms.size, L + 1).transpose(2, 1, 0)
     norm = np.sqrt(4.0 * np.pi / (2 * np.arange(L + 1) + 1))[:, None, None]
     return d * norm * np.where(ms % 2, -1.0, 1.0)
 

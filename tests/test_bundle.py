@@ -39,7 +39,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode
 from swsh.operators import ladder_coefficient
-from swsh.tables import _tables, contract_table, mode_coefficients, phi_synthesis, profile_table, radial_factors
+from swsh.tables import _tables, contract_table, mode_coefficients, phi_synthesis, radial_factors
 from swsh.transform import coefficient_set, synthesize
 
 import horner_reference as horner
@@ -389,13 +389,23 @@ def _spin_per_axis(section, frame):
     return out
 
 
+def _horner_dtheta_table(grid):
+    """d/dtheta p_{0jm}(theta_t) [m + L, j, t] by the Horner reference, L the grid's band, zero for |m| > j."""
+    L = grid.band_limit
+    table = np.zeros((2 * L + 1, L + 1, grid.n_theta))
+    for j in range(L + 1):
+        for m in range(-j, j + 1):
+            table[m + L, j] = horner.profile(0, j, m, grid.theta, order=1)
+    return table
+
+
 def _orbital_per_axis(section, frame, d_theta=None, d_phi=None):
     """J_perp axis by axis: -i (e_phi,a d/dtheta - e_theta,a (1/sin) d/dphi), then projected."""
     grid, rank = section.grid, section.rank
     if d_theta is None:
         coeffs = section.component_coefficients
         m = np.arange(-grid.band_limit, grid.band_limit + 1).reshape((-1,) + (1,) * (rank + 1))
-        d_theta = phi_synthesis(grid, contract_table(profile_table(grid, 0, grid.band_limit, 1)[1], coeffs))
+        d_theta = phi_synthesis(grid, contract_table(_horner_dtheta_table(grid), coeffs))
         d_phi = phi_synthesis(grid, 1j * m * radial_factors(grid, 0, coeffs))
         d_theta, d_phi = np.moveaxis(d_theta, -1, 1), np.moveaxis(d_phi, -1, 1)
     extra = (None,) * rank
@@ -437,8 +447,8 @@ def test_batched_axes_match_the_per_axis_formulas(rng, h):
 
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
     # the operators need no table but the grid's mode table, J_perp's table,
-    # its two azimuthal matrices, its projector and its 1 / sin(theta), and
-    # after one warm call they find these already built; a section
+    # its two azimuthal matrices and its projector, and after one warm call
+    # they find these already built; a section
     # synthesizes its rotation generators once, for every axis, and keeps them
     grid = make_grid(11)
     axes = (X_AXIS, (0.6, 0.0, 0.8), Z_AXIS)
@@ -452,7 +462,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         apply_J_rotation(warm, axes[1])
         key = grid.geometry_key
         assert set(puts) <= {(key, 0), ("orbital", key), ("dft", grid.n_phi), ("dft-analysis", grid.n_phi),
-                             ("projector", key, h), ("inverse-sine", grid.n_theta)}
+                             ("projector", key, h)}
         projector = bundle._projector(grid, h)
         sec = random_section(rng, grid, h, 4)
         puts.clear()

@@ -8,6 +8,8 @@ central finite differences for the analytic derivatives.
 
 import cmath
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +54,21 @@ def test_non_finite_labels_are_not_integers(label):
             SWMode(*args)
         assert type(info.value) is InvalidMode
         assert str(info.value) == f"{name}={label!r} is not an integer"
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_labels_equal_to_ints_of_types_that_do_not_order_make_that_mode():
+    # an np.complex128 label does not order against a Fraction or a Decimal,
+    # so the labels are compared as ints, and each message names them as given
+    for m in (Fraction(1), Decimal(1)):
+        mode = SWMode(0, np.complex128(2), m)
+        assert mode == SWMode(0, 2, 1)
+        with pytest.raises(InvalidMode) as info:
+            SWMode(0, np.complex128(2), 3 * m)
+        assert str(info.value) == f"invalid mode: |m| > j (j={np.complex128(2)}, m={3 * m})"
+        with pytest.raises(InvalidMode) as info:
+            SWMode(3 * m, np.complex128(2), 0)
+        assert str(info.value) == f"invalid mode: j < |s| (j={np.complex128(2)}, s={3 * m})"
 
 
 def test_poles_refused():

@@ -9,7 +9,7 @@ import pytest
 from swsh import operators, transform
 from swsh.errors import SpinWeightMismatch
 from swsh.grid import GridFunction, make_grid, sample_swsh
-from swsh.modes import J_MAX, SWMode
+from swsh.modes import J_MAX, SWMode, _dtheta
 from swsh.operators import (
     KINDS,
     OperatorSpec,
@@ -18,7 +18,7 @@ from swsh.operators import (
     ladder_coefficient,
     verify_casimir_identity,
 )
-from swsh.tables import _tables, contract_table, phi_synthesis, profile_table, radial_factors
+from swsh.tables import _tables, contract_table, phi_synthesis, radial_factors, spin_tables
 from swsh.transform import analysis_matrix, analyze, coefficient_set, synthesize
 
 from conftest import random_entries
@@ -262,7 +262,8 @@ def test_grid_matches_coeff_action(rng):
 
 def _apply_grid_per_call(op, f, band_limit=None):
     """The per-call form of apply_grid: separate order-0/1/2 contractions and
-    the differential expression applied to their sums."""
+    the differential expression applied to their sums, the derivative tables
+    by spin-raising steps from the spins s - 2 .. s + 2."""
     coeffs = analysis_matrix(f, band_limit=band_limit)
     grid = f.grid
     s = f.spin_weight
@@ -272,7 +273,9 @@ def _apply_grid_per_call(op, f, band_limit=None):
     sin = np.sin(grid.theta)
     cot = np.cos(grid.theta) / sin
     p = radial_factors(grid, s, coeffs)
-    derivatives = profile_table(grid, s, L, 2)
+    spins, j = np.arange(s - 2, s + 3), np.arange(L + 1)[:, None]
+    first = _dtheta(spin_tables(grid, spins, L), spins, j)  # spins s - 1 .. s + 1
+    derivatives = [None, first[1], _dtheta(first, spins[1:-1], j)[0]]
     shift = 0
     if op.kind == "Jz":
         radial = m * p
@@ -302,6 +305,23 @@ def test_operator_tables_match_the_per_call_expression(rng, L):
                 want = _apply_grid_per_call(op, f, band)
                 got = apply_grid(op, f, band).samples
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (s, band, kind)
+
+
+def test_the_m_ladder_weights_enter_no_grid_table(monkeypatch):
+    # verify ladder checks the grid tables against _LADDER, so no table may
+    # be built from it: with every weight NaN, fresh J+, J- and J^2 tables
+    # come out finite and byte for byte the same
+    grid = make_grid(12)
+
+    def build():
+        return {(s, kind): operators._differential_table(grid, s, kind, 12)
+                for s in (-2, -1, 0, 1, 2) for kind in ("Jplus", "Jminus", "Jsquared")}
+
+    want = build()
+    monkeypatch.setattr(operators, "_LADDER", np.full_like(operators._LADDER, np.nan))
+    for key, table in build().items():
+        assert np.isfinite(table).all(), key
+        assert table.tobytes() == want[key].tobytes(), key
 
 
 def test_warm_apply_grid_builds_no_table(rng, monkeypatch):

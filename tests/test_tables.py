@@ -8,8 +8,8 @@ import pytest
 from swsh import (OperatorSpec, SWMode, analyze, apply_grid, apply_projected_orbital, coefficient_set,
                   embed, make_grid, modes, operators, profile, sample_swsh, synthesize, tables)
 from swsh.grid import SphereGrid
-from swsh.modes import _seeds
-from swsh.tables import GridCache, contract_table, mode_coefficients, mode_table, profile_table
+from swsh.modes import _dtheta, _seeds
+from swsh.tables import GridCache, contract_table, mode_coefficients, mode_table, spin_tables
 from swsh.transform import analysis_matrix
 
 import horner_reference as horner
@@ -34,9 +34,20 @@ def test_recurrence_rows_match_horner_profiles(L, s):
     assert worst <= 1e-12
 
 
+def _derivative_table(grid, s, L, order):
+    """d^order/dtheta^order p_{sjm}(theta_t) [m + L, j, t], as the operator tables take it:
+    one climb of the spins s - order .. s + order, then order spin-raising steps."""
+    spins = np.arange(s - order, s + order + 1)
+    table = spin_tables(grid, spins, L)
+    for _ in range(order):
+        table = _dtheta(table, spins, np.arange(L + 1)[:, None])
+        spins = spins[1:-1]
+    return table[0]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivative_tables_are_the_horner_derivatives(order):
-    # the differentiated recurrence against the Horner derivative profiles,
+    # the spin-raising derivatives against the Horner derivative profiles,
     # each table within 1e-12 of its largest entry.  A Horner derivative
     # profile costs about a millisecond, so at L = 32 and 64 every eighth and
     # every 32nd m, and the rows |m| <= 2 seeded at j0 = |s|, stand for all
@@ -44,7 +55,7 @@ def test_derivative_tables_are_the_horner_derivatives(order):
         grid = make_grid(L)
         ms = [m for m in range(-L, L + 1) if m % stride == 0 or abs(m) <= 2]
         for s in SPINS:
-            table = profile_table(grid, s, L, order)[order]
+            table = _derivative_table(grid, s, L, order)
             worst = 0.0
             for m in ms:
                 for j in range(max(abs(m), abs(s)), L + 1):
@@ -53,14 +64,48 @@ def test_derivative_tables_are_the_horner_derivatives(order):
             assert worst <= 1e-12 * np.abs(table).max()
 
 
+def test_spin_raising_relations_hold_for_every_mode_at_64():
+    # CONVENTIONS.md, with lam_+- = sqrt((j -+ s)(j +- s + 1)) clipped at 0:
+    #   p'_s = (lam_- p_{s-1} - lam_+ p_{s+1}) / 2, and p''_s that applied twice,
+    #   (m + s cos) / sin p_s = (lam_+ p_{s+1} + lam_- p_{s-1}) / 2.
+    # The derivatives are checked against a complex step, the climb at
+    # theta + i h, whose imaginary part is h times the derivative to rounding
+    # (no difference is taken).  The derivative forms hold to 1e-13 of each
+    # table's largest entry; the csc form, whose left side divides by sin
+    # near the poles, to 5e-12 of p_s's largest entry.
+    grid, L, h = make_grid(64), 64, 1e-30
+    ms = np.arange(-L, L + 1)
+    j, m = np.arange(L + 1)[:, None], ms[:, None, None]
+
+    def raised(p, s):
+        up = np.sqrt(np.maximum((j - s) * (j + s + 1), 0))
+        down = np.sqrt(np.maximum((j + s) * (j - s + 1), 0))
+        return up, down, 0.5 * (down * p[s - 1] - up * p[s + 1])
+
+    for s in range(-2, 3):
+        spins = np.arange(s - 2, s + 3)
+        stepped = np.zeros((spins.size * ms.size, L + 1, grid.n_theta), dtype=np.complex128)
+        modes._climb(np.repeat(spins, ms.size), np.tile(ms, spins.size), grid.theta + h * 1j, L, stepped)
+        stepped = dict(zip(spins.tolist(), stepped.reshape((spins.size, ms.size, L + 1, -1))))
+        p = dict(zip(spins.tolist(), spin_tables(grid, spins, L)))
+        up, down, dp = raised(p, s)
+        want = stepped[s].imag / h
+        assert np.abs(dp - want).max() <= 1e-13 * np.abs(want).max()
+        d2p = raised({k: raised(p, k)[2] for k in (s - 1, s + 1)}, s)[2]
+        want = raised(stepped, s)[2].imag / h
+        assert np.abs(d2p - want).max() <= 1e-13 * np.abs(want).max()
+        csc = (m + s * np.cos(grid.theta)) / np.sin(grid.theta) * p[s]
+        assert np.abs(csc - 0.5 * (up * p[s + 1] + down * p[s - 1])).max() <= 5e-12 * np.abs(p[s]).max()
+
+
 def test_closed_form_seeds_are_the_horner_profiles():
     # the single-term profile at j0 = max(|m|, |s|) for every |s|, |m| <= 64;
     # the Horner side carries the 1e-13 of its log-factorial lead
     theta = make_grid(64).theta
     ms = np.arange(-64, 65)
     for s in range(-64, 65):
-        j0, seeds = _seeds(np.full_like(ms, s), ms, theta, 0)
-        for m, j, row in zip(ms.tolist(), j0.tolist(), seeds[0]):
+        j0, seeds = _seeds(np.full_like(ms, s), ms, theta)
+        for m, j, row in zip(ms.tolist(), j0.tolist(), seeds):
             want = horner.profile(s, j, m, theta)
             assert np.abs(row - want).max() <= 5e-13 * np.abs(want).max()
 
@@ -115,7 +160,7 @@ def test_radial_factors_skip_only_zero_bands(rng):
     coeffs = np.zeros((17, 9), dtype=np.complex128)
     for j in range(4):
         coeffs[8 - j : 8 + j + 1, j] = rng.normal(size=2 * j + 1)
-    derivative = profile_table(grid, 0, 8, 1)[1]
+    derivative = _derivative_table(grid, 0, 8, 1)
     got = contract_table(derivative, coeffs)
     want = np.einsum("mjt,mj->mt", derivative, coeffs)
     assert np.abs(got - want).max() <= 1e-14
@@ -249,7 +294,7 @@ def test_sparse_content_is_read_at_the_declared_band(rng, monkeypatch):
     monkeypatch.setattr(tables, "_climb", lambda *args: tops.append(args[3]) or climb(*args))
     f = synthesize(c, grid)
     raised = apply_grid(op, f)
-    assert tops == [L, L]  # order 0 for both transforms, then orders 0 and 1 for J_+'s table
+    assert tops == [L, L]  # spin s for both transforms, then spins s - 1 .. s + 1 for J_+'s table
     assert tables._tables.get(("op", grid.geometry_key, s, "Jplus")).shape[-2] == L + 1
     m = np.arange(-L, L + 1)[:, None]
     want = np.einsum("mjt,mj,mp->tp", mode_table(grid, s), c.matrix, np.exp(1j * m * grid.phi))
@@ -292,14 +337,14 @@ def test_geometry_key_is_built_once_per_grid():
     assert other.geometry_key != grid.geometry_key
 
 
-def test_stacked_orders_are_the_single_order_factors(rng):
+def test_stacked_spins_are_the_single_spin_factors(rng):
     grid = make_grid(9)
     c = coefficient_set(0, 7, random_entries(rng, 0, 7)).matrix
     coeffs = np.stack([c, 2j * c], axis=-1)
-    stacked = contract_table(profile_table(grid, 0, 7, 2), coeffs)
+    stacked = contract_table(spin_tables(grid, (-1, 0, 1), 7), coeffs)
     assert stacked.shape == (3, 15, grid.n_theta, 2)
     for k in range(3):
-        want = contract_table(profile_table(grid, 0, 7, k)[k], coeffs)
+        want = contract_table(spin_tables(grid, [k - 1], 7)[0], coeffs)
         assert np.abs(stacked[k] - want).max() <= 1e-15 * np.abs(want).max()
 
 

@@ -112,6 +112,10 @@ def test_numeric_labels_equal_to_ints_are_read_as_those_ints():
     for label in (np.complex128(2), Fraction(2), Decimal(2)):
         assert coefficient_set(0, 4, {**good, (label, 0): 3.0}) == want, label
         assert coefficient_set(0, 4, {(label, 0): 3.0, **good}) == want, label
+    # labels that do not order against each other are compared as ints
+    want = coefficient_set(0, 3, {(2, 1): 1.0})
+    for label in ((np.complex128(2), Fraction(1)), (np.complex128(2), Decimal(1))):
+        assert coefficient_set(0, 3, {label: 1.0}) == want, label
 
 
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
