@@ -160,43 +160,32 @@ def _random_sections(rng, s, band, count):
 
 
 def _suite_ortho(args):
-    """Quadrature Gram residual of every mode up to L, streamed one m at a time.
+    """Exact max |G - I| of the quadrature Gram of every mode up to L, one m at a time.
 
-    The modes of one m are sampled by mode_samples as [j, t, p] and split
-    into azimuthal bins R[k + L, j, t] by phi_analysis; a Gram entry is
-    then sum_t w_t sum_k conj(R_a[k, t]) R_b[k, t] / (2 pi).  Each m's block is
-    formed from bin m.  An entry between two modes of different m is
-    bounded by Cauchy-Schwarz from each mode's bin-m norm n and off-bin
-    norm e: |G_ab| <= n_a e_b + e_a n_b + e_a e_b.
-    The residual is the larger of the worst block error and that bound, so
-    it bounds every entry of G - I without forming the dense Gram.
+    The modes of one m, from j0 = max(|m|, |s|), are sampled by
+    mode_samples and analyzed by mode_coefficients as samples [t, p, k]:
+    column k of the result, G[m' + L, j', k], is the Gram column of mode
+    (j0 + k, m) against every mode (j', m').  The identity sits at
+    G[m + L, j0:], so the residual is exact, and no step holds more than
+    one m's columns.
     """
     import numpy as np
 
     from .grid import make_grid
-    from .tables import mode_samples, phi_analysis
+    from .tables import mode_coefficients, mode_samples
 
     s, L = args.s, args.L
     if L < abs(s):
         raise ValueError(f"band limit {L} is below |spin weight| {abs(s)}")
     grid = make_grid(L)
-    w = grid.theta_weights / (2.0 * np.pi)
     modes = 0
-    block_err = norm_max = leak_max = 0.0
+    resid = 0.0
     for m in range(-L, L + 1):
-        js = range(max(abs(m), abs(s)), L + 1)
-        samples = mode_samples(grid, s, m)[js.start :]
-        rings = phi_analysis(grid, samples.transpose(2, 0, 1), L)
-        own = rings[m + L]
-        block = (np.conj(own) * w) @ own.T
-        block_err = max(block_err, float(np.abs(block - np.eye(len(js))).max()))
-        norm_max = max(norm_max, float(np.sqrt(np.diag(block).real.max())))
-        rings[m + L] = 0.0
-        leak = np.sqrt((np.abs(rings) ** 2 @ w).sum(axis=0))
-        leak_max = max(leak_max, float(leak.max()))
-        modes += len(js)
-    cross = 2.0 * norm_max * leak_max + leak_max * leak_max
-    resid = max(block_err, cross)
+        j0 = max(abs(m), abs(s))
+        gram = mode_coefficients(grid, s, mode_samples(grid, s, m)[j0:].transpose(1, 2, 0), L)
+        gram[m + L, j0:] -= np.eye(L + 1 - j0)
+        resid = max(resid, float(np.abs(gram).max()))
+        modes += L + 1 - j0
     return {"s": s, "L": L}, {"modes": modes}, resid
 
 

@@ -146,7 +146,7 @@ def sample_swsh(grid, mode):
             f"mode j={mode.j} exceeds grid band limit {grid.band_limit}"
         )
     p = mode_row(grid, mode.s, mode.j, mode.m)
-    return GridFunction._wrap(grid, int(mode.s), p[:, None] * np.exp(1j * mode.m * grid.phi))
+    return GridFunction._wrap(grid, mode.s, p[:, None] * np.exp(1j * mode.m * grid.phi))
 
 
 def inner_product(fa, fb):

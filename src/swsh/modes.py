@@ -38,7 +38,7 @@ J_MAX = 64
 
 @dataclass(frozen=True)
 class SWMode:
-    """Index triple (spin weight s, total j, magnetic m) of one harmonic."""
+    """Index triple (spin weight s, total j, magnetic m) of one harmonic, stored as ints."""
 
     s: int
     j: int
@@ -46,6 +46,8 @@ class SWMode:
 
     def __post_init__(self):
         validate_mode(self.s, self.j, self.m)
+        for name in ("s", "j", "m"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def check_j_supported(value, what):

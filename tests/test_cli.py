@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swsh.grid
+import swsh.tables
 from swsh import cli
 from swsh.cli import main
 from swsh.errors import InvalidMode
@@ -265,7 +267,42 @@ def test_verify_ortho_per_m_matches_the_dense_gram(capsys, s):
     dense = float(np.abs(gram - np.eye(len(basis))).max())
     report = report_of(out1)
     assert report["results"]["modes"] == len(basis)
-    assert abs(report["maxResidual"] - dense) <= 1e-14
+    assert abs(report["maxResidual"] - dense) <= 1e-15
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_verify_ortho_reports_a_cross_m_leak_at_its_size(capsys, monkeypatch, s):
+    # the samples of mode (3, 1) gain eps Y(3, 2), so the Gram entry between
+    # the two, and the residual, is eps, not a bound above it
+    eps, real = 1e-9, swsh.tables.mode_samples
+
+    def leaky(grid, spin, m):
+        samples = real(grid, spin, m)
+        if m == 1:
+            samples[3] += eps * real(grid, spin, 2)[3]
+        return samples
+
+    monkeypatch.setattr(swsh.tables, "mode_samples", leaky)
+    code, out, _ = run(capsys, "verify", "ortho", "-s", str(s), "-L", "6", "--tolerance", "1")
+    assert code == 0
+    assert report_of(out)["maxResidual"] == pytest.approx(eps, rel=1e-6)
+
+
+def test_verify_ortho_holds_far_less_than_the_dense_gram(capsys):
+    # the suite once built the dense Gram of every mode, O(L^4) bytes
+    L = 32
+    dense = (L + 1) ** 4 * 16
+    _tables.clear()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "ortho", "-s", "0", "-L", str(L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _tables.clear()
+    assert code == 0
+    assert report_of(out)["results"]["modes"] == (L + 1) ** 2
+    assert peak < dense / 2, peak
 
 
 def test_verify_ortho_band_below_spin_exits_2(capsys):

@@ -16,6 +16,7 @@ import pytest
 from scipy.special import lpmv
 
 from swsh.errors import NORTH, SOUTH, DomainError, InvalidMode, UnsupportedOrder
+from swsh.grid import make_grid, sample_swsh
 from swsh.modes import (
     SWMode,
     eval_swsh,
@@ -69,6 +70,33 @@ def test_labels_equal_to_ints_of_types_that_do_not_order_make_that_mode():
         with pytest.raises(InvalidMode) as info:
             SWMode(3 * m, np.complex128(2), 0)
         assert str(info.value) == f"invalid mode: j < |s| (j={np.complex128(2)}, s={3 * m})"
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_labels_equal_to_ints_evaluate_as_the_int_mode():
+    # SWMode stores its labels as ints, so every evaluator reads the int mode
+    grid = make_grid(3)
+    theta, phi = np.array([0.3, 1.1, 2.9]), np.array([0.41, -1.3, 2.0])
+
+    def outputs(mode):
+        return [
+            eval_swsh(mode, 0.7, 0.3),
+            eval_swsh(mode, theta, phi),
+            eval_swsh_dtheta(mode, theta, phi, order=1),
+            eval_swsh_dtheta(mode, theta, phi, order=2),
+            sample_swsh(grid, mode).samples,
+            eval_swsh_pole_limit(mode, NORTH),
+            eval_swsh_pole_limit(mode, SOUTH),
+        ]
+
+    for s, j, m in ((-1, 2, 1), (1, 3, 1), (0, 2, -2)):
+        want = outputs(SWMode(s, j, m))
+        for twin in (Decimal, Fraction, np.complex128):
+            mode = SWMode(twin(s), twin(j), twin(m))
+            assert (type(mode.s), type(mode.j), type(mode.m)) == (int, int, int)
+            assert type(sample_swsh(grid, mode).spin_weight) is int
+            for got, ref in zip(outputs(mode), want):
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_poles_refused():
