@@ -17,8 +17,9 @@ Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
 once, by mode_coefficients, into A[m + L, j, D]; radial_factors, or J_perp's
-cached spin-0 table [m csc(theta) p, dp/dtheta], contracts it, and _synthesis
-applies one DFT matrix product over phi, giving samples grid.shape + (D, k).
+cached spin-0 table [m csc(theta) p, dp/dtheta], contracts it, and
+phi_synthesis applies one DFT matrix product over phi, whose [..., p]
+result one transpose lays out as samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
 matrix per node, cached with the tables of tables.py by grid geometry and
 rank; the spin matrices of all three axes act per tensor slot as one
@@ -102,7 +103,7 @@ class EmbeddedSection:
         L_x = (L_+ + L_-)/2 and L_y = (L_+ - L_-)/2i by the ladder shifts,
         and the spin term A (-i E_a)^T from the constant generators.  All
         three axes are one coefficient array [m + L, j, D, 3] and one
-        _synthesis; laid out axis first, the generator about n is one real
+        phi_synthesis; laid out axis first, the generator about n is one real
         product n @ gens.
         """
         a = self._coefficients
@@ -112,10 +113,8 @@ class EmbeddedSection:
         coeffs[..., 0] += 0.5 * (up + down)
         coeffs[..., 1] += 0.5j * (down - up)
         coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
-        radial = radial_factors(self.grid, 0, coeffs.reshape(a.shape[:2] + (-1,)))
-        samples = _synthesis(self.grid, radial[None])[..., 0]
-        gens = np.moveaxis(samples.reshape(self.grid.shape + coeffs.shape[2:]), -1, 0)
-        gens = np.ascontiguousarray(gens).reshape(3, -1).view(np.float64)
+        samples = phi_synthesis(self.grid, radial_factors(self.grid, 0, coeffs))  # [t, D, 3, p]
+        gens = np.ascontiguousarray(samples.transpose(2, 0, 3, 1)).reshape(3, -1).view(np.float64)
         gens.setflags(write=False)
         return gens
 
@@ -127,15 +126,6 @@ class EmbeddedSection:
         """
         a = self._coefficients
         return a.reshape(a.shape[:2] + (3,) * self.rank)
-
-
-def _synthesis(grid, radial):
-    """Samples [t, p, D, k] = sum_m radial[k, m + L, t, D] exp(i m phi), L the grid's band limit.
-
-    One DFT matrix product over phi, whose C-ordered [k, t, D, p] result
-    is returned as a transposed view.
-    """
-    return phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -289,7 +279,7 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
     e_theta, e_phi are the coordinate frame, the only one in which this is
     J_perp.  Components are differentiated as ordinary scalar functions on
     the sphere, spectrally by default, both derivatives from the section's
-    analysis in one _synthesis.  Callers holding closed-form derivatives
+    analysis in one phi_synthesis.  Callers holding closed-form derivatives
     (frame fields, say, whose raw components are not band-limited) may pass
     d_theta/d_phi arrays of the component shape to bypass the spectral
     step.  The frame vectors are per-node scalars for P, so the two
@@ -307,7 +297,7 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
         table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: _orbital_table(grid, top))
         radial = contract_table(table, a)
         radial[0] *= 1j
-        derivs = _synthesis(grid, radial)
+        derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)  # [t, p, D, k]
     else:
         d_theta = np.asarray(d_theta, dtype=np.complex128)
         d_phi = np.asarray(d_phi, dtype=np.complex128)

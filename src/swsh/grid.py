@@ -21,9 +21,8 @@ from .errors import (
     as_integer,
     pole_name,
 )
-from .modes import SWMode
+from .modes import SWMode, profile
 from .serial import fmt17
-from .tables import mode_row
 
 
 @dataclass(frozen=True)
@@ -138,14 +137,14 @@ class GridFunction:
 
 
 def sample_swsh(grid, mode):
-    """Evaluate one basis mode on every grid node, from its profile mode_row."""
+    """Evaluate one basis mode on every grid node, from its profile at the grid's colatitudes."""
     if not isinstance(mode, SWMode):
         mode = SWMode(*mode)
     if mode.j > grid.band_limit:
         raise BandLimitExceeded(
             f"mode j={mode.j} exceeds grid band limit {grid.band_limit}"
         )
-    p = mode_row(grid, mode.s, mode.j, mode.m)
+    p = profile(mode.s, mode.j, mode.m, grid.theta)
     return GridFunction._wrap(grid, mode.s, p[:, None] * np.exp(1j * mode.m * grid.phi))
 
 

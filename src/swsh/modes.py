@@ -13,17 +13,18 @@ profile is one half-angle monomial in closed form (_seeds), and climbs by
 
 A theta-derivative climbs nothing of its own: _dtheta takes it from the
 profiles of the neighbouring spins, which climb in the same batch, by the
-spin-raising relation of CONVENTIONS.md.  profile() climbs the 1, 3 or 5
-spin rows of one m that its order needs, holding only rows j - 1 and j,
-for point evaluation; the tables of tables.py keep every row.  J_MAX
-declares the envelope j <= J_MAX in which the recurrence is verified
-against an independent double-double Horner evaluation of the closed-form
-sum; check_j_supported holds it, with one message form, at the public
-entries: validate_mode, CoefficientSet (its declared band),
-mode_coefficients (an analysis band) and every table build.  Evaluation
-refuses the poles; the finite limiting data there lives exclusively in
-eval_swsh_pole_limit, because as plain functions the modes are singular at
-theta = 0, pi even though the objects they describe are not.
+spin-raising relation of CONVENTIONS.md.  profile() climbs the 1, 2 or 3
+spin rows of one m that its order reads, spins s - order .. s + order two
+apart, holding only rows j - 1 and j, for point evaluation; the tables of
+tables.py keep every row.  J_MAX declares the envelope j <= J_MAX in which
+the recurrence is verified against an independent double-double Horner
+evaluation of the closed-form sum; check_j_supported holds it, with one
+message form, at the public entries: validate_mode, CoefficientSet (its
+declared band), mode_coefficients (an analysis band) and every table
+build.  Evaluation refuses the poles; the finite limiting data there lives
+exclusively in eval_swsh_pole_limit, because as plain functions the modes
+are singular at theta = 0, pi even though the objects they describe are
+not.
 """
 
 import math
@@ -140,29 +141,31 @@ def _climb(s, m, theta, L, table=None):
 
 
 def _dtheta(p, s, j):
-    """p'_s = (lam_- p_{s-1} - lam_+ p_{s+1}) / 2 for s in s[1:-1], from profiles p[k, ...] of spins s[k].
+    """p'_s = (lam_- p_{s-1} - lam_+ p_{s+1}) / 2 for s in s[:-1] + 1, from profiles p[k, ...] of spins s[k].
 
-    The spins s are consecutive; lam_+- = sqrt((j -+ s)(j +- s + 1)), clipped at 0; j broadcasts against p[k].
+    The spins s are two apart, so p'_s at each midpoint reads p[k] and p[k + 1];
+    lam_+- = sqrt((j -+ s)(j +- s + 1)), clipped at 0; j broadcasts against p[k].
     """
-    s = np.reshape(s[1:-1], (-1,) + (1,) * (p.ndim - 1))
+    s = np.reshape(s[:-1] + 1, (-1,) + (1,) * (p.ndim - 1))
     up = np.sqrt(np.maximum((j - s) * (j + s + 1), 0))
     down = np.sqrt(np.maximum((j + s) * (j - s + 1), 0))
-    return 0.5 * (down * p[:-2] - up * p[2:])
+    return 0.5 * (down * p[:-1] - up * p[1:])
 
 
 def profile(s, j, m, theta, order=0):
     """Real theta-profile of sY_jm, or its order-th theta-derivative, at interior theta.
 
-    order is 0, 1 or 2: the rows of spins s - order .. s + order climb to j, and _dtheta takes order steps.
+    order is 0, 1 or 2: the spins s - order .. s + order, two apart, climb to j, and _dtheta takes order steps.
     """
     if order not in (0, 1, 2):
         raise UnsupportedOrder(f"profile order must be 0, 1 or 2, got {order!r}")
+    order = int(order)
     validate_mode(s, j, m)
     theta = np.asarray(theta, dtype=np.float64)
-    spins = np.arange(int(s) - order, int(s) + order + 1)
+    spins = np.arange(int(s) - order, int(s) + order + 1, 2)
     p = _climb(spins, np.full_like(spins, int(m)), theta.ravel(), int(j))
     for _ in range(order):
-        p, spins = _dtheta(p, spins, int(j)), spins[1:-1]
+        p, spins = _dtheta(p, spins, int(j)), spins[:-1] + 1
     return p[0].reshape(theta.shape)
 
 

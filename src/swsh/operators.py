@@ -152,13 +152,14 @@ def _differential_table(grid, s, kind, L):
     if kind == "Jsquared":
         spins = np.arange(s - 2, s + 3)
         p = spin_tables(grid, spins, L)
-        dp = _dtheta(p, spins, j)  # spins s - 1 .. s + 1
+        dp = _dtheta(p[1::2], spins[1::2], j)[0]
+        outer = _dtheta(p[::2], spins[::2], j)  # spins s - 1, s + 1
         pot = (m * m + s * s + 2 * s * m * cos) / sin**2
-        return -_dtheta(dp, spins[1:-1], j)[0] - cot * dp[1] + pot * p[2]
+        return -_dtheta(outer, spins[1::2], j)[0] - cot * dp + pot * p[2]
     spins = np.arange(s - 1, s + 2)
     p = spin_tables(grid, spins, L)
     shift = +1 if kind == "Jplus" else -1
-    return shift * _dtheta(p, spins, j)[0] - m * cot * p[1] + h * p[1] / sin
+    return shift * _dtheta(p[::2], spins[::2], j)[0] - m * cot * p[1] + h * p[1] / sin
 
 
 def verify_casimir_identity(spin_weight, c):

@@ -7,8 +7,7 @@ zero below j0 = max(|m|, |s|): the rows (spin, m), m = -L..L, climb
 together from their closed-form seeds, and every row j is kept.  A
 theta-derivative is taken from the neighbouring spins by modes._dtheta.
 mode_table caches one spin.  mode_samples samples every mode (s, j, m) of
-one m on the grid from row m; mode_row reads one mode's profile from a
-cached table, or else evaluates it by modes.profile.
+one m on the grid from row m.
 
 One byte-bounded LRU of read-only arrays, the GridCache _tables and the
 library's only module-level cache of derived arrays, holds mode tables by
@@ -54,7 +53,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .errors import BandLimitExceeded, InvalidMode
-from .modes import J_MAX, _climb, check_j_supported, profile
+from .modes import J_MAX, _climb, check_j_supported
 
 TABLE_CACHE_BYTES = 64 * 2**20
 _F = J_MAX + 1  # the highest azimuthal frequency: a band of J_MAX shifted by a ladder
@@ -171,14 +170,6 @@ def mode_samples(grid, s, m):
     if abs(m) > L:
         raise InvalidMode(f"|m| = {abs(m)} exceeds the band limit {L}")
     return mode_table(grid, s)[m + L, :, :, None] * np.exp(1j * m * grid.phi)
-
-
-def mode_row(grid, s, j, m):
-    """p_{sjm} at the grid's colatitudes: a cached mode table's row, else modes.profile, unstored."""
-    table = _tables.get((grid.geometry_key, int(s)))
-    if table is None or table.shape[1] <= j:
-        return profile(s, j, m, grid.theta)
-    return table[m + table.shape[1] - 1, j]
 
 
 def pair_matmul(op, x):

@@ -14,7 +14,10 @@ The cases: synthesize, analyze and apply_grid of every operator kind, at
 the grid's band and a lower one, in either order, for spin weights 0,
 +-1 and +-2; and the projected spin and orbital operators and the
 rotation generator of embedded sections of helicity +-1 and +-2, for one
-section in the fiber and one of random ambient components.
+section in the fiber and one of random ambient components; then point
+evaluation: profile at orders 0, 1 and 2 on seeded interior colatitudes,
+and sample_swsh on the band-12 grid before and after its mode tables are built,
+for spin weights 0, +-1 and +-2 at a few (j, m) up to j = 64.
 """
 
 import argparse
@@ -68,6 +71,22 @@ def _bundle_cases(swsh, rng):
             yield f"h={h} {name} rotation", [swsh.apply_J_rotation(sec, axis).components for axis in AXES]
 
 
+def _point_cases(swsh, rng):
+    theta = np.sort(rng.uniform(0.01, np.pi - 0.01, size=257))
+    modes = [(s, j, m) for s in SPINS for j, m in ((2, 1), (5, -2), (12, 7), (64, 5), (64, -64))]
+    for s, j, m in modes:
+        yield f"s={s} j={j} m={m} profile orders 0-2", [swsh.profile(s, j, m, theta, k) for k in (0, 1, 2)]
+    grid = swsh.make_grid(BAND)
+    swsh.tables._tables.clear()  # the transform cases built this geometry's mode tables
+    for when in ("before", "after"):
+        for s, j, m in modes:
+            if j <= BAND:
+                f = swsh.sample_swsh(grid, (s, j, m))
+                yield f"s={s} j={j} m={m} sample_swsh {when} the mode table", [f.samples]
+        for s in SPINS:
+            swsh.tables.mode_table(grid, s)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -76,9 +95,10 @@ def main():
     sys.path.insert(0, str(Path(args.src).resolve()))
     import swsh
     import swsh.operators  # noqa: F401 (KINDS)
+    import swsh.tables  # noqa: F401 (mode_table)
 
     rng = np.random.default_rng(11)
-    for cases in (_transform_cases, _bundle_cases):
+    for cases in (_transform_cases, _bundle_cases, _point_cases):
         for name, arrays in cases(swsh, rng):
             print(f"{_digest(arrays)}  {name}", flush=True)
     return 0

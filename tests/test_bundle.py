@@ -452,7 +452,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
     # synthesizes its rotation generators once, for every axis, and keeps them
     grid = make_grid(11)
     axes = (X_AXIS, (0.6, 0.0, 0.8), Z_AXIS)
-    real_put, real_synthesis = _tables.put, bundle._synthesis
+    real_put, real_synthesis = _tables.put, bundle.phi_synthesis
     for h in (1, 2):
         warm = random_section(rng, grid, h, 4)
         puts = []
@@ -467,7 +467,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         sec = random_section(rng, grid, h, 4)
         puts.clear()
         synths = []
-        monkeypatch.setattr(bundle, "_synthesis", lambda *a, **k: synths.append(1) or real_synthesis(*a, **k))
+        monkeypatch.setattr(bundle, "phi_synthesis", lambda *a, **k: synths.append(1) or real_synthesis(*a, **k))
         apply_projected_spin(sec)
         apply_projected_orbital(sec)
         gens = [apply_J_rotation(sec, axis) for axis in axes + axes]

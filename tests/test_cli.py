@@ -665,6 +665,19 @@ def test_verify_ortho_loads_no_bundle_or_multiplets():
     assert not loaded & {"swsh.bundle", "swsh.multiplets"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "-s", "-1", "-j", "2", "-m", "1", "--grid", "4", "--out", os.devnull],
+        ["verify", "poles"],
+    ],
+)
+def test_point_and_grid_evaluation_load_no_tables(argv):
+    loaded = modules_loaded_by_main(*argv)
+    assert "swsh.grid" in loaded
+    assert "swsh.tables" not in loaded
+
+
 def test_bare_package_import_loads_no_numeric_module():
     loaded = modules_loaded_by("import swsh")
     assert "swsh" in loaded

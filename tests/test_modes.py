@@ -251,6 +251,15 @@ def test_profile_rejects_unsupported_orders(order):
         profile(0, 2, 0, 0.5, order=order)
 
 
+@pytest.mark.parametrize("order", [1.0, 2.0, np.float32(1)])
+def test_a_whole_float_order_is_the_int_order(order):
+    theta = np.array([0.3, 1.1, 2.9])
+    want = profile(-1, 5, 2, theta, order=int(order))
+    assert profile(-1, 5, 2, theta, order=order).tobytes() == want.tobytes()
+    got = eval_swsh_dtheta(SWMode(-1, 5, 2), theta, 0.5, order=order)
+    assert got.tobytes() == eval_swsh_dtheta(SWMode(-1, 5, 2), theta, 0.5, order=int(order)).tobytes()
+
+
 def test_derivative_refuses_poles():
     with pytest.raises(DomainError):
         eval_swsh_dtheta(SWMode(0, 1, 0), 0.0, 0.0, order=1)

@@ -263,7 +263,7 @@ def test_grid_matches_coeff_action(rng):
 def _apply_grid_per_call(op, f, band_limit=None):
     """The per-call form of apply_grid: separate order-0/1/2 contractions and
     the differential expression applied to their sums, the derivative tables
-    by spin-raising steps from the spins s - 2 .. s + 2."""
+    by spin-raising steps from the spins s - 2 .. s + 2, two apart."""
     coeffs = analysis_matrix(f, band_limit=band_limit)
     grid = f.grid
     s = f.spin_weight
@@ -274,8 +274,9 @@ def _apply_grid_per_call(op, f, band_limit=None):
     cot = np.cos(grid.theta) / sin
     p = radial_factors(grid, s, coeffs)
     spins, j = np.arange(s - 2, s + 3), np.arange(L + 1)[:, None]
-    first = _dtheta(spin_tables(grid, spins, L), spins, j)  # spins s - 1 .. s + 1
-    derivatives = [None, first[1], _dtheta(first, spins[1:-1], j)[0]]
+    table = spin_tables(grid, spins, L)
+    outer = _dtheta(table[::2], spins[::2], j)  # spins s - 1, s + 1
+    derivatives = [None, _dtheta(table[1::2], spins[1::2], j)[0], _dtheta(outer, spins[1::2], j)[0]]
     shift = 0
     if op.kind == "Jz":
         radial = m * p

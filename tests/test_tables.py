@@ -36,12 +36,12 @@ def test_recurrence_rows_match_horner_profiles(L, s):
 
 def _derivative_table(grid, s, L, order):
     """d^order/dtheta^order p_{sjm}(theta_t) [m + L, j, t], as the operator tables take it:
-    one climb of the spins s - order .. s + order, then order spin-raising steps."""
-    spins = np.arange(s - order, s + order + 1)
+    one climb of the spins s - order, s - order + 2 .. s + order, then order spin-raising steps."""
+    spins = np.arange(s - order, s + order + 1, 2)
     table = spin_tables(grid, spins, L)
     for _ in range(order):
         table = _dtheta(table, spins, np.arange(L + 1)[:, None])
-        spins = spins[1:-1]
+        spins = spins[:-1] + 1
     return table[0]
 
 
@@ -382,22 +382,20 @@ def test_grid_cache_builds_each_key_once():
 
 
 def test_sampling_one_mode_builds_no_table(monkeypatch):
-    # sample_swsh evaluates its one profile unless a cached mode table
-    # reaches its band, and both ways give the same bytes
+    # sample_swsh evaluates its one profile: it neither builds nor reads a
+    # mode table, and its bytes are those of the table's row
     tables._tables.clear()
     grid, mode = make_grid(24), SWMode(-1, 20, 3)
     climbed = sample_swsh(grid, mode).samples
     assert len(tables._tables) == 0
-    mode_table(grid, -1, 19)
-    assert sample_swsh(grid, mode).samples.tobytes() == climbed.tobytes()
-    mode_table(grid, -1, 20)
-
-    def refuse(*args):
-        raise AssertionError("climbed past a cached table")
-
-    monkeypatch.setattr(modes, "_climb", refuse)
-    monkeypatch.setattr(tables, "_climb", refuse)
-    assert sample_swsh(grid, mode).samples.tobytes() == climbed.tobytes()
+    row = mode_table(grid, -1)[3 + 24, 20]
+    gets, real_get = [], tables._tables.get
+    monkeypatch.setattr(tables._tables, "get", lambda key: gets.append(key) or real_get(key))
+    warm = sample_swsh(grid, mode).samples
+    monkeypatch.undo()
+    assert gets == []
+    assert warm.tobytes() == climbed.tobytes()
+    assert warm.tobytes() == (row[:, None] * np.exp(3j * grid.phi)).tobytes()
     tables._tables.clear()
 
 
@@ -445,4 +443,4 @@ def test_point_evaluation_working_memory_is_a_few_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * theta.nbytes
+    assert peak <= 20 * theta.nbytes
