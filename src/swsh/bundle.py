@@ -22,11 +22,16 @@ phi_synthesis applies one DFT matrix product over phi, whose [..., p]
 result one transpose lays out as samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
 matrix per node, cached with the tables of tables.py by grid geometry and
-rank; the spin matrices of all three axes act per tensor slot as one
-constant real (3D, D) operator; and the orbital operator differentiates
-ambient components as ordinary scalars (spectrally) before projecting.
-Both projected operators apply the projector to all three axes in one
-real matmul per node and return x, y and z as views of one array.
+rank; the spin matrices of all three axes act per tensor slot, on every
+node at once, as one real GEMM of the components, read as real pairs,
+with a constant; and the orbital operator differentiates ambient
+components as ordinary scalars (spectrally) before projecting.  The
+projector is the one factor that varies per node: both projected
+operators apply it to all three axes in one real matmul per node, and
+return x, y and z as views of one axis-first array [3, t, p, D], which
+J_perp forms in place from the frame read axis first.  The standard
+frame's fiber tensor e_h, which embed, extract and rank1_residual read
+when given no frame, is cached with the tables by grid geometry and h.
 """
 
 import math
@@ -88,9 +93,12 @@ class EmbeddedSection:
     def _coefficients(self):
         """Read-only spin-0 A[m + L, j, D] of the flattened components, L the grid's.
 
-        The one analysis every operator below reads.
+        The one analysis every operator below reads; components that are not
+        all finite are refused.
         """
         grid = self.grid
+        if not np.isfinite(self.components).all():
+            raise ValueError("cannot analyze a section with non-finite components")
         a = mode_coefficients(grid, 0, self.components.reshape(grid.shape + (-1,)), grid.band_limit)
         a.setflags(write=False)
         return a
@@ -101,15 +109,15 @@ class EmbeddedSection:
 
         J_a = L_a (x) 1 - i E_a on the one analysis A[m + L, j, D]: L_z = m,
         L_x = (L_+ + L_-)/2 and L_y = (L_+ - L_-)/2i by the ladder shifts,
-        and the spin term A (-i E_a)^T from the constant generators.  All
-        three axes are one coefficient array [m + L, j, D, 3] and one
-        phi_synthesis; laid out axis first, the generator about n is one real
-        product n @ gens.
+        and the spin term A (-i E_a)^T from the constant generators, one GEMM
+        over every (m, j) row.  All three axes are one coefficient array
+        [m + L, j, D, 3] and one phi_synthesis; laid out axis first, the
+        generator about n is one real product n @ gens.
         """
         a = self._coefficients
         L = a.shape[1] - 1
         up, down = ladder_shift(a, +1), ladder_shift(a, -1)
-        coeffs = (a @ _SPIN_TERM[self.rank]).reshape(a.shape + (3,))
+        coeffs = (a.reshape(-1, a.shape[-1]) @ _SPIN_TERM[self.rank]).reshape(a.shape + (3,))
         coeffs[..., 0] += 0.5 * (up + down)
         coeffs[..., 1] += 0.5j * (down - up)
         coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
@@ -157,17 +165,28 @@ def e_h_tensor(grid, h, frame=None):
     return m[..., :, None] * m[..., None, :]
 
 
+def _fiber(grid, h, frame):
+    """e_h of the frame; with no frame, the standard frame's, read-only and cached.
+
+    The standard frame's e_h depends on the grid alone, so it is cached in
+    _tables by grid geometry and h.  A given frame's is built fresh.
+    """
+    if frame is not None:
+        return e_h_tensor(grid, h, frame=frame)
+    return _tables.cached(("fiber", grid.geometry_key, h), lambda: e_h_tensor(grid, h))
+
+
 def embed(f, frame=None):
     """Section f * e_h from a scalar of spin weight s = -h."""
     h = -f.spin_weight
-    e = e_h_tensor(f.grid, h, frame=frame)
+    e = _fiber(f.grid, h, frame)
     extra = (None,) * abs(h)
     return EmbeddedSection._wrap(f.grid, h, f.samples[(..., *extra)] * e)
 
 
 def extract(section, frame=None):
     """Scalar of spin weight -h recovered by contraction with conj(e_h)."""
-    e = e_h_tensor(section.grid, section.helicity, frame=frame)
+    e = _fiber(section.grid, section.helicity, frame)
     axes = tuple(range(2, 2 + section.rank))
     vals = np.sum(np.conj(e) * section.components, axis=axes)
     return GridFunction._wrap(section.grid, -section.helicity, vals)
@@ -214,7 +233,7 @@ def section_norm(section):
 
 
 def _spin_generators(rank):
-    """E[b * 3 + a, c] = (E_a)_{bc}, E_a = eps_a acting on every tensor slot, slots flattened."""
+    """E^T[c, b * 3 + a] = (E_a)_{bc}, E_a = eps_a acting on every tensor slot, slots flattened."""
     eps = np.zeros((3, 3, 3))
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[a, b, c], eps[a, c, b] = 1.0, -1.0
@@ -222,18 +241,23 @@ def _spin_generators(rank):
         eye = np.eye(3)
         eps = eps[:, :, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * eps[:, None, :, None, :]
         eps = eps.reshape(3, 9, 9)
-    gens = np.ascontiguousarray(eps.transpose(1, 0, 2).reshape(3 ** (rank + 1), 3**rank))
-    gens.setflags(write=False)
-    return gens
+    return eps.transpose(2, 1, 0).reshape(3**rank, 3 ** (rank + 1))
 
 
-_SPIN = {rank: _spin_generators(rank) for rank in (1, 2)}
-_SPIN_TERM = {rank: -1j * gens.T for rank, gens in _SPIN.items()}  # (-i E_a)^T, slots flattened
+def _read_only(arrays):
+    """The dict arrays, each value made read-only."""
+    for a in arrays.values():
+        a.setflags(write=False)
+    return arrays
 
 
-def _axis_sections(section, parts):
-    """-i parts[..., a] as the x, y, z sections, views of one C-ordered array."""
-    out = np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
+# E^T on real pairs, [c * 2 + r, (b * 3 + a) * 2 + r], r = re, im: v @ it is E v on every node at once
+_SPIN_PAIRS = _read_only({rank: np.kron(_spin_generators(rank), np.eye(2)) for rank in (1, 2)})
+_SPIN_TERM = _read_only({rank: -1j * _spin_generators(rank) for rank in (1, 2)})  # (-i E_a)^T
+
+
+def _axis_sections(section, out):
+    """out[a], a = x, y, z, as the x, y, z sections, views of the fresh C-ordered out [3, t, p, D]."""
     out = out.reshape((3,) + section.components.shape)
     return VectorOperatorResult(*(EmbeddedSection._wrap(section.grid, section.helicity, c) for c in out))
 
@@ -264,13 +288,15 @@ def _orbital_table(grid, L):
 def apply_projected_spin(section):
     """J_par = -i P E_a v: spin matrices per slot, then the transverse projector P.
 
-    All three axes at once: E v by the constant generators, then one real
-    matmul per node with the grid's projector.
+    All three axes at once: E v on every node in one real GEMM of the
+    components, read as real pairs, with a constant, then one real matmul
+    per node with the grid's projector.
     """
     rank, shape = section.rank, section.grid.shape
-    v = section.components.reshape(shape + (3**rank, 1))
-    spun = pair_matmul(_SPIN[rank], v).reshape(shape + (3**rank, 3))
-    return _axis_sections(section, pair_matmul(_projector(section.grid, rank), spun))
+    pairs = section.components.reshape(-1, 3**rank).view(np.float64)
+    spun = (pairs @ _SPIN_PAIRS[rank]).view(np.complex128).reshape(shape + (3**rank, 3))
+    parts = pair_matmul(_projector(section.grid, rank), spun)
+    return _axis_sections(section, np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C"))
 
 
 def apply_projected_orbital(section, d_theta=None, d_phi=None):
@@ -284,7 +310,8 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
     d_theta/d_phi arrays of the component shape to bypass the spectral
     step.  The frame vectors are per-node scalars for P, so the two
     derivatives are projected once, in one real matmul per node, and the
-    three axes are formed from them.
+    three axes are formed from them axis first, from the frame read with
+    its Cartesian axis leading.
     """
     grid, rank = section.grid, section.rank
     D = 3**rank
@@ -309,8 +336,10 @@ def apply_projected_orbital(section, d_theta=None, d_phi=None):
         derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
     proj = pair_matmul(_projector(grid, rank), derivs)
     frame = standard_frame(grid)
-    parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
-    return _axis_sections(section, parts)
+    out = np.multiply(proj[..., 1], frame.b_vec.transpose(2, 0, 1)[..., None], order="C")
+    out -= np.multiply(proj[..., 0], frame.a_vec.transpose(2, 0, 1)[..., None], order="C")
+    out *= -1j
+    return _axis_sections(section, out)
 
 
 def apply_J_rotation(section, axis):
@@ -324,7 +353,7 @@ def apply_J_rotation(section, axis):
     u = np.asarray(axis, dtype=np.float64)
     if u.shape != (3,):
         raise ValueError(f"axis must be a vector of 3 components, got shape {u.shape}")
-    n = float(np.linalg.norm(u))
+    n = math.sqrt(u @ u)
     if not abs(n - 1.0) <= 1e-8:
         raise ValueError(f"axis must be a finite unit vector, got {u.tolist()} of norm {n}")
     generator = ((u / n) @ section._rotation_generators).view(np.complex128)

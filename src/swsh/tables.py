@@ -16,9 +16,10 @@ and spin weight (4.4 MB at L = 64), the operator tables of operators.py by
 geometry_key, spin weight and kind (4.4 MB each at L = 64), and of
 bundle.py J_perp's spin-0 table [m csc(theta) p, dp/dtheta], made from
 spins +-1, by geometry_key (8.7 MB at L = 64), the transverse projectors
-by geometry_key and rank (5.4 MB at rank 2, L = 64), two azimuthal
-matrices per n_phi, the DFT matrix and the phi-weighted analysis matrix
-made from it.  Each is fetched by one GridCache.cached(key, build) call,
+by geometry_key and rank (5.4 MB at rank 2, L = 64), and the standard
+frame's fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2,
+L = 64), and two azimuthal matrices per n_phi, the DFT matrix and the
+phi-weighted analysis matrix made from it.  Each is fetched by one GridCache.cached(key, build) call,
 or, for the tables indexed by band, by band_table, the one rule that
 grows and slices them: a band-L table is the centered slice
 [..., T - L : T + L + 1, : L + 1, :] of the one entry of band T >= L, and

@@ -162,7 +162,8 @@ def analysis_matrix(f, band_limit=None):
     """Read-only analysis coefficients A[m + L, j] of a grid function, clipped like analyze.
 
     Entries with no mode (j < max(|m|, |s|)) are zero.  At the grid's band
-    limit (the default) the matrix is computed once and kept on f.
+    limit (the default) the matrix is computed once and kept on f.  Samples
+    that are not all finite are refused when the matrix is computed.
     """
     grid = f.grid
     L = grid.band_limit if band_limit is None else as_integer(band_limit, "band limit")
@@ -172,26 +173,20 @@ def analysis_matrix(f, band_limit=None):
         raise BandLimitExceeded(
             f"analysis band limit {L} exceeds grid band limit {grid.band_limit}"
         )
-    if L < grid.band_limit:
-        return _clipped_analysis(f, L)
-    a = f._analysis
-    if a is None:
-        a = _clipped_analysis(f, L)
-        object.__setattr__(f, "_analysis", a)
-    return a
-
-
-def _clipped_analysis(f, L):
-    a = mode_coefficients(f.grid, f.spin_weight, f.samples, L)
+    if L == grid.band_limit and f._analysis is not None:
+        return f._analysis
+    if not np.isfinite(f.samples).all():
+        raise ValueError("cannot analyze a grid function with non-finite samples")
+    a = mode_coefficients(grid, f.spin_weight, f.samples, L)
     a[np.abs(a) < COEFF_CLIP] = 0.0
     a.setflags(write=False)
+    if L == grid.band_limit:
+        object.__setattr__(f, "_analysis", a)
     return a
 
 
 def analyze(f, band_limit=None):
     """Project a grid function onto the mode basis up to the band limit."""
-    if not np.isfinite(f.samples).all():
-        raise ValueError("cannot analyze a grid function with non-finite samples")
     s = f.spin_weight
     a = analysis_matrix(f, band_limit)
     L = a.shape[1] - 1

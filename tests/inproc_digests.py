@@ -17,7 +17,13 @@ rotation generator of embedded sections of helicity +-1 and +-2, for one
 section in the fiber and one of random ambient components; then point
 evaluation: profile at orders 0, 1 and 2 on seeded interior colatitudes,
 and sample_swsh on the band-12 grid before and after its mode tables are built,
-for spin weights 0, +-1 and +-2 at a few (j, m) up to j = 64.
+for spin weights 0, +-1 and +-2 at a few (j, m) up to j = 64; then, for
+helicities +-1 and +-2, embed with no frame, with the standard frame and
+with a gauge-rotated one, extract with no frame and with the rotated one,
+the projected orbital operator given d_theta/d_phi, and the projected
+operators and rotation generator of sections of the bundle-lemma
+benchmark's sizes: |h| = 1 at band 5 on make_grid(10), |h| = 2 at band 2
+on make_grid(8).
 """
 
 import argparse
@@ -87,6 +93,37 @@ def _point_cases(swsh, rng):
             swsh.tables.mode_table(grid, s)
 
 
+def _embedding_cases(swsh, rng):
+    grid = swsh.make_grid(10)
+    standard = swsh.standard_frame(grid)
+    xi = rng.uniform(-np.pi, np.pi, size=grid.shape)
+    rotated = swsh.gauge_rotate_frame(standard, xi)
+    for h in HELICITIES:
+        f = swsh.synthesize(swsh.coefficient_set(-h, 6, _entries(rng, -h, 6)), grid)
+        g = swsh.apply_gauge(f, xi)
+        for name, fn, frame in (("no frame", f, None), ("the standard frame", f, standard),
+                                ("a gauge-rotated frame", g, rotated)):
+            yield f"h={h} embed with {name}", [swsh.embed(fn, frame).components]
+        sec = swsh.embed(f)
+        for name, frame in (("no frame", None), ("a gauge-rotated frame", rotated)):
+            yield f"h={h} extract with {name}", [swsh.extract(sec, frame).samples]
+        shape = sec.components.shape
+        d_theta, d_phi = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        orbital = swsh.apply_projected_orbital(sec, d_theta=d_theta, d_phi=d_phi)
+        yield f"h={h} projected orbital given d_theta, d_phi", [part.components for part in orbital]
+
+
+def _benchmark_size_cases(swsh, rng):
+    for h in HELICITIES:
+        band = 5 if abs(h) == 1 else 2
+        grid = swsh.make_grid(band + abs(h) + 4)
+        sec = swsh.embed(swsh.synthesize(swsh.coefficient_set(-h, band, _entries(rng, -h, band)), grid))
+        spin, orbital = swsh.apply_projected_spin(sec), swsh.apply_projected_orbital(sec)
+        yield f"h={h} band {band} projected spin", [part.components for part in spin]
+        yield f"h={h} band {band} projected orbital", [part.components for part in orbital]
+        yield f"h={h} band {band} rotation", [swsh.apply_J_rotation(sec, axis).components for axis in AXES]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -98,7 +135,7 @@ def main():
     import swsh.tables  # noqa: F401 (mode_table)
 
     rng = np.random.default_rng(11)
-    for cases in (_transform_cases, _bundle_cases, _point_cases):
+    for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases):
         for name, arrays in cases(swsh, rng):
             print(f"{_digest(arrays)}  {name}", flush=True)
     return 0

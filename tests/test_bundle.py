@@ -38,8 +38,9 @@ from swsh.grid import (
     standard_frame,
 )
 from swsh.modes import NORTH, SWMode
-from swsh.operators import ladder_coefficient
-from swsh.tables import _tables, contract_table, mode_coefficients, phi_synthesis, radial_factors
+from swsh.operators import ladder_coefficient, ladder_shift
+from swsh.tables import (_tables, band_table, contract_table, mode_coefficients, pair_matmul, phi_synthesis,
+                         radial_factors)
 from swsh.transform import coefficient_set, synthesize
 
 import horner_reference as horner
@@ -265,6 +266,35 @@ def test_embedding_is_gauge_covariant(rng, h):
     assert np.abs(rotated.components - plain.components).max() <= 1e-12
 
 
+def test_warm_embed_puts_nothing_and_a_given_frame_reads_no_cache(rng, monkeypatch):
+    # the standard frame's e_h is cached once per grid geometry and
+    # helicity; a frame passed in is used as given, with no cache read
+    grid = make_grid(7)
+    frame = standard_frame(grid)
+    for h in (1, -1, 2, -2):
+        f = synthesize(coefficient_set(-h, 4, random_entries(rng, -h, 4)), grid)
+        cold = embed(f)
+        gets, puts = [], []
+        real_get, real_put = _tables.get, _tables.put
+        monkeypatch.setattr(_tables, "get", lambda key: gets.append(key) or real_get(key))
+        monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
+        warm = embed(f)
+        back = extract(warm)
+        assert puts == [] and gets == [("fiber", grid.geometry_key, h)] * 2
+        gets.clear()
+        given = embed(f, frame)
+        framed = (extract(given, frame), rank1_residual(given, frame))
+        monkeypatch.undo()
+        assert gets == [] and puts == []
+        assert framed[0].samples.tobytes() == back.samples.tobytes()
+        assert framed[1] == rank1_residual(warm)
+        assert warm.components.tobytes() == cold.components.tobytes() == given.components.tobytes()
+        # the public tensor is a fresh, writable array each call
+        fresh = e_h_tensor(grid, h)
+        assert fresh.flags.writeable and fresh is not e_h_tensor(grid, h)
+        assert fresh.tobytes() == bundle._fiber(grid, h, None).tobytes()
+
+
 # ------------------------------------------------------------- projected spin
 
 def test_projected_spin_z_on_constant_section():
@@ -445,6 +475,84 @@ def test_batched_axes_match_the_per_axis_formulas(rng, h):
         )
 
 
+def _per_node_spin_generators(rank):
+    """E[b * 3 + a, c] = (E_a)_{bc}: the operand of the per-node spin product, built as it was."""
+    eps = _EPS
+    if rank == 2:  # eps_a (x) I + I (x) eps_a
+        eye = np.eye(3)
+        eps = eps[:, :, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * eps[:, None, :, None, :]
+        eps = eps.reshape(3, 9, 9)
+    return np.ascontiguousarray(eps.transpose(1, 0, 2).reshape(3 ** (rank + 1), 3**rank))
+
+
+def _per_node_spin(section):
+    """J_par by per-node products: E v broadcast over the nodes, then P, then -i on a transposing copy."""
+    rank, shape = section.rank, section.grid.shape
+    v = section.components.reshape(shape + (3**rank, 1))
+    spun = pair_matmul(_per_node_spin_generators(rank), v).reshape(shape + (3**rank, 3))
+    parts = pair_matmul(bundle._projector(section.grid, rank), spun)
+    return np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
+
+
+def _per_node_orbital(section, d_theta=None, d_phi=None):
+    """J_perp by per-node products: the frame combined over a trailing size-3 axis, then -i on a transposing copy."""
+    grid, rank = section.grid, section.rank
+    D = 3**rank
+    if d_theta is None:
+        a = section._coefficients
+        L = a.shape[1] - 1
+        table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: bundle._orbital_table(grid, top))
+        radial = contract_table(table, a)
+        radial[0] *= 1j
+        derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
+    else:
+        derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
+        derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
+    proj = pair_matmul(bundle._projector(grid, rank), derivs)
+    frame = standard_frame(grid)
+    parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
+    return np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
+
+
+def _per_node_rotation_generators(section):
+    """The x, y, z generators [3, t, p, D] with the spin term one GEMM per m, as real pairs [3, -1]."""
+    a = section._coefficients
+    L = a.shape[1] - 1
+    up, down = ladder_shift(a, +1), ladder_shift(a, -1)
+    coeffs = (a @ (-1j * _per_node_spin_generators(section.rank).T)).reshape(a.shape + (3,))
+    coeffs[..., 0] += 0.5 * (up + down)
+    coeffs[..., 1] += 0.5j * (down - up)
+    coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
+    samples = phi_synthesis(section.grid, radial_factors(section.grid, 0, coeffs))
+    return np.ascontiguousarray(samples.transpose(2, 0, 3, 1)).reshape(3, -1).view(np.float64)
+
+
+@pytest.mark.parametrize("h", [1, -1, 2, -2])
+def test_node_wide_products_match_the_per_node_products_bit_for_bit(rng, h):
+    # one GEMM over every node (spin matrices, spin term) and axes formed
+    # in place give the bytes of the per-node and transposing forms
+    grid = make_grid(9)
+    shape = grid.shape + (3,) * abs(h)
+    fiber = random_section(rng, grid, h, 4)
+    ambient = EmbeddedSection(grid, h, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for sec in (fiber, ambient):
+        want = _per_node_spin(sec)
+        assert all(part.components.tobytes() == w.tobytes() for part, w in zip(apply_projected_spin(sec), want))
+        want = _per_node_orbital(sec)
+        assert all(part.components.tobytes() == w.tobytes() for part, w in zip(apply_projected_orbital(sec), want))
+        dth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dph = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = apply_projected_orbital(sec, d_theta=dth, d_phi=dph)
+        want = _per_node_orbital(sec, d_theta=dth, d_phi=dph)
+        assert all(part.components.tobytes() == w.tobytes() for part, w in zip(got, want))
+        gens = _per_node_rotation_generators(sec)
+        assert sec._rotation_generators.tobytes() == gens.tobytes()
+        for axis in (X_AXIS, Y_AXIS, Z_AXIS, (1 / 3, 2 / 3, 2 / 3)):
+            u = np.asarray(axis)
+            want = ((u / float(np.linalg.norm(u))) @ gens).view(np.complex128)
+            assert apply_J_rotation(sec, axis).components.tobytes() == want.tobytes()
+
+
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
     # the operators need no table but the grid's mode table, J_perp's table,
     # its two azimuthal matrices and its projector, and after one warm call
@@ -479,6 +587,19 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
     # every analysis and synthesis read the one azimuthal matrix of the grid
     dft = [key for key in _tables._items if isinstance(key, tuple) and key[:1] == ("dft",)]
     assert ("dft", grid.n_phi) in dft and len(dft) == len(set(dft))
+
+
+@pytest.mark.parametrize("h", [1, -1, 2, -2])
+def test_section_operators_refuse_non_finite_components(rng, h):
+    # J_perp and the rotation generator analyze the components, so one NaN
+    # or infinite component is refused, not spread over the result as NaN
+    grid = make_grid(6)
+    for bad in (float("nan"), float("inf")):
+        comps = np.array(random_section(rng, grid, h, 2).components)
+        comps[(2, 3) + (1,) * abs(h)] = bad
+        for apply in (apply_projected_orbital, lambda sec: apply_J_rotation(sec, Y_AXIS)):
+            with pytest.raises(ValueError, match="^cannot analyze a section with non-finite components$"):
+                apply(EmbeddedSection(grid, h, comps))
 
 
 def test_transverse_projector_is_the_slotwise_projector():

@@ -384,6 +384,20 @@ def test_apply_grid_reuses_the_analysis(rng, monkeypatch):
     assert calls == [8]
 
 
+def test_apply_grid_refuses_non_finite_samples():
+    # one infinite or NaN sample is refused by every kind, at the grid's
+    # band and a lower one, as analyze refuses it, not turned into NaN
+    grid = make_grid(5)
+    for bad in (float("inf"), float("nan")):
+        samples = np.ones(grid.shape, dtype=np.complex128)
+        samples[2, 3] = bad
+        for kind in KINDS:
+            for band in (None, 3):
+                f = GridFunction(grid, 0, samples)
+                with pytest.raises(ValueError, match="^cannot analyze a grid function with non-finite samples$"):
+                    apply_grid(OperatorSpec(kind, 0), f, band_limit=band)
+
+
 def test_apply_grid_band_limit_must_be_an_integer():
     f = sample_swsh(make_grid(6), SWMode(0, 2, 1))
     with pytest.raises(ValueError, match="must be an integer"):

@@ -262,8 +262,10 @@ def test_analyze_refuses_non_finite_samples():
     for bad in (float("nan"), float("inf")):
         samples = np.ones_like(sample_swsh(grid, SWMode(0, 1, 0)).samples)
         samples[1, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            analyze(GridFunction(grid, 0, samples))
+        for entry in (analyze, analysis_matrix):
+            for band in (None, 2):
+                with pytest.raises(ValueError, match="non-finite"):
+                    entry(GridFunction(grid, 0, samples), band_limit=band)
 
 
 # ------------------------------------------------------------------ transform
