@@ -190,44 +190,41 @@ def _suite_ortho(args):
 
 
 def _suite_ladder(args):
-    """Grid-space J_+-, J_z and J^2 on every mode up to jMax, against their known actions.
+    """J_+-, J^2 tables on every mode up to jMax, then each kind's apply_grid once, against the known actions.
 
-    The modes of each m are sampled once, by mode_samples, and serve as
-    the functions of that m and as the references of m -+ 1.
+    Each table row, a kind's action on p_{sjm} exp(i m phi), is compared
+    with the known action on the mode table; |exp(i m phi)| = 1, so the
+    residuals are in sample units.  Each kind's apply_grid, on one function
+    holding every mode at amplitude exp(i (j + 2m)), is compared with
+    synthesize of apply_coeff, relative to the reference's largest sample
+    (absolute where the reference is zero, as helicity's at s = 0), which
+    keeps the analysis and the ladders' phi shift under test.
     """
+    import cmath
+
     import numpy as np
 
-    from .grid import GridFunction, make_grid
-    from .operators import OperatorSpec, apply_grid, ladder_coefficient
-    from .tables import mode_samples
+    from .grid import make_grid
+    from .operators import KINDS, OperatorSpec, _operator_table, apply_coeff, apply_grid, ladder_shift
+    from .tables import mode_table
+    from .transform import coefficient_set, synthesize
 
     s, j_top = args.s, args.j
     if j_top < abs(s):
         raise ValueError(f"jMax {j_top} is below |spin weight| {abs(s)}")
     grid = make_grid(j_top)
-    worst = 0.0
-    blocks = {}
-    for m in range(-j_top, j_top + 1):
-        blocks.pop(m - 2, None)
-        for k in range(max(m - 1, -j_top), min(m + 1, j_top) + 1):
-            if k not in blocks:
-                blocks[k] = mode_samples(grid, s, k)
-        for j in range(max(abs(m), abs(s)), j_top + 1):
-            f = GridFunction(grid, s, blocks[m][j])
-            for kind, sign in (("Jplus", +1), ("Jminus", -1)):
-                got = apply_grid(OperatorSpec(kind, s), f)
-                lam = ladder_coefficient(j, m, sign)
-                if lam:
-                    ref = lam * blocks[m + sign][j]
-                else:
-                    ref = np.zeros(grid.shape)
-                worst = max(worst, float(np.abs(got.samples - ref).max()))
-            got = apply_grid(OperatorSpec("Jz", s), f)
-            worst = max(worst, float(np.abs(got.samples - m * f.samples).max()))
-            got = apply_grid(OperatorSpec("Jsquared", s), f)
-            worst = max(
-                worst, float(np.abs(got.samples - j * (j + 1) * f.samples).max())
-            )
+    p, j = mode_table(grid, s), np.arange(j_top + 1)[:, None]
+    known = {"Jplus": ladder_shift(p, -1), "Jminus": ladder_shift(p, +1), "Jsquared": j * (j + 1) * p}
+    worst = max(float(np.abs(_operator_table(grid, s, kind, j_top) - want).max())
+                for kind, want in known.items())
+    c = coefficient_set(s, j_top, {(j, m): cmath.exp(1j * (j + 2 * m))
+                                   for j in range(abs(s), j_top + 1) for m in range(-j, j + 1)})
+    f = synthesize(c, grid)
+    for kind in KINDS:
+        op = OperatorSpec(kind, s)
+        want = synthesize(apply_coeff(op, c), grid).samples
+        err = float(np.abs(apply_grid(op, f).samples - want).max())
+        worst = max(worst, err / (float(np.abs(want).max()) or 1.0))
     results = {"modes": sum(2 * j + 1 for j in range(abs(s), j_top + 1))}
     return {"s": s, "jMax": j_top}, results, worst
 

@@ -2,15 +2,16 @@
 
 Coefficient space: the exact diagonal and ladder actions as scalings of the
 dense coefficient matrix (apply_coeff).
-Grid space: the actual differential expressions (apply_grid).  Each
-operator has a table per grid geometry, spin weight and kind, its action on
-every profile p_{sjm}(theta) exp(i m phi), formed once by the differential
-expression from the profiles of spins s - 1 .. s + 1 (s +- 2 for J^2) and
-their theta-derivatives by the spin-raising relation, and kept in the same
-byte-bounded cache; an application is then one contraction with the
-function's analysis coefficients and one DFT matrix product over phi.  The
-two are cross-validated in tests; the tables never read the known ladder
-action in m (_LADDER), since the point of apply_grid is to confirm it.
+Grid space: the actual differential expressions (apply_grid).  J_z, which
+is -i d/dphi, and helicity act on each component p_{sjm}(theta) exp(i m phi)
+by m and h, so they scale the analysis coefficients.  J_+, J_- and J^2 each
+have a table per grid geometry, spin weight and kind, their action on every
+such component, formed once by the differential expression from the
+profiles of spins s - 1 .. s + 1 (s +- 2 for J^2) and their theta-derivatives
+by the spin-raising relation, and kept in the same byte-bounded cache; an
+application is then one contraction with the analysis coefficients and one
+DFT matrix product over phi.  The tables never read the known ladder action
+in m (_LADDER), since `swsh verify ladder` checks them against it.
 
 The operator parameter h is always bound to the function's spin weight
 as h = -s at call time, so mixed-convention application cannot happen.
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
 from .modes import J_MAX, _dtheta
-from .tables import band_table, contract_table, mode_table, phi_synthesis, spin_tables
+from .tables import band_table, contract_table, phi_synthesis, radial_factors, spin_tables
 from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -115,24 +116,30 @@ def apply_coeff(op, c):
 def apply_grid(op, f, band_limit=None):
     """Differential action of the operator on grid samples.
 
-    The function is resolved into modes, and the operator's table, its
-    differential expression applied to every profile, is summed against the
-    coefficients of each m-component sum_j c_jm p_jm(theta) exp(i m phi).
+    The function is resolved into modes, sum_j c_jm p_jm(theta) exp(i m phi)
+    for each m.  J_z and helicity scale the coefficients by m and h; the
+    other kinds sum the operator's table, its differential expression
+    applied to every profile, against them.
     """
     _check_spin(op, f.spin_weight)
     coeffs = analysis_matrix(f, band_limit=band_limit)
-    grid = f.grid
-    table = _operator_table(grid, f.spin_weight, op.kind, coeffs.shape[1] - 1)
-    samples = phi_synthesis(grid, contract_table(table, coeffs), _SHIFTS.get(op.kind, 0))
-    return GridFunction._wrap(grid, f.spin_weight, samples, frame=f.frame)
+    grid, s, L = f.grid, f.spin_weight, coeffs.shape[1] - 1
+    if op.kind == "Jz":
+        radial = radial_factors(grid, s, np.arange(-L, L + 1)[:, None] * coeffs)
+    elif op.kind == "Helicity":
+        radial = radial_factors(grid, s, -s * coeffs)
+    else:
+        radial = contract_table(_operator_table(grid, s, op.kind, L), coeffs)
+    samples = phi_synthesis(grid, radial, _SHIFTS.get(op.kind, 0))
+    return GridFunction._wrap(grid, s, samples, frame=f.frame)
 
 
 def _operator_table(grid, s, kind, band_limit):
-    """Read-only [m + L, j, t] table of the operator on p_{sjm}(theta_t) exp(i m phi).
+    """Read-only [m + L, j, t] table of J_+, J_- or J^2 on p_{sjm}(theta_t) exp(i m phi).
 
     L is band_limit.  Row m + L is the theta factor of the result, whose
     azimuthal factor is exp(i (m +- 1) phi) for the ladders and exp(i m phi)
-    otherwise.  Cached under ("op", grid geometry, s, kind) and grown by
+    for J^2.  Cached under ("op", grid geometry, s, kind) and grown by
     band_table, as mode tables are.
     """
     return band_table(("op", grid.geometry_key, s, kind), grid, band_limit,
@@ -140,13 +147,9 @@ def _operator_table(grid, s, kind, band_limit):
 
 
 def _differential_table(grid, s, kind, L):
-    """The differential expression on the cached mode table (J_z, helicity) or on one spin_tables climb."""
+    """The differential expression of J_+, J_- or J^2 on one spin_tables climb."""
     h = -s
     m = np.arange(-L, L + 1)[:, None, None]
-    if kind == "Jz":
-        return m * mode_table(grid, s, L)
-    if kind == "Helicity":
-        return h * mode_table(grid, s, L)
     cos, sin, j = np.cos(grid.theta), np.sin(grid.theta), np.arange(L + 1)[:, None]
     cot = cos / sin
     if kind == "Jsquared":

@@ -13,7 +13,9 @@ One byte-bounded LRU of read-only arrays, the GridCache _tables and the
 library's only module-level cache of derived arrays, holds mode tables by
 the grid's geometry_key (L, n_theta, n_phi), so equal grids share them,
 and spin weight (4.4 MB at L = 64), the operator tables of operators.py by
-geometry_key, spin weight and kind (4.4 MB each at L = 64), and of
+geometry_key, spin weight and kind, one for each of the three
+differential kinds J_+, J_- and J^2 (4.4 MB each at L = 64; J_z and
+helicity scale coefficients and keep no table), and of
 bundle.py J_perp's spin-0 table [m csc(theta) p, dp/dtheta], made from
 spins +-1, by geometry_key (8.7 MB at L = 64), the transverse projectors
 by geometry_key and rank (5.4 MB at rank 2, L = 64), and the standard

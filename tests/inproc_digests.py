@@ -23,7 +23,8 @@ with a gauge-rotated one, extract with no frame and with the rotated one,
 the projected orbital operator given d_theta/d_phi, and the projected
 operators and rotation generator of sections of the bundle-lemma
 benchmark's sizes: |h| = 1 at band 5 on make_grid(10), |h| = 2 at band 2
-on make_grid(8).
+on make_grid(8); last, apply_grid of J_z and helicity at the envelope's
+band 64 for spin weights 0 and +-2.
 """
 
 import argparse
@@ -124,6 +125,15 @@ def _benchmark_size_cases(swsh, rng):
         yield f"h={h} band {band} rotation", [swsh.apply_J_rotation(sec, axis).components for axis in AXES]
 
 
+def _envelope_cases(swsh, rng):
+    grid = swsh.make_grid(64)
+    for s in (0, 2, -2):
+        f = swsh.synthesize(swsh.coefficient_set(s, 64, _entries(rng, s, 64)), grid)
+        for kind in ("Jz", "Helicity"):
+            g = swsh.apply_grid(swsh.OperatorSpec(kind, s), f)
+            yield f"s={s} apply_grid {kind} on make_grid(64)", [g.samples]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -135,7 +145,8 @@ def main():
     import swsh.tables  # noqa: F401 (mode_table)
 
     rng = np.random.default_rng(11)
-    for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases):
+    for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases,
+                  _envelope_cases):
         for name, arrays in cases(swsh, rng):
             print(f"{_digest(arrays)}  {name}", flush=True)
     return 0

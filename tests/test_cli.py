@@ -13,12 +13,13 @@ import pytest
 
 import swsh.grid
 import swsh.tables
-from swsh import cli
+from swsh import cli, operators
 from swsh.cli import main
 from swsh.errors import InvalidMode
 from swsh.grid import make_grid, read_grid_csv, sample_swsh
 from swsh.modes import J_MAX, SWMode, profile
 from swsh.multiplets import factor_search, massless_spectrum, spectrum_to_json
+from swsh.operators import KINDS
 from swsh.tables import _tables, mode_samples
 from swsh.transform import (
     coefficient_set,
@@ -368,8 +369,8 @@ def test_verify_ladder_small(capsys):
 
 @pytest.mark.parametrize("L, s", [(4, 0), (16, -1), (12, 2)])
 def test_ladder_reference_samples_are_the_sample_swsh_bytes(L, s):
-    # the row blocks verify ladder reads instead of one climb per mode, and
-    # a one-row climb of profile times the phase as the reference
+    # the row blocks verify ortho analyzes instead of one climb per mode,
+    # and a one-row climb of profile times the phase as the reference
     grid = make_grid(L)
     for m in range(-L, L + 1):
         block = mode_samples(grid, s, m)
@@ -394,16 +395,57 @@ def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):
 
 
 def test_a_cold_verify_ladder_puts_each_table_once(capsys, monkeypatch):
-    # the mode table is cached at order 0 and each operator table climbs its
-    # own derivative orders, so no entry is rebuilt to add an order
+    # the mode table, the three differential tables and the two azimuthal
+    # matrices, each once; J_z and helicity scale coefficients, no table
     _tables.clear()
     puts, put = [], _tables.put
     monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or put(key, value))
     code, _, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "8")
     assert code == 0
-    assert (make_grid(8).geometry_key, -1) in puts
+    grid = make_grid(8)
+    key = grid.geometry_key
+    ops = {("op", key, -1, kind) for kind in ("Jplus", "Jminus", "Jsquared")}
+    assert set(puts) == {(key, -1), *ops, ("dft", grid.n_phi), ("dft-analysis", grid.n_phi)}
     assert len(puts) == len(set(puts)), puts
     _tables.clear()
+
+
+@pytest.mark.parametrize("j_max", [3, 12])
+def test_verify_ladder_applies_each_kind_once(capsys, monkeypatch, j_max):
+    # the tables cover every mode, so the cost of grid-space application
+    # no longer grows with the number of modes
+    calls, real = [], operators.apply_grid
+    monkeypatch.setattr(operators, "apply_grid", lambda op, f: calls.append(op.kind) or real(op, f))
+    code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", str(j_max))
+    assert code == 0 and report_of(out)["pass"] is True
+    assert calls == list(KINDS)
+
+
+def test_verify_ladder_fails_on_one_wrong_table_row(capsys, monkeypatch):
+    real = operators._differential_table
+
+    def off(grid, s, kind, L):
+        table = real(grid, s, kind, L)
+        if kind == "Jplus":
+            table[2 + L, 3] *= 1 + 1e-6  # the row of (m, j) = (2, 3)
+        return table
+
+    monkeypatch.setattr(operators, "_differential_table", off)
+    _tables.clear()
+    try:
+        code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "5")
+    finally:
+        _tables.clear()
+    assert code == 1
+    assert 1e-7 < report_of(out)["maxResidual"] < 1e-5
+
+
+def test_verify_ladder_fails_without_the_ladder_phi_shift(capsys, monkeypatch):
+    # the tables are right, so only the end-to-end application sees this
+    monkeypatch.setitem(operators._SHIFTS, "Jplus", 0)
+    code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "5")
+    assert code == 1
+    assert report_of(out)["maxResidual"] > 0.1
 
 
 @pytest.mark.parametrize("spin, j_max", [(-3, 2), (-1, -4)])
@@ -676,6 +718,15 @@ def test_point_and_grid_evaluation_load_no_tables(argv):
     loaded = modules_loaded_by_main(*argv)
     assert "swsh.grid" in loaded
     assert "swsh.tables" not in loaded
+
+
+def test_verify_ladder_loads_no_numpy_random():
+    # its test function is built from fixed amplitudes, not drawn
+    if "numpy.random" in modules_loaded_by("import numpy"):
+        pytest.skip("this numpy imports numpy.random with numpy")
+    loaded = modules_loaded_by_main("verify", "ladder", "-s", "-1", "-j", "3")
+    assert "swsh.operators" in loaded
+    assert "numpy.random" not in loaded
 
 
 def test_bare_package_import_loads_no_numeric_module():

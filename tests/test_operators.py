@@ -18,7 +18,7 @@ from swsh.operators import (
     ladder_coefficient,
     verify_casimir_identity,
 )
-from swsh.tables import _tables, contract_table, phi_synthesis, radial_factors, spin_tables
+from swsh.tables import _tables, contract_table, mode_table, phi_synthesis, radial_factors, spin_tables
 from swsh.transform import analysis_matrix, analyze, coefficient_set, synthesize
 
 from conftest import random_entries
@@ -323,6 +323,33 @@ def test_the_m_ladder_weights_enter_no_grid_table(monkeypatch):
     for key, table in build().items():
         assert np.isfinite(table).all(), key
         assert table.tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("kind", ["Jz", "Helicity"])
+def test_a_cold_diagonal_kind_puts_no_operator_table(rng, monkeypatch, kind):
+    # J_z and helicity scale the coefficients by m and h; no table holds m p or h p
+    grid = make_grid(10)
+    f = synthesize(coefficient_set(-2, 10, random_entries(rng, -2, 10)), grid)
+    _tables.clear()
+    puts, real_put = [], _tables.put
+    monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
+    apply_grid(OperatorSpec(kind, -2), f)
+    apply_grid(OperatorSpec(kind, -2), f, band_limit=7)
+    assert puts and not [key for key in puts if key[0] == "op"], puts
+    _tables.clear()
+
+
+def test_helicity_keeps_the_bytes_of_its_former_table(rng):
+    # scaling by h = 0, +-1 or +-2 is exact, so moving h from the table to
+    # the coefficients leaves every sample's bytes as they were
+    grid = make_grid(10)
+    for s in (0, 1, -1, 2, -2):
+        f = synthesize(coefficient_set(s, 10, random_entries(rng, s, 10)), grid)
+        for L in (10, 6):
+            coeffs = analysis_matrix(f, band_limit=L)
+            want = phi_synthesis(grid, contract_table(-s * mode_table(grid, s, L), coeffs))
+            got = apply_grid(OperatorSpec("Helicity", s), f, band_limit=L).samples
+            assert got.tobytes() == want.tobytes(), (s, L)
 
 
 def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
