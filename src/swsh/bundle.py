@@ -35,6 +35,7 @@ when given no frame, is cached with the tables by grid geometry and h.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,8 +82,7 @@ class EmbeddedSection:
         """A section around fresh C-ordered complex128 components that nothing else holds."""
         sec = cls.__new__(cls)
         components.setflags(write=False)
-        for name, value in (("grid", grid), ("helicity", h), ("components", components)):
-            object.__setattr__(sec, name, value)
+        vars(sec).update(grid=grid, helicity=h, components=components)
         return sec
 
     @property
@@ -136,16 +136,8 @@ class EmbeddedSection:
         return a.reshape(a.shape[:2] + (3,) * self.rank)
 
 
-@dataclass(frozen=True)
-class VectorOperatorResult:
-    """The three Cartesian components of a vector operator applied to a section."""
-
-    x: EmbeddedSection
-    y: EmbeddedSection
-    z: EmbeddedSection
-
-    def __getitem__(self, i):
-        return (self.x, self.y, self.z)[i]
+VectorOperatorResult = namedtuple("VectorOperatorResult", "x y z")
+VectorOperatorResult.__doc__ = """The three Cartesian components x, y, z of a vector operator applied to a section."""
 
 
 def frame_m_vector(frame, sign):
@@ -192,14 +184,13 @@ def extract(section, frame=None):
     return GridFunction._wrap(section.grid, -section.helicity, vals)
 
 
-def transversality_residual(section, frame=None):
-    """Max over nodes and slots of |k_hat contracted into the section|."""
-    if frame is None:
-        frame = standard_frame(section.grid)
+def transversality_residual(section):
+    """Max over nodes and slots of |k_hat contracted into the section|, k_hat the node's direction."""
+    k_hat = standard_frame(section.grid).k_hat
     worst = 0.0
     for slot in range(section.rank):
         comps = np.moveaxis(section.components, 2 + slot, -1)
-        contr = np.einsum("tp...c,tpc->tp...", comps, frame.k_hat)
+        contr = np.einsum("tp...c,tpc->tp...", comps, k_hat)
         worst = max(worst, float(np.abs(contr).max()))
     return worst
 
@@ -299,41 +290,26 @@ def apply_projected_spin(section):
     return _axis_sections(section, np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C"))
 
 
-def apply_projected_orbital(section, d_theta=None, d_phi=None):
+def apply_projected_orbital(section):
     """J_perp = -i (e_phi,a P d/dtheta - e_theta,a P (1/sin) d/dphi) for every axis a.
 
     e_theta, e_phi are the coordinate frame, the only one in which this is
     J_perp.  Components are differentiated as ordinary scalar functions on
-    the sphere, spectrally by default, both derivatives from the section's
-    analysis in one phi_synthesis.  Callers holding closed-form derivatives
-    (frame fields, say, whose raw components are not band-limited) may pass
-    d_theta/d_phi arrays of the component shape to bypass the spectral
-    step.  The frame vectors are per-node scalars for P, so the two
-    derivatives are projected once, in one real matmul per node, and the
-    three axes are formed from them axis first, from the frame read with
-    its Cartesian axis leading.
+    the sphere, spectrally: both derivatives come from the section's one
+    analysis, contracted with J_perp's cached table, in one phi_synthesis.
+    The frame vectors are per-node scalars for P, so the two derivatives
+    are projected once, in one real matmul per node, and the three axes
+    are formed from them axis first, from the frame read with its
+    Cartesian axis leading.
     """
     grid, rank = section.grid, section.rank
-    D = 3**rank
-    if (d_theta is None) != (d_phi is None):
-        raise ValueError("pass both d_theta and d_phi or neither")
-    if d_theta is None:
-        # every ambient component at once: [..., 0] (1/sin) d/dphi, [..., 1] d/dtheta
-        a = section._coefficients  # analyzed first: it checks the band against J_MAX
-        L = a.shape[1] - 1
-        table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: _orbital_table(grid, top))
-        radial = contract_table(table, a)
-        radial[0] *= 1j
-        derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)  # [t, p, D, k]
-    else:
-        d_theta = np.asarray(d_theta, dtype=np.complex128)
-        d_phi = np.asarray(d_phi, dtype=np.complex128)
-        if d_theta.shape != section.components.shape:
-            raise GridMismatch("d_theta shape does not match components")
-        if d_phi.shape != section.components.shape:
-            raise GridMismatch("d_phi shape does not match components")
-        derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
-        derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
+    # every ambient component at once: [..., 0] (1/sin) d/dphi, [..., 1] d/dtheta
+    a = section._coefficients  # analyzed first: it checks the band against J_MAX
+    L = a.shape[1] - 1
+    table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: _orbital_table(grid, top))
+    radial = contract_table(table, a)
+    radial[0] *= 1j
+    derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)  # [t, p, D, k]
     proj = pair_matmul(_projector(grid, rank), derivs)
     frame = standard_frame(grid)
     out = np.multiply(proj[..., 1], frame.b_vec.transpose(2, 0, 1)[..., None], order="C")

@@ -130,9 +130,7 @@ class GridFunction:
         """A function around fresh C-ordered complex128 samples of the grid's shape that nothing else holds."""
         f = cls.__new__(cls)
         samples.setflags(write=False)
-        for name, value in (("grid", grid), ("spin_weight", s), ("samples", samples),
-                            ("frame", frame), ("_analysis", None)):
-            object.__setattr__(f, name, value)
+        vars(f).update(grid=grid, spin_weight=s, samples=samples, frame=frame, _analysis=None)
         return f
 
 
@@ -288,7 +286,13 @@ def pole_limit_extrapolate(f, pole):
 
 
 def write_grid_csv(f, path):
-    """Write samples as CSV rows theta,phi,re,im with a one-line header."""
+    """Write samples as CSV rows theta,phi,re,im with a one-line header.
+
+    read_grid_csv splits the header on whitespace, so a frame tag that
+    holds whitespace is refused before the file is opened.
+    """
+    if any(c.isspace() for c in f.frame):
+        raise ValueError(f"frame tag {f.frame!r} holds whitespace, which the CSV header cannot carry")
     lines = [f"# spin_weight={f.spin_weight} L={f.grid.band_limit} frame={f.frame}"]
     for it in range(f.grid.n_theta):
         th = fmt17(f.grid.theta[it])

@@ -9,6 +9,8 @@ bytes.
 import json
 import math
 
+INDENT = 2  # spaces per nesting level of json_dumps
+
 
 def fmt17(x):
     """Format a float with 17 significant digits, always with a decimal marker."""
@@ -23,9 +25,9 @@ def fmt17(x):
     return s
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, out, level):
+    pad = " " * (INDENT * level)
+    pad_in = " " * (INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -35,7 +37,7 @@ def _emit(obj, out, indent, level):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             out.append(pad_in + json.dumps(k) + ": ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -45,7 +47,7 @@ def _emit(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad_in)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool):
@@ -62,7 +64,7 @@ def _emit(obj, out, indent, level):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_dumps(obj, indent=2):
+def json_dumps(obj):
     out = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out)

@@ -73,9 +73,7 @@ class CoefficientSet:
 
     def _set(self, s, L, matrix):
         matrix.setflags(write=False)
-        object.__setattr__(self, "spin_weight", s)
-        object.__setattr__(self, "band_limit", L)
-        object.__setattr__(self, "matrix", matrix)
+        vars(self).update(spin_weight=s, band_limit=L, matrix=matrix)
 
     @classmethod
     def _wrap(cls, s, L, matrix):

@@ -19,10 +19,9 @@ evaluation: profile at orders 0, 1 and 2 on seeded interior colatitudes,
 and sample_swsh on the band-12 grid before and after its mode tables are built,
 for spin weights 0, +-1 and +-2 at a few (j, m) up to j = 64; then, for
 helicities +-1 and +-2, embed with no frame, with the standard frame and
-with a gauge-rotated one, extract with no frame and with the rotated one,
-the projected orbital operator given d_theta/d_phi, and the projected
-operators and rotation generator of sections of the bundle-lemma
-benchmark's sizes: |h| = 1 at band 5 on make_grid(10), |h| = 2 at band 2
+with a gauge-rotated one, and extract with no frame and with the rotated
+one; then the projected operators and rotation generator of sections of
+the bundle-lemma benchmark's sizes: |h| = 1 at band 5 on make_grid(10), |h| = 2 at band 2
 on make_grid(8); last, apply_grid of J_z and helicity at the envelope's
 band 64 for spin weights 0 and +-2.
 """
@@ -108,10 +107,6 @@ def _embedding_cases(swsh, rng):
         sec = swsh.embed(f)
         for name, frame in (("no frame", None), ("a gauge-rotated frame", rotated)):
             yield f"h={h} extract with {name}", [swsh.extract(sec, frame).samples]
-        shape = sec.components.shape
-        d_theta, d_phi = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
-        orbital = swsh.apply_projected_orbital(sec, d_theta=d_theta, d_phi=d_phi)
-        yield f"h={h} projected orbital given d_theta, d_phi", [part.components for part in orbital]
 
 
 def _benchmark_size_cases(swsh, rng):

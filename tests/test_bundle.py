@@ -38,7 +38,7 @@ from swsh.grid import (
     standard_frame,
 )
 from swsh.modes import NORTH, SWMode
-from swsh.operators import ladder_coefficient, ladder_shift
+from swsh.operators import OperatorSpec, apply_coeff, ladder_coefficient, ladder_shift
 from swsh.tables import (_tables, band_table, contract_table, mode_coefficients, pair_matmul, phi_synthesis,
                          radial_factors)
 from swsh.transform import coefficient_set, synthesize
@@ -61,33 +61,6 @@ def random_section(rng, grid, h, band):
     entries = random_entries(rng, -h, band)
     f = synthesize(coefficient_set(-h, band, entries), grid)
     return embed(f)
-
-
-def fiber_frame_section(grid, h):
-    """Section whose components are exactly e_h, plus its closed-form derivatives.
-
-    The frame fields are not band-limited (they are direction-dependent at
-    the poles), so the orbital operator needs the analytic d_theta/d_phi.
-    """
-    fr = standard_frame(grid)
-    a = fr.a_vec.astype(np.complex128)
-    b = fr.b_vec.astype(np.complex128)
-    k = fr.k_hat.astype(np.complex128)
-    ct = np.cos(grid.theta)[:, None, None]
-    st = np.sin(grid.theta)[:, None, None]
-    m = (a + 1j * b) / math.sqrt(2.0)
-    dth = -k / math.sqrt(2.0)
-    dph = -1j * (ct * m + st * k / math.sqrt(2.0))
-    if h == 1:
-        comp, cth, cph = m, dth, dph
-    elif h == 2:
-        outer = lambda u, v: u[..., :, None] * v[..., None, :]
-        comp = outer(m, m)
-        cth = outer(dth, m) + outer(m, dth)
-        cph = outer(dph, m) + outer(m, dph)
-    else:
-        raise AssertionError("helper covers h = 1, 2 only")
-    return EmbeddedSection(grid, h, comp), cth, cph
 
 
 # ------------------------------------------------------------------ embedding
@@ -353,23 +326,39 @@ def test_projected_spin_product_rule(rng):
 
 # ---------------------------------------------------------- projected orbital
 
-@pytest.mark.parametrize("h", [1, 2])
-def test_projected_orbital_x_on_fiber_frame(h):
-    grid = make_grid(8)
-    sec, dth, dph = fiber_frame_section(grid, h)
-    out = apply_projected_orbital(sec, d_theta=dth, d_phi=dph)
-    th = grid.theta[(..., *((None,) * (1 + h)))]
-    ph = grid.phi[(None, ..., *((None,) * h))]
-    factor = h * (np.cos(th) ** 2 / np.sin(th)) * np.cos(ph)
-    assert np.abs(out.x.components - factor * sec.components).max() <= 1e-12
-    # The split is orthogonal: the orbital part stays transverse and the
-    # spin part is the helicity action, on the frame fields themselves.
+_BENCHMARK_BAND = {1: 5, 2: 2}  # the bundle-lemma benchmark's band for each |h|
+
+
+@pytest.mark.parametrize("band", ["benchmark", 8, 20])
+@pytest.mark.parametrize("h", [1, -1, 2, -2])
+def test_bundle_operators_on_a_fiber_section_have_their_closed_forms(rng, h, band):
+    # On f e_h, f of spin weight s = -h, with J^(s)_a the spin-weighted
+    # generator (J_x = (J_+ + J_-)/2, J_y = (J_+ - J_-)/2i, J_z = m):
+    #   J_perp,a (f e_h) = ((J^(s)_a - h k_a) f) e_h
+    #   J_par,a (f e_h) = h k_a f e_h
+    #   J_a (f e_h) = (J^(s)_a f) e_h
+    # The one check of J_perp on its own: J^(s)_a comes from apply_coeff
+    # alone, not from the spin-0 analysis of the ambient components.
+    band = _BENCHMARK_BAND[abs(h)] if band == "benchmark" else band
+    s = -h
+    grid = make_grid(band + abs(h) + 4)
+    c = coefficient_set(s, band, {(j, m): complex(rng.normal(), rng.normal())
+                                  for j in range(abs(s), band + 1) for m in range(-j, j + 1)})
+    f = synthesize(c, grid).samples
+    plus, minus, jz = (synthesize(apply_coeff(OperatorSpec(kind, s), c), grid).samples
+                       for kind in ("Jplus", "Jminus", "Jz"))
+    j_s = (0.5 * (plus + minus), -0.5j * (plus - minus), jz)
+    e = e_h_tensor(grid, h)
+    extra = (None,) * abs(h)
     k = standard_frame(grid).k_hat
-    spin = apply_projected_spin(sec)
-    for a in range(3):
-        assert transversality_residual(out[a]) <= 1e-10
-        want = h * k[(..., a, *((None,) * h))] * sec.components
-        assert np.abs(spin[a].components - want).max() <= 1e-10
+    sec = EmbeddedSection(grid, h, f[(..., *extra)] * e)
+    perp, par = apply_projected_orbital(sec), apply_projected_spin(sec)
+    for a, axis in enumerate((X_AXIS, Y_AXIS, Z_AXIS)):
+        helicity_part = h * k[..., a] * f
+        for got, want in ((perp[a], j_s[a] - helicity_part), (par[a], helicity_part),
+                          (apply_J_rotation(sec, axis), j_s[a])):
+            want = want[(..., *extra)] * e
+            assert np.abs(got.components - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_projected_orbital_transverse_on_embedded_sections(rng):
@@ -378,16 +367,6 @@ def test_projected_orbital_transverse_on_embedded_sections(rng):
         out = apply_projected_orbital(random_section(rng, grid, h, 5))
         for a in range(3):
             assert transversality_residual(out[a]) <= 1e-10
-
-
-def test_orbital_derivative_override_validation():
-    grid = make_grid(4)
-    sec = embed(constant_field(grid, -1))
-    z = np.zeros_like(sec.components)
-    with pytest.raises(ValueError):
-        apply_projected_orbital(sec, d_theta=z)
-    with pytest.raises(GridMismatch):
-        apply_projected_orbital(sec, d_theta=z[..., :2], d_phi=z[..., :2])
 
 
 # ------------------------------------------------- all three axes in one pass
@@ -429,15 +408,18 @@ def _horner_dtheta_table(grid):
     return table
 
 
-def _orbital_per_axis(section, frame, d_theta=None, d_phi=None):
-    """J_perp axis by axis: -i (e_phi,a d/dtheta - e_theta,a (1/sin) d/dphi), then projected."""
+def _orbital_per_axis(section, frame):
+    """J_perp axis by axis: -i (e_phi,a d/dtheta - e_theta,a (1/sin) d/dphi), then projected.
+
+    Both derivatives are synthesized from the section's coefficients, d/dtheta
+    by the Horner reference's profile derivatives.
+    """
     grid, rank = section.grid, section.rank
-    if d_theta is None:
-        coeffs = section.component_coefficients
-        m = np.arange(-grid.band_limit, grid.band_limit + 1).reshape((-1,) + (1,) * (rank + 1))
-        d_theta = phi_synthesis(grid, contract_table(_horner_dtheta_table(grid), coeffs))
-        d_phi = phi_synthesis(grid, 1j * m * radial_factors(grid, 0, coeffs))
-        d_theta, d_phi = np.moveaxis(d_theta, -1, 1), np.moveaxis(d_phi, -1, 1)
+    coeffs = section.component_coefficients
+    m = np.arange(-grid.band_limit, grid.band_limit + 1).reshape((-1,) + (1,) * (rank + 1))
+    d_theta = phi_synthesis(grid, contract_table(_horner_dtheta_table(grid), coeffs))
+    d_phi = phi_synthesis(grid, 1j * m * radial_factors(grid, 0, coeffs))
+    d_theta, d_phi = np.moveaxis(d_theta, -1, 1), np.moveaxis(d_phi, -1, 1)
     extra = (None,) * rank
     dphi_over_sin = d_phi * (1.0 / np.sin(grid.theta))[(..., None, *extra)]
     out = []
@@ -467,12 +449,6 @@ def test_batched_axes_match_the_per_axis_formulas(rng, h):
     for sec in (EmbeddedSection(grid, h, comps), random_section(rng, grid, abs(h), 4)):
         _assert_axes_match(apply_projected_spin(sec), _spin_per_axis(sec, frame))
         _assert_axes_match(apply_projected_orbital(sec), _orbital_per_axis(sec, frame))
-        dth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        dph = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        _assert_axes_match(
-            apply_projected_orbital(sec, d_theta=dth, d_phi=dph),
-            _orbital_per_axis(sec, frame, d_theta=dth, d_phi=dph),
-        )
 
 
 def _per_node_spin_generators(rank):
@@ -494,20 +470,15 @@ def _per_node_spin(section):
     return np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
 
 
-def _per_node_orbital(section, d_theta=None, d_phi=None):
+def _per_node_orbital(section):
     """J_perp by per-node products: the frame combined over a trailing size-3 axis, then -i on a transposing copy."""
     grid, rank = section.grid, section.rank
-    D = 3**rank
-    if d_theta is None:
-        a = section._coefficients
-        L = a.shape[1] - 1
-        table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: bundle._orbital_table(grid, top))
-        radial = contract_table(table, a)
-        radial[0] *= 1j
-        derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
-    else:
-        derivs = np.stack([d_phi, d_theta], axis=-1).reshape(grid.shape + (D, 2))
-        derivs[..., 0] *= 1.0 / np.sin(grid.theta)[:, None, None]
+    a = section._coefficients
+    L = a.shape[1] - 1
+    table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: bundle._orbital_table(grid, top))
+    radial = contract_table(table, a)
+    radial[0] *= 1j
+    derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
     proj = pair_matmul(bundle._projector(grid, rank), derivs)
     frame = standard_frame(grid)
     parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
@@ -540,11 +511,6 @@ def test_node_wide_products_match_the_per_node_products_bit_for_bit(rng, h):
         assert all(part.components.tobytes() == w.tobytes() for part, w in zip(apply_projected_spin(sec), want))
         want = _per_node_orbital(sec)
         assert all(part.components.tobytes() == w.tobytes() for part, w in zip(apply_projected_orbital(sec), want))
-        dth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        dph = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = apply_projected_orbital(sec, d_theta=dth, d_phi=dph)
-        want = _per_node_orbital(sec, d_theta=dth, d_phi=dph)
-        assert all(part.components.tobytes() == w.tobytes() for part, w in zip(got, want))
         gens = _per_node_rotation_generators(sec)
         assert sec._rotation_generators.tobytes() == gens.tobytes()
         for axis in (X_AXIS, Y_AXIS, Z_AXIS, (1 / 3, 2 / 3, 2 / 3)):

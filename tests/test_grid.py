@@ -387,6 +387,25 @@ def test_csv_write_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("tag", ["my frame", "a\nb"])
+def test_csv_write_refuses_a_frame_tag_with_whitespace(tmp_path, tag):
+    # the header is split on whitespace when read back, so such a tag would
+    # write a file read_grid_csv refuses; no file is created
+    grid = make_grid(2)
+    f = GridFunction(grid, 0, np.ones(grid.shape), frame=tag)
+    p = tmp_path / "f.csv"
+    with pytest.raises(ValueError, match="frame tag"):
+        write_grid_csv(f, p)
+    assert not p.exists()
+
+
+def test_csv_round_trips_a_gauge_frame_tag(tmp_path):
+    f = apply_gauge(sample_swsh(make_grid(2), SWMode(-1, 1, 0)), 0.3)
+    p = tmp_path / "f.csv"
+    write_grid_csv(f, p)
+    assert read_grid_csv(p).frame == f.frame == "spherical+gauge"
+
+
 def test_csv_rejects_malformed_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("# wrong header\n0.5,0.0,1.0,0.0\n")
