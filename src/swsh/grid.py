@@ -104,9 +104,9 @@ class GridFunction:
     array never reach it; the library's own producers hand over samples
     they have just made, through _wrap, without a copy.  The frame tag
     records which local tangent frame the values refer to; gauge rotations
-    update it.  _analysis holds the read-only analysis matrix at the grid's
-    band limit once transform.analysis_matrix has computed it, so every
-    later analysis of the function reuses it.
+    update it.  _analysis holds the read-only analysis matrix at band
+    min(band limit, J_MAX) once transform.analysis_matrix has made it, and
+    every later analysis of the function reads it or a slice of it.
     """
 
     grid: SphereGrid

@@ -26,7 +26,7 @@ from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
 from .modes import J_MAX, _dtheta
 from .tables import band_table, contract_table, phi_synthesis, radial_factors, spin_tables
-from .transform import COEFF_CLIP, CoefficientSet, analysis_matrix
+from .transform import CoefficientSet, _clip, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
 _SHIFTS = {"Jplus": +1, "Jminus": -1}  # the azimuthal order each kind adds; 0 for the rest
@@ -109,8 +109,7 @@ def apply_coeff(op, c):
         out = j * (j + 1) * a
     else:  # Helicity
         out = -c.spin_weight * a
-    out[~(np.abs(out) >= COEFF_CLIP)] = 0.0
-    return CoefficientSet._wrap(c.spin_weight, c.band_limit, out)
+    return CoefficientSet._wrap(c.spin_weight, c.band_limit, _clip(out))
 
 
 def apply_grid(op, f, band_limit=None):
@@ -139,8 +138,8 @@ def _operator_table(grid, s, kind, band_limit):
 
     L is band_limit.  Row m + L is the theta factor of the result, whose
     azimuthal factor is exp(i (m +- 1) phi) for the ladders and exp(i m phi)
-    for J^2.  Cached under ("op", grid geometry, s, kind) and grown by
-    band_table, as mode tables are.
+    for J^2.  Cached under ("op", grid geometry, s, kind), built at the
+    grid's band and sliced to L by band_table, as mode tables are.
     """
     return band_table(("op", grid.geometry_key, s, kind), grid, band_limit,
                       lambda top: _differential_table(grid, s, kind, top))

@@ -23,14 +23,14 @@ frame's fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2,
 L = 64), and two azimuthal matrices per n_phi, the DFT matrix and the
 phi-weighted analysis matrix made from it.  Each is fetched by one GridCache.cached(key, build) call,
 or, for the tables indexed by band, by band_table, the one rule that
-grows and slices them: a band-L table is the centered slice
-[..., T - L : T + L + 1, : L + 1, :] of the one entry of band T >= L, and
-every table is read at the band its coefficients declare.  So a
-transform call on a warm grid, at its band or any lower one, builds
-nothing: it slices cached operands and pays for its products.  The one
-other module-level cache holds no array: transform.py's label index
-{(j, m): flat cell} per |s| and band, a functools.lru_cache of at most 8
-dicts, each about 0.55 MiB and built in about 1 ms at L = 64.
+builds and slices them: one entry, of band T = min(grid band, J_MAX),
+whose centered slice [..., T - L : T + L + 1, : L + 1, :] is the band-L
+table, read at the band its coefficients declare.  So a transform call
+on a warm grid, at its band or any lower one, builds nothing: it slices
+cached operands and pays for its products.  The one other module-level
+cache holds no array: transform.py's label index {(j, m): flat cell} per
+|s| and band, a functools.lru_cache of at most 8 dicts, each about
+0.55 MiB and built in about 1 ms at L = 64.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -122,19 +122,19 @@ _tables = GridCache(TABLE_CACHE_BYTES)
 def band_table(key, grid, band, build):
     """The band-L slice [..., T - L : T + L + 1, : L + 1, :] of the table [..., m + T, j, t] cached under key.
 
-    The one rule for every table indexed by band; L is band.  A missing
-    entry, or one of a band T < L, is replaced by build(T), at T = L, or
-    past a held band at least double it, up to the grid's band and J_MAX,
-    so a rising sweep of bands rebuilds a table O(log L) times.  A row does
-    not depend on the band it was built to, so every band reads the same
-    bytes from any entry.
+    The one rule for every table indexed by band; L is band and T the
+    grid's band, capped at J_MAX.  The entry is build(T), made once, and
+    every band reads its slice, the entry itself at L = T.  A band above
+    J_MAX, or outside [0, grid band], is refused before anything is built.
     """
+    top = min(grid.band_limit, J_MAX)
+    if not 0 <= band <= top:
+        check_j_supported(band, f"j={band}")
+        raise BandLimitExceeded(f"table band limit {band} outside [0, {grid.band_limit}]")
     held = _tables.get(key)
-    top = -1 if held is None else held.shape[-2] - 1
-    if top < band:
-        top = max(band, min(2 * top, grid.band_limit, J_MAX))
+    if held is None:
         held = _tables.put(key, build(top))
-    return held[..., top - band : top + band + 1, : band + 1, :]
+    return held if band == top else held[..., top - band : top + band + 1, : band + 1, :]
 
 
 def spin_tables(grid, spins, L):
@@ -152,13 +152,10 @@ def spin_tables(grid, spins, L):
 def mode_table(grid, s, band_limit=None):
     """Read-only table [m + L, j, t] of the profiles p_{sjm}(theta_t).
 
-    L is band_limit, at most the grid's (the default).  The cached entry
-    [m + T, j, t] is spin_tables of the one spin; band_table grows it.
+    L is band_limit, at most the grid's (the default).  band_table keeps
+    spin_tables of the one spin at the grid's band and slices it.
     """
-    Lg = grid.band_limit
-    L = Lg if band_limit is None else int(band_limit)
-    if not 0 <= L <= Lg:
-        raise BandLimitExceeded(f"table band limit {L} outside [0, {Lg}]")
+    L = grid.band_limit if band_limit is None else int(band_limit)
     s = int(s)
     return band_table((grid.geometry_key, s), grid, L, lambda top: spin_tables(grid, [s], top)[0])
 
@@ -198,11 +195,7 @@ def contract_table(table, coeffs):
 
 
 def radial_factors(grid, s, coeffs):
-    """R[m + L, t, ...] = sum_j mode_table(grid, s)[m + L, j, t] * coeffs[m + L, j, ...].
-
-    L is the band of coeffs, so the table is read, and built if it must
-    be, at the band a function declares.
-    """
+    """R[m + L, t, ...] = sum_j mode_table(grid, s, L)[m + L, j, t] * coeffs[m + L, j, ...], L the band of coeffs."""
     return contract_table(mode_table(grid, s, coeffs.shape[1] - 1), coeffs)
 
 

@@ -22,10 +22,10 @@ cell; a label the index lacks, or a complex one (2+0j equals 2 to a dict),
 sends the set on one walk over its entries in order, which validates
 each and names the first bad one.
 
-A grid function is analyzed at most once at its grid's band limit: the
-read-only matrix is kept on the GridFunction, so analyze and every
-apply_grid on the same function share one quadrature.  A lower band limit
-is analyzed afresh each time.
+A grid function is analyzed at most once, at T = min(grid band, J_MAX):
+the read-only matrix is kept on the GridFunction, so analyze and every
+apply_grid on the same function share one quadrature, and a lower band
+limit L reads its centered slice [T - L : T + L + 1, : L + 1].
 """
 
 import json
@@ -40,11 +40,17 @@ import numpy as np
 
 from .errors import BandLimitExceeded, as_integer
 from .grid import GridFunction
-from .modes import check_j_supported, validate_mode
+from .modes import J_MAX, check_j_supported, validate_mode
 from .serial import json_dumps
 from .tables import mode_coefficients, phi_synthesis, radial_factors
 
 COEFF_CLIP = 1e-13
+
+
+def _clip(a):
+    """Zero, in place, every entry of a whose magnitude is below COEFF_CLIP or NaN; return a."""
+    a[~(np.abs(a) >= COEFF_CLIP)] = 0.0
+    return a
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -115,8 +121,8 @@ def _entry_matrix(s, L, entries):
     labels fails to be a real number only if some label is complex (or a
     Decimal, which numbers.Real does not register); such a set, and one
     with a label the index lacks, takes _walk_cells, which accepts it or
-    raises the first fault.  Amplitudes below COEFF_CLIP, and NaN, become
-    zero.
+    raises the first fault.  Then an infinite amplitude is refused by its
+    (j, m), and amplitudes below COEFF_CLIP, and NaN, become zero.
     """
     index = _label_index(abs(s), L)
     try:
@@ -128,8 +134,11 @@ def _entry_matrix(s, L, entries):
         cells = _walk_cells(s, L, entries)
     # through complex(), since fromiter alone would also read bytes
     amps = np.fromiter(map(complex, entries.values()), np.complex128, len(entries))
+    if np.isinf(amps).any():
+        j, m = list(entries)[np.isinf(amps).argmax()]
+        raise ValueError(f"amplitude of mode (j={j}, m={m}) is infinite")
     out = np.zeros((2 * L + 1) * (L + 1), dtype=np.complex128)
-    out[cells] = np.where(np.abs(amps) >= COEFF_CLIP, amps, 0.0)
+    out[cells] = _clip(amps)
     return out.reshape(2 * L + 1, L + 1)
 
 
@@ -159,28 +168,26 @@ def coefficient_set(spin_weight, band_limit, entries=None):
 def analysis_matrix(f, band_limit=None):
     """Read-only analysis coefficients A[m + L, j] of a grid function, clipped like analyze.
 
-    Entries with no mode (j < max(|m|, |s|)) are zero.  At the grid's band
-    limit (the default) the matrix is computed once and kept on f.  Samples
-    that are not all finite are refused when the matrix is computed.
+    Entries with no mode (j < max(|m|, |s|)) are zero.  Computed once, at
+    T = min(grid band, J_MAX), from samples that must all be finite, and
+    kept on f; L = T returns it and a lower L its centered slice.
     """
     grid = f.grid
     L = grid.band_limit if band_limit is None else as_integer(band_limit, "band limit")
     if L < 0:
         raise ValueError(f"analysis band limit {L} is negative")
-    if L > grid.band_limit:
-        raise BandLimitExceeded(
-            f"analysis band limit {L} exceeds grid band limit {grid.band_limit}"
-        )
-    if L == grid.band_limit and f._analysis is not None:
-        return f._analysis
-    if not np.isfinite(f.samples).all():
-        raise ValueError("cannot analyze a grid function with non-finite samples")
-    a = mode_coefficients(grid, f.spin_weight, f.samples, L)
-    a[np.abs(a) < COEFF_CLIP] = 0.0
-    a.setflags(write=False)
-    if L == grid.band_limit:
+    top = min(grid.band_limit, J_MAX)
+    if L > top:
+        check_j_supported(L, f"analysis band limit {L}")
+        raise BandLimitExceeded(f"analysis band limit {L} exceeds grid band limit {grid.band_limit}")
+    a = f._analysis
+    if a is None:
+        if not np.isfinite(f.samples).all():
+            raise ValueError("cannot analyze a grid function with non-finite samples")
+        a = _clip(mode_coefficients(grid, f.spin_weight, f.samples, top))
+        a.setflags(write=False)
         object.__setattr__(f, "_analysis", a)
-    return a
+    return a if L == top else a[top - L : top + L + 1, : L + 1]
 
 
 def analyze(f, band_limit=None):

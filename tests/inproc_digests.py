@@ -22,8 +22,10 @@ helicities +-1 and +-2, embed with no frame, with the standard frame and
 with a gauge-rotated one, and extract with no frame and with the rotated
 one; then the projected operators and rotation generator of sections of
 the bundle-lemma benchmark's sizes: |h| = 1 at band 5 on make_grid(10), |h| = 2 at band 2
-on make_grid(8); last, apply_grid of J_z and helicity at the envelope's
-band 64 for spin weights 0 and +-2.
+on make_grid(8); then apply_grid of J_z and helicity at the envelope's
+band 64 for spin weights 0 and +-2; last, for every spin weight, one
+function on the band-12 grid analyzed at every band from 12 down to 0
+and back up, and one set synthesized at every band.
 """
 
 import argparse
@@ -55,7 +57,7 @@ def _entries(rng, s, band):
 def _transform_cases(swsh, rng):
     grid = swsh.make_grid(BAND)
     for s in SPINS:
-        # the negative spin weights meet the lower band first, so their tables grow
+        # the negative spin weights meet the lower band first, before the grid's band
         for band in (BAND, LOW) if s >= 0 else (LOW, BAND):
             f = swsh.synthesize(swsh.coefficient_set(s, band, _entries(rng, s, band)), grid)
             yield f"s={s} synthesize, analyze at L={band}", [f.samples, swsh.analyze(f, band_limit=band).matrix]
@@ -129,6 +131,18 @@ def _envelope_cases(swsh, rng):
             yield f"s={s} apply_grid {kind} on make_grid(64)", [g.samples]
 
 
+def _band_sweep_cases(swsh, rng):
+    grid = swsh.make_grid(BAND)
+    for s in SPINS:
+        f = swsh.synthesize(swsh.coefficient_set(s, BAND, _entries(rng, s, BAND)), grid)
+        for sweep, bands in (("falling", range(BAND, -1, -1)), ("rising", range(1, BAND + 1))):
+            for band in bands:
+                yield f"s={s} {sweep} sweep: analyze at L={band}", [swsh.analyze(f, band_limit=band).matrix]
+        for band in range(abs(s), BAND + 1):
+            g = swsh.synthesize(swsh.coefficient_set(s, band, _entries(rng, s, band)), grid)
+            yield f"s={s} synthesize at L={band}", [g.samples]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -141,7 +155,7 @@ def main():
 
     rng = np.random.default_rng(11)
     for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases,
-                  _envelope_cases):
+                  _envelope_cases, _band_sweep_cases):
         for name, arrays in cases(swsh, rng):
             print(f"{_digest(arrays)}  {name}", flush=True)
     return 0

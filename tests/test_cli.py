@@ -186,6 +186,18 @@ def test_transform_infinite_label_exits_2(capsys, tmp_path):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_transform_infinite_amplitude_exits_2(capsys, tmp_path):
+    src = tmp_path / "c.json"
+    payload = {"spin_weight": 0, "band_limit": 4, "entries": [{"j": 1, "m": 0, "re": 1.0, "im": 0.0}]}
+    src.write_text(json.dumps(payload).replace('"re": 1.0', '"re": Infinity'))
+    code, out, err = run(
+        capsys, "transform", "synthesize", "--in", str(src), "--out", str(tmp_path / "f.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err == "swsh: amplitude of mode (j=1, m=0) is infinite\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_transform_analyze_refuses_a_header_token_without_equals(capsys, tmp_path):
     csv, out = tmp_path / "f.csv", tmp_path / "f.json"
     assert run(capsys, "eval", "-s", "0", "-j", "1", "-m", "0", "--grid", "1", "--out", str(csv))[0] == 0

@@ -371,44 +371,53 @@ def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
     assert _tables.get(("dft", grid.n_phi)) is dft
 
 
-def test_a_rising_band_sweep_rebuilds_its_operator_table_a_few_times(monkeypatch):
-    # operator tables grow as mode tables do, and a row is the same
-    # whatever band its table was built to
+def test_a_band_sweep_builds_each_operator_table_once_at_the_grid_band(monkeypatch):
+    # operator tables are built as mode tables are, once at the grid's band,
+    # so a rising and a falling sweep read the same bytes
     grid = make_grid(64)
     built = []
     real = operators._differential_table
     monkeypatch.setattr(
         operators, "_differential_table",
-        lambda g, s, kind, L: built.append((s, kind)) or real(g, s, kind, L),
+        lambda g, s, kind, L: built.append((s, kind, L)) or real(g, s, kind, L),
     )
     cases = [(0, "Jsquared"), (0, "Jplus"), (-2, "Jminus")]
 
     def sweep(bands):
         _tables.clear()
-        return {(j, s, kind): apply_grid(OperatorSpec(kind, s), sample_swsh(grid, (s, j, 0)))
-                .samples.tobytes() for j in bands for s, kind in cases if j >= abs(s)}
+        built.clear()
+        out = {(j, s, kind): apply_grid(OperatorSpec(kind, s), sample_swsh(grid, (s, j, 0)), band_limit=j)
+               .samples.tobytes() for j in bands for s, kind in cases if j >= abs(s)}
+        assert sorted(built) == sorted((s, kind, 64) for s, kind in cases)
+        return out
 
     rising = sweep(range(1, 65))
-    assert max(built.count(case) for case in cases) <= 8
     assert sweep(range(64, 0, -1)) == rising
     _tables.clear()
 
 
 def test_apply_grid_reuses_the_analysis(rng, monkeypatch):
+    # one analysis per function, kept at the grid's band, serves every kind
+    # at every band in any order; a lower band reads its centered slice
     grid = make_grid(10)
     f = synthesize(coefficient_set(0, 10, random_entries(rng, 0, 10)), grid)
-    c = analyze(f)
     calls = []
     real = transform.mode_coefficients
     monkeypatch.setattr(
         transform, "mode_coefficients", lambda g, s, x, L: calls.append(L) or real(g, s, x, L)
     )
-    for kind in KINDS:
-        apply_grid(OperatorSpec(kind, 0), f)
-    assert calls == []
-    assert analysis_matrix(f) is c.matrix and not c.matrix.flags.writeable
     apply_grid(OperatorSpec("Jplus", 0), f, band_limit=8)
-    assert calls == [8]
+    assert calls == [10]
+    c = analyze(f)
+    for band in (None, 3, 10, 0, 7):
+        for kind in KINDS:
+            apply_grid(OperatorSpec(kind, 0), f, band_limit=band)
+    assert calls == [10]
+    assert analysis_matrix(f) is c.matrix and not c.matrix.flags.writeable
+    for band in (8, 3, 0):
+        a = analysis_matrix(f, band)
+        assert not a.flags.writeable
+        assert a.tobytes() == c.matrix[10 - band : 10 + band + 1, : band + 1].tobytes()
 
 
 def test_apply_grid_refuses_non_finite_samples():

@@ -7,6 +7,7 @@ import pytest
 
 from swsh import (OperatorSpec, SWMode, analyze, apply_grid, apply_projected_orbital, coefficient_set,
                   embed, make_grid, modes, operators, profile, sample_swsh, synthesize, tables)
+from swsh.errors import BandLimitExceeded
 from swsh.grid import SphereGrid
 from swsh.modes import _dtheta, _seeds
 from swsh.tables import GridCache, contract_table, mode_coefficients, mode_table, spin_tables
@@ -399,9 +400,9 @@ def test_sampling_one_mode_builds_no_table(monkeypatch):
     tables._tables.clear()
 
 
-def test_a_rising_band_sweep_rebuilds_its_table_a_few_times(monkeypatch):
-    # a rebuild for a higher band at least doubles the entry's band, and a
-    # row is the same whatever band its table climbed to
+def test_a_band_sweep_builds_its_table_once_at_the_grid_band(monkeypatch):
+    # every band reads a slice of the one table built at the grid's band,
+    # so a rising and a falling sweep climb once each and agree byte for byte
     grid = make_grid(64)
     tops = []
     climb = tables._climb
@@ -409,12 +410,44 @@ def test_a_rising_band_sweep_rebuilds_its_table_a_few_times(monkeypatch):
 
     def sweep(bands):
         tables._tables.clear()
-        return [synthesize(coefficient_set(0, j, {(j, 0): 1.0}), grid).samples.tobytes()
-                for j in bands]
+        tops.clear()
+        out = [synthesize(coefficient_set(0, j, {(j, 0): 1.0}), grid).samples.tobytes() for j in bands]
+        assert tops == [64]
+        return out
 
     rising = sweep(range(1, 65))
-    assert len(tops) <= 8 and tops[-1] == 64
     assert sweep(range(64, 0, -1))[::-1] == rising
+    tables._tables.clear()
+
+
+def test_band_table_refuses_a_band_above_the_grid_band_and_caches_nothing():
+    grid = make_grid(6)
+    key = ("test-band-table", grid.geometry_key)
+    built = []
+    held = len(tables._tables)
+    with pytest.raises(BandLimitExceeded, match=r"^table band limit 7 outside \[0, 6\]$"):
+        tables.band_table(key, grid, 7, lambda top: built.append(top) or spin_tables(grid, [0], top)[0])
+    assert built == [] and tables._tables.get(key) is None and len(tables._tables) == held
+
+
+def test_a_grid_past_j_max_is_served_at_j_max_from_tables_built_there(rng, monkeypatch):
+    # make_grid(J_MAX + 1) holds every table, and its functions' analysis, at
+    # J_MAX: synthesize, analyze and apply_grid at J_MAX read them whole
+    grid = make_grid(modes.J_MAX + 1)
+    tops = []
+    climb = tables._climb
+    monkeypatch.setattr(tables, "_climb", lambda *args: tops.append(args[3]) or climb(*args))
+    tables._tables.clear()
+    c = coefficient_set(0, modes.J_MAX, random_entries(rng, 0, modes.J_MAX))
+    f = synthesize(c, grid)
+    a = analyze(f, band_limit=modes.J_MAX)
+    assert a.band_limit == modes.J_MAX and np.abs(a.matrix - c.matrix).max() < 1e-10
+    assert a.matrix is f._analysis
+    g = apply_grid(OperatorSpec("Jplus", 0), f, band_limit=modes.J_MAX)
+    want = synthesize(operators.apply_coeff(OperatorSpec("Jplus", 0), c), grid)
+    assert np.abs(g.samples - want.samples).max() < 1e-8 * np.abs(want.samples).max()
+    assert tops and set(tops) == {modes.J_MAX}
+    assert tables.mode_table(grid, 0, modes.J_MAX) is tables._tables.get((grid.geometry_key, 0))
     tables._tables.clear()
 
 

@@ -240,6 +240,23 @@ def test_stored_matrix_is_read_only():
     assert not analyze(synthesize(c, make_grid(4))).matrix.flags.writeable
 
 
+def test_infinite_amplitudes_are_refused_naming_their_mode():
+    # by the label index and by the label walk (Decimal labels), alone or
+    # after good entries, and through the JSON reader
+    inf = float("inf")
+    for amp in (inf, -inf, complex(inf, float("nan")), complex(1.0, -inf)):
+        for label in ((1, 0), (Decimal(1), Decimal(0))):
+            for before in ({}, {(2, 1): 1.0, (3, -2): 2.0j}):
+                with pytest.raises(ValueError, match=r"^amplitude of mode \(j=1, m=0\) is infinite$"):
+                    coefficient_set(0, 3, {**before, label: amp})
+    text = json.dumps({"spin_weight": 0, "band_limit": 3,
+                       "entries": [{"j": 2, "m": -1, "re": 1.0, "im": 0.0},
+                                   {"j": 1, "m": 0, "re": inf, "im": 0.0}]})
+    assert "Infinity" in text
+    with pytest.raises(ValueError, match=r"^amplitude of mode \(j=1, m=0\) is infinite$"):
+        coefficients_from_json(text)
+
+
 def test_nan_amplitudes_are_dropped():
     nan = float("nan")
     c = coefficient_set(0, 4, {(1, 0): nan, (2, 1): complex(1.0, nan), (3, -1): 2.0})
@@ -325,6 +342,8 @@ def test_parseval(rng):
 
 
 def test_one_analysis_per_grid_function(rng, monkeypatch):
+    # the function is analyzed once, at the grid's band, whatever bands are
+    # asked for and in any order; each band reads the centered slice of it
     grid = make_grid(8)
     f = synthesize(coefficient_set(-1, 8, random_entries(rng, -1, 8)), grid)
     calls = []
@@ -332,19 +351,20 @@ def test_one_analysis_per_grid_function(rng, monkeypatch):
     monkeypatch.setattr(
         transform, "mode_coefficients", lambda g, s, x, L: calls.append(L) or real(g, s, x, L)
     )
-    # a lower band is analyzed afresh each time and never kept
     low = analyze(f, band_limit=6)
-    assert calls == [6] and f._analysis is None
-    c = analyze(f)
-    assert calls == [6, 8]
+    assert calls == [8] and f._analysis is not None
     a = analysis_matrix(f)
-    assert a is c.matrix and not a.flags.writeable
+    c = analyze(f)
+    assert a is c.matrix and a is f._analysis and not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 0] = 1.0
     assert analyze(f) == c and analyze(f, band_limit=8) == c
-    assert calls == [6, 8]
     assert analyze(f, band_limit=6) == low
-    assert calls == [6, 8, 6] and f._analysis is a
+    for band in (3, 8, 0, 5, 1, 7, 2, 4, 6):
+        got = analysis_matrix(f, band)
+        assert not got.flags.writeable
+        assert got.tobytes() == a[8 - band : 8 + band + 1, : band + 1].tobytes()
+    assert calls == [8]
 
 
 def test_analysis_is_of_the_samples_as_given(rng):
