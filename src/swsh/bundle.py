@@ -16,10 +16,11 @@ generator about any axis n is sum_a n_a J_a.
 Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
-once, by mode_coefficients, into A[m + L, j, D]; radial_factors, or J_perp's
-cached spin-0 table [m csc(theta) p, dp/dtheta], contracts it, and
-phi_synthesis applies one DFT matrix product over phi, whose [..., p]
-result one transpose lays out as samples grid.shape + (D, k).
+once, by mode_coefficients, into A[m + L, j, D]; contract_table contracts
+it with the spin-0 mode table or J_perp's cached spin-0 table [m csc(theta)
+p, dp/dtheta], and phi_synthesis applies the DFT rows read with that table,
+in one cache read, as one matrix product over phi, whose [..., p] result
+one transpose lays out as samples grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
 matrix per node, cached with the tables of tables.py by grid geometry and
 rank; the spin matrices of all three axes act per tensor slot, on every
@@ -44,8 +45,8 @@ import numpy as np
 from .errors import GridMismatch, UnsupportedHelicity, as_integer
 from .grid import GridFunction, SphereGrid, standard_frame
 from .operators import ladder_shift
-from .tables import (_tables, band_table, contract_table, mode_coefficients, pair_matmul, phi_synthesis,
-                     radial_factors, spin_tables)
+from .tables import (Operands, _tables, band_operands, contract_table, dft_rows, mode_coefficients, mode_operands,
+                     pair_matmul, phi_synthesis, spin_tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +122,8 @@ class EmbeddedSection:
         coeffs[..., 0] += 0.5 * (up + down)
         coeffs[..., 1] += 0.5j * (down - up)
         coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
-        samples = phi_synthesis(self.grid, radial_factors(self.grid, 0, coeffs))  # [t, D, 3, p]
+        ops = mode_operands(self.grid, 0, L)
+        samples = phi_synthesis(ops.synthesis, contract_table(ops.table, coeffs))  # [t, D, 3, p]
         gens = np.ascontiguousarray(samples.transpose(2, 0, 3, 1)).reshape(3, -1).view(np.float64)
         gens.setflags(write=False)
         return gens
@@ -165,7 +167,7 @@ def _fiber(grid, h, frame):
     """
     if frame is not None:
         return e_h_tensor(grid, h, frame=frame)
-    return _tables.cached(("fiber", grid.geometry_key, h), lambda: e_h_tensor(grid, h))
+    return _tables.cached(("fiber", grid.geometry_key, h), e_h_tensor, grid, h)
 
 
 def embed(f, frame=None):
@@ -260,13 +262,15 @@ def _projector(grid, rank):
     the flattened tensor slots, P^{(x)2} as p (x) p.  Cached in _tables by
     grid geometry and rank.
     """
-    def build():
-        k = standard_frame(grid).k_hat
-        p = np.eye(3) - k[..., :, None] * k[..., None, :]
-        if rank == 2:
-            p = (p[..., :, None, :, None] * p[..., None, :, None, :]).reshape(grid.shape + (9, 9))
-        return p
-    return _tables.cached(("projector", grid.geometry_key, rank), build)
+    return _tables.cached(("projector", grid.geometry_key, rank), _projector_of, grid, rank)
+
+
+def _projector_of(grid, rank):
+    k = standard_frame(grid).k_hat
+    p = np.eye(3) - k[..., :, None] * k[..., None, :]
+    if rank == 2:
+        p = (p[..., :, None, :, None] * p[..., None, :, None, :]).reshape(grid.shape + (9, 9))
+    return p
 
 
 def _orbital_table(grid, L):
@@ -274,6 +278,10 @@ def _orbital_table(grid, L):
     lower, upper = spin_tables(grid, (-1, 1), L)
     half_lam = 0.5 * np.sqrt(np.arange(L + 1) * np.arange(1, L + 2))[:, None]  # lam = sqrt(j (j + 1))
     return np.stack([half_lam * (lower + upper), half_lam * (lower - upper)])
+
+
+def _orbital_entry(grid, L):
+    return Operands(_orbital_table(grid, L), dft_rows(grid, L))
 
 
 def apply_projected_spin(section):
@@ -306,10 +314,10 @@ def apply_projected_orbital(section):
     # every ambient component at once: [..., 0] (1/sin) d/dphi, [..., 1] d/dtheta
     a = section._coefficients  # analyzed first: it checks the band against J_MAX
     L = a.shape[1] - 1
-    table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: _orbital_table(grid, top))
-    radial = contract_table(table, a)
+    ops = band_operands(("orbital", grid.geometry_key), grid, L, _orbital_entry)
+    radial = contract_table(ops.table, a)
     radial[0] *= 1j
-    derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)  # [t, p, D, k]
+    derivs = phi_synthesis(ops.synthesis, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)  # [t, p, D, k]
     proj = pair_matmul(_projector(grid, rank), derivs)
     frame = standard_frame(grid)
     out = np.multiply(proj[..., 1], frame.b_vec.transpose(2, 0, 1)[..., None], order="C")

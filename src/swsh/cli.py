@@ -205,7 +205,7 @@ def _suite_ladder(args):
     import numpy as np
 
     from .grid import make_grid
-    from .operators import KINDS, OperatorSpec, _operator_table, apply_coeff, apply_grid, ladder_shift
+    from .operators import KINDS, OperatorSpec, _operator_operands, apply_coeff, apply_grid, ladder_shift
     from .tables import mode_table
     from .transform import coefficient_set, synthesize
 
@@ -215,7 +215,7 @@ def _suite_ladder(args):
     grid = make_grid(j_top)
     p, j = mode_table(grid, s), np.arange(j_top + 1)[:, None]
     known = {"Jplus": ladder_shift(p, -1), "Jminus": ladder_shift(p, +1), "Jsquared": j * (j + 1) * p}
-    worst = max(float(np.abs(_operator_table(grid, s, kind, j_top) - want).max())
+    worst = max(float(np.abs(_operator_operands(grid, s, kind, j_top).table - want).max())
                 for kind, want in known.items())
     c = coefficient_set(s, j_top, {(j, m): cmath.exp(1j * (j + 2 * m))
                                    for j in range(abs(s), j_top + 1) for m in range(-j, j + 1)})

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
 from .modes import J_MAX, _dtheta
-from .tables import band_table, contract_table, phi_synthesis, radial_factors, spin_tables
+from .tables import Operands, band_operands, contract_table, dft_rows, mode_operands, phi_synthesis, spin_tables
 from .transform import CoefficientSet, _clip, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -33,9 +33,13 @@ _SHIFTS = {"Jplus": +1, "Jminus": -1}  # the azimuthal order each kind adds; 0 f
 
 
 def _ladder_weights():
-    """Read-only W[m + J_MAX - 1, j] = sqrt((j + m)(j - m + 1)), 1 - J_MAX <= m <= J_MAX, 0 off the multiplet."""
+    """Read-only W[m + J_MAX - 1, j] = sqrt((j + m)(j - m + 1)), 1 - J_MAX <= m <= J_MAX, 0 off the multiplet.
+
+    Held as complex128, w + 0j, the value numpy multiplies complex
+    coefficients by, so a product casts nothing.
+    """
     j, m = np.arange(J_MAX + 1), np.arange(1 - J_MAX, J_MAX + 1)[:, None]
-    weights = np.sqrt(np.maximum((j + m) * (j - m + 1), 0))
+    weights = np.sqrt(np.maximum((j + m) * (j - m + 1), 0)).astype(np.complex128)
     weights.setflags(write=False)
     return weights
 
@@ -70,11 +74,12 @@ def ladder_shift(a, sign):
     Row m, weighted by sqrt((j -+ m)(j +- m + 1)), moves to row m +- 1.
     Both ladders read the rows m = 1 - L .. L and columns j <= L of the
     constant _LADDER, the weight of J_- from row m and of J_+ into it.
+    The result is complex128, also for real a.
     """
     L = a.shape[1] - 1
     weight = _LADDER[J_MAX - L : J_MAX + L, : L + 1]
     weight = weight.reshape(weight.shape + (1,) * (a.ndim - 2))
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape, np.complex128)
     if sign > 0:
         np.multiply(weight, a[:-1], out=out[1:])
     else:
@@ -123,26 +128,29 @@ def apply_grid(op, f, band_limit=None):
     _check_spin(op, f.spin_weight)
     coeffs = analysis_matrix(f, band_limit=band_limit)
     grid, s, L = f.grid, f.spin_weight, coeffs.shape[1] - 1
-    if op.kind == "Jz":
-        radial = radial_factors(grid, s, np.arange(-L, L + 1)[:, None] * coeffs)
-    elif op.kind == "Helicity":
-        radial = radial_factors(grid, s, -s * coeffs)
+    if op.kind in ("Jz", "Helicity"):
+        ops = mode_operands(grid, s, L)
+        coeffs = (np.arange(-L, L + 1)[:, None] if op.kind == "Jz" else -s) * coeffs
     else:
-        radial = contract_table(_operator_table(grid, s, op.kind, L), coeffs)
-    samples = phi_synthesis(grid, radial, _SHIFTS.get(op.kind, 0))
+        ops = _operator_operands(grid, s, op.kind, L)
+    samples = phi_synthesis(ops.synthesis, contract_table(ops.table, coeffs))
     return GridFunction._wrap(grid, s, samples, frame=f.frame)
 
 
-def _operator_table(grid, s, kind, band_limit):
-    """Read-only [m + L, j, t] table of J_+, J_- or J^2 on p_{sjm}(theta_t) exp(i m phi).
+def _operator_operands(grid, s, kind, band_limit):
+    """Operands of J_+, J_- or J^2: the read-only [m + L, j, t] table of its action on p_{sjm}(theta_t) exp(i m phi).
 
     L is band_limit.  Row m + L is the theta factor of the result, whose
     azimuthal factor is exp(i (m +- 1) phi) for the ladders and exp(i m phi)
-    for J^2.  Cached under ("op", grid geometry, s, kind), built at the
-    grid's band and sliced to L by band_table, as mode tables are.
+    for J^2, and the synthesis rows are the DFT rows of those frequencies.
+    Cached under ("op", grid geometry, s, kind), built at the grid's band
+    and sliced to L by band_operands, as mode tables are.
     """
-    return band_table(("op", grid.geometry_key, s, kind), grid, band_limit,
-                      lambda top: _differential_table(grid, s, kind, top))
+    return band_operands(("op", grid.geometry_key, s, kind), grid, band_limit, _operator_entry, s, kind)
+
+
+def _operator_entry(grid, s, kind, top):
+    return Operands(_differential_table(grid, s, kind, top), dft_rows(grid, top, _SHIFTS.get(kind, 0)))
 
 
 def _differential_table(grid, s, kind, L):

@@ -9,28 +9,42 @@ theta-derivative is taken from the neighbouring spins by modes._dtheta.
 mode_table caches one spin.  mode_samples samples every mode (s, j, m) of
 one m on the grid from row m.
 
-One byte-bounded LRU of read-only arrays, the GridCache _tables and the
-library's only module-level cache of derived arrays, holds mode tables by
-the grid's geometry_key (L, n_theta, n_phi), so equal grids share them,
-and spin weight (4.4 MB at L = 64), the operator tables of operators.py by
-geometry_key, spin weight and kind, one for each of the three
-differential kinds J_+, J_- and J^2 (4.4 MB each at L = 64; J_z and
-helicity scale coefficients and keep no table), and of
-bundle.py J_perp's spin-0 table [m csc(theta) p, dp/dtheta], made from
-spins +-1, by geometry_key (8.7 MB at L = 64), the transverse projectors
-by geometry_key and rank (5.4 MB at rank 2, L = 64), and the standard
-frame's fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2,
-L = 64), and two azimuthal matrices per n_phi, the DFT matrix and the
-phi-weighted analysis matrix made from it.  Each is fetched by one GridCache.cached(key, build) call,
-or, for the tables indexed by band, by band_table, the one rule that
-builds and slices them: one entry, of band T = min(grid band, J_MAX),
-whose centered slice [..., T - L : T + L + 1, : L + 1, :] is the band-L
-table, read at the band its coefficients declare.  So a transform call
-on a warm grid, at its band or any lower one, builds nothing: it slices
-cached operands and pays for its products.  The one other module-level
-cache holds no array: transform.py's label index {(j, m): flat cell} per
-|s| and band, a functools.lru_cache of at most 8 dicts, each about
-0.55 MiB and built in about 1 ms at L = 64.
+One byte-bounded LRU, the GridCache _tables and the library's only
+module-level cache of derived arrays, holds two sorts of entry.  Each table
+indexed by band is held, together with the azimuthal rows that its
+transform step applies, as one read-only Operands entry built at band
+T = min(grid band, J_MAX):
+
+- the mode table of a spin, by the grid's geometry_key (L, n_theta, n_phi)
+  and spin weight, with the DFT rows |f| <= T and the matching rows of the
+  analysis matrix (4.4 MB of table and 2 x 0.27 MB of rows at L = 64);
+- the operator tables of operators.py, by ("op", geometry_key, spin
+  weight, kind), one for each of the three differential kinds J_+, J_-
+  and J^2, with the DFT rows of the kind's shift (4.4 + 0.27 MB; J_z and
+  helicity scale coefficients and keep no table);
+- bundle.py J_perp's spin-0 table [m csc(theta) p, dp/dtheta], made from
+  spins +-1, by ("orbital", geometry_key), with the DFT rows (8.7 + 0.27 MB).
+
+The other entries are plain arrays: the transverse projectors by
+geometry_key and rank (5.4 MB at rank 2, L = 64), the standard frame's
+fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2, L = 64),
+and two azimuthal matrices per n_phi, the DFT matrix and the phi-weighted
+analysis matrix made from it, of which every entry's rows are views.
+
+The read rule: a transform step (synthesize, an analysis, an apply_grid)
+reads its entry once, by band_operands, and then runs its two products.
+At the entry's own band it uses the entry as held, with no check; a lower
+band L reads the centered slices [..., T - L : T + L + 1, : L + 1, :] of
+the table and [T - L : T + L + 1] of the rows, and only that path and a
+miss check the band.  So one path serves every band, and a call on a warm
+grid builds nothing.  A plain entry is read by one GridCache.cached(key,
+build, *args) call, which on a hit makes no closure.  The byte accounting:
+an entry counts every array it holds at its own size, views included, so
+a row block counts both in its entry and in the n_phi matrix it views,
+though it is stored once.  The one other module-level cache holds no
+array: transform.py's label index {(j, m): flat cell} per |s| and band, a
+functools.lru_cache of at most 8 dicts, each about 0.55 MiB and built in
+about 1 ms at L = 64.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -41,17 +55,20 @@ last axis is not contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
 mod n) / n) over the n = n_phi azimuths, uniform from phi = 0 on every
 grid, for every frequency |f| <= J_MAX + 1, built from exact integer
-angles and cached once per n, 270 KB at n = 129.  phi_synthesis slices its
-rows for the band and ladder shift asked for, and phi_analysis slices the
-same-sized analysis matrix, its rows reversed and weighted by dphi; each
-applies its rows in one GEMM per call, which at these small n costs less
-than an FFT's fixed cost and keeps each transform O(L^3), like its
-colatitude step.  Their callers sit behind the entries that hold j <= J_MAX
-(modes.py), so no slice leaves W.
+angles and cached once per n, 270 KB at n = 129.  phi_synthesis applies
+the rows -L + shift .. L + shift of W that dft_rows slices, for the band
+and ladder shift asked for, and phi_analysis the same-sized rows of the
+analysis matrix, W's rows reversed and weighted by dphi, that
+dft_analysis_rows slices; the entries above hold these slices at their
+band.  Each applies its rows in one GEMM per call, which at these small n
+costs less than an FFT's fixed cost and keeps each transform O(L^3), like
+its colatitude step.  Their callers sit behind the entries that hold
+j <= J_MAX (modes.py), so no slice leaves W.
 """
 
 import threading
 from collections import OrderedDict
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,10 +80,14 @@ _F = J_MAX + 1  # the highest azimuthal frequency: a band of J_MAX shifted by a 
 
 
 class GridCache:
-    """Least-recently-used map to read-only arrays, bounded in total bytes.
+    """Least-recently-used map to read-only arrays or Operands, bounded in total bytes.
 
-    An array larger than the whole budget is returned to its caller but
-    never stored.  An array held by two entries counts in both.
+    A value is counted at its nbytes, an Operands at the sum of its
+    arrays' sizes, views included, so an array held by two entries, or
+    viewed from one, counts in both.  A value larger than the whole budget
+    is returned to its caller but never stored.  One lock guards the map,
+    so threads may share it; two threads that miss the same key both build
+    it, and the later put replaces the earlier.
     """
 
     def __init__(self, max_bytes):
@@ -95,7 +116,7 @@ class GridCache:
             return value
 
     def put(self, key, value):
-        """Store the array value, made read-only, under key, replacing any older entry."""
+        """Store the value, made read-only, under key, replacing any older entry."""
         value.setflags(write=False)
         with self._lock:
             old = self._items.pop(key, None)
@@ -110,37 +131,73 @@ class GridCache:
             self._bytes += value.nbytes
         return value
 
-    def cached(self, key, build):
-        """The array under key; on a miss, build() stored under it."""
+    def cached(self, key, build, *args):
+        """The value under key; on a miss, build(*args) stored under it."""
         value = self.get(key)
-        return self.put(key, build()) if value is None else value
+        return self.put(key, build(*args)) if value is None else value
 
 
 _tables = GridCache(TABLE_CACHE_BYTES)
 
 
-def band_table(key, grid, band, build):
-    """The band-L slice [..., T - L : T + L + 1, : L + 1, :] of the table [..., m + T, j, t] cached under key.
+class Operands(NamedTuple):
+    """What one transform step applies at band L: a table and its azimuthal rows.
 
-    The one rule for every table indexed by band; L is band and T the
-    grid's band, capped at J_MAX.  The entry is build(T), made once, and
-    every band reads its slice, the entry itself at L = T.  A band above
-    J_MAX, or outside [0, grid band], is refused before anything is built.
+    table is [..., m + L, j, t]; synthesis the rows [m + L, p] that
+    phi_synthesis applies after contracting it.  A mode table's operands
+    also serve its analysis: analysis, the rows that phi_analysis applies,
+    and weights, the colatitude weights as a complex column [t, 1],
+    w + 0j, the value numpy multiplies complex rings by, so the weighting
+    casts nothing.
     """
+
+    table: np.ndarray
+    synthesis: np.ndarray
+    analysis: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in self if a is not None)
+
+    def setflags(self, write):
+        for a in self:
+            if a is not None:
+                a.setflags(write=write)
+
+
+def band_operands(key, grid, band, build, *args):
+    """The Operands under key at band L: the entry itself at its band T, else its centered slices.
+
+    The one rule for every table indexed by band.  T is the grid's band,
+    capped at J_MAX, and the entry is build(grid, *args, T), made once; a
+    lower band reads the slices [..., T - L : T + L + 1, : L + 1, :] of the
+    table and [T - L : T + L + 1] of the rows.  A band above J_MAX, or
+    outside [0, grid band], is refused before anything is built; a hit at
+    the entry's band checks nothing.
+    """
+    held = _tables.get(key)
+    if held is not None and held.synthesis.shape[0] == 2 * band + 1:
+        return held
     top = min(grid.band_limit, J_MAX)
     if not 0 <= band <= top:
         check_j_supported(band, f"j={band}")
         raise BandLimitExceeded(f"table band limit {band} outside [0, {grid.band_limit}]")
-    held = _tables.get(key)
     if held is None:
-        held = _tables.put(key, build(top))
-    return held if band == top else held[..., top - band : top + band + 1, : band + 1, :]
+        held = _tables.put(key, build(grid, *args, top))
+        if band == top:
+            return held
+    table, synthesis, analysis, weights = held
+    lo, hi = top - band, top + band + 1
+    if analysis is not None:
+        analysis = analysis[lo:hi]
+    return Operands(table[..., lo:hi, : band + 1, :], synthesis[lo:hi], analysis, weights)
 
 
 def spin_tables(grid, spins, L):
     """Fresh tables [k, m + L, j, t] = p_{spins[k], j, m}(theta_t) from one climb of a row per (spin, m).
 
-    Never cached: mode_table keeps one spin, and each derived table climbs the spins it reads.
+    Never cached: mode_operands keeps one spin, and each derived table climbs the spins it reads.
     """
     check_j_supported(L, f"j={L}")
     ms = np.arange(-L, L + 1)
@@ -149,15 +206,28 @@ def spin_tables(grid, spins, L):
     return table.reshape((len(spins), ms.size) + table.shape[1:])
 
 
+def _mode_entry(grid, s, top):
+    weights = grid.theta_weights.astype(np.complex128)[:, None]
+    return Operands(spin_tables(grid, [s], top)[0], dft_rows(grid, top), dft_analysis_rows(grid, top), weights)
+
+
+def mode_operands(grid, s, band):
+    """Operands of spin s at band L: the mode table [m + L, j, t] = p_{sjm}(theta_t) and both row blocks.
+
+    The entry under (geometry_key, s) holds spin_tables of the one spin at
+    the grid's band with the rows |f| <= T of the DFT and analysis
+    matrices; band_operands builds and slices it.
+    """
+    return band_operands((grid.geometry_key, s), grid, band, _mode_entry, s)
+
+
 def mode_table(grid, s, band_limit=None):
     """Read-only table [m + L, j, t] of the profiles p_{sjm}(theta_t).
 
-    L is band_limit, at most the grid's (the default).  band_table keeps
-    spin_tables of the one spin at the grid's band and slices it.
+    L is band_limit, at most the grid's (the default): the table of mode_operands.
     """
     L = grid.band_limit if band_limit is None else int(band_limit)
-    s = int(s)
-    return band_table((grid.geometry_key, s), grid, L, lambda top: spin_tables(grid, [s], top)[0])
+    return mode_operands(grid, int(s), L).table
 
 
 def mode_samples(grid, s, m):
@@ -194,11 +264,6 @@ def contract_table(table, coeffs):
     return r.reshape(r.shape[:-1] + coeffs.shape[2:])
 
 
-def radial_factors(grid, s, coeffs):
-    """R[m + L, t, ...] = sum_j mode_table(grid, s, L)[m + L, j, t] * coeffs[m + L, j, ...], L the band of coeffs."""
-    return contract_table(mode_table(grid, s, coeffs.shape[1] - 1), coeffs)
-
-
 def _dft_matrix(grid):
     """Read-only W[f + F, p] = exp(2 pi i (f p mod n) / n) for |f| <= F = J_MAX + 1, n = n_phi.
 
@@ -209,13 +274,13 @@ def _dft_matrix(grid):
     exp(2 pi i q / n).  Its 2F + 1 rows, not n, keep it O(n) on grids with
     many azimuths.  Cached once per n.
     """
-    n = grid.n_phi
+    return _tables.cached(("dft", grid.n_phi), _dft_of, grid.n_phi)
 
-    def build():
-        half = np.exp(2j * np.pi / n * np.arange(n // 2 + 1))
-        roots = np.concatenate((half, np.conj(half[1 : (n + 1) // 2][::-1])))
-        return roots[np.outer(np.arange(-_F, _F + 1), np.arange(n)) % n]
-    return _tables.cached(("dft", n), build)
+
+def _dft_of(n):
+    half = np.exp(2j * np.pi / n * np.arange(n // 2 + 1))
+    roots = np.concatenate((half, np.conj(half[1 : (n + 1) // 2][::-1])))
+    return roots[np.outer(np.arange(-_F, _F + 1), np.arange(n)) % n]
 
 
 def _dft_analysis_matrix(grid):
@@ -223,44 +288,56 @@ def _dft_analysis_matrix(grid):
 
     The rows of one band sit in one contiguous slice, which holds exactly
     the bytes of that band's rows of W reversed and weighted.  Cached once
-    per n = n_phi, not per band, so an analysis at any band builds nothing.
+    per n = n_phi, not per band.
     """
-    return _tables.cached(("dft-analysis", grid.n_phi), lambda: _dft_matrix(grid)[::-1] * grid.phi_weight)
+    return _tables.cached(("dft-analysis", grid.n_phi), _dft_analysis_of, grid)
 
 
-def phi_analysis(grid, x, band_limit):
+def _dft_analysis_of(grid):
+    return _dft_matrix(grid)[::-1] * grid.phi_weight
+
+
+def dft_rows(grid, band, shift=0):
+    """The rows -L + shift .. L + shift of the DFT matrix, L = band: phi_synthesis's operand."""
+    return _dft_matrix(grid)[_F - band + shift : _F + band + shift + 1]
+
+
+def dft_analysis_rows(grid, band):
+    """The rows |m| <= L = band of the analysis matrix, W's rows L .. -L times dphi: phi_analysis's operand."""
+    return _dft_analysis_matrix(grid)[_F - band : _F + band + 1]
+
+
+def phi_analysis(rows, x):
     """y[m + L, ...] = sum_p exp(-i m phi_p) x[p, ...] dphi for |m| <= L: the azimuthal quadrature.
 
-    The phi axis leads x (any strides) and the frequency axis leads y.  One
-    GEMM with the rows |m| <= L of the cached analysis matrix, a slice that
-    holds the bytes of the DFT matrix's rows L .. -L times dphi.
+    rows is dft_analysis_rows at band L.  The phi axis leads x (any
+    strides) and the frequency axis leads y; one GEMM.
     """
-    L = int(band_limit)
-    w = _dft_analysis_matrix(grid)[_F - L : _F + L + 1]
-    return (w @ x.reshape(grid.n_phi, -1)).reshape((2 * L + 1,) + x.shape[1:])
+    return (rows @ x.reshape(rows.shape[1], -1)).reshape(rows.shape[:1] + x.shape[1:])
 
 
-def phi_synthesis(grid, y, shift=0):
+def phi_synthesis(rows, y):
     """x[..., p] = sum_m y[m + L, ...] exp(i (m + shift) phi_p), C-ordered with phi last.
 
-    The frequency axis leads y.  One GEMM with the rows -L + shift ..
-    L + shift of the DFT matrix, so a frequency past the grid's takes
-    exactly the values, on the nodes, of the one it folds onto.
+    rows is dft_rows at band L and the shift asked for, so a frequency past
+    the grid's takes exactly the values, on the nodes, of the one it folds
+    onto.  The frequency axis leads y; one GEMM.
     """
-    L = (y.shape[0] - 1) // 2
-    w = _dft_matrix(grid)[_F - L + shift : _F + L + shift + 1]
-    return (y.reshape(2 * L + 1, -1).T @ w).reshape(y.shape[1:] + (grid.n_phi,))
+    return (y.reshape(rows.shape[0], -1).T @ rows).reshape(y.shape[1:] + rows.shape[1:])
 
 
 def mode_coefficients(grid, s, samples, band_limit):
     """Quadrature A[m + L, j, ...] of samples[t, p, ...] against every mode (s, j, m), j <= L.
 
-    One DFT matrix product over phi, then one real matmul per m with the
-    order-0 mode table; trailing axes pass through.  L must be at most J_MAX.
+    One read of the mode operands, one DFT matrix product over phi, then
+    one real matmul per m with the order-0 mode table; trailing axes pass
+    through.  L must be at most J_MAX.
     """
-    check_j_supported(band_limit, f"analysis band limit {band_limit}")
-    rings = phi_analysis(grid, samples.swapaxes(0, 1), band_limit)
+    if band_limit > J_MAX:
+        check_j_supported(band_limit, f"analysis band limit {band_limit}")
+    table, _, rows, weights = mode_operands(grid, s, band_limit)
+    rings = phi_analysis(rows, samples.swapaxes(0, 1))
     rings = rings.reshape(rings.shape[:2] + (-1,))
-    rings *= grid.theta_weights[:, None]
-    a = pair_matmul(mode_table(grid, s, band_limit), rings)
+    rings *= weights
+    a = pair_matmul(table, rings)
     return a.reshape(a.shape[:2] + samples.shape[2:])

@@ -42,7 +42,7 @@ from .errors import BandLimitExceeded, as_integer
 from .grid import GridFunction
 from .modes import J_MAX, check_j_supported, validate_mode
 from .serial import json_dumps
-from .tables import mode_coefficients, phi_synthesis, radial_factors
+from .tables import contract_table, mode_coefficients, mode_operands, phi_synthesis
 
 COEFF_CLIP = 1e-13
 
@@ -207,8 +207,8 @@ def synthesize(c, grid):
             f"coefficient band limit {c.band_limit} exceeds grid band limit"
             f" {grid.band_limit}"
         )
-    radial = radial_factors(grid, c.spin_weight, c.matrix)
-    return GridFunction._wrap(grid, c.spin_weight, phi_synthesis(grid, radial))
+    ops = mode_operands(grid, c.spin_weight, c.band_limit)
+    return GridFunction._wrap(grid, c.spin_weight, phi_synthesis(ops.synthesis, contract_table(ops.table, c.matrix)))
 
 
 def coefficients_to_json(c):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from swsh.modes import _climb
-from swsh.tables import phi_synthesis, radial_factors
+from swsh.tables import contract_table, dft_rows, mode_table, phi_synthesis
 
 ROTATION_STEP = 1e-4
 STENCIL = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
@@ -70,11 +70,12 @@ def four_rotation_generator(section, axis):
     """
     grid, rank = section.grid, section.rank
     coeffs = section.component_coefficients
+    table, rows = mode_table(grid, 0), dft_rows(grid, grid.band_limit)
     acc = 0.0
     for mult, w in STENCIL:
         angle = mult * ROTATION_STEP
         turned = rotate_coefficients(coeffs, axis, angle)
-        pulled = np.moveaxis(phi_synthesis(grid, radial_factors(grid, 0, turned)), 0, -2)
+        pulled = np.moveaxis(phi_synthesis(rows, contract_table(table, turned)), 0, -2)
         rot = Rotation.from_rotvec(angle * np.asarray(axis, dtype=np.float64)).as_matrix()
         pulled = np.einsum("ab,b...->a...", rot, pulled)
         if rank == 2:

@@ -39,8 +39,8 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode
 from swsh.operators import OperatorSpec, apply_coeff, ladder_coefficient, ladder_shift
-from swsh.tables import (_tables, band_table, contract_table, mode_coefficients, pair_matmul, phi_synthesis,
-                         radial_factors)
+from swsh.tables import (_tables, band_operands, contract_table, dft_rows, mode_coefficients, mode_table, pair_matmul,
+                         phi_synthesis)
 from swsh.transform import coefficient_set, synthesize
 
 import horner_reference as horner
@@ -417,8 +417,9 @@ def _orbital_per_axis(section, frame):
     grid, rank = section.grid, section.rank
     coeffs = section.component_coefficients
     m = np.arange(-grid.band_limit, grid.band_limit + 1).reshape((-1,) + (1,) * (rank + 1))
-    d_theta = phi_synthesis(grid, contract_table(_horner_dtheta_table(grid), coeffs))
-    d_phi = phi_synthesis(grid, 1j * m * radial_factors(grid, 0, coeffs))
+    rows = dft_rows(grid, grid.band_limit)
+    d_theta = phi_synthesis(rows, contract_table(_horner_dtheta_table(grid), coeffs))
+    d_phi = phi_synthesis(rows, 1j * m * contract_table(mode_table(grid, 0), coeffs))
     d_theta, d_phi = np.moveaxis(d_theta, -1, 1), np.moveaxis(d_phi, -1, 1)
     extra = (None,) * rank
     dphi_over_sin = d_phi * (1.0 / np.sin(grid.theta))[(..., None, *extra)]
@@ -475,10 +476,10 @@ def _per_node_orbital(section):
     grid, rank = section.grid, section.rank
     a = section._coefficients
     L = a.shape[1] - 1
-    table = band_table(("orbital", grid.geometry_key), grid, L, lambda top: bundle._orbital_table(grid, top))
-    radial = contract_table(table, a)
+    ops = band_operands(("orbital", grid.geometry_key), grid, L, bundle._orbital_entry)
+    radial = contract_table(ops.table, a)
     radial[0] *= 1j
-    derivs = phi_synthesis(grid, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
+    derivs = phi_synthesis(ops.synthesis, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
     proj = pair_matmul(bundle._projector(grid, rank), derivs)
     frame = standard_frame(grid)
     parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
@@ -494,7 +495,7 @@ def _per_node_rotation_generators(section):
     coeffs[..., 0] += 0.5 * (up + down)
     coeffs[..., 1] += 0.5j * (down - up)
     coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
-    samples = phi_synthesis(section.grid, radial_factors(section.grid, 0, coeffs))
+    samples = phi_synthesis(dft_rows(section.grid, L), contract_table(mode_table(section.grid, 0), coeffs))
     return np.ascontiguousarray(samples.transpose(2, 0, 3, 1)).reshape(3, -1).view(np.float64)
 
 
@@ -626,7 +627,7 @@ def _rotated_modes(grid, labels, axis, angle):
     for i, (j, m) in enumerate(labels):
         coeffs[m + L, j, i] = 1.0
     turned = rotate_coefficients(coeffs, axis, angle)
-    return np.moveaxis(phi_synthesis(grid, radial_factors(grid, 0, turned)), 1, 0)
+    return np.moveaxis(phi_synthesis(dft_rows(grid, L), contract_table(mode_table(grid, 0), turned)), 1, 0)
 
 
 def _check_rotation_about_z(grid, angle):

@@ -18,7 +18,7 @@ from swsh.operators import (
     ladder_coefficient,
     verify_casimir_identity,
 )
-from swsh.tables import _tables, contract_table, mode_table, phi_synthesis, radial_factors, spin_tables
+from swsh.tables import _tables, contract_table, dft_rows, mode_table, phi_synthesis, spin_tables
 from swsh.transform import analysis_matrix, analyze, coefficient_set, synthesize
 
 from conftest import random_entries
@@ -272,7 +272,7 @@ def _apply_grid_per_call(op, f, band_limit=None):
     m = np.arange(-L, L + 1)[:, None]
     sin = np.sin(grid.theta)
     cot = np.cos(grid.theta) / sin
-    p = radial_factors(grid, s, coeffs)
+    p = contract_table(mode_table(grid, s, L), coeffs)
     spins, j = np.arange(s - 2, s + 3), np.arange(L + 1)[:, None]
     table = spin_tables(grid, spins, L)
     outer = _dtheta(table[::2], spins[::2], j)  # spins s - 1, s + 1
@@ -291,7 +291,7 @@ def _apply_grid_per_call(op, f, band_limit=None):
         shift = +1 if op.kind == "Jplus" else -1
         dp = contract_table(derivatives[1], coeffs)
         radial = shift * dp - m * cot * p + h * p / sin
-    return phi_synthesis(grid, radial, shift)
+    return phi_synthesis(dft_rows(grid, L, shift), radial)
 
 
 @pytest.mark.parametrize("L", [8, 32, 64])
@@ -347,7 +347,7 @@ def test_helicity_keeps_the_bytes_of_its_former_table(rng):
         f = synthesize(coefficient_set(s, 10, random_entries(rng, s, 10)), grid)
         for L in (10, 6):
             coeffs = analysis_matrix(f, band_limit=L)
-            want = phi_synthesis(grid, contract_table(-s * mode_table(grid, s, L), coeffs))
+            want = phi_synthesis(dft_rows(grid, L), contract_table(-s * mode_table(grid, s, L), coeffs))
             got = apply_grid(OperatorSpec("Helicity", s), f, band_limit=L).samples
             assert got.tobytes() == want.tobytes(), (s, L)
 

@@ -1,5 +1,8 @@
 """Mode tables and the reference Wigner-d: recurrence against Horner, orthonormality, caching."""
 
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -231,14 +234,14 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
 
     samples = draw((n, grid.n_theta, 2))
     want = (np.fft.fft(samples, axis=0) * grid.phi_weight)[ms % n]
-    got = tables.phi_analysis(grid, samples, L)
+    got = tables.phi_analysis(tables.dft_analysis_rows(grid, L), samples)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     radial = draw((2 * L + 1, grid.n_theta, 2))
     spec = np.zeros((grid.n_theta, 2, n), dtype=np.complex128)
     spec[..., (ms + shift) % n] = radial.transpose(1, 2, 0)
     want = np.fft.ifft(spec, axis=-1, norm="forward")
-    got = tables.phi_synthesis(grid, radial, shift)
+    got = tables.phi_synthesis(tables.dft_rows(grid, L, shift), radial)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # one matrix per n_phi, its rows the frequencies up to J_MAX + 1: O(n_phi)
@@ -255,7 +258,7 @@ def test_phi_analysis_is_the_weighted_reversed_dft_rows_bit_for_bit(rng, n_phi, 
     for band in (L, L // 2):
         w = tables._dft_matrix(grid)[F - band : F + band + 1][::-1] * grid.phi_weight
         want = (w @ samples.reshape(n_phi, -1)).reshape((2 * band + 1,) + samples.shape[1:])
-        assert tables.phi_analysis(grid, samples, band).tobytes() == want.tobytes()
+        assert tables.phi_analysis(tables.dft_analysis_rows(grid, band), samples).tobytes() == want.tobytes()
     assert tables._dft_analysis_matrix(grid) is tables._dft_analysis_matrix(make_grid(L, n_phi=n_phi))
 
 
@@ -282,6 +285,93 @@ def test_warm_transforms_put_nothing_in_the_cache(rng, monkeypatch):
     assert puts == []
 
 
+@pytest.mark.parametrize("band", [12, 7])
+def test_a_warm_transform_step_reads_the_cache_once(rng, monkeypatch, band):
+    # one op of the transform-reuse benchmark's shape, at the grid's band or
+    # a lower one: once warm, each synthesize, analysis and apply_grid step
+    # reads its one entry, and nothing is put or climbed
+    grid, limit = make_grid(12), None if band == 12 else band
+    key = grid.geometry_key
+
+    def op():
+        for s, kind in ((0, "Jplus"), (-2, "Jminus")):
+            f = synthesize(coefficient_set(s, band, random_entries(rng, s, band)), grid)
+            analyze(f, band_limit=limit)
+            analyze(apply_grid(OperatorSpec(kind, s), f, band_limit=limit), band_limit=limit)
+
+    op()
+    gets, puts, climbs = [], [], []
+    get, put = tables._tables.get, tables._tables.put
+    monkeypatch.setattr(tables._tables, "get", lambda key: gets.append(key) or get(key))
+    monkeypatch.setattr(tables._tables, "put", lambda key, value: puts.append(key) or put(key, value))
+    monkeypatch.setattr(tables, "_climb", lambda *args: climbs.append(args))
+    op()
+    assert puts == [] and climbs == []
+    # synthesize, analyze, apply_grid (the analysis is kept on f), analyze
+    assert gets == [(key, 0), (key, 0), ("op", key, 0, "Jplus"), (key, 0),
+                    (key, -2), (key, -2), ("op", key, -2, "Jminus"), (key, -2)]
+
+
+def test_threads_share_the_table_cache(rng):
+    # four threads run warm transforms on two grids while a fifth clears
+    # the cache and puts into it, so entries vanish and are rebuilt under
+    # them; every result keeps the bytes of the one-thread run, and under
+    # the cache's lock its byte count is the sum of what it holds
+    work = [(grid, coefficient_set(s, grid.band_limit, random_entries(rng, s, grid.band_limit)), OperatorSpec(kind, s))
+            for grid in (make_grid(12), make_grid(7, n_phi=16)) for s, kind in ((0, "Jplus"), (-2, "Jminus"))]
+
+    def run(grid, c, op):
+        f = synthesize(c, grid)
+        moved = apply_grid(op, f)
+        return b"".join(a.tobytes() for a in (f.samples, analyze(f).matrix, moved.samples, analyze(moved).matrix))
+
+    want = [run(*case) for case in work]
+    faults, done = [], []
+    stop = threading.Event()
+
+    def transform(k):
+        try:
+            for i in range(24):
+                case = (k + i) % len(work)
+                if run(*work[case]) != want[case]:
+                    faults.append(f"thread {k}, case {case}: bytes differ")
+            done.append(k)
+        except Exception as exc:  # recorded, so the assertion below names it
+            faults.append(repr(exc))
+
+    def churn():
+        cache = tables._tables
+        try:
+            for i in itertools.count():
+                if stop.is_set():
+                    break
+                cache.clear()
+                cache.put(("churn", i % 3), np.zeros(64))
+                with cache._lock:  # a snapshot: the byte count is the sum of what is held
+                    if cache.nbytes != sum(value.nbytes for value in cache._items.values()):
+                        faults.append(f"byte count {cache.nbytes} after clear {i}")
+        except Exception as exc:
+            faults.append(repr(exc))
+
+    workers = [threading.Thread(target=transform, args=(k,)) for k in range(4)]
+    churner = threading.Thread(target=churn)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        churner.start()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        stop.set()
+        churner.join(timeout=120)
+        sys.setswitchinterval(interval)
+        tables._tables.clear()
+    assert not any(t.is_alive() for t in workers + [churner])
+    assert faults == [] and sorted(done) == [0, 1, 2, 3]
+
+
 def test_sparse_content_is_read_at_the_declared_band(rng, monkeypatch):
     # content that stops at j = 2 in a set declaring band 12 is synthesized
     # and apply_grid-ed from tables climbed to band 12, no lower, and a warm
@@ -296,11 +386,11 @@ def test_sparse_content_is_read_at_the_declared_band(rng, monkeypatch):
     f = synthesize(c, grid)
     raised = apply_grid(op, f)
     assert tops == [L, L]  # spin s for both transforms, then spins s - 1 .. s + 1 for J_+'s table
-    assert tables._tables.get(("op", grid.geometry_key, s, "Jplus")).shape[-2] == L + 1
+    assert tables._tables.get(("op", grid.geometry_key, s, "Jplus")).table.shape[-2] == L + 1
     m = np.arange(-L, L + 1)[:, None]
     want = np.einsum("mjt,mj,mp->tp", mode_table(grid, s), c.matrix, np.exp(1j * m * grid.phi))
     assert np.abs(f.samples - want).max() <= 1e-15 * np.abs(want).max()
-    op_table = operators._operator_table(grid, s, "Jplus", L)
+    op_table = operators._operator_operands(grid, s, "Jplus", L).table
     want = np.einsum("mjt,mj,mp->tp", op_table, analysis_matrix(f), np.exp(1j * (m + 1) * grid.phi))
     assert np.abs(raised.samples - want).max() <= 1e-15 * np.abs(want).max()
     puts, put = [], tables._tables.put
@@ -323,7 +413,7 @@ def test_cached_mode_tables_hold_order_zero_only(rng):
         for kind in operators.KINDS:
             apply_grid(OperatorSpec(kind, s), f)
     apply_projected_orbital(embed(synthesize(coefficient_set(-1, 12, random_entries(rng, -1, 12)), grid)))
-    held = {key[1]: table for key, table in tables._tables._items.items() if key[0] == grid.geometry_key}
+    held = {key[1]: entry.table for key, entry in tables._tables._items.items() if key[0] == grid.geometry_key}
     assert held.keys() == {0, -2, -1}
     assert all(table.shape == (25, 13, grid.n_theta) for table in held.values())
     tables._tables.clear()
@@ -426,7 +516,7 @@ def test_band_table_refuses_a_band_above_the_grid_band_and_caches_nothing():
     built = []
     held = len(tables._tables)
     with pytest.raises(BandLimitExceeded, match=r"^table band limit 7 outside \[0, 6\]$"):
-        tables.band_table(key, grid, 7, lambda top: built.append(top) or spin_tables(grid, [0], top)[0])
+        tables.band_operands(key, grid, 7, lambda g, top: built.append(top))
     assert built == [] and tables._tables.get(key) is None and len(tables._tables) == held
 
 
@@ -447,7 +537,7 @@ def test_a_grid_past_j_max_is_served_at_j_max_from_tables_built_there(rng, monke
     want = synthesize(operators.apply_coeff(OperatorSpec("Jplus", 0), c), grid)
     assert np.abs(g.samples - want.samples).max() < 1e-8 * np.abs(want.samples).max()
     assert tops and set(tops) == {modes.J_MAX}
-    assert tables.mode_table(grid, 0, modes.J_MAX) is tables._tables.get((grid.geometry_key, 0))
+    assert tables.mode_table(grid, 0, modes.J_MAX) is tables._tables.get((grid.geometry_key, 0)).table
     tables._tables.clear()
 
 
