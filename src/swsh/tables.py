@@ -6,8 +6,8 @@ a short list of spins,
 zero below j0 = max(|m|, |s|): the rows (spin, m), m = -L..L, climb
 together from their closed-form seeds, and every row j is kept.  A
 theta-derivative is taken from the neighbouring spins by modes._dtheta.
-mode_table caches one spin.  mode_samples samples every mode (s, j, m) of
-one m on the grid from row m.
+mode_operands caches one spin, and mode_table is its table.  mode_samples
+samples every mode (s, j, m) of one m on the grid from row m.
 
 One byte-bounded LRU, the GridCache _tables and the library's only
 module-level cache of derived arrays, holds two sorts of entry.  Each table
@@ -16,8 +16,9 @@ transform step applies, as one read-only Operands entry built at band
 T = min(grid band, J_MAX):
 
 - the mode table of a spin, by the grid's geometry_key (L, n_theta, n_phi)
-  and spin weight, with the DFT rows |f| <= T and the matching rows of the
-  analysis matrix (4.4 MB of table and 2 x 0.27 MB of rows at L = 64);
+  and spin weight, with the DFT rows |f| <= T, the matching rows of the
+  analysis matrix and the colatitude weights as a complex column (4.4 MB
+  of table, 2 x 0.27 MB of rows and 1 KB of weights at L = 64);
 - the operator tables of operators.py, by ("op", geometry_key, spin
   weight, kind), one for each of the three differential kinds J_+, J_-
   and J^2, with the DFT rows of the kind's shift (4.4 + 0.27 MB; J_z and
