@@ -213,11 +213,12 @@ def _mode_entry(grid, s, top):
 
 
 def mode_operands(grid, s, band):
-    """Operands of spin s at band L: the mode table [m + L, j, t] = p_{sjm}(theta_t) and both row blocks.
+    """Operands of spin s at band L: the mode table [m + L, j, t] = p_{sjm}(theta_t), its rows and weights.
 
     The entry under (geometry_key, s) holds spin_tables of the one spin at
     the grid's band with the rows |f| <= T of the DFT and analysis
-    matrices; band_operands builds and slices it.
+    matrices and the complex colatitude weights; band_operands builds and
+    slices it.
     """
     return band_operands((grid.geometry_key, s), grid, band, _mode_entry, s)
 
@@ -334,7 +335,7 @@ def mode_coefficients(grid, s, samples, band_limit):
     one real matmul per m with the order-0 mode table; trailing axes pass
     through.  L must be at most J_MAX.
     """
-    if band_limit > J_MAX:
+    if band_limit > J_MAX:  # so the message is formatted only for a band refused
         check_j_supported(band_limit, f"analysis band limit {band_limit}")
     table, _, rows, weights = mode_operands(grid, s, band_limit)
     rings = phi_analysis(rows, samples.swapaxes(0, 1))
