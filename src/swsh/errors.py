@@ -34,7 +34,7 @@ class InvalidMode(ValueError):
 
 
 class DomainError(ValueError):
-    """Evaluation point outside the open interval theta in (0, pi)."""
+    """Evaluation point off the open sphere: theta outside (0, pi), or phi not finite."""
 
 
 class UnsupportedOrder(ValueError):

@@ -182,6 +182,8 @@ def _check_interior(theta):
 def _evaluate(mode, theta, phi, order):
     theta = _check_interior(theta)
     phi = np.asarray(phi, dtype=np.float64)
+    if not np.isfinite(phi).all():
+        raise DomainError("phi must be finite")
     theta_b, phi_b = np.broadcast_arrays(theta, phi)
     out = profile(mode.s, mode.j, mode.m, theta_b, order) * np.exp(1j * mode.m * phi_b)
     if out.ndim == 0:
@@ -196,7 +198,7 @@ def eval_swsh(mode, theta, phi):
     ---------
     mode : SWMode
     theta : float or array, radians in (0, pi)
-    phi : float or array, radians
+    phi : float or array, finite radians
 
     Returns a complex scalar for scalar input, else a complex array of the
     broadcast shape.

@@ -16,9 +16,10 @@ transform step applies, as one read-only Operands entry built at band
 T = min(grid band, J_MAX):
 
 - the mode table of a spin, by the grid's geometry_key (L, n_theta, n_phi)
-  and spin weight, with the DFT rows |f| <= T, the matching rows of the
-  analysis matrix and the colatitude weights as a complex column (4.4 MB
-  of table, 2 x 0.27 MB of rows and 1 KB of weights at L = 64);
+  and spin weight, with the DFT rows |f| <= T, those rows reversed and
+  weighted by dphi for the analysis, and the colatitude weights as a
+  complex column (4.4 MB of table, 2 x 0.27 MB of rows and 1 KB of
+  weights at L = 64);
 - the operator tables of operators.py, by ("op", geometry_key, spin
   weight, kind), one for each of the three differential kinds J_+, J_-
   and J^2, with the DFT rows of the kind's shift (4.4 + 0.27 MB; J_z and
@@ -27,10 +28,8 @@ T = min(grid band, J_MAX):
   spins +-1, by ("orbital", geometry_key), with the DFT rows (8.7 + 0.27 MB).
 
 The other entries are plain arrays: the transverse projectors by
-geometry_key and rank (5.4 MB at rank 2, L = 64), the standard frame's
-fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2, L = 64),
-and two azimuthal matrices per n_phi, the DFT matrix and the phi-weighted
-analysis matrix made from it, of which every entry's rows are views.
+geometry_key and rank (5.4 MB at rank 2, L = 64) and the standard frame's
+fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2, L = 64).
 
 The read rule: a transform step (synthesize, an analysis, an apply_grid)
 reads its entry once, by band_operands, and then runs its two products.
@@ -39,13 +38,12 @@ band L reads the centered slices [..., T - L : T + L + 1, : L + 1, :] of
 the table and [T - L : T + L + 1] of the rows, and only that path and a
 miss check the band.  So one path serves every band, and a call on a warm
 grid builds nothing.  A plain entry is read by one GridCache.cached(key,
-build, *args) call, which on a hit makes no closure.  The byte accounting:
-an entry counts every array it holds at its own size, views included, so
-a row block counts both in its entry and in the n_phi matrix it views,
-though it is stored once.  The one other module-level cache holds no
-array: transform.py's label index {(j, m): flat cell} per |s| and band, a
-functools.lru_cache of at most 8 dicts, each about 0.55 MiB and built in
-about 1 ms at L = 64.
+build, *args) call, which on a hit makes no closure.  The byte accounting
+is exact: an entry counts every array it holds at its own size, and since
+no held array views another, the count is the memory held.  The one other
+module-level cache holds no array: transform.py's label index
+{(j, m): flat cell} per |s| and band, a functools.lru_cache of at most 8
+dicts, each about 0.55 MiB and built in about 1 ms at L = 64.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -55,16 +53,13 @@ real matmul per m by pair_matmul, which copies an operand only when its
 last axis is not contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
 mod n) / n) over the n = n_phi azimuths, uniform from phi = 0 on every
-grid, for every frequency |f| <= J_MAX + 1, built from exact integer
-angles and cached once per n, 270 KB at n = 129.  phi_synthesis applies
-the rows -L + shift .. L + shift of W that dft_rows slices, for the band
-and ladder shift asked for, and phi_analysis the same-sized rows of the
-analysis matrix, W's rows reversed and weighted by dphi, that
-dft_analysis_rows slices; the entries above hold these slices at their
-band.  Each applies its rows in one GEMM per call, which at these small n
-costs less than an FFT's fixed cost and keeps each transform O(L^3), like
-its colatitude step.  Their callers sit behind the entries that hold
-j <= J_MAX (modes.py), so no slice leaves W.
+grid, built from exact integer angles.  phi_synthesis applies the rows
+f = -L + shift .. L + shift of W that dft_rows builds, for the band and
+ladder shift asked for, and phi_analysis the rows |f| <= L reversed and
+weighted by dphi; each entry above builds its own rows at its band.  Each
+applies its rows in one GEMM per call, which at these small n costs less
+than an FFT's fixed cost and keeps each transform O(L^3), like its
+colatitude step.
 """
 
 import threading
@@ -77,18 +72,17 @@ from .errors import BandLimitExceeded, InvalidMode
 from .modes import J_MAX, _climb, check_j_supported
 
 TABLE_CACHE_BYTES = 64 * 2**20
-_F = J_MAX + 1  # the highest azimuthal frequency: a band of J_MAX shifted by a ladder
 
 
 class GridCache:
     """Least-recently-used map to read-only arrays or Operands, bounded in total bytes.
 
     A value is counted at its nbytes, an Operands at the sum of its
-    arrays' sizes, views included, so an array held by two entries, or
-    viewed from one, counts in both.  A value larger than the whole budget
-    is returned to its caller but never stored.  One lock guards the map,
-    so threads may share it; two threads that miss the same key both build
-    it, and the later put replaces the earlier.
+    arrays' sizes; no two held arrays share memory, so the count is exact.
+    A value larger than the whole budget is returned to its caller but
+    never stored.  One lock guards the map, so threads may share it; two
+    threads that miss the same key both build it, and the later put
+    replaces the earlier.
     """
 
     def __init__(self, max_bytes):
@@ -145,8 +139,9 @@ class Operands(NamedTuple):
     """What one transform step applies at band L: a table and its azimuthal rows.
 
     table is [..., m + L, j, t]; synthesis the rows [m + L, p] that
-    phi_synthesis applies after contracting it.  A mode table's operands
-    also serve its analysis: analysis, the rows that phi_analysis applies,
+    phi_synthesis applies after contracting it, the entry's own.  A mode
+    table's operands also serve its analysis: analysis, the rows that
+    phi_analysis applies, synthesis's rows reversed and weighted by dphi,
     and weights, the colatitude weights as a complex column [t, 1],
     w + 0j, the value numpy multiplies complex rings by, so the weighting
     casts nothing.
@@ -208,17 +203,18 @@ def spin_tables(grid, spins, L):
 
 
 def _mode_entry(grid, s, top):
+    rows = dft_rows(grid, top)
     weights = grid.theta_weights.astype(np.complex128)[:, None]
-    return Operands(spin_tables(grid, [s], top)[0], dft_rows(grid, top), dft_analysis_rows(grid, top), weights)
+    return Operands(spin_tables(grid, [s], top)[0], rows, rows[::-1] * grid.phi_weight, weights)
 
 
 def mode_operands(grid, s, band):
     """Operands of spin s at band L: the mode table [m + L, j, t] = p_{sjm}(theta_t), its rows and weights.
 
     The entry under (geometry_key, s) holds spin_tables of the one spin at
-    the grid's band with the rows |f| <= T of the DFT and analysis
-    matrices and the complex colatitude weights; band_operands builds and
-    slices it.
+    the grid's band with the DFT rows |f| <= T, those rows reversed and
+    weighted by dphi, and the complex colatitude weights; band_operands
+    builds and slices it.
     """
     return band_operands((grid.geometry_key, s), grid, band, _mode_entry, s)
 
@@ -266,54 +262,27 @@ def contract_table(table, coeffs):
     return r.reshape(r.shape[:-1] + coeffs.shape[2:])
 
 
-def _dft_matrix(grid):
-    """Read-only W[f + F, p] = exp(2 pi i (f p mod n) / n) for |f| <= F = J_MAX + 1, n = n_phi.
+def dft_rows(grid, band, shift=0):
+    """Fresh DFT rows exp(2 pi i (f p mod n) / n), f = -L + shift .. L + shift: phi_synthesis's operand.
 
-    Rows run over signed frequency, so the frequencies of one band sit in
-    one contiguous slice.  Each row is built from the exact integer residues
-    f p mod n, so an aliased frequency's row is exactly the row of the one
-    it folds onto, and exp(2 pi i (n - q) / n) is taken as the conjugate of
-    exp(2 pi i q / n).  Its 2F + 1 rows, not n, keep it O(n) on grids with
-    many azimuths.  Cached once per n.
+    L is band, n = n_phi and p = 0 .. n - 1.  Each row is built from the
+    exact integer residues f p mod n, so an aliased frequency's row is
+    exactly the row of the one it folds onto, and exp(2 pi i (n - q) / n)
+    is taken as the conjugate of exp(2 pi i q / n).  Cached nowhere: each
+    entry that applies rows builds and holds its own.
     """
-    return _tables.cached(("dft", grid.n_phi), _dft_of, grid.n_phi)
-
-
-def _dft_of(n):
+    n = grid.n_phi
     half = np.exp(2j * np.pi / n * np.arange(n // 2 + 1))
     roots = np.concatenate((half, np.conj(half[1 : (n + 1) // 2][::-1])))
-    return roots[np.outer(np.arange(-_F, _F + 1), np.arange(n)) % n]
-
-
-def _dft_analysis_matrix(grid):
-    """Read-only _dft_matrix(grid)[::-1] * phi_weight: row f + F is exp(-2 pi i f p / n) dphi.
-
-    The rows of one band sit in one contiguous slice, which holds exactly
-    the bytes of that band's rows of W reversed and weighted.  Cached once
-    per n = n_phi, not per band.
-    """
-    return _tables.cached(("dft-analysis", grid.n_phi), _dft_analysis_of, grid)
-
-
-def _dft_analysis_of(grid):
-    return _dft_matrix(grid)[::-1] * grid.phi_weight
-
-
-def dft_rows(grid, band, shift=0):
-    """The rows -L + shift .. L + shift of the DFT matrix, L = band: phi_synthesis's operand."""
-    return _dft_matrix(grid)[_F - band + shift : _F + band + shift + 1]
-
-
-def dft_analysis_rows(grid, band):
-    """The rows |m| <= L = band of the analysis matrix, W's rows L .. -L times dphi: phi_analysis's operand."""
-    return _dft_analysis_matrix(grid)[_F - band : _F + band + 1]
+    return roots[np.outer(np.arange(shift - band, shift + band + 1), np.arange(n)) % n]
 
 
 def phi_analysis(rows, x):
     """y[m + L, ...] = sum_p exp(-i m phi_p) x[p, ...] dphi for |m| <= L: the azimuthal quadrature.
 
-    rows is dft_analysis_rows at band L.  The phi axis leads x (any
-    strides) and the frequency axis leads y; one GEMM.
+    rows is dft_rows at band L reversed and weighted by dphi, a mode
+    entry's analysis.  The phi axis leads x (any strides) and the
+    frequency axis leads y; one GEMM.
     """
     return (rows @ x.reshape(rows.shape[1], -1)).reshape(rows.shape[:1] + x.shape[1:])
 

@@ -6,7 +6,7 @@ followed, per m, by one contraction of the (j, theta) table block with the
 weighted ring values; synthesis is the reverse, a contraction per m and a
 DFT matrix product.  A table costs O(L^3) to build, once per grid geometry
 and spin weight, and then each call costs O(L^3) arithmetic in a few array
-operations.  Output is deterministic: the tables, the cached DFT matrix
+operations.  Output is deterministic: the tables, their cached DFT rows
 and the matrix products are fixed sequences of floating-point operations
 for a given input and grid, so repeated runs produce identical bytes.
 

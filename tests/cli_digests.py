@@ -11,7 +11,8 @@ mean byte-identical behavior on that case.  pytest does not collect this
 file, since its name does not start with test_.
 
 The cases: every verify suite at its defaults and with -s -2 and 2,
-eval --grid, and transform flows on sparse coefficient sets (content far
+eval at a point, at a pole, at a non-finite phi (refused) and on a grid,
+and transform flows on sparse coefficient sets (content far
 below the declared band, synthesized at higher bands and analyzed back
 at the same and at lower bands).
 """
@@ -46,6 +47,10 @@ def _cases():
         cases[f"verify {suite}"] = [["verify", suite]]
         for s in ("-2", "2"):
             cases[f"verify {suite} -s {s}"] = [["verify", suite, "-s", s]]
+    point = ["eval", "-s", "-1", "-j", "3", "-m", "2"]
+    cases["eval --theta 0.7 --phi 1.1"] = [point + ["--theta", "0.7", "--phi", "1.1"]]
+    cases["eval --pole north"] = [point + ["--pole", "north"]]
+    cases["eval --phi nan"] = [point + ["--theta", "0.7", "--phi", "nan"]]
     cases["eval --grid 8"] = [["eval", "-s", "-1", "-j", "3", "-m", "2", "--grid", "8", "--out", "g.csv"]]
     cases["eval --grid 20, analyze at 20 and 9"] = [
         ["eval", "-s", "2", "-j", "7", "-m", "-3", "--grid", "20", "--out", "g.csv"],

@@ -521,10 +521,10 @@ def test_node_wide_products_match_the_per_node_products_bit_for_bit(rng, h):
 
 
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
-    # the operators need no table but the grid's mode table, J_perp's table,
-    # its two azimuthal matrices and its projector, and after one warm call
-    # they find these already built; a section
-    # synthesizes its rotation generators once, for every axis, and keeps them
+    # the operators need no table but the grid's mode table, J_perp's table
+    # and its projector, and after one warm call they find these already
+    # built; a section synthesizes its rotation generators once, for every
+    # axis, and keeps them
     grid = make_grid(11)
     axes = (X_AXIS, (0.6, 0.0, 0.8), Z_AXIS)
     real_put, real_synthesis = _tables.put, bundle.phi_synthesis
@@ -536,8 +536,7 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         apply_projected_orbital(warm)
         apply_J_rotation(warm, axes[1])
         key = grid.geometry_key
-        assert set(puts) <= {(key, 0), ("orbital", key), ("dft", grid.n_phi), ("dft-analysis", grid.n_phi),
-                             ("projector", key, h)}
+        assert set(puts) <= {(key, 0), ("orbital", key), ("projector", key, h)}
         projector = bundle._projector(grid, h)
         sec = random_section(rng, grid, h, 4)
         puts.clear()
@@ -551,9 +550,8 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         assert len(synths) == 2  # J_perp's and the three generators'
         assert all(np.array_equal(g.components, again.components) for g, again in zip(gens, gens[3:]))
         assert bundle._projector(grid, h) is projector
-    # every analysis and synthesis read the one azimuthal matrix of the grid
-    dft = [key for key in _tables._items if isinstance(key, tuple) and key[:1] == ("dft",)]
-    assert ("dft", grid.n_phi) in dft and len(dft) == len(set(dft))
+    # J_perp's synthesis applies the rows its own entry holds, at the grid's band
+    assert _tables.get(("orbital", key)).synthesis.tobytes() == dft_rows(grid, grid.band_limit).tobytes()
 
 
 @pytest.mark.parametrize("h", [1, -1, 2, -2])

@@ -67,6 +67,13 @@ def test_eval_invalid_mode_exits_2(capsys):
     assert "|s|" in err
 
 
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_eval_non_finite_phi_exits_2_naming_phi(capsys, phi):
+    code, out, err = run(capsys, "eval", "-s", "0", "-j", "2", "-m", "1", "--theta", "0.5", f"--phi={phi}")
+    assert code == 2 and out == ""
+    assert err == "swsh: phi must be finite\n"
+
+
 def test_eval_conflicting_targets_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(
@@ -407,8 +414,8 @@ def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):
 
 
 def test_a_cold_verify_ladder_puts_each_table_once(capsys, monkeypatch):
-    # the mode table, the three differential tables and the two azimuthal
-    # matrices, each once; J_z and helicity scale coefficients, no table
+    # the mode table and the three differential tables, each once, each
+    # with its own azimuthal rows; J_z and helicity scale coefficients, no table
     _tables.clear()
     puts, put = [], _tables.put
     monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or put(key, value))
@@ -417,7 +424,7 @@ def test_a_cold_verify_ladder_puts_each_table_once(capsys, monkeypatch):
     grid = make_grid(8)
     key = grid.geometry_key
     ops = {("op", key, -1, kind) for kind in ("Jplus", "Jminus", "Jsquared")}
-    assert set(puts) == {(key, -1), *ops, ("dft", grid.n_phi), ("dft-analysis", grid.n_phi)}
+    assert set(puts) == {(key, -1), *ops}
     assert len(puts) == len(set(puts)), puts
     _tables.clear()
 

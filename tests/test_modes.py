@@ -108,6 +108,15 @@ def test_poles_refused():
         eval_swsh(SWMode(0, 1, 0), np.array([1.0, math.pi]), 0.0)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, np.array([0.3, math.nan])])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_non_finite_phi_refused(phi, order):
+    # eval_swsh and eval_swsh_dtheta share the check, so no NaN is returned
+    mode = SWMode(0, 2, 1)
+    with pytest.raises(DomainError, match="phi"):
+        eval_swsh(mode, 0.5, phi) if order == 0 else eval_swsh_dtheta(mode, 0.5, phi, order=order)
+
+
 # --------------------------------------------------------------- hand values
 
 def test_constant_mode_value():

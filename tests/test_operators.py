@@ -9,7 +9,7 @@ import pytest
 from swsh import operators, transform
 from swsh.errors import SpinWeightMismatch
 from swsh.grid import GridFunction, make_grid, sample_swsh
-from swsh.modes import J_MAX, SWMode, _dtheta
+from swsh.modes import SWMode, _dtheta
 from swsh.operators import (
     KINDS,
     OperatorSpec,
@@ -357,7 +357,6 @@ def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
     f = synthesize(coefficient_set(-1, 10, random_entries(rng, -1, 10)), grid)
     for kind in KINDS:
         apply_grid(OperatorSpec(kind, -1), f)
-    dft = _tables.get(("dft", grid.n_phi))
     puts = []
     real_put = _tables.put
     monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
@@ -366,9 +365,10 @@ def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
         apply_grid(OperatorSpec(kind, -1), g)
         apply_grid(OperatorSpec(kind, -1), g, band_limit=7)
     assert puts == []
-    # one azimuthal matrix for the grid's n_phi serves every band and shift
-    assert dft is not None and dft.shape == (2 * J_MAX + 3, grid.n_phi)
-    assert _tables.get(("dft", grid.n_phi)) is dft
+    # each table entry holds its own rows at the grid's band, of its shift
+    for kind, shift in (("Jplus", 1), ("Jminus", -1), ("Jsquared", 0)):
+        rows = _tables.get(("op", grid.geometry_key, -1, kind)).synthesis
+        assert rows.tobytes() == dft_rows(grid, 10, shift).tobytes()
 
 
 def test_a_band_sweep_builds_each_operator_table_once_at_the_grid_band(monkeypatch):

@@ -8,12 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swsh import (OperatorSpec, SWMode, analyze, apply_grid, apply_projected_orbital, coefficient_set,
-                  embed, make_grid, modes, operators, profile, sample_swsh, synthesize, tables)
+from swsh import (OperatorSpec, SWMode, analyze, apply_grid, apply_J_rotation, apply_projected_orbital,
+                  apply_projected_spin, coefficient_set, embed, make_grid, modes, operators, profile, sample_swsh,
+                  section_norm, section_scale, synthesize, tables)
 from swsh.errors import BandLimitExceeded
 from swsh.grid import SphereGrid
 from swsh.modes import _dtheta, _seeds
-from swsh.tables import GridCache, contract_table, mode_coefficients, mode_table, spin_tables
+from swsh.tables import GridCache, contract_table, dft_rows, mode_coefficients, mode_operands, mode_table, spin_tables
 from swsh.transform import analysis_matrix
 
 import horner_reference as horner
@@ -234,7 +235,7 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
 
     samples = draw((n, grid.n_theta, 2))
     want = (np.fft.fft(samples, axis=0) * grid.phi_weight)[ms % n]
-    got = tables.phi_analysis(tables.dft_analysis_rows(grid, L), samples)
+    got = tables.phi_analysis(mode_operands(grid, 0, L).analysis, samples)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     radial = draw((2 * L + 1, grid.n_theta, 2))
@@ -244,22 +245,42 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
     got = tables.phi_synthesis(tables.dft_rows(grid, L, shift), radial)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    # one matrix per n_phi, its rows the frequencies up to J_MAX + 1: O(n_phi)
-    assert tables._dft_matrix(grid).shape == (2 * modes.J_MAX + 3, n)
+    # the rows of one band and shift, 2L + 1 of them whatever n_phi: O(n_phi)
+    assert dft_rows(grid, L, shift).shape == (2 * L + 1, n)
 
 
 @pytest.mark.parametrize("n_phi, L", [(25, 12), (25, 5), (16, 5), (16, 0), (129, 64), (1025, 3)])
 def test_phi_analysis_is_the_weighted_reversed_dft_rows_bit_for_bit(rng, n_phi, L):
-    # the cached analysis matrix's slice holds the bytes of the band's DFT
-    # rows, reversed and weighted by dphi, so the GEMM gives the same bytes
+    # the mode entry's analysis rows, at its band and sliced below it, hold
+    # the bytes of the band's DFT rows reversed and weighted by dphi, so the
+    # GEMM gives the same bytes
     grid = make_grid(L, n_phi=n_phi)
-    F = modes.J_MAX + 1
     samples = rng.normal(size=(n_phi, grid.n_theta, 2)) + 1j * rng.normal(size=(n_phi, grid.n_theta, 2))
     for band in (L, L // 2):
-        w = tables._dft_matrix(grid)[F - band : F + band + 1][::-1] * grid.phi_weight
+        w = dft_rows(grid, band)[::-1] * grid.phi_weight
+        rows = mode_operands(grid, 0, band).analysis
+        assert rows.tobytes() == w.tobytes()
         want = (w @ samples.reshape(n_phi, -1)).reshape((2 * band + 1,) + samples.shape[1:])
-        assert tables.phi_analysis(tables.dft_analysis_rows(grid, band), samples).tobytes() == want.tobytes()
-    assert tables._dft_analysis_matrix(grid) is tables._dft_analysis_matrix(make_grid(L, n_phi=n_phi))
+        assert tables.phi_analysis(rows, samples).tobytes() == want.tobytes()
+    assert mode_operands(grid, 0, L).analysis is mode_operands(make_grid(L, n_phi=n_phi), 0, L).analysis
+
+
+@pytest.mark.parametrize("L, n_phi", [(12, 25), (5, 11), (0, 1), (7, 16)])
+def test_an_aliased_frequency_has_the_bytes_of_the_row_it_folds_onto(L, n_phi):
+    # a ladder shift at the grid's band reaches a frequency past the grid's;
+    # built from the exact residues f p mod n, its row is the folded one's
+    grid = make_grid(L, n_phi=n_phi)
+    rows = {shift: dft_rows(grid, L, shift) for shift in (-1, 0, 1)}
+    for shift in (-1, 1):
+        for k, f in enumerate(range(shift - L, shift + L + 1)):
+            for g in (f - n_phi, f, f + n_phi):
+                if -L <= g <= L:
+                    assert rows[shift][k].tobytes() == rows[0][g + L].tobytes(), (shift, f, g)
+    if n_phi == 2 * L + 1:  # L + 1 folds onto -L, and -L - 1 onto L
+        assert rows[1][-1].tobytes() == rows[0][0].tobytes()
+        assert rows[-1][0].tobytes() == rows[0][-1].tobytes()
+    else:  # n_phi = 2L + 2: L + 1 and -L - 1 are the one Nyquist row
+        assert rows[1][-1].tobytes() == rows[-1][0].tobytes()
 
 
 def test_warm_transforms_put_nothing_in_the_cache(rng, monkeypatch):
@@ -310,6 +331,31 @@ def test_a_warm_transform_step_reads_the_cache_once(rng, monkeypatch, band):
     # synthesize, analyze, apply_grid (the analysis is kept on f), analyze
     assert gets == [(key, 0), (key, 0), ("op", key, 0, "Jplus"), (key, 0),
                     (key, -2), (key, -2), ("op", key, -2, "Jminus"), (key, -2)]
+
+
+def test_the_cache_holds_five_kinds_of_entry_and_counts_its_bytes_exactly(rng):
+    # after one op of the transform-reuse benchmark's shape and one of
+    # bundle-lemma's (|h| = 1 at band 5), every held array owns its memory,
+    # so the byte count is the memory the cache holds
+    tables._tables.clear()
+    grid = make_grid(12)
+    for s, kind in ((0, "Jplus"), (-2, "Jminus")):
+        f = synthesize(coefficient_set(s, 12, random_entries(rng, s, 12)), grid)
+        analyze(f)
+        analyze(apply_grid(OperatorSpec(kind, s), f))
+    sec = embed(synthesize(coefficient_set(-1, 5, random_entries(rng, -1, 5)), make_grid(10)))
+    sec = section_scale(1.0 / section_norm(sec), sec)
+    apply_projected_spin(sec)
+    apply_projected_orbital(sec)
+    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+        apply_J_rotation(sec, axis)
+    items = tables._tables._items
+    kinds = {"mode" if isinstance(key[0], tuple) else key[0] for key in items}
+    assert kinds == {"mode", "op", "orbital", "projector", "fiber"}
+    held = [a for value in items.values() for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
+    assert not [(i, k) for (i, a), (k, b) in itertools.combinations(enumerate(held), 2) if np.shares_memory(a, b)]
+    assert tables._tables.nbytes == sum(a.nbytes for a in held)
+    tables._tables.clear()
 
 
 def test_threads_share_the_table_cache(rng):
