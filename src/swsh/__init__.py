@@ -18,7 +18,7 @@ _MODULES = {
     "errors": (
         "BandLimitExceeded", "DomainError", "GridMismatch", "InsufficientNodes",
         "InvalidMode", "NegativeSpin", "NORTH", "SOUTH", "SearchBudgetExceeded",
-        "SpinWeightMismatch", "UnsupportedHelicity", "UnsupportedOrder",
+        "SpinWeightMismatch", "TooManyNodes", "UnsupportedHelicity", "UnsupportedOrder",
     ),
     "modes": (
         "SWMode", "eval_swsh", "eval_swsh_dtheta", "eval_swsh_pole_limit", "profile",

@@ -57,6 +57,10 @@ class InsufficientNodes(ValueError):
     """Fewer grid nodes than a band limit or an extrapolation needs."""
 
 
+class TooManyNodes(ValueError):
+    """A grid node count past the envelope n_theta, n_phi <= modes.NODES_MAX."""
+
+
 class UnsupportedHelicity(ValueError):
     """Embedded sections exist only for |h| in {1, 2}."""
 

@@ -1,10 +1,12 @@
 """Quadrature grids on the sphere and sampled functions living on them.
 
-The colatitude nodes are Gauss-Legendre in cos(theta) and the azimuth is
-sampled uniformly.  With the default node counts (L+1 colatitudes,
-2L+1 azimuths) the quadrature integrates products of two band-limited
-functions of band at most L exactly, up to rounding, which is what the
-orthonormality and round-trip checks rely on.
+The colatitude nodes are Gauss-Legendre in cos(theta), from Newton's
+method on the three-term Legendre recurrence (gauss_legendre: O(n)
+memory, no eigenproblem), and the azimuth is sampled uniformly.  With the
+default node counts (L+1 colatitudes, 2L+1 azimuths) the quadrature
+integrates products of two band-limited functions of band at most L
+exactly, up to rounding, which is what the orthonormality and round-trip
+checks rely on.  Each node count is capped at modes.NODES_MAX.
 """
 
 from dataclasses import dataclass, field
@@ -18,10 +20,11 @@ from .errors import (
     GridMismatch,
     InsufficientNodes,
     SpinWeightMismatch,
+    TooManyNodes,
     as_integer,
     pole_name,
 )
-from .modes import SWMode, profile
+from .modes import NODES_MAX, SWMode, profile
 from .serial import fmt17
 
 
@@ -29,9 +32,10 @@ from .serial import fmt17
 class SphereGrid:
     """Product grid of n_theta Gauss-Legendre colatitudes x n_phi uniform azimuths.
 
-    The three sizes are the grid.  Its read-only nodes are derived from
-    them: theta ascending (north pole side first) with its quadrature
-    weights theta_weights, and phi = 2 pi p / n_phi from phi = 0.  Equal
+    The three sizes are the grid; each node count is at most NODES_MAX.
+    Its read-only nodes are derived from them: theta ascending (north pole
+    side first) with its quadrature weights theta_weights, both from
+    gauss_legendre(n_theta), and phi = 2 pi p / n_phi from phi = 0.  Equal
     grids compare, hash and share their cached tables alike.
     """
 
@@ -50,12 +54,11 @@ class SphereGrid:
             raise InsufficientNodes(
                 f"band limit {L} needs at least {L + 1} x {2 * L + 1} nodes, got {(n_theta, n_phi)}"
             )
-        x, w = np.polynomial.legendre.leggauss(n_theta)
-        # leggauss returns x ascending, so arccos is descending; flip to
-        # keep theta ascending (north pole side first).
-        nodes = (np.arccos(x)[::-1], w[::-1], 2.0 * np.pi * np.arange(n_phi) / n_phi)
+        for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
+            if n > NODES_MAX:  # before any node is built: the rule costs O(n^2) time
+                raise TooManyNodes(f"{name} = {n} exceeds the supported maximum of {NODES_MAX} nodes")
+        nodes = (*gauss_legendre(n_theta), 2.0 * np.pi * np.arange(n_phi) / n_phi)
         for name, value in zip(("theta", "theta_weights", "phi"), nodes):
-            value = np.ascontiguousarray(value)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         for name, value in (("band_limit", L), ("n_theta", n_theta), ("n_phi", n_phi)):
@@ -82,6 +85,42 @@ class SphereGrid:
         but their own bytes.
         """
         return (self.band_limit, self.n_theta, self.n_phi)
+
+
+NEWTON_PASSES = 4
+
+
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule: colatitudes theta ascending, and their weights.
+
+    Newton's method runs on the northern roots x = cos(theta) > 0 of P_n
+    from x_k = (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1) / (4n + 2)),
+    k = 1 .. n // 2, for NEWTON_PASSES passes, a fixed count, so the bytes
+    repeat from run to run; from that start three reach rounding on every
+    n sampled up to NODES_MAX.  Each pass takes P_n and P_n' from one pass
+    of the recurrence, and the weights w = 2 / ((1 - x^2) P_n'(x)^2) take
+    P_n' from the last.  An odd n's middle node is x = 0 exactly, and the
+    southern half is the exact mirror of the northern one: theta -> pi -
+    theta, the same weight.
+    """
+    k = np.arange(1, n // 2 + 1)
+    x = (1 - 1 / (8 * n**2) + 1 / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    x = np.append(x, [0.0] * (n % 2))  # P_n(0) = 0 exactly for odd n, so Newton keeps it
+    for _ in range(NEWTON_PASSES):
+        p, dp = _legendre(n, x)
+        x -= p / dp
+    theta, w = np.arccos(x), 2.0 / ((1.0 - x * x) * dp * dp)
+    mirror = slice(n // 2)  # the northern nodes, whose mirrors run south in reverse
+    return (np.concatenate((theta, np.pi - theta[mirror][::-1])),
+            np.concatenate((w, w[mirror][::-1])))
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) from the three-term recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (p0 - x * p1) / (1.0 - x * x)
 
 
 def make_grid(band_limit, n_theta=None, n_phi=None):
@@ -294,13 +333,11 @@ def write_grid_csv(f, path):
     if any(c.isspace() for c in f.frame):
         raise ValueError(f"frame tag {f.frame!r} holds whitespace, which the CSV header cannot carry")
     lines = [f"# spin_weight={f.spin_weight} L={f.grid.band_limit} frame={f.frame}"]
-    for it in range(f.grid.n_theta):
-        th = fmt17(f.grid.theta[it])
-        row = f.samples[it]
-        for ip in range(f.grid.n_phi):
-            lines.append(
-                f"{th},{fmt17(f.grid.phi[ip])},{fmt17(row[ip].real)},{fmt17(row[ip].imag)}"
-            )
+    phis = [fmt17(ph) for ph in f.grid.phi.tolist()]
+    for th, row in zip(f.grid.theta.tolist(), f.samples):
+        th = fmt17(th)
+        for ph, re, im in zip(phis, row.real.tolist(), row.imag.tolist()):
+            lines.append(f"{th},{ph},{fmt17(re)},{fmt17(im)}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -318,8 +355,9 @@ def read_grid_csv(path):
 
     The grid is make_grid of the header's L and the file's node counts.
     Each row's theta and phi must lie within NODE_RTOL of that grid's node
-    in colatitude-major order, so a file written under another numpy,
-    whose Gauss-Legendre nodes differ in the last bits, still loads.
+    in colatitude-major order, so a file written before gauss_legendre
+    made the nodes, whose numpy.polynomial nodes differ from them in the
+    last bits, still loads.
     """
     with open(path) as fh:
         header = fh.readline().strip()

@@ -21,10 +21,11 @@ the recurrence is verified against an independent double-double Horner
 evaluation of the closed-form sum; check_j_supported holds it, with one
 message form, at the public entries: validate_mode, CoefficientSet (its
 declared band), mode_coefficients (an analysis band) and every table
-build.  Evaluation refuses the poles; the finite limiting data there lives
-exclusively in eval_swsh_pole_limit, because as plain functions the modes
-are singular at theta = 0, pi even though the objects they describe are
-not.
+build.  NODES_MAX caps each node count of a grid, n_theta and n_phi;
+SphereGrid checks it before it builds a node.  Evaluation refuses the
+poles; the finite limiting data there lives exclusively in
+eval_swsh_pole_limit, because as plain functions the modes are singular
+at theta = 0, pi even though the objects they describe are not.
 """
 
 import math
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import NORTH, DomainError, InvalidMode, UnsupportedOrder, pole_name
 
 J_MAX = 64
+NODES_MAX = 2**13 + 1
 
 
 @dataclass(frozen=True)

@@ -729,7 +729,7 @@ def test_verify_ortho_loads_no_bundle_or_multiplets():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "-s", "-1", "-j", "2", "-m", "1", "--grid", "4", "--out", os.devnull],
+        ["eval", "-s", "-1", "-j", "2", "-m", "1", "--grid", "24", "--out", os.devnull],
         ["verify", "poles"],
     ],
 )
@@ -737,6 +737,8 @@ def test_point_and_grid_evaluation_load_no_tables(argv):
     loaded = modules_loaded_by_main(*argv)
     assert "swsh.grid" in loaded
     assert "swsh.tables" not in loaded
+    # the Gauss-Legendre rule comes from the Legendre recurrence, not leggauss
+    assert "numpy.polynomial" not in loaded
 
 
 def test_verify_ladder_loads_no_numpy_random():

@@ -90,17 +90,57 @@ def test_hand_built_grids_need_enough_nodes():
         SphereGrid(6, 6, 13)
 
 
+def _legendre_rows(x, k_max):
+    """P_0(x) .. P_k_max(x), one row each, by the three-term recurrence in x's own dtype."""
+    rows = [np.ones_like(x), x]
+    for k in range(1, k_max):
+        rows.append(((2 * k + 1) * x * rows[k] - k * rows[k - 1]) / (k + 1))
+    return rows[: k_max + 1]
+
+
+def _refined_weights(theta):
+    """Gauss-Legendre weights at the roots of P_n refined by Newton in longdouble from cos(theta)."""
+    x, n = np.cos(theta).astype(np.longdouble), theta.size
+    for _ in range(5):  # the last step moves x by far less than a double's ulp
+        p_prev, p = _legendre_rows(x, n)[-2:]
+        dp = n * (p_prev - x * p) / (1 - x * x)
+        x = x - p / dp
+    return 2 / ((1 - x * x) * dp * dp)
+
+
+# n_theta -> bound on the worst relative weight error against the refined
+# weights.  leggauss's own error, with numpy 2.4, is 0, 2.4e-16, 3.1e-15,
+# 1.5e-14, 2.7e-13 and 1.4e-10 at these n; from n = 17 on each bound is
+# below it, and under that both rules are at rounding.
+WEIGHT_RTOL = {1: 2.3e-16, 2: 4.5e-16, 9: 1.3e-14, 17: 5e-15, 65: 5e-14, 257: 4e-12}
+
+
 @pytest.mark.parametrize("L, n_theta, n_phi", [(0, 1, 1), (1, 2, 3), (16, 17, 33), (64, 65, 129),
-                                               (5, 9, 16)])
+                                               (5, 9, 16), (256, 257, 513)])
 def test_grid_nodes_are_the_gauss_legendre_rule_times_uniform_azimuths(L, n_theta, n_phi):
     grid = SphereGrid(L, n_theta, n_phi)
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    want = {"theta": np.arccos(x)[::-1], "theta_weights": w[::-1],
-            "phi": 2.0 * np.pi * np.arange(n_phi) / n_phi}
-    for name, arr in want.items():
-        got = getattr(grid, name)
-        assert got.tobytes() == np.ascontiguousarray(arr).tobytes()
-        assert not got.flags.writeable
+    theta, w = grid.theta, grid.theta_weights
+    # the northern half mirrored, bit for bit: theta -> pi - theta, the same weight
+    half = n_theta // 2
+    assert np.array_equal(theta[::-1][:half], np.pi - theta[:half]) and np.array_equal(w[::-1], w)
+    if n_theta % 2:
+        assert theta[half] == np.pi / 2
+    # within 1 ulp of leggauss's cos(theta), carried to theta, plus the
+    # rounding of arccos and of the mirror
+    x, _ = np.polynomial.legendre.leggauss(n_theta)
+    old = np.arccos(x)[::-1]
+    assert (np.abs(theta - old) <= np.spacing(np.abs(x[::-1])) / np.sin(old) + 2 * np.spacing(old)).all()
+    # exact for P_k, k <= 2n - 1: sum_t w_t P_k(x_t) = 2 delta_k0
+    moments = np.array([np.dot(w, p) for p in _legendre_rows(np.cos(theta), 2 * n_theta - 1)])
+    moments[0] -= 2.0
+    assert np.abs(moments).max() <= 4e-15
+    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        want = _refined_weights(theta)
+        assert np.abs((w - want) / want).max() <= WEIGHT_RTOL[n_theta]
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    assert grid.phi.tobytes() == phi.tobytes()
+    for arr in (theta, w, grid.phi):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
     assert grid.shape == (n_theta, n_phi)
 
 
@@ -443,15 +483,19 @@ def _rewrite_thetas(path, change):
 
 
 def test_csv_loads_nodes_off_by_an_ulp_onto_the_canonical_grid(tmp_path):
-    # another numpy's Gauss-Legendre nodes may differ in the last bits
+    # nodes written by another rule may differ in the last bits: here one
+    # ulp up, and leggauss's, the rule of files written before gauss_legendre
     g = make_grid(6)
     f = sample_swsh(g, SWMode(-1, 3, 2))
-    p = tmp_path / "f.csv"
-    write_grid_csv(f, p)
-    _rewrite_thetas(p, lambda th: float(np.nextafter(th, 4.0)))
-    h = read_grid_csv(p)
-    assert h.grid == g
-    assert np.array_equal(h.samples, f.samples)
+    x, _ = np.polynomial.legendre.leggauss(g.n_theta)
+    old = iter(np.repeat(np.arccos(x)[::-1], g.n_phi).tolist())
+    for change in (lambda th: float(np.nextafter(th, 4.0)), lambda th: next(old)):
+        p = tmp_path / "f.csv"
+        write_grid_csv(f, p)
+        _rewrite_thetas(p, change)
+        h = read_grid_csv(p)
+        assert h.grid == g
+        assert np.array_equal(h.samples, f.samples)
 
 
 def test_csv_rejects_nodes_off_the_grid(tmp_path):
