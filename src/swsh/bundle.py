@@ -16,11 +16,12 @@ generator about any axis n is sum_a n_a J_a.
 Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
-once, by mode_coefficients, into A[m + L, j, D]; contract_table contracts
-it with the spin-0 mode table or J_perp's cached spin-0 table [m csc(theta)
-p, dp/dtheta], and phi_synthesis applies the DFT rows read with that table,
-in one cache read, as one matrix product over phi, whose [..., p] result
-one transpose lays out as samples grid.shape + (D, k).
+once, by mode_coefficients, into A[m + L, j, D].  The rotation
+generators synthesize from it by mode_synthesis; J_perp contracts it with
+its cached spin-0 table [m csc(theta) p, dp/dtheta] and applies the DFT
+rows read with that table, in one cache read, as one matrix product over
+phi.  One transpose lays either [..., p] result out as samples
+grid.shape + (D, k).
 The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
 matrix per node, cached with the tables of tables.py by grid geometry and
 rank; the spin matrices of all three axes act per tensor slot, on every
@@ -35,6 +36,7 @@ frame's fiber tensor e_h, which embed, extract and rank1_residual read
 when given no frame, is cached with the tables by grid geometry and h.
 """
 
+import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -42,10 +44,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, UnsupportedHelicity, as_integer
+from .errors import DomainError, GridMismatch, UnsupportedHelicity, as_integer
 from .grid import GridFunction, SphereGrid, standard_frame
 from .operators import ladder_shift
-from .tables import (Operands, _tables, band_operands, contract_table, dft_rows, mode_coefficients, mode_operands,
+from .tables import (Operands, _tables, band_operands, contract_table, dft_rows, mode_coefficients, mode_synthesis,
                      pair_matmul, phi_synthesis, spin_tables)
 
 
@@ -112,7 +114,7 @@ class EmbeddedSection:
         L_x = (L_+ + L_-)/2 and L_y = (L_+ - L_-)/2i by the ladder shifts,
         and the spin term A (-i E_a)^T from the constant generators, one GEMM
         over every (m, j) row.  All three axes are one coefficient array
-        [m + L, j, D, 3] and one phi_synthesis; laid out axis first, the
+        [m + L, j, D, 3] and one mode_synthesis; laid out axis first, the
         generator about n is one real product n @ gens.
         """
         a = self._coefficients
@@ -122,8 +124,7 @@ class EmbeddedSection:
         coeffs[..., 0] += 0.5 * (up + down)
         coeffs[..., 1] += 0.5j * (down - up)
         coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
-        ops = mode_operands(self.grid, 0, L)
-        samples = phi_synthesis(ops.synthesis, contract_table(ops.table, coeffs))  # [t, D, 3, p]
+        samples = mode_synthesis(self.grid, 0, coeffs)  # [t, D, 3, p]
         gens = np.ascontiguousarray(samples.transpose(2, 0, 3, 1)).reshape(3, -1).view(np.float64)
         gens.setflags(write=False)
         return gens
@@ -216,8 +217,11 @@ def section_add(a, b):
 
 
 def section_scale(c, a):
-    """The section c * a for a scalar c."""
-    return EmbeddedSection._wrap(a.grid, a.helicity, complex(c) * a.components)
+    """The section c * a for a scalar c, which must be finite."""
+    c = complex(c)
+    if not cmath.isfinite(c):
+        raise DomainError("section scale must be finite")
+    return EmbeddedSection._wrap(a.grid, a.helicity, c * a.components)
 
 
 def section_norm(section):

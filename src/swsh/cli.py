@@ -435,9 +435,39 @@ def cmd_multiplets(args, parser):
     return 0
 
 
+_FLOAT_OPTIONS = ("--theta", "--phi", "--tolerance", "--floor")
+
+
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv):
+    """argv with each float option's negative value attached by '=': --phi -1e-3 as --phi=-1e-3.
+
+    argparse reads a token that starts with '-' as an option unless it
+    looks like -N or -N.N, so it would refuse -1e-3, -5. and -inf as
+    values; attached, every float literal is one.  An abbreviated option
+    name, a unique prefix argparse accepts, is attached too.
+    """
+    out = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if (token.startswith("-") and _is_float(token) and len(option) > 2
+                and any(name.startswith(option) for name in _FLOAT_OPTIONS)):
+            out[-1] = f"{option}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args, parser)
     except BandLimitExceeded as exc:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     NORTH,
     BandLimitExceeded,
+    DomainError,
     GridMismatch,
     InsufficientNodes,
     SpinWeightMismatch,
@@ -201,9 +202,17 @@ def norm(f):
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
-def apply_gauge(f, xi):
-    """Rotate the tangent frame by angle xi; values pick up exp(i*s*xi)."""
+def _gauge_angle(xi):
+    """xi as a float64 array, every entry finite, else DomainError naming xi."""
     xi = np.asarray(xi, dtype=np.float64)
+    if not np.isfinite(xi).all():
+        raise DomainError("gauge angle xi must be finite")
+    return xi
+
+
+def apply_gauge(f, xi):
+    """Rotate the tangent frame by angle xi; values pick up exp(i*s*xi).  A non-finite xi is refused."""
+    xi = _gauge_angle(xi)
     phase = np.exp(1j * f.spin_weight * xi)
     samples = f.samples * np.broadcast_to(phase, f.samples.shape)
     tag = f.frame if f.frame.endswith("+gauge") else f.frame + "+gauge"
@@ -262,8 +271,8 @@ def _coordinate_frame(grid):
 
 
 def gauge_rotate_frame(frame, xi):
-    """Rotate (a, b) by xi about k_hat, the same sense apply_gauge assumes."""
-    xi = np.asarray(xi, dtype=np.float64)
+    """Rotate (a, b) by xi about k_hat, the same sense apply_gauge assumes.  A non-finite xi is refused."""
+    xi = _gauge_angle(xi)
     c = np.cos(xi)[..., None] if xi.ndim else np.cos(xi)
     s = np.sin(xi)[..., None] if xi.ndim else np.sin(xi)
     a = c * frame.a_vec - s * frame.b_vec

@@ -4,7 +4,8 @@ Coefficient space: the exact diagonal and ladder actions as scalings of the
 dense coefficient matrix (apply_coeff).
 Grid space: the actual differential expressions (apply_grid).  J_z, which
 is -i d/dphi, and helicity act on each component p_{sjm}(theta) exp(i m phi)
-by m and h, so they scale the analysis coefficients.  J_+, J_- and J^2 each
+by m and h, so they scale the analysis coefficients, which
+tables.mode_synthesis then synthesizes.  J_+, J_- and J^2 each
 have a table per grid geometry, spin weight and kind, their action on every
 such component, formed once by the differential expression from the
 profiles of spins s - 1 .. s + 1 (s +- 2 for J^2) and their theta-derivatives
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
 from .modes import J_MAX, _dtheta
-from .tables import Operands, band_operands, contract_table, dft_rows, mode_operands, phi_synthesis, spin_tables
+from .tables import Operands, band_operands, contract_table, dft_rows, mode_synthesis, phi_synthesis, spin_tables
 from .transform import CoefficientSet, _clip, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
@@ -121,19 +122,19 @@ def apply_grid(op, f, band_limit=None):
     """Differential action of the operator on grid samples.
 
     The function is resolved into modes, sum_j c_jm p_jm(theta) exp(i m phi)
-    for each m.  J_z and helicity scale the coefficients by m and h; the
-    other kinds sum the operator's table, its differential expression
-    applied to every profile, against them.
+    for each m.  J_z and helicity scale the coefficients by m and h and
+    synthesize them by mode_synthesis; the other kinds sum the operator's
+    table, its differential expression applied to every profile, against
+    them.
     """
     _check_spin(op, f.spin_weight)
     coeffs = analysis_matrix(f, band_limit=band_limit)
     grid, s, L = f.grid, f.spin_weight, coeffs.shape[1] - 1
     if op.kind in ("Jz", "Helicity"):
-        ops = mode_operands(grid, s, L)
-        coeffs = (np.arange(-L, L + 1)[:, None] if op.kind == "Jz" else -s) * coeffs
+        samples = mode_synthesis(grid, s, (np.arange(-L, L + 1)[:, None] if op.kind == "Jz" else -s) * coeffs)
     else:
         ops = _operator_operands(grid, s, op.kind, L)
-    samples = phi_synthesis(ops.synthesis, contract_table(ops.table, coeffs))
+        samples = phi_synthesis(ops.synthesis, contract_table(ops.table, coeffs))
     return GridFunction._wrap(grid, s, samples, frame=f.frame)
 
 

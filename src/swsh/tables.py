@@ -31,15 +31,20 @@ The other entries are plain arrays: the transverse projectors by
 geometry_key and rank (5.4 MB at rank 2, L = 64) and the standard frame's
 fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2, L = 64).
 
-The read rule: a transform step (synthesize, an analysis, an apply_grid)
-reads its entry once, by band_operands, and then runs its two products.
-At the entry's own band it uses the entry as held, with no check; a lower
-band L reads the centered slices [..., T - L : T + L + 1, : L + 1, :] of
-the table and [T - L : T + L + 1] of the rows, and only that path and a
-miss check the band.  So one path serves every band, and a call on a warm
-grid builds nothing.  A plain entry is read by one GridCache.cached(key,
-build, *args) call, which on a hit makes no closure.  The byte accounting
-is exact: an entry counts every array it holds at its own size, and since
+The read rule: a transform step reads its entry once, by band_operands,
+and then runs its two products.  Over a mode entry the only such steps
+are mode_coefficients and mode_synthesis, both here: every analysis, and
+synthesize, apply_grid's J_z and helicity and bundle.py's rotation
+generators, go through them, and no other module calls mode_operands.
+An operator table or J_perp's entry is read, the same way, by the one
+apply_grid or J_perp step of its module.  At the entry's own band a
+step uses the entry as held, with no check; a lower band L reads the
+centered slices [..., T - L : T + L + 1, : L + 1, :] of the table and
+[T - L : T + L + 1] of the rows, and only that path and a miss check the
+band.  So one path serves every band, and a call on a warm grid builds
+nothing.  A plain entry is read by one GridCache.cached(key, build,
+*args) call, which on a hit makes no closure.  The byte accounting is
+exact: an entry counts every array it holds at its own size, and since
 no held array views another, the count is the memory held.  The one other
 module-level cache holds no array: transform.py's label index
 {(j, m): flat cell} per |s| and band, a functools.lru_cache of at most 8
@@ -48,9 +53,10 @@ dicts, each about 0.55 MiB and built in about 1 ms at L = 64.
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
 radial factors R[k..., m + L, t, ...]).  mode_coefficients is the one
-analysis and contract_table the one colatitude contraction; each does one
-real matmul per m by pair_matmul, which copies an operand only when its
-last axis is not contiguous.
+analysis, mode_synthesis the one synthesis from a mode table and
+contract_table the one colatitude contraction; each does one real matmul
+per m by pair_matmul, which copies an operand only when its last axis is
+not contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
 mod n) / n) over the n = n_phi azimuths, uniform from phi = 0 on every
 grid, built from exact integer angles.  phi_synthesis applies the rows
@@ -219,13 +225,12 @@ def mode_operands(grid, s, band):
     return band_operands((grid.geometry_key, s), grid, band, _mode_entry, s)
 
 
-def mode_table(grid, s, band_limit=None):
-    """Read-only table [m + L, j, t] of the profiles p_{sjm}(theta_t).
+def mode_table(grid, s):
+    """Read-only table [m + L, j, t] of the profiles p_{sjm}(theta_t), L the grid's band limit.
 
-    L is band_limit, at most the grid's (the default): the table of mode_operands.
+    The table of mode_operands at the grid's band.
     """
-    L = grid.band_limit if band_limit is None else int(band_limit)
-    return mode_operands(grid, int(s), L).table
+    return mode_operands(grid, int(s), grid.band_limit).table
 
 
 def mode_samples(grid, s, m):
@@ -312,3 +317,16 @@ def mode_coefficients(grid, s, samples, band_limit):
     rings *= weights
     a = pair_matmul(table, rings)
     return a.reshape(a.shape[:2] + samples.shape[2:])
+
+
+def mode_synthesis(grid, s, coeffs):
+    """Samples [t, ..., p] of sum coeffs[m + L, j, ...] p_{sjm}(theta_t) exp(i m phi_p), L = coeffs.shape[1] - 1.
+
+    The twin of mode_coefficients: one read of the mode operands at band L,
+    one real matmul per m with the order-0 mode table by contract_table,
+    then one DFT matrix product over phi by phi_synthesis; the trailing
+    axes of coeffs sit between t and p.  A band above the grid's is
+    refused by band_operands.
+    """
+    table, rows, _, _ = mode_operands(grid, s, coeffs.shape[1] - 1)
+    return phi_synthesis(rows, contract_table(table, coeffs))

@@ -1,14 +1,13 @@
 """Forward and inverse transforms between grid samples and mode coefficients.
 
-Both directions are separable in the azimuth and run through the per-grid
-mode tables of tables.py.  Analysis is a DFT matrix product over phi
-followed, per m, by one contraction of the (j, theta) table block with the
-weighted ring values; synthesis is the reverse, a contraction per m and a
-DFT matrix product.  A table costs O(L^3) to build, once per grid geometry
-and spin weight, and then each call costs O(L^3) arithmetic in a few array
-operations.  Output is deterministic: the tables, their cached DFT rows
-and the matrix products are fixed sequences of floating-point operations
-for a given input and grid, so repeated runs produce identical bytes.
+Both directions run through the per-grid mode tables of tables.py:
+analysis by tables.mode_coefficients and synthesis by tables.mode_synthesis,
+which hold the transform's one layout and its two products.  A table costs
+O(L^3) to build, once per grid geometry and spin weight, and then each call
+costs O(L^3) arithmetic in a few array operations.  Output is
+deterministic: the tables, their cached DFT rows and the matrix products
+are fixed sequences of floating-point operations for a given input and
+grid, so repeated runs produce identical bytes.
 
 A CoefficientSet holds its amplitudes in the same dense A[m + L, j]
 matrix the contractions read and write, so analyze wraps its result and
@@ -42,7 +41,7 @@ from .errors import BandLimitExceeded, as_integer
 from .grid import GridFunction
 from .modes import J_MAX, check_j_supported, validate_mode
 from .serial import json_dumps
-from .tables import contract_table, mode_coefficients, mode_operands, phi_synthesis
+from .tables import mode_coefficients, mode_synthesis
 
 COEFF_CLIP = 1e-13
 
@@ -207,8 +206,7 @@ def synthesize(c, grid):
             f"coefficient band limit {c.band_limit} exceeds grid band limit"
             f" {grid.band_limit}"
         )
-    ops = mode_operands(grid, c.spin_weight, c.band_limit)
-    return GridFunction._wrap(grid, c.spin_weight, phi_synthesis(ops.synthesis, contract_table(ops.table, c.matrix)))
+    return GridFunction._wrap(grid, c.spin_weight, mode_synthesis(grid, c.spin_weight, c.matrix))
 
 
 def coefficients_to_json(c):

@@ -1,20 +1,24 @@
 """Print one sha256 per swsh CLI case, to compare two checkouts' outputs byte for byte.
 
-    python tests/cli_digests.py [--src DIR]
+    python tests/cli_digests.py [--src DIR | --rev REV]
 
 Each case runs its swsh commands, in order, in a fresh temporary
 directory, with DIR (default: the src directory next to this file) first
-on PYTHONPATH.  Its digest covers every command's stdout, stderr and exit
-code and then every file the directory holds at the end, by name and
-content.  Run it against two checkouts and diff the output: equal lines
-mean byte-identical behavior on that case.  pytest does not collect this
-file, since its name does not start with test_.
+on PYTHONPATH.  With --rev, DIR is the src directory of git revision REV
+of this checkout, exported by git archive into a temporary directory, so
+`--rev HEAD~1` runs a change's parent in one command.  A case's digest
+covers every command's stdout, stderr and exit code and then every file
+the directory holds at the end, by name and content.  Run it against two
+checkouts and diff the output: equal lines mean byte-identical behavior
+on that case.  pytest does not collect this file, since its name does
+not start with test_.
 
 The cases: every verify suite at its defaults and with -s -2 and 2,
 eval at a point, at a pole, at a non-finite phi (refused) and on a grid,
-and transform flows on sparse coefficient sets (content far
-below the declared band, synthesized at higher bands and analyzed back
-at the same and at lower bands).
+transform flows on sparse coefficient sets (content far below the
+declared band, synthesized at higher bands and analyzed back at the
+same and at lower bands), and last eval at a negative phi in
+exponent form, given as the token after --phi.
 """
 
 import argparse
@@ -26,6 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+CHECKOUT = Path(__file__).resolve().parent.parent
 SUITES = ("ortho", "ladder", "casimir", "lemma", "commutators", "poles", "spectrum-match", "pointop")
 
 
@@ -68,6 +73,7 @@ def _cases():
         cases[f"sparse {name} synthesize at its band"] = [
             ["transform", "synthesize", "--in", name, "--out", "g.csv"],
         ]
+    cases["eval --phi -1e-3"] = [["eval", "-s", "0", "-j", "1", "-m", "1", "--theta", "0.7", "--phi", "-1e-3"]]
     return cases
 
 
@@ -90,14 +96,32 @@ def _digest(commands, src):
     return h.hexdigest()
 
 
+def add_source_options(parser):
+    """The --src DIR and --rev REV options, one of which names the swsh source to run."""
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument("--src", default=str(CHECKOUT / "src"), help="directory holding the swsh package")
+    where.add_argument("--rev", help="git revision of this checkout whose src directory to run")
+
+
+def source_dir(args, parser, tmp):
+    """The src directory the options name: --src resolved, or --rev's src exported by git archive into tmp."""
+    if args.rev is None:
+        return str(Path(args.src).resolve())
+    archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", args.rev, "src"], stdout=subprocess.PIPE)
+    if archive.returncode != 0:
+        parser.error(f"git archive {args.rev} failed")
+    subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+    return str(Path(tmp, "src"))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
-                        help="directory holding the swsh package")
+    add_source_options(parser)
     args = parser.parse_args()
-    src = str(Path(args.src).resolve())
-    for name, commands in _cases().items():
-        print(f"{_digest(commands, src)}  {name}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = source_dir(args, parser, tmp)
+        for name, commands in _cases().items():
+            print(f"{_digest(commands, src)}  {name}", flush=True)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Print one sha256 per in-process swsh case, to compare two checkouts' outputs byte for byte.
 
-    python tests/inproc_digests.py [--src DIR]
+    python tests/inproc_digests.py [--src DIR | --rev REV]
 
 All cases run in one process that imports swsh from DIR (default: the
-src directory next to this file), in a fixed order, on inputs drawn from
+src directory next to this file; with --rev, git revision REV's src,
+exported as cli_digests.py exports it), in a fixed order, on inputs drawn from
 one seeded generator, so two checkouts see the same inputs and the same
 cache history.  A case's digest covers the bytes of every array it
 returns.  Run it against two checkouts and diff the output: equal lines
@@ -31,9 +32,11 @@ and back up, and one set synthesized at every band.
 import argparse
 import hashlib
 import sys
-from pathlib import Path
+import tempfile
 
 import numpy as np
+
+from cli_digests import add_source_options, source_dir
 
 BAND, LOW = 12, 7
 SPINS = (0, 1, -1, 2, -2)
@@ -145,19 +148,19 @@ def _band_sweep_cases(swsh, rng):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
-                        help="directory holding the swsh package")
+    add_source_options(parser)
     args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import swsh
-    import swsh.operators  # noqa: F401 (KINDS)
-    import swsh.tables  # noqa: F401 (mode_table)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, source_dir(args, parser, tmp))
+        import swsh
+        import swsh.operators  # noqa: F401 (KINDS)
+        import swsh.tables  # noqa: F401 (mode_table)
 
-    rng = np.random.default_rng(11)
-    for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases,
-                  _envelope_cases, _band_sweep_cases):
-        for name, arrays in cases(swsh, rng):
-            print(f"{_digest(arrays)}  {name}", flush=True)
+        rng = np.random.default_rng(11)
+        for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases,
+                      _envelope_cases, _band_sweep_cases):
+            for name, arrays in cases(swsh, rng):
+                print(f"{_digest(arrays)}  {name}", flush=True)
     return 0
 
 

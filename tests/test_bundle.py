@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from swsh import bundle
+from swsh import bundle, tables
 from swsh.bundle import (
     EmbeddedSection,
     apply_J_rotation,
@@ -25,7 +25,7 @@ from swsh.bundle import (
     section_scale,
     transversality_residual,
 )
-from swsh.errors import GridMismatch, UnsupportedHelicity
+from swsh.errors import DomainError, GridMismatch, UnsupportedHelicity
 from swsh.grid import (
     GridFunction,
     SphereGrid,
@@ -216,6 +216,13 @@ def test_section_add_scale_norm(rng):
     assert section_norm(section_scale(-2j, sec)) == pytest.approx(
         2.0 * section_norm(sec), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1.0, math.inf), complex(math.nan, 0.0)])
+def test_section_scale_refuses_a_non_finite_scale(c):
+    sec = embed(constant_field(make_grid(4), -1))
+    with pytest.raises(DomainError, match="^section scale must be finite$"):
+        section_scale(c, sec)
 
 
 def test_section_add_mismatches_rejected():
@@ -541,7 +548,10 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         sec = random_section(rng, grid, h, 4)
         puts.clear()
         synths = []
-        monkeypatch.setattr(bundle, "phi_synthesis", lambda *a, **k: synths.append(1) or real_synthesis(*a, **k))
+        counted = lambda *a, **k: synths.append(1) or real_synthesis(*a, **k)  # noqa: E731
+        # J_perp's synthesis in bundle.py, the generators' by tables.mode_synthesis
+        monkeypatch.setattr(bundle, "phi_synthesis", counted)
+        monkeypatch.setattr(tables, "phi_synthesis", counted)
         apply_projected_spin(sec)
         apply_projected_orbital(sec)
         gens = [apply_J_rotation(sec, axis) for axis in axes + axes]

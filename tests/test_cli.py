@@ -74,6 +74,27 @@ def test_eval_non_finite_phi_exits_2_naming_phi(capsys, phi):
     assert err == "swsh: phi must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option, value, exit_code",
+    [
+        (["eval", "-s", "0", "-j", "1", "-m", "1", "--theta", "0.7"], "--phi", "-1e-3", 0),
+        (["eval", "-s", "0", "-j", "1", "-m", "1", "--theta", "0.7"], "--phi", "-5.", 0),
+        (["eval", "-s", "0", "-j", "1", "-m", "1", "--theta", "0.7"], "--ph", "-2.5E+0", 0),
+        (["eval", "-s", "0", "-j", "2", "-m", "1", "--theta", "0.5"], "--phi", "-inf", 2),
+        (["eval", "-s", "0", "-j", "1", "-m", "1", "--phi", "0.3"], "--theta", "-1e-3", 2),
+        (["verify", "ortho"], "--tolerance", "-1e-3", 2),
+        (["verify", "ortho"], "--tol", "-inf", 2),
+        (["verify", "commutators", "--count", "1"], "--floor", "-1e-3", 2),
+    ],
+)
+def test_float_options_take_a_negative_literal_as_the_next_token(capsys, argv, option, value, exit_code):
+    # argparse alone reads -1e-3, -5. or -inf as an option and exits 2
+    # with "expected one argument"; each must act as the attached form does
+    want = run(capsys, *argv, f"{option}={value}")
+    assert want[0] == exit_code and "expected one argument" not in want[2]
+    assert run(capsys, *argv, option, value) == want
+
+
 def test_eval_conflicting_targets_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(

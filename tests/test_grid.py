@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from swsh.bundle import apply_projected_spin, embed
 from swsh.errors import (
     BandLimitExceeded,
+    DomainError,
     GridMismatch,
     NORTH,
     SOUTH,
@@ -280,6 +281,22 @@ def test_gauge_composition():
     joint = apply_gauge(f, xi1 + xi2)
     assert np.abs(once.samples - joint.samples).max() < 1e-14
     assert once.frame == joint.frame
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("whole", [True, False])
+def test_gauge_refuses_a_non_finite_angle(bad, whole):
+    # a scalar xi, or one entry of a field, that is not finite would spread
+    # NaN over the samples or the frame; it is refused by name instead
+    grid = make_grid(4)
+    f = sample_swsh(grid, SWMode(-1, 2, 1))
+    xi = bad if whole else np.full(grid.shape, 0.5)
+    if not whole:
+        xi[2, 3] = bad
+    with pytest.raises(DomainError, match="^gauge angle xi must be finite$"):
+        apply_gauge(f, xi)
+    with pytest.raises(DomainError, match="^gauge angle xi must be finite$"):
+        gauge_rotate_frame(standard_frame(grid), xi)
 
 
 # -------------------------------------------------------------------- frames

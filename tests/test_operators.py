@@ -18,7 +18,7 @@ from swsh.operators import (
     ladder_coefficient,
     verify_casimir_identity,
 )
-from swsh.tables import _tables, contract_table, dft_rows, mode_table, phi_synthesis, spin_tables
+from swsh.tables import _tables, contract_table, dft_rows, mode_operands, phi_synthesis, spin_tables
 from swsh.transform import analysis_matrix, analyze, coefficient_set, synthesize
 
 from conftest import random_entries
@@ -272,7 +272,7 @@ def _apply_grid_per_call(op, f, band_limit=None):
     m = np.arange(-L, L + 1)[:, None]
     sin = np.sin(grid.theta)
     cot = np.cos(grid.theta) / sin
-    p = contract_table(mode_table(grid, s, L), coeffs)
+    p = contract_table(mode_operands(grid, s, L).table, coeffs)
     spins, j = np.arange(s - 2, s + 3), np.arange(L + 1)[:, None]
     table = spin_tables(grid, spins, L)
     outer = _dtheta(table[::2], spins[::2], j)  # spins s - 1, s + 1
@@ -347,7 +347,7 @@ def test_helicity_keeps_the_bytes_of_its_former_table(rng):
         f = synthesize(coefficient_set(s, 10, random_entries(rng, s, 10)), grid)
         for L in (10, 6):
             coeffs = analysis_matrix(f, band_limit=L)
-            want = phi_synthesis(dft_rows(grid, L), contract_table(-s * mode_table(grid, s, L), coeffs))
+            want = phi_synthesis(dft_rows(grid, L), contract_table(-s * mode_operands(grid, s, L).table, coeffs))
             got = apply_grid(OperatorSpec("Helicity", s), f, band_limit=L).samples
             assert got.tobytes() == want.tobytes(), (s, L)
 

@@ -14,7 +14,8 @@ from swsh import (OperatorSpec, SWMode, analyze, apply_grid, apply_J_rotation, a
 from swsh.errors import BandLimitExceeded
 from swsh.grid import SphereGrid
 from swsh.modes import _dtheta, _seeds
-from swsh.tables import GridCache, contract_table, dft_rows, mode_coefficients, mode_operands, mode_table, spin_tables
+from swsh.tables import (GridCache, contract_table, dft_rows, mode_coefficients, mode_operands, mode_synthesis,
+                         mode_table, spin_tables)
 from swsh.transform import analysis_matrix
 
 import horner_reference as horner
@@ -153,14 +154,14 @@ def test_per_m_gram_is_identity_at_64(s):
 
 def test_band_limited_view_keeps_low_rows():
     grid = make_grid(8, n_phi=21)
-    low = mode_table(grid, -2, band_limit=5)  # built only to band 5
-    full = mode_table(grid, -2)  # rebuilt to band 8
+    low = mode_operands(grid, -2, 5).table  # a slice of the one table, built at the grid's band 8
+    full = mode_table(grid, -2)  # that table itself
     assert low.shape == (11, 6, grid.n_theta)
     assert full.shape == (17, 9, grid.n_theta)
     assert np.array_equal(low, full[3:14, :6])
 
 
-def test_radial_factors_skip_only_zero_bands(rng):
+def test_contract_table_skips_only_zero_bands(rng):
     grid = make_grid(8)
     coeffs = np.zeros((17, 9), dtype=np.complex128)
     for j in range(4):
@@ -181,6 +182,33 @@ def test_radial_factors_skip_only_zero_bands(rng):
     for i in range(2):
         assert np.array_equal(got[..., i], contract_table(derivative, stack[..., i]))
         assert np.array_equal(analysis[..., i], mode_coefficients(grid, 0, samples[..., i], 5))
+
+
+@pytest.mark.parametrize("band", [8, 5])
+def test_mode_synthesis_reads_its_band_from_the_coefficients(rng, monkeypatch, band):
+    # the twin of mode_coefficients: A[m + L, j, ...] at L = A.shape[1] - 1
+    # gives samples [t, ..., p]; a [..., 2] stack is its slices, bit for bit,
+    # and once warm, a call at any band puts nothing in the cache
+    grid, s = make_grid(8), -1
+    coeffs = np.stack([coefficient_set(s, band, random_entries(rng, s, band)).matrix for _ in range(2)], axis=-1)
+    got = mode_synthesis(grid, s, coeffs)
+    assert got.shape == (grid.n_theta, 2, grid.n_phi)
+    m = np.arange(-band, band + 1)[:, None]
+    table = mode_table(grid, s)[8 - band : 9 + band, : band + 1]
+    want = np.einsum("mjt,mji,mp->tip", table, coeffs, np.exp(1j * m * grid.phi))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    puts, put = [], tables._tables.put
+    monkeypatch.setattr(tables._tables, "put", lambda key, value: puts.append(key) or put(key, value))
+    for i in range(2):
+        assert mode_synthesis(grid, s, coeffs[..., i]).tobytes() == got[:, i].tobytes()
+    assert mode_synthesis(grid, s, coeffs).tobytes() == got.tobytes()
+    assert puts == []
+
+
+def test_mode_synthesis_refuses_a_band_above_the_grid_band():
+    grid = make_grid(6)
+    with pytest.raises(BandLimitExceeded, match=r"^table band limit 7 outside \[0, 6\]$"):
+        mode_synthesis(grid, 0, np.zeros((15, 8), np.complex128))
 
 
 def test_tables_are_read_only():
@@ -556,7 +584,7 @@ def test_a_band_sweep_builds_its_table_once_at_the_grid_band(monkeypatch):
     tables._tables.clear()
 
 
-def test_band_table_refuses_a_band_above_the_grid_band_and_caches_nothing():
+def test_band_operands_refuses_a_band_above_the_grid_band_and_caches_nothing():
     grid = make_grid(6)
     key = ("test-band-table", grid.geometry_key)
     built = []
@@ -583,7 +611,7 @@ def test_a_grid_past_j_max_is_served_at_j_max_from_tables_built_there(rng, monke
     want = synthesize(operators.apply_coeff(OperatorSpec("Jplus", 0), c), grid)
     assert np.abs(g.samples - want.samples).max() < 1e-8 * np.abs(want.samples).max()
     assert tops and set(tops) == {modes.J_MAX}
-    assert tables.mode_table(grid, 0, modes.J_MAX) is tables._tables.get((grid.geometry_key, 0)).table
+    assert tables.mode_operands(grid, 0, modes.J_MAX).table is tables._tables.get((grid.geometry_key, 0)).table
     tables._tables.clear()
 
 
