@@ -5,35 +5,34 @@ components in C^3 (|h|=1) or C^3 x C^3 (|h|=2), lying in the rank-one
 fiber spanned by e_h = 2^{-|h|/2}(a +- i b)^{(x)|h|} for a tangent frame
 (a, b).  This module builds those frames, embeds scalar spin-weighted
 functions as sections, and realizes the split of the rotation generator
-into a pointwise part (projected spin action) and a differential part
-(projected orbital action), together with the rotation generator they are
-checked against.  That generator, J_n = n.L (x) 1 - i n.E, acts exactly
-in coefficient space: L_z by m, L_x and L_y by the ladder shifts of
-operators.py, and the spin matrices E_a on the tensor slots; the three
-axes are synthesized once per section and cached on it, and the
-generator about any axis n is sum_a n_a J_a.
+J_n = n.L (x) 1 - i n.E into a pointwise part, the projected spin action
+J_par = -i P E, and a differential part, the projected orbital action
+J_perp = P (L (x) 1), together with the generator they are checked
+against.  P = (I - k k^T)^{(x)|h|}, k the node's direction, is the
+transverse projector.
+
+Every operator is built from two parts: the orbital samples
+(L_a (x) 1) v, a = x, y, z, exact in coefficient space (L_z by m, L_x
+and L_y by the ladder shifts of operators.py), which each section
+synthesizes once and keeps, and the spin action E_a v, pointwise.
+J_perp is P times the first, J_par -i P times the second, and the
+generator about any axis n is sum_a n_a (L_a v - i E_a v).
 
 Rank bookkeeping: the components are flattened to D = 3^|h| per node, and
 the spectral work keeps those slots last, the layout of the components
 themselves and of the transform in tables.py.  A section is analyzed
-once, by mode_coefficients, into A[m + L, j, D].  The rotation
-generators synthesize from it by mode_synthesis; J_perp contracts it with
-its cached spin-0 table [m csc(theta) p, dp/dtheta] and applies the DFT
-rows read with that table, in one cache read, as one matrix product over
-phi.  One transpose lays either [..., p] result out as samples
-grid.shape + (D, k).
-The projector (I - k k^T)^{(x)|h|}, k the node's direction, is a real D x D
-matrix per node, cached with the tables of tables.py by grid geometry and
-rank; the spin matrices of all three axes act per tensor slot, on every
-node at once, as one real GEMM of the components, read as real pairs,
-with a constant; and the orbital operator differentiates ambient
-components as ordinary scalars (spectrally) before projecting.  The
-projector is the one factor that varies per node: both projected
-operators apply it to all three axes in one real matmul per node, and
-return x, y and z as views of one axis-first array [3, t, p, D], which
-J_perp forms in place from the frame read axis first.  The standard
-frame's fiber tensor e_h, which embed, extract and rank1_residual read
-when given no frame, is cached with the tables by grid geometry and h.
+once, by mode_coefficients, into A[m + L, j, D]; its orbital samples are
+one mode_synthesis of the three ladder-shifted copies [m + L, j, D, 3].
+The spin matrices of all three axes act per tensor slot, on every node
+at once, as one real GEMM of the components, read as real pairs, with a
+constant.  Both parts are samples [t, p, D, 3].  The projector
+is a real D x D matrix per node, cached with the tables of tables.py by
+grid geometry and rank, and the one factor that varies per node: both
+projected operators apply it to all three axes in one real matmul per
+node, and return x, y and z as views of one axis-first array [3, t, p,
+D].  The standard frame's fiber tensor e_h, which embed, extract and
+rank1_residual read when given no frame, is cached with the tables by
+grid geometry and h.
 """
 
 import cmath
@@ -47,8 +46,7 @@ import numpy as np
 from .errors import DomainError, GridMismatch, UnsupportedHelicity, as_integer
 from .grid import GridFunction, SphereGrid, standard_frame
 from .operators import ladder_shift
-from .tables import (Operands, _tables, band_operands, contract_table, dft_rows, mode_coefficients, mode_synthesis,
-                     pair_matmul, phi_synthesis, spin_tables)
+from .tables import _tables, mode_coefficients, mode_synthesis, pair_matmul
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,25 +105,29 @@ class EmbeddedSection:
         return a
 
     @cached_property
-    def _rotation_generators(self):
-        """Read-only real gens[a] = the samples [t, p, D] of J_a, a = x, y, z, flattened as real pairs.
+    def _orbital(self):
+        """Read-only samples [t, p, D, 3] of (L_a (x) 1) v, a = x, y, z: the orbital generators on every component.
 
-        J_a = L_a (x) 1 - i E_a on the one analysis A[m + L, j, D]: L_z = m,
-        L_x = (L_+ + L_-)/2 and L_y = (L_+ - L_-)/2i by the ladder shifts,
-        and the spin term A (-i E_a)^T from the constant generators, one GEMM
-        over every (m, j) row.  All three axes are one coefficient array
-        [m + L, j, D, 3] and one mode_synthesis; laid out axis first, the
-        generator about n is one real product n @ gens.
+        On the one analysis A[m + L, j, D]: L_z = m, L_x = (L_+ + L_-)/2 and
+        L_y = (L_+ - L_-)/2i by the ladder shifts.  All three axes are one
+        coefficient array [m + L, j, D, 3] and one mode_synthesis.
         """
         a = self._coefficients
         L = a.shape[1] - 1
         up, down = ladder_shift(a, +1), ladder_shift(a, -1)
-        coeffs = (a.reshape(-1, a.shape[-1]) @ _SPIN_TERM[self.rank]).reshape(a.shape + (3,))
-        coeffs[..., 0] += 0.5 * (up + down)
-        coeffs[..., 1] += 0.5j * (down - up)
-        coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
-        samples = mode_synthesis(self.grid, 0, coeffs)  # [t, D, 3, p]
-        gens = np.ascontiguousarray(samples.transpose(2, 0, 3, 1)).reshape(3, -1).view(np.float64)
+        coeffs = np.stack((0.5 * (up + down), 0.5j * (down - up), np.arange(-L, L + 1)[:, None, None] * a), axis=-1)
+        orbital = np.ascontiguousarray(mode_synthesis(self.grid, 0, coeffs).transpose(0, 3, 1, 2))
+        orbital.setflags(write=False)
+        return orbital
+
+    @cached_property
+    def _rotation_generators(self):
+        """Read-only real gens[a] = the samples [t, p, D] of J_a = (L_a (x) 1) v - i E_a v, as real pairs.
+
+        Laid out axis first, so the generator about n is one real product n @ gens.
+        """
+        gens = self._orbital - 1j * _spin_action(self)
+        gens = np.ascontiguousarray(gens.transpose(3, 0, 1, 2)).reshape(3, -1).view(np.float64)
         gens.setflags(write=False)
         return gens
 
@@ -250,7 +252,19 @@ def _read_only(arrays):
 
 # E^T on real pairs, [c * 2 + r, (b * 3 + a) * 2 + r], r = re, im: v @ it is E v on every node at once
 _SPIN_PAIRS = _read_only({rank: np.kron(_spin_generators(rank), np.eye(2)) for rank in (1, 2)})
-_SPIN_TERM = _read_only({rank: -1j * _spin_generators(rank) for rank in (1, 2)})  # (-i E_a)^T
+
+
+def _spin_action(section):
+    """Fresh E_a v [t, p, D, 3], a = x, y, z: the spin matrices on every tensor slot of every node.
+
+    One real GEMM of the components, read as real pairs, with a constant.
+    Made per call, not kept on the section: it costs one small GEMM, while
+    keeping it would hold three more copies of the components on every
+    section J_par meets.
+    """
+    rank = section.rank
+    pairs = section.components.reshape(-1, 3**rank).view(np.float64)
+    return (pairs @ _SPIN_PAIRS[rank]).view(np.complex128).reshape(section.grid.shape + (3**rank, 3))
 
 
 def _axis_sections(section, out):
@@ -277,63 +291,34 @@ def _projector_of(grid, rank):
     return p
 
 
-def _orbital_table(grid, L):
-    """Fresh [k, m + L, j, t]: [m csc(theta) p_0, dp_0/dtheta] = lam [p_-1 + p_+1, p_-1 - p_+1] / 2."""
-    lower, upper = spin_tables(grid, (-1, 1), L)
-    half_lam = 0.5 * np.sqrt(np.arange(L + 1) * np.arange(1, L + 2))[:, None]  # lam = sqrt(j (j + 1))
-    return np.stack([half_lam * (lower + upper), half_lam * (lower - upper)])
-
-
-def _orbital_entry(grid, L):
-    return Operands(_orbital_table(grid, L), dft_rows(grid, L))
-
-
 def apply_projected_spin(section):
-    """J_par = -i P E_a v: spin matrices per slot, then the transverse projector P.
+    """J_par = -i P E_a v: the spin action on the section, then the transverse projector P.
 
-    All three axes at once: E v on every node in one real GEMM of the
-    components, read as real pairs, with a constant, then one real matmul
-    per node with the grid's projector.
+    All three axes at once, in one real matmul per node with the grid's projector.
     """
-    rank, shape = section.rank, section.grid.shape
-    pairs = section.components.reshape(-1, 3**rank).view(np.float64)
-    spun = (pairs @ _SPIN_PAIRS[rank]).view(np.complex128).reshape(shape + (3**rank, 3))
-    parts = pair_matmul(_projector(section.grid, rank), spun)
+    parts = pair_matmul(_projector(section.grid, section.rank), _spin_action(section))
     return _axis_sections(section, np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C"))
 
 
 def apply_projected_orbital(section):
-    """J_perp = -i (e_phi,a P d/dtheta - e_theta,a P (1/sin) d/dphi) for every axis a.
+    """J_perp = P (L_a (x) 1) v: the section's orbital generators, then the transverse projector P.
 
-    e_theta, e_phi are the coordinate frame, the only one in which this is
-    J_perp.  Components are differentiated as ordinary scalar functions on
-    the sphere, spectrally: both derivatives come from the section's one
-    analysis, contracted with J_perp's cached table, in one phi_synthesis.
-    The frame vectors are per-node scalars for P, so the two derivatives
-    are projected once, in one real matmul per node, and the three axes
-    are formed from them axis first, from the frame read with its
-    Cartesian axis leading.
+    L_a acts on every ambient component as on a scalar function, so this is
+    -i P (e_phi,a d/dtheta - e_theta,a (1/sin) d/dphi) v in the coordinate
+    frame.  All three axes at once, in one real matmul per node with the
+    grid's projector.
     """
-    grid, rank = section.grid, section.rank
-    # every ambient component at once: [..., 0] (1/sin) d/dphi, [..., 1] d/dtheta
-    a = section._coefficients  # analyzed first: it checks the band against J_MAX
-    L = a.shape[1] - 1
-    ops = band_operands(("orbital", grid.geometry_key), grid, L, _orbital_entry)
-    radial = contract_table(ops.table, a)
-    radial[0] *= 1j
-    derivs = phi_synthesis(ops.synthesis, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)  # [t, p, D, k]
-    proj = pair_matmul(_projector(grid, rank), derivs)
-    frame = standard_frame(grid)
-    out = np.multiply(proj[..., 1], frame.b_vec.transpose(2, 0, 1)[..., None], order="C")
-    out -= np.multiply(proj[..., 0], frame.a_vec.transpose(2, 0, 1)[..., None], order="C")
-    out *= -1j
-    return _axis_sections(section, out)
+    parts = pair_matmul(_projector(section.grid, section.rank), section._orbital)
+    return _axis_sections(section, np.ascontiguousarray(parts.transpose(3, 0, 1, 2)))
 
 
 def apply_J_rotation(section, axis):
     """Rotation generator J_n = n.L (x) 1 - i n.E: i d/dpsi at psi=0 of the pulled-back rotated section.
 
-    Exact for band-limited sections.  The generator is linear in the unit
+    Exact for sections whose components are band-limited at the grid's
+    band: L acts on the section's analysis, E on its samples as given, so
+    on other samples the spin term also carries the content above the
+    band that the analysis drops.  The generator is linear in the unit
     axis n, so it is sum_a n_a J_a over the section's cached x, y and z
     generators (EmbeddedSection._rotation_generators).  The axis is checked
     before anything is built.

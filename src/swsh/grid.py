@@ -202,17 +202,25 @@ def norm(f):
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
-def _gauge_angle(xi):
-    """xi as a float64 array, every entry finite, else DomainError naming xi."""
+def _gauge_angle(xi, grid):
+    """xi as a float64 array that broadcasts to the grid's shape, every entry finite.
+
+    Else GridMismatch naming both shapes, or DomainError naming xi.
+    """
     xi = np.asarray(xi, dtype=np.float64)
+    if xi.ndim > 2 or any(n not in (1, g) for n, g in zip(xi.shape[::-1], grid.shape[::-1])):
+        raise GridMismatch(f"gauge angle xi of shape {xi.shape} does not broadcast to the grid's shape {grid.shape}")
     if not np.isfinite(xi).all():
         raise DomainError("gauge angle xi must be finite")
     return xi
 
 
 def apply_gauge(f, xi):
-    """Rotate the tangent frame by angle xi; values pick up exp(i*s*xi).  A non-finite xi is refused."""
-    xi = _gauge_angle(xi)
+    """Rotate the tangent frame by angle xi; values pick up exp(i*s*xi).
+
+    xi is refused if it does not broadcast to the grid's shape or is not finite.
+    """
+    xi = _gauge_angle(xi, f.grid)
     phase = np.exp(1j * f.spin_weight * xi)
     samples = f.samples * np.broadcast_to(phase, f.samples.shape)
     tag = f.frame if f.frame.endswith("+gauge") else f.frame + "+gauge"
@@ -271,8 +279,11 @@ def _coordinate_frame(grid):
 
 
 def gauge_rotate_frame(frame, xi):
-    """Rotate (a, b) by xi about k_hat, the same sense apply_gauge assumes.  A non-finite xi is refused."""
-    xi = _gauge_angle(xi)
+    """Rotate (a, b) by xi about k_hat, the same sense apply_gauge assumes.
+
+    xi is refused if it does not broadcast to the grid's shape or is not finite.
+    """
+    xi = _gauge_angle(xi, frame.grid)
     c = np.cos(xi)[..., None] if xi.ndim else np.cos(xi)
     s = np.sin(xi)[..., None] if xi.ndim else np.sin(xi)
     a = c * frame.a_vec - s * frame.b_vec

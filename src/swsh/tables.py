@@ -23,9 +23,7 @@ T = min(grid band, J_MAX):
 - the operator tables of operators.py, by ("op", geometry_key, spin
   weight, kind), one for each of the three differential kinds J_+, J_-
   and J^2, with the DFT rows of the kind's shift (4.4 + 0.27 MB; J_z and
-  helicity scale coefficients and keep no table);
-- bundle.py J_perp's spin-0 table [m csc(theta) p, dp/dtheta], made from
-  spins +-1, by ("orbital", geometry_key), with the DFT rows (8.7 + 0.27 MB).
+  helicity scale coefficients and keep no table).
 
 The other entries are plain arrays: the transverse projectors by
 geometry_key and rank (5.4 MB at rank 2, L = 64) and the standard frame's
@@ -34,14 +32,13 @@ fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2, L = 64).
 The read rule: a transform step reads its entry once, by band_operands,
 and then runs its two products.  Over a mode entry the only such steps
 are mode_coefficients and mode_synthesis, both here: every analysis, and
-synthesize, apply_grid's J_z and helicity and bundle.py's rotation
+synthesize, apply_grid's J_z and helicity and bundle.py's orbital
 generators, go through them, and no other module calls mode_operands.
-An operator table or J_perp's entry is read, the same way, by the one
-apply_grid or J_perp step of its module.  At the entry's own band a
-step uses the entry as held, with no check; a lower band L reads the
-centered slices [..., T - L : T + L + 1, : L + 1, :] of the table and
-[T - L : T + L + 1] of the rows, and only that path and a miss check the
-band.  So one path serves every band, and a call on a warm grid builds
+An operator table is read, the same way, by the one apply_grid step of
+operators.py.  At the entry's own band a step uses the entry as held,
+with no check; a lower band L reads the centered slices
+[..., T - L : T + L + 1, : L + 1, :] of the table and [T - L : T + L + 1]
+of the rows, and only that path and a miss check the band.  So one path serves every band, and a call on a warm grid builds
 nothing.  A plain entry is read by one GridCache.cached(key, build,
 *args) call, which on a hit makes no closure.  The byte accounting is
 exact: an entry counts every array it holds at its own size, and since

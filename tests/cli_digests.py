@@ -97,21 +97,27 @@ def _digest(commands, src):
 
 
 def add_source_options(parser):
-    """The --src DIR and --rev REV options, one of which names the swsh source to run."""
+    """The --src DIR and --rev REV options, one of which names the swsh source to run; returns their group."""
     where = parser.add_mutually_exclusive_group()
     where.add_argument("--src", default=str(CHECKOUT / "src"), help="directory holding the swsh package")
     where.add_argument("--rev", help="git revision of this checkout whose src directory to run")
+    return where
+
+
+def export_src(rev, parser, tmp):
+    """The src directory of git revision rev of this checkout, exported by git archive into tmp."""
+    archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", rev, "src"], stdout=subprocess.PIPE)
+    if archive.returncode != 0:
+        parser.error(f"git archive {rev} failed")
+    subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+    return str(Path(tmp, "src"))
 
 
 def source_dir(args, parser, tmp):
-    """The src directory the options name: --src resolved, or --rev's src exported by git archive into tmp."""
+    """The src directory the options name: --src resolved, or --rev's src exported into tmp."""
     if args.rev is None:
         return str(Path(args.src).resolve())
-    archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", args.rev, "src"], stdout=subprocess.PIPE)
-    if archive.returncode != 0:
-        parser.error(f"git archive {args.rev} failed")
-    subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-    return str(Path(tmp, "src"))
+    return export_src(args.rev, parser, tmp)
 
 
 def main():

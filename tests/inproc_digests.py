@@ -1,6 +1,6 @@
 """Print one sha256 per in-process swsh case, to compare two checkouts' outputs byte for byte.
 
-    python tests/inproc_digests.py [--src DIR | --rev REV]
+    python tests/inproc_digests.py [--src DIR | --rev REV | --diff REV]
 
 All cases run in one process that imports swsh from DIR (default: the
 src directory next to this file; with --rev, git revision REV's src,
@@ -8,8 +8,13 @@ exported as cli_digests.py exports it), in a fixed order, on inputs drawn from
 one seeded generator, so two checkouts see the same inputs and the same
 cache history.  A case's digest covers the bytes of every array it
 returns.  Run it against two checkouts and diff the output: equal lines
-mean byte-identical results on that case.  pytest does not collect this
-file, since its name does not start with test_.
+mean byte-identical results on that case.  With --diff REV, one process
+runs every case on REV's src and then on the src next to this file, and
+prints, for each case whose bytes differ, the largest difference over
+its arrays relative to their largest value, then the count of
+byte-identical cases: the rounding bound of a change against its parent
+is `--diff HEAD~1` (or `--diff HEAD` before committing).  pytest does not
+collect this file, since its name does not start with test_.
 
 The cases: synthesize, analyze and apply_grid of every operator kind, at
 the grid's band and a lower one, in either order, for spin weights 0,
@@ -31,12 +36,14 @@ and back up, and one set synthesized at every band.
 
 import argparse
 import hashlib
+import importlib
+import math
 import sys
 import tempfile
 
 import numpy as np
 
-from cli_digests import add_source_options, source_dir
+from cli_digests import add_source_options, export_src, source_dir
 
 BAND, LOW = 12, 7
 SPINS = (0, 1, -1, 2, -2)
@@ -146,21 +153,60 @@ def _band_sweep_cases(swsh, rng):
             yield f"s={s} synthesize at L={band}", [g.samples]
 
 
+def _load(src):
+    """The swsh package imported from src, after dropping any swsh module imported before."""
+    for name in [name for name in sys.modules if name == "swsh" or name.startswith("swsh.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        swsh = importlib.import_module("swsh")
+        importlib.import_module("swsh.operators")  # KINDS
+        importlib.import_module("swsh.tables")  # mode_table
+    finally:
+        sys.path.remove(src)
+    return swsh
+
+
+def _cases(src):
+    """(name, arrays) of every case, in order, on swsh from src and one generator seeded the same every run."""
+    swsh, rng = _load(src), np.random.default_rng(11)
+    for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases,
+                  _envelope_cases, _band_sweep_cases):
+        yield from cases(swsh, rng)
+
+
+def _relative_difference(old, new):
+    """Largest |old - new| over a case's arrays, relative to the largest |new|; inf if the shapes differ."""
+    if [a.shape for a in old] != [b.shape for b in new]:
+        return math.inf
+    diff = max(float(np.abs(a - b).max(initial=0.0)) for a, b in zip(old, new))
+    scale = max(float(np.abs(b).max(initial=0.0)) for b in new)
+    return diff / scale if scale else diff
+
+
+def _diff(old_src, new_src):
+    """Print, for each case whose bytes differ, its largest difference relative to its largest value."""
+    old = dict(_cases(old_src))
+    same = 0
+    for name, arrays in _cases(new_src):
+        if _digest(old[name]) == _digest(arrays):
+            same += 1
+        else:
+            print(f"{_relative_difference(old[name], arrays):.1e}  {name}", flush=True)
+    print(f"{same} of {len(old)} cases byte-identical")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_source_options(parser)
+    add_source_options(parser).add_argument(
+        "--diff", metavar="REV", help="compare git revision REV's src with the src next to this file, case by case")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, source_dir(args, parser, tmp))
-        import swsh
-        import swsh.operators  # noqa: F401 (KINDS)
-        import swsh.tables  # noqa: F401 (mode_table)
-
-        rng = np.random.default_rng(11)
-        for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases,
-                      _envelope_cases, _band_sweep_cases):
-            for name, arrays in cases(swsh, rng):
-                print(f"{_digest(arrays)}  {name}", flush=True)
+        if args.diff is not None:
+            _diff(export_src(args.diff, parser, tmp), args.src)
+            return 0
+        for name, arrays in _cases(source_dir(args, parser, tmp)):
+            print(f"{_digest(arrays)}  {name}", flush=True)
     return 0
 
 

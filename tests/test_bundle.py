@@ -2,6 +2,7 @@
 split, the rotation generator they sum to, checked against a stencil over
 rotated copies, and the nonstandard commutator table."""
 
+import functools
 import math
 
 import numpy as np
@@ -39,8 +40,7 @@ from swsh.grid import (
 )
 from swsh.modes import NORTH, SWMode
 from swsh.operators import OperatorSpec, apply_coeff, ladder_coefficient, ladder_shift
-from swsh.tables import (_tables, band_operands, contract_table, dft_rows, mode_coefficients, mode_table, pair_matmul,
-                         phi_synthesis)
+from swsh.tables import _tables, contract_table, dft_rows, mode_coefficients, mode_table, pair_matmul, phi_synthesis
 from swsh.transform import coefficient_set, synthesize
 
 import horner_reference as horner
@@ -405,13 +405,18 @@ def _spin_per_axis(section, frame):
     return out
 
 
+@functools.lru_cache(maxsize=4)
 def _horner_dtheta_table(grid):
-    """d/dtheta p_{0jm}(theta_t) [m + L, j, t] by the Horner reference, L the grid's band, zero for |m| > j."""
+    """Read-only d/dtheta p_{0jm}(theta_t) [m + L, j, t] by the Horner reference, L the grid's band, zero for |m| > j.
+
+    Kept per grid: at band 24 one table takes about 0.2 s.
+    """
     L = grid.band_limit
     table = np.zeros((2 * L + 1, L + 1, grid.n_theta))
     for j in range(L + 1):
         for m in range(-j, j + 1):
             table[m + L, j] = horner.profile(0, j, m, grid.theta, order=1)
+    table.setflags(write=False)
     return table
 
 
@@ -449,14 +454,17 @@ def _assert_axes_match(result, want):
 
 @pytest.mark.parametrize("h", [1, 2, -1, -2])
 def test_batched_axes_match_the_per_axis_formulas(rng, h):
-    # random components, not transverse and not in the fiber
-    grid = make_grid(9)
-    frame = standard_frame(grid)
-    shape = grid.shape + (3,) * abs(h)
-    comps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for sec in (EmbeddedSection(grid, h, comps), random_section(rng, grid, abs(h), 4)):
-        _assert_axes_match(apply_projected_spin(sec), _spin_per_axis(sec, frame))
-        _assert_axes_match(apply_projected_orbital(sec), _orbital_per_axis(sec, frame))
+    # random components, not transverse and not in the fiber; the coordinate-
+    # frame form is J_perp's independent reference, so two helicities also
+    # meet it at a larger band
+    for L in (9, 24) if h in (1, -2) else (9,):
+        grid = make_grid(L)
+        frame = standard_frame(grid)
+        shape = grid.shape + (3,) * abs(h)
+        comps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for sec in (EmbeddedSection(grid, h, comps), random_section(rng, grid, abs(h), L - 5)):
+            _assert_axes_match(apply_projected_spin(sec), _spin_per_axis(sec, frame))
+            _assert_axes_match(apply_projected_orbital(sec), _orbital_per_axis(sec, frame))
 
 
 def _per_node_spin_generators(rank):
@@ -478,38 +486,35 @@ def _per_node_spin(section):
     return np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
 
 
-def _per_node_orbital(section):
-    """J_perp by per-node products: the frame combined over a trailing size-3 axis, then -i on a transposing copy."""
-    grid, rank = section.grid, section.rank
-    a = section._coefficients
-    L = a.shape[1] - 1
-    ops = band_operands(("orbital", grid.geometry_key), grid, L, bundle._orbital_entry)
-    radial = contract_table(ops.table, a)
-    radial[0] *= 1j
-    derivs = phi_synthesis(ops.synthesis, radial.swapaxes(0, 1)).transpose(1, 3, 2, 0)
-    proj = pair_matmul(bundle._projector(grid, rank), derivs)
-    frame = standard_frame(grid)
-    parts = proj[..., 1:] * frame.b_vec[..., None, :] - proj[..., :1] * frame.a_vec[..., None, :]
-    return np.multiply(parts.transpose(3, 0, 1, 2), -1j, order="C")
-
-
-def _per_node_rotation_generators(section):
-    """The x, y, z generators [3, t, p, D] with the spin term one GEMM per m, as real pairs [3, -1]."""
+def _orbital_samples(section):
+    """(L_a (x) 1) v [t, p, D, 3] for a = x, y, z: the ladder-shifted analysis synthesized, as it was built."""
     a = section._coefficients
     L = a.shape[1] - 1
     up, down = ladder_shift(a, +1), ladder_shift(a, -1)
-    coeffs = (a @ (-1j * _per_node_spin_generators(section.rank).T)).reshape(a.shape + (3,))
-    coeffs[..., 0] += 0.5 * (up + down)
-    coeffs[..., 1] += 0.5j * (down - up)
-    coeffs[..., 2] += np.arange(-L, L + 1)[:, None, None] * a
+    coeffs = np.stack((0.5 * (up + down), 0.5j * (down - up), np.arange(-L, L + 1)[:, None, None] * a), axis=-1)
     samples = phi_synthesis(dft_rows(section.grid, L), contract_table(mode_table(section.grid, 0), coeffs))
-    return np.ascontiguousarray(samples.transpose(2, 0, 3, 1)).reshape(3, -1).view(np.float64)
+    return np.ascontiguousarray(samples.transpose(0, 3, 1, 2))
+
+
+def _per_node_orbital(section):
+    """J_perp by per-node products: P times the orbital samples, then a transposing copy."""
+    parts = pair_matmul(bundle._projector(section.grid, section.rank), _orbital_samples(section))
+    return np.ascontiguousarray(parts.transpose(3, 0, 1, 2))
+
+
+def _per_node_rotation_generators(section):
+    """The x, y, z generators [3, t, p, D], the orbital samples less i times E v per node, as real pairs [3, -1]."""
+    rank, shape = section.rank, section.grid.shape
+    v = section.components.reshape(shape + (3**rank, 1))
+    spun = pair_matmul(_per_node_spin_generators(rank), v).reshape(shape + (3**rank, 3))
+    gens = _orbital_samples(section) - 1j * spun
+    return np.ascontiguousarray(gens.transpose(3, 0, 1, 2)).reshape(3, -1).view(np.float64)
 
 
 @pytest.mark.parametrize("h", [1, -1, 2, -2])
 def test_node_wide_products_match_the_per_node_products_bit_for_bit(rng, h):
-    # one GEMM over every node (spin matrices, spin term) and axes formed
-    # in place give the bytes of the per-node and transposing forms
+    # one GEMM over every node (spin matrices) and the projector applied to
+    # all three axes at once give the bytes of the per-node and transposing forms
     grid = make_grid(9)
     shape = grid.shape + (3,) * abs(h)
     fiber = random_section(rng, grid, h, 4)
@@ -528,13 +533,13 @@ def test_node_wide_products_match_the_per_node_products_bit_for_bit(rng, h):
 
 
 def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
-    # the operators need no table but the grid's mode table, J_perp's table
-    # and its projector, and after one warm call they find these already
-    # built; a section synthesizes its rotation generators once, for every
-    # axis, and keeps them
+    # the operators need no table but the grid's spin-0 mode table and its
+    # projector, and after one warm call they find these already built; a
+    # section synthesizes its orbital generators once, for J_perp and every
+    # axis of the rotation generator, and keeps them
     grid = make_grid(11)
     axes = (X_AXIS, (0.6, 0.0, 0.8), Z_AXIS)
-    real_put, real_synthesis = _tables.put, bundle.phi_synthesis
+    real_put, real_synthesis = _tables.put, tables.phi_synthesis
     for h in (1, 2):
         warm = random_section(rng, grid, h, 4)
         puts = []
@@ -543,25 +548,21 @@ def test_repeat_operator_calls_rebuild_nothing(rng, monkeypatch):
         apply_projected_orbital(warm)
         apply_J_rotation(warm, axes[1])
         key = grid.geometry_key
-        assert set(puts) <= {(key, 0), ("orbital", key), ("projector", key, h)}
+        assert set(puts) <= {(key, 0), ("projector", key, h)}
         projector = bundle._projector(grid, h)
         sec = random_section(rng, grid, h, 4)
         puts.clear()
         synths = []
         counted = lambda *a, **k: synths.append(1) or real_synthesis(*a, **k)  # noqa: E731
-        # J_perp's synthesis in bundle.py, the generators' by tables.mode_synthesis
-        monkeypatch.setattr(bundle, "phi_synthesis", counted)
         monkeypatch.setattr(tables, "phi_synthesis", counted)
         apply_projected_spin(sec)
         apply_projected_orbital(sec)
         gens = [apply_J_rotation(sec, axis) for axis in axes + axes]
         monkeypatch.undo()
         assert puts == []
-        assert len(synths) == 2  # J_perp's and the three generators'
+        assert len(synths) == 1  # the orbital generators', shared by J_perp and every axis
         assert all(np.array_equal(g.components, again.components) for g, again in zip(gens, gens[3:]))
         assert bundle._projector(grid, h) is projector
-    # J_perp's synthesis applies the rows its own entry holds, at the grid's band
-    assert _tables.get(("orbital", key)).synthesis.tobytes() == dft_rows(grid, grid.band_limit).tobytes()
 
 
 @pytest.mark.parametrize("h", [1, -1, 2, -2])

@@ -299,6 +299,29 @@ def test_gauge_refuses_a_non_finite_angle(bad, whole):
         gauge_rotate_frame(standard_frame(grid), xi)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 5, 9), (5, 9, 1)])
+def test_gauge_refuses_an_angle_that_does_not_broadcast_to_the_grid(shape):
+    # refused by name, with both shapes, before anything is computed
+    grid = make_grid(4)
+    f = sample_swsh(grid, SWMode(-1, 2, 1))
+    message = rf"^gauge angle xi of shape \({', '.join(map(str, shape))},?\) does not broadcast to the grid's shape \(5, 9\)$"
+    with pytest.raises(GridMismatch, match=message):
+        apply_gauge(f, np.zeros(shape))
+    with pytest.raises(GridMismatch, match=message):
+        gauge_rotate_frame(standard_frame(grid), np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(), (5, 1), (5, 9)])
+def test_gauge_takes_an_angle_that_broadcasts_to_the_grid(shape):
+    grid = make_grid(4)
+    f = sample_swsh(grid, SWMode(-1, 2, 1))
+    xi = np.full(shape, 0.5)
+    want = np.broadcast_to(xi, grid.shape)
+    assert np.array_equal(apply_gauge(f, xi).samples, apply_gauge(f, want).samples)
+    frame = standard_frame(grid)
+    assert np.array_equal(gauge_rotate_frame(frame, xi).a_vec, gauge_rotate_frame(frame, want).a_vec)
+
+
 # -------------------------------------------------------------------- frames
 
 def test_standard_frame_orthonormal_everywhere():

@@ -361,7 +361,7 @@ def test_a_warm_transform_step_reads_the_cache_once(rng, monkeypatch, band):
                     (key, -2), (key, -2), ("op", key, -2, "Jminus"), (key, -2)]
 
 
-def test_the_cache_holds_five_kinds_of_entry_and_counts_its_bytes_exactly(rng):
+def test_the_cache_holds_four_kinds_of_entry_and_counts_its_bytes_exactly(rng):
     # after one op of the transform-reuse benchmark's shape and one of
     # bundle-lemma's (|h| = 1 at band 5), every held array owns its memory,
     # so the byte count is the memory the cache holds
@@ -379,10 +379,14 @@ def test_the_cache_holds_five_kinds_of_entry_and_counts_its_bytes_exactly(rng):
         apply_J_rotation(sec, axis)
     items = tables._tables._items
     kinds = {"mode" if isinstance(key[0], tuple) else key[0] for key in items}
-    assert kinds == {"mode", "op", "orbital", "projector", "fiber"}
+    assert kinds == {"mode", "op", "projector", "fiber"}
     held = [a for value in items.values() for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
     assert not [(i, k) for (i, a), (k, b) in itertools.combinations(enumerate(held), 2) if np.shares_memory(a, b)]
     assert tables._tables.nbytes == sum(a.nbytes for a in held)
+    # mode entries of spins 0 and -2 at band 12 (54008 B each) and of spins
+    # -1 and 0 at band 10 (34616 B each), two operator entries at band 12
+    # (43800 B each), the rank-1 projector (16632 B) and the h = 1 fiber (11088 B)
+    assert tables._tables.nbytes == 2 * 54008 + 2 * 34616 + 2 * 43800 + 16632 + 11088
     tables._tables.clear()
 
 
