@@ -333,6 +333,22 @@ def apply_J_rotation(section, axis):
     return EmbeddedSection._wrap(section.grid, section.helicity, generator.reshape(section.components.shape))
 
 
+def _spin_and_orbital(sections):
+    """J_par and J_perp of each section, each read through a fresh section that nothing keeps.
+
+    J_perp caches the analysis and the orbital samples on the section it
+    reads; here they die with the fresh section once both products are
+    taken, so a report holds the components of its intermediate sections
+    and nothing more.
+    """
+    spin, orbital = [], []
+    for sec in sections:
+        fresh = EmbeddedSection._wrap(sec.grid, sec.helicity, sec.components)
+        spin.append(apply_projected_spin(fresh))
+        orbital.append(apply_projected_orbital(fresh))
+    return spin, orbital
+
+
 def commutator_report(h, test_sections, floor=0.1):
     """Residuals of the nonstandard commutators over a batch of sections.
 
@@ -359,12 +375,9 @@ def commutator_report(h, test_sections, floor=0.1):
         nrm = section_norm(section)
         if nrm == 0.0:
             continue
-        par = apply_projected_spin(section)
-        perp = apply_projected_orbital(section)
-        par_of_perp = [apply_projected_spin(perp[i]) for i in range(3)]
-        perp_of_par = [apply_projected_orbital(par[i]) for i in range(3)]
-        perp_of_perp = [apply_projected_orbital(perp[i]) for i in range(3)]
-        par_of_par = [apply_projected_spin(par[i]) for i in range(3)]
+        (par,), (perp,) = _spin_and_orbital([section])
+        par_of_par, perp_of_par = _spin_and_orbital(par)
+        par_of_perp, perp_of_perp = _spin_and_orbital(perp)
 
         def rel(x):
             return _comp_norm(section.grid, x, section.rank) / nrm

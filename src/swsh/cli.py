@@ -190,22 +190,24 @@ def _suite_ortho(args):
 
 
 def _suite_ladder(args):
-    """J_+-, J^2 tables on every mode up to jMax, then each kind's apply_grid once, against the known actions.
+    """The exact J_+-, J^2 actions on every mode up to jMax against their differential expressions, then each kind's apply_grid.
 
-    Each table row, a kind's action on p_{sjm} exp(i m phi), is compared
-    with the known action on the mode table; |exp(i m phi)| = 1, so the
-    residuals are in sample units.  Each kind's apply_grid, on one function
-    holding every mode at amplitude exp(i (j + 2m)), is compared with
-    synthesize of apply_coeff, relative to the reference's largest sample
-    (absolute where the reference is zero, as helicity's at s = 0), which
-    keeps the analysis and the ladders' phi shift under test.
+    The reference tables, each kind's differential expression on p_{sjm}
+    exp(i m phi) (operators._differential_table, which never reads the
+    ladder weights), are compared with the ladder shifts and j(j + 1) of
+    the mode table; |exp(i m phi)| = 1, so the residuals are in sample
+    units.  Each kind's apply_grid, on one function holding every mode at
+    amplitude exp(i (j + 2m)), is compared with synthesize of apply_coeff,
+    relative to the reference's largest sample (absolute where the
+    reference is zero, as helicity's at s = 0), which keeps the analysis
+    under test.
     """
     import cmath
 
     import numpy as np
 
     from .grid import make_grid
-    from .operators import KINDS, OperatorSpec, _operator_operands, apply_coeff, apply_grid, ladder_shift
+    from .operators import KINDS, OperatorSpec, _differential_table, apply_coeff, apply_grid, ladder_shift
     from .tables import mode_table
     from .transform import coefficient_set, synthesize
 
@@ -215,7 +217,7 @@ def _suite_ladder(args):
     grid = make_grid(j_top)
     p, j = mode_table(grid, s), np.arange(j_top + 1)[:, None]
     known = {"Jplus": ladder_shift(p, -1), "Jminus": ladder_shift(p, +1), "Jsquared": j * (j + 1) * p}
-    worst = max(float(np.abs(_operator_operands(grid, s, kind, j_top).table - want).max())
+    worst = max(float(np.abs(_differential_table(grid, s, kind, j_top) - want).max())
                 for kind, want in known.items())
     c = coefficient_set(s, j_top, {(j, m): cmath.exp(1j * (j + 2 * m))
                                    for j in range(abs(s), j_top + 1) for m in range(-j, j + 1)})

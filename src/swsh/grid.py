@@ -25,7 +25,7 @@ from .errors import (
     as_integer,
     pole_name,
 )
-from .modes import NODES_MAX, SWMode, profile
+from .modes import NODES_MAX, as_mode, profile
 from .serial import fmt17
 
 
@@ -176,8 +176,7 @@ class GridFunction:
 
 def sample_swsh(grid, mode):
     """Evaluate one basis mode on every grid node, from its profile at the grid's colatitudes."""
-    if not isinstance(mode, SWMode):
-        mode = SWMode(*mode)
+    mode = as_mode(mode)
     if mode.j > grid.band_limit:
         raise BandLimitExceeded(
             f"mode j={mode.j} exceeds grid band limit {grid.band_limit}"

@@ -59,6 +59,17 @@ def check_j_supported(value, what):
         raise InvalidMode(f"{what} exceeds the supported maximum j = {J_MAX}")
 
 
+def as_mode(mode):
+    """The SWMode itself, or SWMode(s, j, m) of an (s, j, m) triple; InvalidMode for a bad triple or anything else."""
+    if isinstance(mode, SWMode):
+        return mode
+    try:
+        s, j, m = mode
+    except (TypeError, ValueError):
+        raise InvalidMode(f"expected an SWMode or an (s, j, m) triple, got {mode!r}") from None
+    return SWMode(s, j, m)
+
+
 def validate_mode(s, j, m):
     """Raise InvalidMode unless (s, j, m) is an admissible mode with j <= J_MAX."""
     for name, val in (("s", s), ("j", j), ("m", m)):
@@ -182,6 +193,7 @@ def _check_interior(theta):
 
 
 def _evaluate(mode, theta, phi, order):
+    mode = as_mode(mode)
     theta = _check_interior(theta)
     phi = np.asarray(phi, dtype=np.float64)
     if not np.isfinite(phi).all():
@@ -198,7 +210,7 @@ def eval_swsh(mode, theta, phi):
 
     Arguments
     ---------
-    mode : SWMode
+    mode : SWMode or (s, j, m) triple
     theta : float or array, radians in (0, pi)
     phi : float or array, finite radians
 
@@ -222,6 +234,7 @@ def eval_swsh_pole_limit(mode, pole):
     the values are +-sqrt((2j+1)/4pi) with sign (-1)^|s| (north) and
     (-1)^j (south).
     """
+    mode = as_mode(mode)
     amp = math.sqrt((2 * mode.j + 1) / (4.0 * math.pi))
     if pole_name(pole) == NORTH:
         if mode.m != -mode.s:

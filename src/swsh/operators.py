@@ -1,18 +1,16 @@
-"""Angular-momentum operators for helicity eigenstates, two ways.
+"""Angular-momentum operators for helicity eigenstates.
 
-Coefficient space: the exact diagonal and ladder actions as scalings of the
-dense coefficient matrix (apply_coeff).
-Grid space: the actual differential expressions (apply_grid).  J_z, which
-is -i d/dphi, and helicity act on each component p_{sjm}(theta) exp(i m phi)
-by m and h, so they scale the analysis coefficients, which
-tables.mode_synthesis then synthesizes.  J_+, J_- and J^2 each
-have a table per grid geometry, spin weight and kind, their action on every
-such component, formed once by the differential expression from the
-profiles of spins s - 1 .. s + 1 (s +- 2 for J^2) and their theta-derivatives
-by the spin-raising relation, and kept in the same byte-bounded cache; an
-application is then one contraction with the analysis coefficients and one
-DFT matrix product over phi.  The tables never read the known ladder action
-in m (_LADDER), since `swsh verify ladder` checks them against it.
+Each kind's exact action on the dense coefficient matrix A[m + L, j] is
+defined once, by _action: J_z scales row m by m, J_+ and J_- shift every
+row m to m +- 1 with the ladder weights (ladder_shift), J^2 scales column
+j by j(j + 1), and helicity scales everything by h.  apply_coeff is that
+action on a coefficient set; apply_grid is that action on the analysis of
+grid samples, synthesized by tables.mode_synthesis.  The differential
+expressions of J_+, J_- and J^2, formed by _differential_table from the
+profiles of spins s - 1 .. s + 1 (s +- 2 for J^2) and their
+theta-derivatives by the spin-raising relation, are the independent
+reference: they never read the known ladder action in m (_LADDER), and
+`swsh verify ladder` checks the exact actions against them on every mode.
 
 The operator parameter h is always bound to the function's spin weight
 as h = -s at call time, so mixed-convention application cannot happen.
@@ -26,11 +24,10 @@ import numpy as np
 from .errors import SpinWeightMismatch, as_integer
 from .grid import GridFunction
 from .modes import J_MAX, _dtheta
-from .tables import Operands, band_operands, contract_table, dft_rows, mode_synthesis, phi_synthesis, spin_tables
+from .tables import mode_synthesis, spin_tables
 from .transform import CoefficientSet, _clip, analysis_matrix
 
 KINDS = ("Jz", "Jplus", "Jminus", "Jsquared", "Helicity")
-_SHIFTS = {"Jplus": +1, "Jminus": -1}  # the azimuthal order each kind adds; 0 for the rest
 
 
 def _ladder_weights():
@@ -96,62 +93,44 @@ def _check_spin(op, spin_weight):
         )
 
 
-def apply_coeff(op, c):
-    """Exact action of the operator on mode coefficients.
+def _action(kind, s, a):
+    """The exact action of the kind on coefficients A[m + L, j] of spin weight s, as a fresh matrix.
 
-    Each kind scales the dense matrix A[m + L, j]: J_z, J^2 and helicity
-    entrywise, the ladders after shifting every row m to m +- 1.
+    J_z scales row m by m, J_+ and J_- shift every row m to m +- 1 by
+    ladder_shift, J^2 scales column j by j(j + 1), and helicity scales
+    everything by h = -s.
     """
-    _check_spin(op, c.spin_weight)
-    a = c.matrix
     L = a.shape[1] - 1
-    j = np.arange(L + 1)
-    m = np.arange(-L, L + 1)[:, None]
-    if op.kind == "Jz":
-        out = m * a
-    elif op.kind in ("Jplus", "Jminus"):
-        out = ladder_shift(a, +1 if op.kind == "Jplus" else -1)
-    elif op.kind == "Jsquared":
-        out = j * (j + 1) * a
-    else:  # Helicity
-        out = -c.spin_weight * a
+    if kind == "Jz":
+        return np.arange(-L, L + 1)[:, None] * a
+    if kind in ("Jplus", "Jminus"):
+        return ladder_shift(a, +1 if kind == "Jplus" else -1)
+    if kind == "Jsquared":
+        j = np.arange(L + 1)
+        return j * (j + 1) * a
+    return -s * a
+
+
+def apply_coeff(op, c):
+    """Exact action of the operator on mode coefficients: _action on the dense matrix."""
+    _check_spin(op, c.spin_weight)
+    out = _action(op.kind, c.spin_weight, c.matrix)
     return CoefficientSet._wrap(c.spin_weight, c.band_limit, _clip(out))
 
 
 def apply_grid(op, f, band_limit=None):
-    """Differential action of the operator on grid samples.
+    """Action of the operator on grid samples, through their analysis.
 
     The function is resolved into modes, sum_j c_jm p_jm(theta) exp(i m phi)
-    for each m.  J_z and helicity scale the coefficients by m and h and
-    synthesize them by mode_synthesis; the other kinds sum the operator's
-    table, its differential expression applied to every profile, against
-    them.
+    for each m, at band_limit (default the grid's); the kind's exact action
+    on those coefficients is synthesized by mode_synthesis.  On samples
+    band-limited there this is the differential action, which `swsh verify
+    ladder` checks against _differential_table.
     """
     _check_spin(op, f.spin_weight)
-    coeffs = analysis_matrix(f, band_limit=band_limit)
-    grid, s, L = f.grid, f.spin_weight, coeffs.shape[1] - 1
-    if op.kind in ("Jz", "Helicity"):
-        samples = mode_synthesis(grid, s, (np.arange(-L, L + 1)[:, None] if op.kind == "Jz" else -s) * coeffs)
-    else:
-        ops = _operator_operands(grid, s, op.kind, L)
-        samples = phi_synthesis(ops.synthesis, contract_table(ops.table, coeffs))
-    return GridFunction._wrap(grid, s, samples, frame=f.frame)
-
-
-def _operator_operands(grid, s, kind, band_limit):
-    """Operands of J_+, J_- or J^2: the read-only [m + L, j, t] table of its action on p_{sjm}(theta_t) exp(i m phi).
-
-    L is band_limit.  Row m + L is the theta factor of the result, whose
-    azimuthal factor is exp(i (m +- 1) phi) for the ladders and exp(i m phi)
-    for J^2, and the synthesis rows are the DFT rows of those frequencies.
-    Cached under ("op", grid geometry, s, kind), built at the grid's band
-    and sliced to L by band_operands, as mode tables are.
-    """
-    return band_operands(("op", grid.geometry_key, s, kind), grid, band_limit, _operator_entry, s, kind)
-
-
-def _operator_entry(grid, s, kind, top):
-    return Operands(_differential_table(grid, s, kind, top), dft_rows(grid, top, _SHIFTS.get(kind, 0)))
+    s = f.spin_weight
+    samples = mode_synthesis(f.grid, s, _action(op.kind, s, analysis_matrix(f, band_limit=band_limit)))
+    return GridFunction._wrap(f.grid, s, samples, frame=f.frame)
 
 
 def _differential_table(grid, s, kind, L):

@@ -10,42 +10,37 @@ mode_operands caches one spin, and mode_table is its table.  mode_samples
 samples every mode (s, j, m) of one m on the grid from row m.
 
 One byte-bounded LRU, the GridCache _tables and the library's only
-module-level cache of derived arrays, holds two sorts of entry.  Each table
-indexed by band is held, together with the azimuthal rows that its
-transform step applies, as one read-only Operands entry built at band
-T = min(grid band, J_MAX):
+module-level cache of derived arrays, holds two sorts of entry.  The mode
+table of a spin is held, together with the azimuthal rows that its
+transform steps apply, as one read-only Operands entry built at band
+T = min(grid band, J_MAX), by the grid's geometry_key (L, n_theta,
+n_phi) and spin weight: the table, the DFT rows |f| <= T, those rows
+reversed and weighted by dphi for the analysis, and the colatitude
+weights as a complex column (4.4 MB of table, 2 x 0.27 MB of rows and
+1 KB of weights at L = 64).  No grid operator holds a table of its own:
+each scales or ladder-shifts the analysis coefficients and synthesizes
+them by mode_synthesis.  The other entries are plain arrays: the
+transverse projectors by geometry_key and rank (5.4 MB at rank 2,
+L = 64) and the standard frame's fiber tensor e_h by geometry_key and
+helicity (1.2 MB at |h| = 2, L = 64).
 
-- the mode table of a spin, by the grid's geometry_key (L, n_theta, n_phi)
-  and spin weight, with the DFT rows |f| <= T, those rows reversed and
-  weighted by dphi for the analysis, and the colatitude weights as a
-  complex column (4.4 MB of table, 2 x 0.27 MB of rows and 1 KB of
-  weights at L = 64);
-- the operator tables of operators.py, by ("op", geometry_key, spin
-  weight, kind), one for each of the three differential kinds J_+, J_-
-  and J^2, with the DFT rows of the kind's shift (4.4 + 0.27 MB; J_z and
-  helicity scale coefficients and keep no table).
-
-The other entries are plain arrays: the transverse projectors by
-geometry_key and rank (5.4 MB at rank 2, L = 64) and the standard frame's
-fiber tensor e_h by geometry_key and helicity (1.2 MB at |h| = 2, L = 64).
-
-The read rule: a transform step reads its entry once, by band_operands,
-and then runs its two products.  Over a mode entry the only such steps
-are mode_coefficients and mode_synthesis, both here: every analysis, and
-synthesize, apply_grid's J_z and helicity and bundle.py's orbital
-generators, go through them, and no other module calls mode_operands.
-An operator table is read, the same way, by the one apply_grid step of
-operators.py.  At the entry's own band a step uses the entry as held,
-with no check; a lower band L reads the centered slices
-[..., T - L : T + L + 1, : L + 1, :] of the table and [T - L : T + L + 1]
-of the rows, and only that path and a miss check the band.  So one path serves every band, and a call on a warm grid builds
-nothing.  A plain entry is read by one GridCache.cached(key, build,
-*args) call, which on a hit makes no closure.  The byte accounting is
-exact: an entry counts every array it holds at its own size, and since
-no held array views another, the count is the memory held.  The one other
-module-level cache holds no array: transform.py's label index
-{(j, m): flat cell} per |s| and band, a functools.lru_cache of at most 8
-dicts, each about 0.55 MiB and built in about 1 ms at L = 64.
+The read rule: a transform step reads its mode entry once, by
+mode_operands, and then runs its two products.  The only such steps are
+mode_coefficients and mode_synthesis, both here: every analysis, and
+synthesize, every kind of apply_grid and bundle.py's orbital generators,
+go through them, and no other module calls mode_operands.  At the
+entry's own band a step uses the entry as held, with no check; a lower
+band L reads the centered slices [T - L : T + L + 1, : L + 1] of the
+table and [T - L : T + L + 1] of the rows, and only that path and a miss
+check the band.  So one path serves every band, and a call on a warm
+grid builds nothing.  A plain entry is read by one GridCache.cached(key,
+build, *args) call, which on a hit makes no closure.  The byte
+accounting is exact: an entry counts every array it holds at its own
+size, and since no held array views another, the count is the memory
+held.  The one other module-level cache holds no array: transform.py's
+label index {(j, m): flat cell} per |s| and band, a functools.lru_cache
+of at most 8 dicts, each about 0.55 MiB and built in about 1 ms at
+L = 64.
 
 The spherical transform lives here, in one layout: the frequency axis
 leads and component axes trail (A[m + L, j, ...], samples [t, p, ...],
@@ -57,17 +52,16 @@ not contiguous.
 The azimuthal transform is a DFT matrix product: W[f, p] = exp(2 pi i (f p
 mod n) / n) over the n = n_phi azimuths, uniform from phi = 0 on every
 grid, built from exact integer angles.  phi_synthesis applies the rows
-f = -L + shift .. L + shift of W that dft_rows builds, for the band and
-ladder shift asked for, and phi_analysis the rows |f| <= L reversed and
-weighted by dphi; each entry above builds its own rows at its band.  Each
-applies its rows in one GEMM per call, which at these small n costs less
-than an FFT's fixed cost and keeps each transform O(L^3), like its
+|f| <= L of W that dft_rows builds, and phi_analysis those rows reversed
+and weighted by dphi; each mode entry builds its own rows at its band.
+Each applies its rows in one GEMM per call, which at these small n costs
+less than an FFT's fixed cost and keeps each transform O(L^3), like its
 colatitude step.
 """
 
 import threading
 from collections import OrderedDict
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,64 +133,34 @@ _tables = GridCache(TABLE_CACHE_BYTES)
 
 
 class Operands(NamedTuple):
-    """What one transform step applies at band L: a table and its azimuthal rows.
+    """A spin's mode entry at band L: its table and the rows and weights its two transform steps apply.
 
-    table is [..., m + L, j, t]; synthesis the rows [m + L, p] that
-    phi_synthesis applies after contracting it, the entry's own.  A mode
-    table's operands also serve its analysis: analysis, the rows that
-    phi_analysis applies, synthesis's rows reversed and weighted by dphi,
-    and weights, the colatitude weights as a complex column [t, 1],
-    w + 0j, the value numpy multiplies complex rings by, so the weighting
-    casts nothing.
+    table is [m + L, j, t]; synthesis the rows [m + L, p] that
+    phi_synthesis applies after contracting it; analysis the rows that
+    phi_analysis applies, synthesis's reversed and weighted by dphi; and
+    weights the colatitude weights as a complex column [t, 1], w + 0j,
+    the value numpy multiplies complex rings by, so the weighting casts
+    nothing.
     """
 
     table: np.ndarray
     synthesis: np.ndarray
-    analysis: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
+    analysis: np.ndarray
+    weights: np.ndarray
 
     @property
     def nbytes(self):
-        return sum(a.nbytes for a in self if a is not None)
+        return sum(a.nbytes for a in self)
 
     def setflags(self, write):
         for a in self:
-            if a is not None:
-                a.setflags(write=write)
-
-
-def band_operands(key, grid, band, build, *args):
-    """The Operands under key at band L: the entry itself at its band T, else its centered slices.
-
-    The one rule for every table indexed by band.  T is the grid's band,
-    capped at J_MAX, and the entry is build(grid, *args, T), made once; a
-    lower band reads the slices [..., T - L : T + L + 1, : L + 1, :] of the
-    table and [T - L : T + L + 1] of the rows.  A band above J_MAX, or
-    outside [0, grid band], is refused before anything is built; a hit at
-    the entry's band checks nothing.
-    """
-    held = _tables.get(key)
-    if held is not None and held.synthesis.shape[0] == 2 * band + 1:
-        return held
-    top = min(grid.band_limit, J_MAX)
-    if not 0 <= band <= top:
-        check_j_supported(band, f"j={band}")
-        raise BandLimitExceeded(f"table band limit {band} outside [0, {grid.band_limit}]")
-    if held is None:
-        held = _tables.put(key, build(grid, *args, top))
-        if band == top:
-            return held
-    table, synthesis, analysis, weights = held
-    lo, hi = top - band, top + band + 1
-    if analysis is not None:
-        analysis = analysis[lo:hi]
-    return Operands(table[..., lo:hi, : band + 1, :], synthesis[lo:hi], analysis, weights)
+            a.setflags(write=write)
 
 
 def spin_tables(grid, spins, L):
     """Fresh tables [k, m + L, j, t] = p_{spins[k], j, m}(theta_t) from one climb of a row per (spin, m).
 
-    Never cached: mode_operands keeps one spin, and each derived table climbs the spins it reads.
+    Never cached: mode_operands keeps one spin, and operators.py's reference tables climb the spins they read.
     """
     check_j_supported(L, f"j={L}")
     ms = np.arange(-L, L + 1)
@@ -215,11 +179,28 @@ def mode_operands(grid, s, band):
     """Operands of spin s at band L: the mode table [m + L, j, t] = p_{sjm}(theta_t), its rows and weights.
 
     The entry under (geometry_key, s) holds spin_tables of the one spin at
-    the grid's band with the DFT rows |f| <= T, those rows reversed and
-    weighted by dphi, and the complex colatitude weights; band_operands
-    builds and slices it.
+    band T, the grid's band capped at J_MAX, with the DFT rows |f| <= T,
+    those rows reversed and weighted by dphi, and the complex colatitude
+    weights; it is built once, at T.  A lower band reads the slices
+    [T - L : T + L + 1, : L + 1] of the table and [T - L : T + L + 1] of
+    the rows.  A band above J_MAX, or outside [0, grid band], is refused
+    before anything is built; a hit at the entry's band checks nothing.
     """
-    return band_operands((grid.geometry_key, s), grid, band, _mode_entry, s)
+    key = (grid.geometry_key, s)
+    held = _tables.get(key)
+    if held is not None and held.synthesis.shape[0] == 2 * band + 1:
+        return held
+    top = min(grid.band_limit, J_MAX)
+    if not 0 <= band <= top:
+        check_j_supported(band, f"j={band}")
+        raise BandLimitExceeded(f"table band limit {band} outside [0, {grid.band_limit}]")
+    if held is None:
+        held = _tables.put(key, _mode_entry(grid, s, top))
+        if band == top:
+            return held
+    table, synthesis, analysis, weights = held
+    lo, hi = top - band, top + band + 1
+    return Operands(table[lo:hi, : band + 1], synthesis[lo:hi], analysis[lo:hi], weights)
 
 
 def mode_table(grid, s):
@@ -264,19 +245,18 @@ def contract_table(table, coeffs):
     return r.reshape(r.shape[:-1] + coeffs.shape[2:])
 
 
-def dft_rows(grid, band, shift=0):
-    """Fresh DFT rows exp(2 pi i (f p mod n) / n), f = -L + shift .. L + shift: phi_synthesis's operand.
+def dft_rows(grid, band):
+    """Fresh DFT rows exp(2 pi i (f p mod n) / n), f = -L .. L: phi_synthesis's operand.
 
     L is band, n = n_phi and p = 0 .. n - 1.  Each row is built from the
-    exact integer residues f p mod n, so an aliased frequency's row is
-    exactly the row of the one it folds onto, and exp(2 pi i (n - q) / n)
-    is taken as the conjugate of exp(2 pi i q / n).  Cached nowhere: each
-    entry that applies rows builds and holds its own.
+    exact integer residues f p mod n, and exp(2 pi i (n - q) / n) is taken
+    as the conjugate of exp(2 pi i q / n).  Cached nowhere: each mode entry
+    builds and holds its own.
     """
     n = grid.n_phi
     half = np.exp(2j * np.pi / n * np.arange(n // 2 + 1))
     roots = np.concatenate((half, np.conj(half[1 : (n + 1) // 2][::-1])))
-    return roots[np.outer(np.arange(shift - band, shift + band + 1), np.arange(n)) % n]
+    return roots[np.outer(np.arange(-band, band + 1), np.arange(n)) % n]
 
 
 def phi_analysis(rows, x):
@@ -290,11 +270,10 @@ def phi_analysis(rows, x):
 
 
 def phi_synthesis(rows, y):
-    """x[..., p] = sum_m y[m + L, ...] exp(i (m + shift) phi_p), C-ordered with phi last.
+    """x[..., p] = sum_m y[m + L, ...] exp(i m phi_p), C-ordered with phi last.
 
-    rows is dft_rows at band L and the shift asked for, so a frequency past
-    the grid's takes exactly the values, on the nodes, of the one it folds
-    onto.  The frequency axis leads y; one GEMM.
+    rows is dft_rows at band L, a mode entry's synthesis.  The frequency
+    axis leads y; one GEMM.
     """
     return (y.reshape(rows.shape[0], -1).T @ rows).reshape(y.shape[1:] + rows.shape[1:])
 
@@ -323,7 +302,7 @@ def mode_synthesis(grid, s, coeffs):
     one real matmul per m with the order-0 mode table by contract_table,
     then one DFT matrix product over phi by phi_synthesis; the trailing
     axes of coeffs sit between t and p.  A band above the grid's is
-    refused by band_operands.
+    refused by mode_operands.
     """
     table, rows, _, _ = mode_operands(grid, s, coeffs.shape[1] - 1)
     return phi_synthesis(rows, contract_table(table, coeffs))

@@ -28,8 +28,8 @@ helicities +-1 and +-2, embed with no frame, with the standard frame and
 with a gauge-rotated one, and extract with no frame and with the rotated
 one; then the projected operators and rotation generator of sections of
 the bundle-lemma benchmark's sizes: |h| = 1 at band 5 on make_grid(10), |h| = 2 at band 2
-on make_grid(8); then apply_grid of J_z and helicity at the envelope's
-band 64 for spin weights 0 and +-2; last, for every spin weight, one
+on make_grid(8); then apply_grid of every operator kind at the
+envelope's band 64 for spin weights 0 and +-2; last, for every spin weight, one
 function on the band-12 grid analyzed at every band from 12 down to 0
 and back up, and one set synthesized at every band.
 """
@@ -136,7 +136,7 @@ def _envelope_cases(swsh, rng):
     grid = swsh.make_grid(64)
     for s in (0, 2, -2):
         f = swsh.synthesize(swsh.coefficient_set(s, 64, _entries(rng, s, 64)), grid)
-        for kind in ("Jz", "Helicity"):
+        for kind in swsh.operators.KINDS:
             g = swsh.apply_grid(swsh.OperatorSpec(kind, s), f)
             yield f"s={s} apply_grid {kind} on make_grid(64)", [g.samples]
 

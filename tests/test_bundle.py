@@ -4,6 +4,7 @@ rotated copies, and the nonstandard commutator table."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -806,6 +807,27 @@ def test_commutator_report_contract(rng):
     assert report["defects"]["par"] >= 0.1
     assert report["defects"]["perp"] >= 0.1
     assert report["defects_exceed_floor"] is True
+
+
+def test_commutator_report_keeps_no_orbital_samples_on_its_sections(rng):
+    # J_perp caches the analysis and the orbital samples, three copies of the
+    # components, on the section it reads; the report reads each section
+    # through a fresh one, so the caller's section keeps nothing, and its
+    # peak, about 51 copies of the components, is the intermediate
+    # components with one section's cache (74 when all six keep theirs)
+    grid = make_grid(20)
+    shape = grid.shape + (3, 3)
+    sec = EmbeddedSection(grid, 2, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    want = commutator_report(2, [sec])
+    assert sorted(vars(sec)) == ["components", "grid", "helicity"]
+    tracemalloc.start()
+    try:
+        got = commutator_report(2, [sec])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 60 * sec.components.nbytes, peak / sec.components.nbytes
 
 
 def test_commutator_report_zero_section():

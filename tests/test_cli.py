@@ -435,25 +435,21 @@ def test_verify_ladder_samples_no_mode_by_itself(capsys, monkeypatch):
 
 
 def test_a_cold_verify_ladder_puts_each_table_once(capsys, monkeypatch):
-    # the mode table and the three differential tables, each once, each
-    # with its own azimuthal rows; J_z and helicity scale coefficients, no table
+    # the mode table, once, with its own azimuthal rows; the differential
+    # reference tables are built fresh, and every kind acts on coefficients
     _tables.clear()
     puts, put = [], _tables.put
     monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or put(key, value))
     code, _, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "8")
     assert code == 0
-    grid = make_grid(8)
-    key = grid.geometry_key
-    ops = {("op", key, -1, kind) for kind in ("Jplus", "Jminus", "Jsquared")}
-    assert set(puts) == {(key, -1), *ops}
-    assert len(puts) == len(set(puts)), puts
+    assert puts == [(make_grid(8).geometry_key, -1)]
     _tables.clear()
 
 
 @pytest.mark.parametrize("j_max", [3, 12])
 def test_verify_ladder_applies_each_kind_once(capsys, monkeypatch, j_max):
-    # the tables cover every mode, so the cost of grid-space application
-    # no longer grows with the number of modes
+    # one function holds every mode, so the cost of grid-space application
+    # does not grow with the number of modes
     calls, real = [], operators.apply_grid
     monkeypatch.setattr(operators, "apply_grid", lambda op, f: calls.append(op.kind) or real(op, f))
     code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", str(j_max))
@@ -480,12 +476,16 @@ def test_verify_ladder_fails_on_one_wrong_table_row(capsys, monkeypatch):
     assert 1e-7 < report_of(out)["maxResidual"] < 1e-5
 
 
-def test_verify_ladder_fails_without_the_ladder_phi_shift(capsys, monkeypatch):
-    # the tables are right, so only the end-to-end application sees this
-    monkeypatch.setitem(operators._SHIFTS, "Jplus", 0)
+def test_verify_ladder_fails_with_one_wrong_ladder_weight(capsys, monkeypatch):
+    # apply_grid and apply_coeff share the weight, so only the differential
+    # reference tables see this: the weight of (m, j) = (2, 3), J_+ from m = 1
+    # and J_- from m = 2
+    weights = operators._LADDER.copy()
+    weights[2 + J_MAX - 1, 3] *= 1 + 1e-3
+    monkeypatch.setattr(operators, "_LADDER", weights)
     code, out, _ = run(capsys, "verify", "ladder", "-s", "-1", "-j", "5")
     assert code == 1
-    assert report_of(out)["maxResidual"] > 0.1
+    assert 1e-4 < report_of(out)["maxResidual"] < 1e-2
 
 
 @pytest.mark.parametrize("spin, j_max", [(-3, 2), (-1, -4)])

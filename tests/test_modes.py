@@ -99,6 +99,41 @@ def test_labels_equal_to_ints_evaluate_as_the_int_mode():
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
+def _every_evaluator(grid):
+    theta, phi = np.array([0.3, 1.1, 2.9]), np.array([0.41, -1.3, 2.0])
+    return {
+        "eval_swsh": lambda mode: eval_swsh(mode, theta, phi),
+        "eval_swsh_dtheta": lambda mode: eval_swsh_dtheta(mode, theta, phi, order=2),
+        "eval_swsh_pole_limit": lambda mode: eval_swsh_pole_limit(mode, NORTH),
+        "sample_swsh": lambda mode: sample_swsh(grid, mode).samples,
+    }
+
+
+@pytest.mark.parametrize("name", ["eval_swsh", "eval_swsh_dtheta", "eval_swsh_pole_limit", "sample_swsh"])
+def test_every_evaluator_takes_an_s_j_m_triple_as_its_mode(name):
+    # the triple is read as SWMode(s, j, m), the same bytes as the mode
+    evaluate = _every_evaluator(make_grid(3))[name]
+    for s, j, m in ((-1, 2, 1), (1, 1, -1), (0, 3, 0)):
+        want = np.asarray(evaluate(SWMode(s, j, m)))
+        for triple in ((s, j, m), [s, j, m], np.array([s, j, m])):
+            assert np.asarray(evaluate(triple)).tobytes() == want.tobytes(), triple
+
+
+@pytest.mark.parametrize("name", ["eval_swsh", "eval_swsh_dtheta", "eval_swsh_pole_limit", "sample_swsh"])
+@pytest.mark.parametrize("mode, message", [
+    ((0, 1, 2), r"^invalid mode: \|m\| > j \(j=1, m=2\)$"),
+    ((2, 1, 0), r"^invalid mode: j < \|s\| \(j=1, s=2\)$"),
+    ((0, 1.5, 0), r"^j=1.5 is not an integer$"),
+    ((0, 1), r"^expected an SWMode or an \(s, j, m\) triple, got \(0, 1\)$"),
+    (5, r"^expected an SWMode or an \(s, j, m\) triple, got 5$"),
+    (None, r"^expected an SWMode or an \(s, j, m\) triple, got None$"),
+])
+def test_every_evaluator_refuses_a_bad_triple_or_a_non_mode_as_invalid(name, mode, message):
+    evaluate = _every_evaluator(make_grid(3))[name]
+    with pytest.raises(InvalidMode, match=message):
+        evaluate(mode)
+
+
 def test_poles_refused():
     with pytest.raises(DomainError):
         eval_swsh(SWMode(0, 0, 0), 0.0, 0.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from swsh import operators, transform
+from swsh import operators, tables, transform
 from swsh.errors import SpinWeightMismatch
 from swsh.grid import GridFunction, make_grid, sample_swsh
 from swsh.modes import SWMode, _dtheta
@@ -258,7 +258,7 @@ def test_grid_matches_coeff_action(rng):
             assert worst < 1e-9, (s, kind, worst)
 
 
-# ------------------------------------------------------------ operator tables
+# ------------------------------------ exact action vs differential expression
 
 def _apply_grid_per_call(op, f, band_limit=None):
     """The per-call form of apply_grid: separate order-0/1/2 contractions and
@@ -291,7 +291,8 @@ def _apply_grid_per_call(op, f, band_limit=None):
         shift = +1 if op.kind == "Jplus" else -1
         dp = contract_table(derivatives[1], coeffs)
         radial = shift * dp - m * cot * p + h * p / sin
-    return phi_synthesis(dft_rows(grid, L, shift), radial)
+    # the rows f = -L + shift .. L + shift, from one band above
+    return phi_synthesis(dft_rows(grid, L + 1)[1 + shift : 2 * L + 2 + shift], radial)
 
 
 @pytest.mark.parametrize("L", [8, 32, 64])
@@ -325,9 +326,11 @@ def test_the_m_ladder_weights_enter_no_grid_table(monkeypatch):
         assert table.tobytes() == want[key].tobytes(), key
 
 
-@pytest.mark.parametrize("kind", ["Jz", "Helicity"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_cold_diagonal_kind_puts_no_operator_table(rng, monkeypatch, kind):
-    # J_z and helicity scale the coefficients by m and h; no table holds m p or h p
+    # every kind, diagonal or ladder, acts on the analysis coefficients, which
+    # mode_synthesis synthesizes, so a cold application puts the spin's mode
+    # entry and nothing else
     grid = make_grid(10)
     f = synthesize(coefficient_set(-2, 10, random_entries(rng, -2, 10)), grid)
     _tables.clear()
@@ -335,7 +338,7 @@ def test_a_cold_diagonal_kind_puts_no_operator_table(rng, monkeypatch, kind):
     monkeypatch.setattr(_tables, "put", lambda key, value: puts.append(key) or real_put(key, value))
     apply_grid(OperatorSpec(kind, -2), f)
     apply_grid(OperatorSpec(kind, -2), f, band_limit=7)
-    assert puts and not [key for key in puts if key[0] == "op"], puts
+    assert puts == [(grid.geometry_key, -2)], puts
     _tables.clear()
 
 
@@ -365,30 +368,30 @@ def test_warm_apply_grid_builds_no_table(rng, monkeypatch):
         apply_grid(OperatorSpec(kind, -1), g)
         apply_grid(OperatorSpec(kind, -1), g, band_limit=7)
     assert puts == []
-    # each table entry holds its own rows at the grid's band, of its shift
-    for kind, shift in (("Jplus", 1), ("Jminus", -1), ("Jsquared", 0)):
-        rows = _tables.get(("op", grid.geometry_key, -1, kind)).synthesis
-        assert rows.tobytes() == dft_rows(grid, 10, shift).tobytes()
+    # and each application reads the spin's mode entry alone, once
+    gets, real_get = [], _tables.get
+    monkeypatch.setattr(_tables, "get", lambda key: gets.append(key) or real_get(key))
+    for kind in KINDS:
+        apply_grid(OperatorSpec(kind, -1), g, band_limit=7)
+    assert gets == [(grid.geometry_key, -1)] * len(KINDS)
 
 
 def test_a_band_sweep_builds_each_operator_table_once_at_the_grid_band(monkeypatch):
-    # operator tables are built as mode tables are, once at the grid's band,
-    # so a rising and a falling sweep read the same bytes
+    # the one table each of J_+, J_- and J^2 reads is its spin's mode table,
+    # built once at the grid's band, so a rising and a falling sweep climb
+    # once per spin and read the same bytes
     grid = make_grid(64)
-    built = []
-    real = operators._differential_table
-    monkeypatch.setattr(
-        operators, "_differential_table",
-        lambda g, s, kind, L: built.append((s, kind, L)) or real(g, s, kind, L),
-    )
+    tops = []
+    climb = tables._climb
+    monkeypatch.setattr(tables, "_climb", lambda *args: tops.append((int(args[0][0]), args[3])) or climb(*args))
     cases = [(0, "Jsquared"), (0, "Jplus"), (-2, "Jminus")]
 
     def sweep(bands):
         _tables.clear()
-        built.clear()
+        tops.clear()
         out = {(j, s, kind): apply_grid(OperatorSpec(kind, s), sample_swsh(grid, (s, j, 0)), band_limit=j)
                .samples.tobytes() for j in bands for s, kind in cases if j >= abs(s)}
-        assert sorted(built) == sorted((s, kind, 64) for s, kind in cases)
+        assert sorted(tops) == [(-2, 64), (0, 64)]  # one climb per spin
         return out
 
     rising = sweep(range(1, 65))

@@ -41,7 +41,7 @@ def test_recurrence_rows_match_horner_profiles(L, s):
 
 
 def _derivative_table(grid, s, L, order):
-    """d^order/dtheta^order p_{sjm}(theta_t) [m + L, j, t], as the operator tables take it:
+    """d^order/dtheta^order p_{sjm}(theta_t) [m + L, j, t], as the differential reference tables take it:
     one climb of the spins s - order, s - order + 2 .. s + order, then order spin-raising steps."""
     spins = np.arange(s - order, s + order + 1, 2)
     table = spin_tables(grid, spins, L)
@@ -243,20 +243,17 @@ def test_grids_sharing_a_band_limit_never_share_a_table():
 
 AZIMUTHAL_CASES = [(make_grid(L), 0) for L in (0, 1, 8, 24, 64)] + [
     (make_grid(5, n_phi=16), 0),
-    (make_grid(5, n_phi=16), 1),
-    (make_grid(3, n_phi=1025), -1),
-    (make_grid(8), 1),
-    (make_grid(8), -1),
-    (make_grid(1), 1),
-    (make_grid(24), -1),
+    (make_grid(8), 3),
+    (make_grid(3, n_phi=1025), 2),
+    (make_grid(24), 5),
 ]
 
 
-@pytest.mark.parametrize("grid, shift", AZIMUTHAL_CASES)
-def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
-    # the DFT matrix products against numpy.fft, the independent reference;
-    # with shift +-1 at L = band the top frequency aliases when n_phi = 2L + 1
-    L, n = grid.band_limit, grid.n_phi
+@pytest.mark.parametrize("grid, lower", AZIMUTHAL_CASES)
+def test_azimuthal_transforms_match_numpy_fft(rng, grid, lower):
+    # the DFT matrix products against numpy.fft, the independent reference,
+    # at the grid's band and, sliced from the same entry, lower bands
+    L, n = grid.band_limit - lower, grid.n_phi
     ms = np.arange(-L, L + 1)
     def draw(shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -268,13 +265,14 @@ def test_azimuthal_transforms_match_numpy_fft(rng, grid, shift):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     radial = draw((2 * L + 1, grid.n_theta, 2))
     spec = np.zeros((grid.n_theta, 2, n), dtype=np.complex128)
-    spec[..., (ms + shift) % n] = radial.transpose(1, 2, 0)
+    spec[..., ms % n] = radial.transpose(1, 2, 0)
     want = np.fft.ifft(spec, axis=-1, norm="forward")
-    got = tables.phi_synthesis(tables.dft_rows(grid, L, shift), radial)
+    got = tables.phi_synthesis(mode_operands(grid, 0, L).synthesis, radial)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    # the rows of one band and shift, 2L + 1 of them whatever n_phi: O(n_phi)
-    assert dft_rows(grid, L, shift).shape == (2 * L + 1, n)
+    # the rows of one band, 2L + 1 of them whatever n_phi: O(n_phi)
+    assert dft_rows(grid, L).shape == (2 * L + 1, n)
+    assert mode_operands(grid, 0, L).synthesis.tobytes() == dft_rows(grid, L).tobytes()
 
 
 @pytest.mark.parametrize("n_phi, L", [(25, 12), (25, 5), (16, 5), (16, 0), (129, 64), (1025, 3)])
@@ -291,24 +289,6 @@ def test_phi_analysis_is_the_weighted_reversed_dft_rows_bit_for_bit(rng, n_phi, 
         want = (w @ samples.reshape(n_phi, -1)).reshape((2 * band + 1,) + samples.shape[1:])
         assert tables.phi_analysis(rows, samples).tobytes() == want.tobytes()
     assert mode_operands(grid, 0, L).analysis is mode_operands(make_grid(L, n_phi=n_phi), 0, L).analysis
-
-
-@pytest.mark.parametrize("L, n_phi", [(12, 25), (5, 11), (0, 1), (7, 16)])
-def test_an_aliased_frequency_has_the_bytes_of_the_row_it_folds_onto(L, n_phi):
-    # a ladder shift at the grid's band reaches a frequency past the grid's;
-    # built from the exact residues f p mod n, its row is the folded one's
-    grid = make_grid(L, n_phi=n_phi)
-    rows = {shift: dft_rows(grid, L, shift) for shift in (-1, 0, 1)}
-    for shift in (-1, 1):
-        for k, f in enumerate(range(shift - L, shift + L + 1)):
-            for g in (f - n_phi, f, f + n_phi):
-                if -L <= g <= L:
-                    assert rows[shift][k].tobytes() == rows[0][g + L].tobytes(), (shift, f, g)
-    if n_phi == 2 * L + 1:  # L + 1 folds onto -L, and -L - 1 onto L
-        assert rows[1][-1].tobytes() == rows[0][0].tobytes()
-        assert rows[-1][0].tobytes() == rows[0][-1].tobytes()
-    else:  # n_phi = 2L + 2: L + 1 and -L - 1 are the one Nyquist row
-        assert rows[1][-1].tobytes() == rows[-1][0].tobytes()
 
 
 def test_warm_transforms_put_nothing_in_the_cache(rng, monkeypatch):
@@ -356,12 +336,12 @@ def test_a_warm_transform_step_reads_the_cache_once(rng, monkeypatch, band):
     monkeypatch.setattr(tables, "_climb", lambda *args: climbs.append(args))
     op()
     assert puts == [] and climbs == []
-    # synthesize, analyze, apply_grid (the analysis is kept on f), analyze
-    assert gets == [(key, 0), (key, 0), ("op", key, 0, "Jplus"), (key, 0),
-                    (key, -2), (key, -2), ("op", key, -2, "Jminus"), (key, -2)]
+    # synthesize, analyze, apply_grid (the analysis is kept on f, the
+    # ladder-shifted coefficients synthesized), analyze
+    assert gets == [(key, 0)] * 4 + [(key, -2)] * 4
 
 
-def test_the_cache_holds_four_kinds_of_entry_and_counts_its_bytes_exactly(rng):
+def test_the_cache_holds_three_kinds_of_entry_and_counts_its_bytes_exactly(rng):
     # after one op of the transform-reuse benchmark's shape and one of
     # bundle-lemma's (|h| = 1 at band 5), every held array owns its memory,
     # so the byte count is the memory the cache holds
@@ -379,14 +359,14 @@ def test_the_cache_holds_four_kinds_of_entry_and_counts_its_bytes_exactly(rng):
         apply_J_rotation(sec, axis)
     items = tables._tables._items
     kinds = {"mode" if isinstance(key[0], tuple) else key[0] for key in items}
-    assert kinds == {"mode", "op", "projector", "fiber"}
-    held = [a for value in items.values() for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
+    assert kinds == {"mode", "projector", "fiber"}
+    held = [a for value in items.values() for a in (value if isinstance(value, tuple) else (value,))]
     assert not [(i, k) for (i, a), (k, b) in itertools.combinations(enumerate(held), 2) if np.shares_memory(a, b)]
     assert tables._tables.nbytes == sum(a.nbytes for a in held)
     # mode entries of spins 0 and -2 at band 12 (54008 B each) and of spins
-    # -1 and 0 at band 10 (34616 B each), two operator entries at band 12
-    # (43800 B each), the rank-1 projector (16632 B) and the h = 1 fiber (11088 B)
-    assert tables._tables.nbytes == 2 * 54008 + 2 * 34616 + 2 * 43800 + 16632 + 11088
+    # -1 and 0 at band 10 (34616 B each), the rank-1 projector (16632 B) and
+    # the h = 1 fiber (11088 B)
+    assert tables._tables.nbytes == 2 * 54008 + 2 * 34616 + 16632 + 11088
     tables._tables.clear()
 
 
@@ -463,13 +443,13 @@ def test_sparse_content_is_read_at_the_declared_band(rng, monkeypatch):
     monkeypatch.setattr(tables, "_climb", lambda *args: tops.append(args[3]) or climb(*args))
     f = synthesize(c, grid)
     raised = apply_grid(op, f)
-    assert tops == [L, L]  # spin s for both transforms, then spins s - 1 .. s + 1 for J_+'s table
-    assert tables._tables.get(("op", grid.geometry_key, s, "Jplus")).table.shape[-2] == L + 1
+    assert tops == [L]  # spin s, for both transforms and J_+'s synthesis
+    assert tables._tables.get((grid.geometry_key, s)).table.shape[-2] == L + 1
     m = np.arange(-L, L + 1)[:, None]
     want = np.einsum("mjt,mj,mp->tp", mode_table(grid, s), c.matrix, np.exp(1j * m * grid.phi))
     assert np.abs(f.samples - want).max() <= 1e-15 * np.abs(want).max()
-    op_table = operators._operator_operands(grid, s, "Jplus", L).table
-    want = np.einsum("mjt,mj,mp->tp", op_table, analysis_matrix(f), np.exp(1j * (m + 1) * grid.phi))
+    raised_coeffs = operators.ladder_shift(analysis_matrix(f), +1)
+    want = np.einsum("mjt,mj,mp->tp", mode_table(grid, s), raised_coeffs, np.exp(1j * m * grid.phi))
     assert np.abs(raised.samples - want).max() <= 1e-15 * np.abs(want).max()
     puts, put = [], tables._tables.put
     monkeypatch.setattr(tables._tables, "put", lambda key, value: puts.append(key) or put(key, value))
@@ -588,14 +568,14 @@ def test_a_band_sweep_builds_its_table_once_at_the_grid_band(monkeypatch):
     tables._tables.clear()
 
 
-def test_band_operands_refuses_a_band_above_the_grid_band_and_caches_nothing():
+def test_mode_operands_refuses_a_band_above_the_grid_band_and_caches_nothing(monkeypatch):
     grid = make_grid(6)
-    key = ("test-band-table", grid.geometry_key)
-    built = []
-    held = len(tables._tables)
+    tables._tables.clear()
+    climbs = []
+    monkeypatch.setattr(tables, "_climb", lambda *args: climbs.append(args))
     with pytest.raises(BandLimitExceeded, match=r"^table band limit 7 outside \[0, 6\]$"):
-        tables.band_operands(key, grid, 7, lambda g, top: built.append(top))
-    assert built == [] and tables._tables.get(key) is None and len(tables._tables) == held
+        mode_operands(grid, 0, 7)
+    assert climbs == [] and len(tables._tables) == 0
 
 
 def test_a_grid_past_j_max_is_served_at_j_max_from_tables_built_there(rng, monkeypatch):
