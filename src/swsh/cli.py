@@ -1,7 +1,8 @@
 """Command line surface: evaluation, transforms, verification, multiplets.
 
-Every run is reproducible: a randomized suite draws from one PRNG seeded
-by --seed (default 0), numeric output carries 17 significant digits, and
+Every run is reproducible: a randomized suite draws from one PRNG, the
+standard library's random.Random seeded by --seed (default 0), so no
+suite loads numpy.random; numeric output carries 17 significant digits, and
 reports are emitted with fixed key order, so identical invocations give
 byte-identical stdout.
 
@@ -25,7 +26,7 @@ verify suite does not read),
 import argparse
 import sys
 
-from .errors import NORTH, SOUTH, BandLimitExceeded, SearchBudgetExceeded, SpinWeightMismatch
+from .errors import NORTH, SOUTH, BandLimitExceeded, SearchBudgetExceeded, SpinWeightMismatch, check_multiplet_j
 from .serial import fmt17, json_dumps
 
 
@@ -128,13 +129,21 @@ def cmd_transform(args, parser):
     return 0
 
 
+def _seeded(args):
+    """The suite's one PRNG: the standard library's random.Random(--seed), so no suite loads numpy.random."""
+    import random
+
+    return random.Random(args.seed)
+
+
 def _random_coefficients(rng, s, band):
+    """Every mode's amplitude re + i im up to band, re then im drawn by rng.gauss(0, 1), j ascending, then m."""
     from .transform import coefficient_set
 
     entries = {}
     for j in range(abs(s), band + 1):
         for m in range(-j, j + 1):
-            entries[(j, m)] = complex(rng.standard_normal(), rng.standard_normal())
+            entries[(j, m)] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
     return coefficient_set(s, band, entries)
 
 
@@ -232,11 +241,9 @@ def _suite_ladder(args):
 
 
 def _suite_casimir(args):
-    import numpy as np
-
     from .operators import verify_casimir_identity
 
-    c = _random_coefficients(np.random.default_rng(args.seed), args.s, args.L)
+    c = _random_coefficients(_seeded(args), args.s, args.L)
     resid = verify_casimir_identity(args.s, c)
     return {"s": args.s, "L": args.L}, {"entries": len(c.entries)}, resid
 
@@ -248,7 +255,7 @@ def _suite_lemma(args):
 
     s, band, count = args.s, args.L, args.count
     axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    work, sections = _random_sections(np.random.default_rng(args.seed), s, band, count)
+    work, sections = _random_sections(_seeded(args), s, band, count)
     worst = 0.0
     for sec in sections:
         spin_part = apply_projected_spin(sec)
@@ -262,12 +269,10 @@ def _suite_lemma(args):
 
 
 def _suite_commutators(args):
-    import numpy as np
-
     from .bundle import commutator_report
 
     s, band, count = args.s, args.L, args.count
-    _, sections = _random_sections(np.random.default_rng(args.seed), s, band, count)
+    _, sections = _random_sections(_seeded(args), s, band, count)
     report = commutator_report(-s, sections, floor=args.floor)
     resid = max(report["identity_residuals"].values())
     params = {"s": s, "h": -s, "band": band, "sections": count}
@@ -275,23 +280,30 @@ def _suite_commutators(args):
 
 
 def _suite_poles(args):
+    """Both pole limits of every mode (s, j, m) against eval_swsh_pole_limit's closed form, two independent ways.
+
+    The climb's own values at theta = 0 and pi (modes.pole_table, column
+    j), and pole_limit_extrapolate of each mode sample_swsh samples on
+    make_grid(j), which reads the mode's analysis; both are exact to
+    rounding.
+    """
     from .grid import make_grid, pole_limit_extrapolate, sample_swsh
-    from .modes import SWMode, eval_swsh_pole_limit, validate_mode
+    from .modes import SWMode, eval_swsh_pole_limit, pole_table, validate_mode
 
     s, j = args.s, args.j
     validate_mode(s, j, 0)  # before sampling: a j < 0 would leave no m to check
-    grid = make_grid(args.L)
-    worst = 0.0
-    worst_diag = 0.0
+    grid = make_grid(j)
+    tables = {pole: pole_table(s, j, pole) for pole in (NORTH, SOUTH)}
+    climbed = sampled = 0.0
     for m in range(-j, j + 1):
-        f = sample_swsh(grid, SWMode(s, j, m))
-        for pole in (NORTH, SOUTH):
-            limit, diag = pole_limit_extrapolate(f, pole)
-            exact = eval_swsh_pole_limit(SWMode(s, j, m), pole)
-            worst = max(worst, abs(limit - exact))
-            worst_diag = max(worst_diag, diag)
-    params = {"s": s, "j": j, "grid_L": grid.band_limit}
-    return params, {"extrapolationResidual": worst_diag}, worst
+        mode = SWMode(s, j, m)
+        f = sample_swsh(grid, mode)
+        for pole, table in tables.items():
+            exact = eval_swsh_pole_limit(mode, pole)
+            climbed = max(climbed, abs(table[m + j, j] - exact))
+            sampled = max(sampled, abs(pole_limit_extrapolate(f, pole)[0] - exact))
+    results = {"modes": 2 * j + 1, "climbResidual": climbed, "sampledResidual": sampled}
+    return {"s": s, "j": j}, results, max(climbed, sampled)
 
 
 def _suite_spectrum_match(args):
@@ -304,6 +316,7 @@ def _suite_spectrum_match(args):
     )
 
     j_top = args.j
+    check_multiplet_j(j_top, f"j_max={j_top}")  # before the tower is built
     mismatches = 0
     for spin in range(0, 4):
         # massive tower must agree with the explicit tensor construction
@@ -337,7 +350,7 @@ def _suite_pointop(args):
 
     s, band = args.s, args.L
     h = -s
-    work, sections = _random_sections(np.random.default_rng(args.seed), s, band, 2)
+    work, sections = _random_sections(_seeded(args), s, band, 2)
     base, probe = sections
     k = standard_frame(work).k_hat
     worst = 0.0
@@ -374,7 +387,7 @@ _SUITES = {
         _suite_commutators,
         {"-s": -1, "-L": 8, "--count": 10, "--tolerance": 1e-5, "--floor": 0.1},
     ),
-    "poles": (_suite_poles, {"-s": -1, "-j": 2, "-L": 256, "--tolerance": 1e-8}),
+    "poles": (_suite_poles, {"-s": -1, "-j": 2, "--tolerance": 1e-8}),
     "spectrum-match": (_suite_spectrum_match, {"-j": 20, "--tolerance": 0.0}),
     "pointop": (_suite_pointop, {"-s": -1, "-L": 8, "--tolerance": 1e-10}),
 }

@@ -1,4 +1,4 @@
-"""Exception types, the pole names and their one check, and the integer check shared across the package.
+"""Exception types, the pole names and their one check, the integer check shared across the package, and the multiplet size cap.
 
 Every exception derives from ValueError, except SearchBudgetExceeded, so
 callers that only care about "bad input" can catch one base class, while
@@ -29,12 +29,24 @@ def as_integer(value, name):
     return n
 
 
+MULTIPLET_J_MAX = 1024
+
+
+def check_multiplet_j(value, what):
+    """Raise InvalidMode("<what> exceeds the supported maximum multiplet j = MULTIPLET_J_MAX") if value > MULTIPLET_J_MAX.
+
+    The cap is declared here, not in modes.py, which re-exports it, so multiplets.py checks it without numpy.
+    """
+    if value > MULTIPLET_J_MAX:
+        raise InvalidMode(f"{what} exceeds the supported maximum multiplet j = {MULTIPLET_J_MAX}")
+
+
 class InvalidMode(ValueError):
-    """(s, j, m) violates j >= |s| or |m| <= j, or a j or band leaves the envelope j <= modes.J_MAX."""
+    """(s, j, m) violates j >= |s| or |m| <= j, a j or band leaves the envelope j <= modes.J_MAX, or a multiplet j leaves j <= MULTIPLET_J_MAX."""
 
 
 class DomainError(ValueError):
-    """Evaluation point off the open sphere: theta outside (0, pi), or phi not finite."""
+    """A value off its domain: theta outside (0, pi), or an angle, scale or quadrature result that is not finite."""
 
 
 class UnsupportedOrder(ValueError):
@@ -54,7 +66,7 @@ class SpinWeightMismatch(ValueError):
 
 
 class InsufficientNodes(ValueError):
-    """Fewer grid nodes than a band limit or an extrapolation needs."""
+    """Fewer grid nodes than a band limit needs."""
 
 
 class TooManyNodes(ValueError):

@@ -9,13 +9,13 @@ exactly, up to rounding, which is what the orthonormality and round-trip
 checks rely on.  Each node count is capped at modes.NODES_MAX.
 """
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    NORTH,
     BandLimitExceeded,
     DomainError,
     GridMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     as_integer,
     pole_name,
 )
-from .modes import NODES_MAX, as_mode, profile
+from .modes import J_MAX, NODES_MAX, as_mode, pole_table, profile
 from .serial import fmt17
 
 
@@ -186,18 +186,26 @@ def sample_swsh(grid, mode):
 
 
 def inner_product(fa, fb):
-    """Quadrature form of integral(conj(fa) * fb) over the sphere."""
+    """Quadrature form of integral(conj(fa) * fb) over the sphere.
+
+    DomainError if the result is not finite: a sample is not, or the sum overflowed.
+    """
     if fa.grid != fb.grid:
         raise GridMismatch("functions live on different grids")
     if fa.spin_weight != fb.spin_weight:
         raise SpinWeightMismatch(
             f"spin weights differ: {fa.spin_weight} vs {fb.spin_weight}"
         )
-    ring = np.einsum("tp,tp->t", np.conj(fa.samples), fb.samples)
-    return complex(np.dot(fa.grid.theta_weights, ring) * fa.grid.phi_weight)
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below, not warned
+        ring = np.einsum("tp,tp->t", np.conj(fa.samples), fb.samples)
+        value = complex(np.dot(fa.grid.theta_weights, ring) * fa.grid.phi_weight)
+    if not cmath.isfinite(value):
+        raise DomainError(f"inner product is {value}: a sample is not finite, or the quadrature overflowed")
+    return value
 
 
 def norm(f):
+    """The quadrature norm sqrt(<f, f>); DomainError where inner_product refuses."""
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
@@ -308,39 +316,24 @@ def frame_residual(frame):
 
 
 def pole_limit_extrapolate(f, pole):
-    """Directional limit of f at a pole from its nearest colatitude rings.
+    """Directional limit c of f ~ c exp(-+ i s phi) at the north (south) pole, from f's analysis.
 
-    The surviving azimuthal dependence at the pole is a pure phase fixed
-    by the spin weight; it is stripped, the three nearest rings are
-    averaged, and the ring means are extrapolated to the pole in the
-    variable u = 1 -+ cos(theta), which is quadratic in the polar
-    distance and makes a three-point fit accurate.  Returns the limit
-    and a residual bounding both ring anisotropy and fit inconsistency.
+    With A = transform.analysis_matrix(f) at T = min(grid band, J_MAX),
+    the limit is sum A[m + T, j] p_{sjm}(theta_pole) over the pole's
+    modes.pole_table, whose one nonzero row is m = -s (north) or m = s
+    (south): exact to rounding for every f band-limited at T.  Returns the
+    limit and the band residual max |f - synthesis of A| over the nodes,
+    the part of f that A does not hold, in sample units; the limit is
+    exact only where that residual is at rounding level.
     """
-    grid = f.grid
-    if grid.n_theta < 3:
-        raise InsufficientNodes("pole extrapolation needs at least 3 colatitude rings")
-    s = f.spin_weight
-    if pole_name(pole) == NORTH:
-        idx = [0, 1, 2]
-        u = 1.0 - np.cos(grid.theta[idx])
-        phase = np.exp(1j * s * grid.phi)
-    else:
-        n = grid.n_theta
-        idx = [n - 1, n - 2, n - 3]
-        u = 1.0 + np.cos(grid.theta[idx])
-        phase = np.exp(-1j * s * grid.phi)
-    rings = f.samples[idx, :] * phase[None, :]
-    means = rings.mean(axis=1)
-    # Lagrange weights for extrapolation to u = 0.
-    w = np.empty(3)
-    for k in range(3):
-        others = [u[l] for l in range(3) if l != k]
-        w[k] = (others[0] * others[1]) / ((others[0] - u[k]) * (others[1] - u[k]))
-    limit = complex(np.dot(w, means))
-    g0 = np.einsum("k,kp->p", w, rings)
-    residual = float(np.abs(g0 - limit).max())
-    return limit, residual
+    from .tables import mode_synthesis
+    from .transform import analysis_matrix
+
+    pole = pole_name(pole)  # before the analysis
+    a = analysis_matrix(f, min(f.grid.band_limit, J_MAX))
+    table = pole_table(f.spin_weight, a.shape[1] - 1, pole)
+    residual = np.abs(f.samples - mode_synthesis(f.grid, f.spin_weight, a)).max()
+    return complex(np.sum(a * table)), float(residual)
 
 
 def write_grid_csv(f, path):

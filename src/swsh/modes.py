@@ -22,10 +22,14 @@ evaluation of the closed-form sum; check_j_supported holds it, with one
 message form, at the public entries: validate_mode, CoefficientSet (its
 declared band), mode_coefficients (an analysis band) and every table
 build.  NODES_MAX caps each node count of a grid, n_theta and n_phi;
-SphereGrid checks it before it builds a node.  Evaluation refuses the
-poles; the finite limiting data there lives exclusively in
-eval_swsh_pole_limit, because as plain functions the modes are singular
-at theta = 0, pi even though the objects they describe are not.
+SphereGrid checks it before it builds a node.  MULTIPLET_J_MAX caps the
+j_max of a multiplet spectrum, an orbital search range and a
+factor-search window; multiplets.py checks it, through
+errors.check_multiplet_j, before it builds anything.  Evaluation refuses the
+poles, because as plain functions the modes are singular at theta = 0, pi
+even though the objects they describe are not.  The finite limiting data
+there comes two independent ways: eval_swsh_pole_limit's closed form, and
+pole_table, the climb itself at theta = 0 or pi from exact pole seeds.
 """
 
 import math
@@ -33,10 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORTH, DomainError, InvalidMode, UnsupportedOrder, pole_name
+from .errors import MULTIPLET_J_MAX, NORTH, DomainError, InvalidMode, UnsupportedOrder, pole_name
 
 J_MAX = 64
 NODES_MAX = 2**13 + 1
+# MULTIPLET_J_MAX = 1024 (declared in errors.py): every multiplet entry costs
+# O(j_max) time and memory; the costliest, verify spectrum-match -j 1024, took
+# 26 ms and a 0.7 MB tracemalloc peak, where an uncapped j_max = 1e308 was killed.
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,9 @@ def _seeds(s, m, theta):
     +-exp(lead) c^e1 h^e2, c = cos(theta/2), h = sin(theta/2), e1 = 2q + s - m,
     e2 = 2 j0 - e1, and exp(2 lead) = (2 j0 + 1) binomial(2 j0, j0 + a) / (4 pi),
     a the smaller of s, m in magnitude; the exact binomial keeps the lead to
-    rounding, where log-factorials would lose 1e-13 at j0 = 64.
+    rounding, where log-factorials would lose 1e-13 at j0 = 64.  At theta = 0
+    (h = 0) and pi (c = 0) the half-angle factor is c^e1 h^e2 with 0^0 = 1,
+    where the logs would read 0 * log 0 = NaN; elsewhere the two agree.
     """
     j = np.maximum(np.abs(m), np.abs(s))
     q = np.maximum(0, m - s)
@@ -108,7 +117,10 @@ def _seeds(s, m, theta):
     lead = 0.5 * np.log([math.comb(2 * k, k + b) * (2 * k + 1) / (4 * math.pi) for k, b in pairs])
     sign = np.where((j - q - s - m) % 2, -1.0, 1.0)[:, None]
     c, h = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    return j, sign * np.exp(lead[:, None] + e1 * np.log(c) + e2 * np.log(h))
+    zero_c, zero_h = theta == math.pi, theta == 0.0  # cos(pi / 2) is 6e-17, not 0
+    log_c, log_h = np.log(np.where(zero_c, 1.0, c)), np.log(np.where(zero_h, 1.0, h))
+    vanish = (zero_c & (e1 > 0)) | (zero_h & (e2 > 0))
+    return j, np.where(vanish, 0.0, sign * np.exp(lead[:, None] + e1 * log_c + e2 * log_h))
 
 
 def _climb(s, m, theta, L, table=None):
@@ -243,3 +255,18 @@ def eval_swsh_pole_limit(mode, pole):
     if mode.m != mode.s:
         return 0.0 + 0.0j
     return complex((-1.0 if mode.j % 2 else 1.0) * amp)
+
+
+def pole_table(s, L, pole):
+    """[m + L, j] = p_{sjm} at the pole's colatitude, theta = 0 (north) or pi (south), j <= L: one climb.
+
+    The rows (s, m), m = -L..L, climb from _seeds' exact pole values, so
+    the table is the recurrence's own pole data, independent of
+    eval_swsh_pole_limit: only row m = -s (north) or m = s (south) is
+    nonzero, and entries with no mode are zero.  L lies in [0, J_MAX].
+    """
+    theta = np.array([0.0 if pole_name(pole) == NORTH else math.pi])
+    ms = np.arange(-L, L + 1)
+    table = np.zeros((ms.size, L + 1, 1))
+    _climb(np.full_like(ms, s), ms, theta, L, table)
+    return table[..., 0]

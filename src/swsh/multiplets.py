@@ -14,14 +14,16 @@ answer need not be unique, even without a cutoff: the massless helicity-1
 tower factors exactly over both l in {0, 3, 6, ...} and l in {2, 5, 8, ...}.
 
 mode_counts gives the number of transform modes at each j, the count the
-massless spectra are checked against.  Nothing here needs numpy.
+massless spectra are checked against.  Every j_max, l_max and search
+window is at most MULTIPLET_J_MAX, checked before anything is built.
+Nothing here needs numpy.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
 
-from .errors import NegativeSpin, SearchBudgetExceeded, as_integer
+from .errors import NegativeSpin, SearchBudgetExceeded, as_integer, check_multiplet_j
 from .serial import json_dumps
 
 
@@ -135,6 +137,7 @@ def spectrum_tensor(sa, sb):
 def massless_spectrum(h, j_max):
     """One multiplet per j >= |h|: V_|h| + V_(|h|+1) + ..., truncated."""
     h, j_max = abs(as_integer(h, "h")), as_integer(j_max, "j_max")
+    check_multiplet_j(j_max, f"j_max={j_max}")
     if j_max < h:
         raise ValueError(f"j_max={j_max} is below |h|={h}")
     return spectrum({j: 1 for j in range(h, j_max + 1)}, j_max)
@@ -143,6 +146,7 @@ def massless_spectrum(h, j_max):
 def massive_spectrum(s, j_max):
     """Massive spin-s tower: (2j+1) V_j below j=s, then (2s+1) V_j, truncated."""
     s, j_max = as_integer(s, "s"), as_integer(j_max, "j_max")
+    check_multiplet_j(j_max, f"j_max={j_max}")
     if s < 0:
         raise NegativeSpin(f"s={s} is negative")
     if j_max < 0:
@@ -174,7 +178,8 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
     branch_limit raises SearchBudgetExceeded before anything is
     enumerated.
 
-    a, l_max, max_mult and branch_limit must be integers, or ValueError.
+    a, l_max, max_mult and branch_limit must be integers, or ValueError;
+    an l_max, or a window, past MULTIPLET_J_MAX is refused before the walk.
     Returns complete spectra, deterministically ordered.
     """
     a = as_integer(a, "a")
@@ -184,6 +189,7 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
         raise TypeError("target must be a MultipletSpectrum")
     if l_max is not None:
         l_max = as_integer(l_max, "l_max")
+        check_multiplet_j(l_max, f"l_max={l_max}")
     max_mult, branch_limit = as_integer(max_mult, "max_mult"), as_integer(branch_limit, "branch_limit")
     if max_mult < 1:
         raise ValueError(f"max_mult must be positive, got {max_mult}")
@@ -204,6 +210,7 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
         return []
     if target.complete and target.max_j() > window:
         return []  # content beyond what any admitted orbital factor can reach
+    check_multiplet_j(window, f"factor search window j <= {window}")  # a default l_max, a or cutoff
 
     want = [target.multiplicities.get(j, 0) for j in range(window + 1)]
     delta = want[:1] + [want[j] - want[j - 1] for j in range(1, window + 1)]
@@ -253,8 +260,9 @@ def factor_search(target, a, l_max=None, max_mult=3, branch_limit=64):
 
 def mode_counts(spin_weight, j_max):
     """Number of independent modes at each j up to j_max."""
-    s = abs(as_integer(spin_weight, "spin weight"))
-    return {j: (2 * j + 1 if j >= s else 0) for j in range(as_integer(j_max, "j_max") + 1)}
+    s, j_max = abs(as_integer(spin_weight, "spin weight")), as_integer(j_max, "j_max")
+    check_multiplet_j(j_max, f"j_max={j_max}")
+    return {j: (2 * j + 1 if j >= s else 0) for j in range(j_max + 1)}
 
 
 def spectrum_to_json(sp):

@@ -12,8 +12,9 @@ grid, so repeated runs produce identical bytes.
 A CoefficientSet holds its amplitudes in the same dense A[m + L, j]
 matrix the contractions read and write, so analyze wraps its result and
 synthesize reads the set without a per-entry step.  Coefficients with
-magnitude below 1e-13 are stored as exact zeros, and so are NaN amplitudes
-given in a mapping; analyze refuses non-finite samples.  The sparse
+magnitude below 1e-13 are stored as exact zeros; an infinite or NaN
+amplitude given in a mapping is refused by its (j, m), and analyze refuses
+non-finite samples.  The sparse
 (j, m) -> amplitude view lists the nonzero coefficients and is built on
 first use.  A mapping's labels are looked up, all in one pass, in a
 cached index of the modes of its band and spin, which gives each its flat
@@ -61,8 +62,9 @@ class CoefficientSet:
     (j < |s| or |m| > j) are zero.  entries is the read-only sparse view,
     (j, m) -> complex amplitude for every nonzero coefficient, in order of
     j then m.  The constructor takes such a mapping; its keys must satisfy
-    |s| <= j <= band_limit and |m| <= j.  Missing keys mean zero, and
-    amplitudes below COEFF_CLIP or NaN are dropped.
+    |s| <= j <= band_limit and |m| <= j.  Missing keys mean zero,
+    amplitudes below COEFF_CLIP are dropped, and an infinite or NaN one is
+    refused.
     """
 
     spin_weight: int
@@ -120,8 +122,9 @@ def _entry_matrix(s, L, entries):
     labels fails to be a real number only if some label is complex (or a
     Decimal, which numbers.Real does not register); such a set, and one
     with a label the index lacks, takes _walk_cells, which accepts it or
-    raises the first fault.  Then an infinite amplitude is refused by its
-    (j, m), and amplitudes below COEFF_CLIP, and NaN, become zero.
+    raises the first fault.  Then the first amplitude that is not finite
+    is refused by its (j, m), as infinite or NaN, and amplitudes below
+    COEFF_CLIP become zero.
     """
     index = _label_index(abs(s), L)
     try:
@@ -133,9 +136,11 @@ def _entry_matrix(s, L, entries):
         cells = _walk_cells(s, L, entries)
     # through complex(), since fromiter alone would also read bytes
     amps = np.fromiter(map(complex, entries.values()), np.complex128, len(entries))
-    if np.isinf(amps).any():
-        j, m = list(entries)[np.isinf(amps).argmax()]
-        raise ValueError(f"amplitude of mode (j={j}, m={m}) is infinite")
+    bad = ~np.isfinite(amps)
+    if bad.any():
+        k = bad.argmax()
+        j, m = list(entries)[k]
+        raise ValueError(f"amplitude of mode (j={j}, m={m}) is {'infinite' if np.isinf(amps[k]) else 'NaN'}")
     out = np.zeros((2 * L + 1) * (L + 1), dtype=np.complex128)
     out[cells] = _clip(amps)
     return out.reshape(2 * L + 1, L + 1)

@@ -1,6 +1,6 @@
 """Print one sha256 per swsh CLI case, to compare two checkouts' outputs byte for byte.
 
-    python tests/cli_digests.py [--src DIR | --rev REV]
+    python tests/cli_digests.py [--src DIR | --rev REV] [--rss]
 
 Each case runs its swsh commands, in order, in a fresh temporary
 directory, with DIR (default: the src directory next to this file) first
@@ -10,8 +10,11 @@ of this checkout, exported by git archive into a temporary directory, so
 covers every command's stdout, stderr and exit code and then every file
 the directory holds at the end, by name and content.  Run it against two
 checkouts and diff the output: equal lines mean byte-identical behavior
-on that case.  pytest does not collect this file, since its name does
-not start with test_.
+on that case.  With --rss, each line gives the case's peak resident set
+size in place of its digest: the largest ru_maxrss of its commands, each
+read by os.wait4 as that one child is reaped, so it shows which command
+sets a cold CLI run's memory peak.  pytest does not collect this file,
+since its name does not start with test_.
 
 The cases: every verify suite at its defaults and with -s -2 and 2,
 eval at a point, at a pole, at a non-finite phi (refused) and on a grid,
@@ -31,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
+SWSH = [sys.executable, "-c", "import sys; from swsh.cli import main; sys.exit(main())"]
 SUITES = ("ortho", "ladder", "casimir", "lemma", "commutators", "poles", "spectrum-match", "pointop")
 
 
@@ -77,23 +81,34 @@ def _cases():
     return cases
 
 
+def run_measured(cmd, cwd=None, env=None):
+    """(stdout, stderr, exit code, peak RSS in MB) of one child: its own ru_maxrss, read by os.wait4, over 1024, as perfbench reads peak_rss_mb."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen waits for nothing
+        out.seek(0)
+        err.seek(0)
+        return out.read(), err.read(), child.returncode, usage.ru_maxrss / 1024.0
+
+
 def _digest(commands, src):
+    """The case's sha256 and its peak RSS in MB, the largest of its commands'."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     h = hashlib.sha256()
+    peak = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in SPARSE.items():
             Path(tmp, name).write_text(text + "\n")
         for argv in commands:
-            run = subprocess.run(
-                [sys.executable, "-c", "import sys; from swsh.cli import main; sys.exit(main())", *argv],
-                cwd=tmp, env=env, capture_output=True,
-            )
-            for part in (" ".join(argv).encode(), run.stdout, run.stderr, str(run.returncode).encode()):
+            stdout, stderr, code, rss = run_measured(SWSH + argv, cwd=tmp, env=env)
+            peak = max(peak, rss)
+            for part in (" ".join(argv).encode(), stdout, stderr, str(code).encode()):
                 h.update(len(part).to_bytes(8, "little") + part)
         for path in sorted(Path(tmp).iterdir()):
             data = path.read_bytes()
             h.update(path.name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
-    return h.hexdigest()
+    return h.hexdigest(), peak
 
 
 def add_source_options(parser):
@@ -123,11 +138,13 @@ def source_dir(args, parser, tmp):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     add_source_options(parser)
+    parser.add_argument("--rss", action="store_true", help="print each case's peak RSS in place of its digest")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         src = source_dir(args, parser, tmp)
         for name, commands in _cases().items():
-            print(f"{_digest(commands, src)}  {name}", flush=True)
+            digest, peak = _digest(commands, src)
+            print(f"{peak:8.2f} MB  {name}" if args.rss else f"{digest}  {name}", flush=True)
     return 0
 
 

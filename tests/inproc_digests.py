@@ -31,7 +31,8 @@ the bundle-lemma benchmark's sizes: |h| = 1 at band 5 on make_grid(10), |h| = 2 
 on make_grid(8); then apply_grid of every operator kind at the
 envelope's band 64 for spin weights 0 and +-2; last, for every spin weight, one
 function on the band-12 grid analyzed at every band from 12 down to 0
-and back up, and one set synthesized at every band.
+and back up, and one set synthesized at every band; then, for every spin
+weight, both pole limits of one function on the band-12 grid.
 """
 
 import argparse
@@ -153,6 +154,14 @@ def _band_sweep_cases(swsh, rng):
             yield f"s={s} synthesize at L={band}", [g.samples]
 
 
+def _pole_cases(swsh, rng):
+    grid = swsh.make_grid(BAND)
+    for s in SPINS:
+        f = swsh.synthesize(swsh.coefficient_set(s, BAND, _entries(rng, s, BAND)), grid)
+        limits = [swsh.pole_limit_extrapolate(f, pole)[0] for pole in (swsh.NORTH, swsh.SOUTH)]
+        yield f"s={s} pole limits at L={BAND}", [np.array(limits)]
+
+
 def _load(src):
     """The swsh package imported from src, after dropping any swsh module imported before."""
     for name in [name for name in sys.modules if name == "swsh" or name.startswith("swsh.")]:
@@ -171,7 +180,7 @@ def _cases(src):
     """(name, arrays) of every case, in order, on swsh from src and one generator seeded the same every run."""
     swsh, rng = _load(src), np.random.default_rng(11)
     for cases in (_transform_cases, _bundle_cases, _point_cases, _embedding_cases, _benchmark_size_cases,
-                  _envelope_cases, _band_sweep_cases):
+                  _envelope_cases, _band_sweep_cases, _pole_cases):
         yield from cases(swsh, rng)
 
 

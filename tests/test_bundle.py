@@ -188,7 +188,7 @@ def test_frame_m_vector_is_null_and_transverse():
 
 def test_embedded_mode_is_smooth_at_the_pole():
     # The scalar (-1, 1, 1) diverges in phase at the north pole, but its
-    # embedding does not: every ambient component extrapolates to a finite
+    # embedding does not: every ambient component has a finite
     # directional limit, x and y to c_N/sqrt(2) and i*c_N/sqrt(2).
     grid = make_grid(64)
     sec = embed(sample_swsh(grid, SWMode(-1, 1, 1)))
@@ -199,9 +199,8 @@ def test_embedded_mode_is_smooth_at_the_pole():
         limit, resid = pole_limit_extrapolate(comp, NORTH)
         assert np.isfinite(limit)
         assert abs(limit - want[axis]) <= 1e-12
-        # z vanishes at the pole only in the ring mean; its spread stays
-        # O(theta_0) because sin(theta) is not polynomial in 1 - cos(theta)
-        assert resid <= (0.05 if axis == 2 else 1e-12)
+        # every component is band-limited, so its analysis holds all of it
+        assert resid <= 1e-12
 
 
 # -------------------------------------------------------------- section algebra

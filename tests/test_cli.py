@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import swsh.grid
+import swsh.modes
 import swsh.tables
 from swsh import cli, operators
 from swsh.cli import main
@@ -27,6 +28,7 @@ from swsh.transform import (
     write_coefficients_json,
 )
 
+from cli_digests import SWSH, run_measured
 from conftest import random_entries
 
 
@@ -386,6 +388,46 @@ def test_verify_accepts_a_zero_tolerance(capsys):
     assert report_of(out)["parameters"]["tolerance"] == 0.0
 
 
+@pytest.mark.parametrize("j", [2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("s", [-2, -1, 0, 1, 2])
+def test_verify_poles_passes_across_the_envelope(capsys, s, j):
+    # the three-ring fit on a band-256 grid failed from j = 16 on
+    code, out, _ = run(capsys, "verify", "poles", "-s", str(s), "-j", str(j))
+    report = report_of(out)
+    assert code == 0 and report["pass"] is True
+    assert report["results"]["modes"] == 2 * j + 1
+    assert report["maxResidual"] < 1e-13
+
+
+def test_verify_poles_fails_with_a_wrong_sign_in_the_closed_form(capsys, monkeypatch):
+    def flipped(mode, pole):
+        value = exact(mode, pole)
+        return -value if (mode.j, pole) == (3, "south") else value
+
+    exact = swsh.modes.eval_swsh_pole_limit
+    monkeypatch.setattr(swsh.modes, "eval_swsh_pole_limit", flipped)
+    code, out, _ = run(capsys, "verify", "poles", "-s", "-1", "-j", "3")
+    report = report_of(out)
+    assert code == 1 and report["pass"] is False
+    # both paths are compared with the flipped closed form, so both see it
+    assert min(report["results"]["climbResidual"], report["results"]["sampledResidual"]) > 1.0
+
+
+def test_verify_poles_fails_with_a_wrong_sign_in_one_pole_seed(capsys, monkeypatch):
+    def flipped(s, m, theta):
+        j0, seeds = seeds_of(s, m, theta)
+        if theta.tolist() == [0.0]:  # the north pole seed of row (s, m) = (-1, 1) only
+            seeds = np.where(((s == -1) & (m == 1))[:, None], -seeds, seeds)
+        return j0, seeds
+
+    seeds_of = swsh.modes._seeds
+    monkeypatch.setattr(swsh.modes, "_seeds", flipped)
+    code, out, _ = run(capsys, "verify", "poles", "-s", "-1", "-j", "4")
+    report = report_of(out)
+    assert code == 1 and report["pass"] is False
+    assert min(report["results"]["climbResidual"], report["results"]["sampledResidual"]) > 1.0
+
+
 @pytest.mark.parametrize("s, j", [(0, -1), (-1, -3)])
 def test_verify_poles_refuses_a_negative_j_before_sampling(capsys, monkeypatch, s, j):
     # a j < 0 leaves no m to check, which once passed with residual 0.0
@@ -576,7 +618,7 @@ def test_verify_every_suite_takes_a_seed_and_its_own_flags(capsys, monkeypatch, 
         ("casimir", {"s": -1, "L": 10, "tolerance": 1e-11}),
         ("lemma", {"s": -1, "h": 1, "band": 8, "sections": 5, "tolerance": 1e-05}),
         ("commutators", {"s": -1, "h": 1, "band": 8, "sections": 10, "tolerance": 1e-05}),
-        ("poles", {"s": -1, "j": 2, "grid_L": 256, "tolerance": 1e-08}),
+        ("poles", {"s": -1, "j": 2, "tolerance": 1e-08}),
         ("spectrum-match", {"jMax": 20, "spins": [0, 1, 2, 3], "tolerance": 0.0}),
         ("pointop", {"s": -1, "h": 1, "band": 8, "tolerance": 1e-10}),
     ],
@@ -685,15 +727,19 @@ def test_multiplets_negative_branch_limit_exits_2(capsys):
 
 # ------------------------------------------------------------------ subprocess
 
-def run_child(*args):
-    """A fresh interpreter's run of args, on this checkout's swsh whether or not a copy is installed."""
+def child_env():
+    """The environment with this checkout's src first on PYTHONPATH, whether or not a copy of swsh is installed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def run_child(*args):
+    """A fresh interpreter's run of args, on this checkout's swsh."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
 
 
@@ -751,7 +797,6 @@ def test_verify_ortho_loads_no_bundle_or_multiplets():
     "argv",
     [
         ["eval", "-s", "-1", "-j", "2", "-m", "1", "--grid", "24", "--out", os.devnull],
-        ["verify", "poles"],
     ],
 )
 def test_point_and_grid_evaluation_load_no_tables(argv):
@@ -762,13 +807,31 @@ def test_point_and_grid_evaluation_load_no_tables(argv):
     assert "numpy.polynomial" not in loaded
 
 
-def test_verify_ladder_loads_no_numpy_random():
-    # its test function is built from fixed amplitudes, not drawn
-    if "numpy.random" in modules_loaded_by("import numpy"):
+@pytest.fixture(scope="module")
+def numpy_alone():
+    """The modules a fresh interpreter holds after import numpy."""
+    return modules_loaded_by("import numpy")
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_every_verify_suite_at_its_defaults_loads_no_numpy_random(numpy_alone, suite):
+    # the seeded suites draw from the standard library's random.Random;
+    # the others draw nothing
+    if "numpy.random" in numpy_alone:
         pytest.skip("this numpy imports numpy.random with numpy")
-    loaded = modules_loaded_by_main("verify", "ladder", "-s", "-1", "-j", "3")
-    assert "swsh.operators" in loaded
-    assert "numpy.random" not in loaded
+    assert "numpy.random" not in modules_loaded_by_main("verify", suite)
+
+
+def test_cold_verify_suites_peak_within_6_mb_of_a_bare_numpy_import():
+    # cli-cold's arguments; the bare import is measured in the same test,
+    # so the bound does not depend on the host.  numpy.random alone costs
+    # about 6 MB, and verify poles once built a band-256 grid
+    base = run_measured([sys.executable, "-c", "import numpy"], env=child_env())[3]
+    for argv in (["pointop", "-s", "-1", "--seed", "3"], ["casimir", "-s", "-1", "--seed", "3"],
+                 ["poles", "-s", "-1"]):
+        _, err, code, peak = run_measured(SWSH + ["verify", *argv], env=child_env())
+        assert code == 0, err
+        assert peak < base + 6.0, (argv, peak, base)
 
 
 def test_bare_package_import_loads_no_numeric_module():

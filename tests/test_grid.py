@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from swsh.grid import (
 )
 from swsh.modes import SWMode, eval_swsh_pole_limit, profile
 from swsh.tables import _tables, mode_table
+from swsh.transform import coefficient_set, synthesize
 
 from conftest import random_entries
 
@@ -244,6 +246,24 @@ def test_inner_product_mismatches():
         inner_product(f, h)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300])
+def test_inner_product_and_norm_refuse_a_result_that_is_not_finite(bad):
+    # one NaN or infinite sample, or a finite one whose square overflows:
+    # DomainError, where both once returned nan with a RuntimeWarning
+    g = make_grid(4)
+    samples = np.ones(g.shape, dtype=complex)
+    samples[1, 2] = bad
+    f, ok = GridFunction(g, 0, samples), sample_swsh(g, SWMode(0, 1, 0))
+    calls = [lambda: inner_product(f, f), lambda: norm(f)]
+    if not math.isfinite(bad):  # against a unit mode, 1e300 is a finite product
+        calls.append(lambda: inner_product(ok, f))
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^inner product is \(nan\+nanj\): a sample is not finite"):
+                call()
+
+
 def test_grid_function_validation():
     g = make_grid(4)
     with pytest.raises(ValueError):
@@ -378,23 +398,23 @@ def test_pole_extrapolation_single_modes():
     g = make_grid(64)
     f = sample_swsh(g, SWMode(-1, 1, 1))
     c, resid = pole_limit_extrapolate(f, NORTH)
-    assert c == pytest.approx(-math.sqrt(3 / (4 * math.pi)), abs=1e-8)
-    assert resid < 1e-8
+    assert c == pytest.approx(-math.sqrt(3 / (4 * math.pi)), abs=1e-14)
+    assert resid < 1e-14
 
 
 def test_pole_extrapolation_null_mode():
-    # m != h: the limit vanishes; the phi spread stays O(theta_0) by design,
-    # showing the mode approaches zero rather than a constant section value
+    # m != -s: the limit vanishes, and the mode is band-limited, so the
+    # band residual is at rounding level
     g = make_grid(64)
     f = sample_swsh(g, SWMode(-1, 2, 0))
     c, resid = pole_limit_extrapolate(f, NORTH)
-    assert abs(c) < 1e-8
-    assert resid < 0.1
+    assert abs(c) < 1e-14
+    assert resid < 1e-14
 
 
 def test_pole_extrapolation_linearity(rng):
     # superposition limit equals the sum of per-mode limits
-    g = make_grid(128)
+    g = make_grid(3)
     modes = [SWMode(-1, 1, 1), SWMode(-1, 2, 1), SWMode(-1, 3, 1), SWMode(-1, 2, -1)]
     amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
     total = np.zeros(g.shape, dtype=complex)
@@ -407,9 +427,32 @@ def test_pole_extrapolation_linearity(rng):
     f = GridFunction(g, -1, total)
     got_n, res_n = pole_limit_extrapolate(f, NORTH)
     got_s, res_s = pole_limit_extrapolate(f, SOUTH)
-    assert got_n == pytest.approx(want_n, abs=1e-8)
-    assert got_s == pytest.approx(want_s, abs=1e-8)
-    assert max(res_n, res_s) < 1e-8  # all phi content matches the pole phase
+    assert got_n == pytest.approx(want_n, abs=1e-14)
+    assert got_s == pytest.approx(want_s, abs=1e-14)
+    assert max(res_n, res_s) < 1e-14  # the sum is band-limited at the grid's band
+
+
+@pytest.mark.parametrize("s", [-2, -1, 0, 1, 2])
+def test_pole_limit_of_a_random_band_64_function_is_exact(rng, s):
+    # every mode of the envelope's band at once: the limit is the sum of
+    # the closed-form limits, where the three-ring fit read errors up to 3
+    L = 64
+    entries = {(j, m): complex(rng.normal(), rng.normal())
+               for j in range(abs(s), L + 1) for m in range(-j, j + 1)}
+    f = synthesize(coefficient_set(s, L, entries), make_grid(L))
+    for pole in (NORTH, SOUTH):
+        want = sum(a * eval_swsh_pole_limit(SWMode(s, j, m), pole) for (j, m), a in entries.items())
+        limit, resid = pole_limit_extrapolate(f, pole)
+        assert abs(limit - want) <= 1e-12 * abs(want)
+        assert resid < 1e-13 * np.abs(f.samples).max()
+
+
+def test_pole_limit_reads_the_envelope_band_on_a_finer_grid():
+    # a grid past J_MAX is analyzed at J_MAX, which holds every mode of the envelope
+    mode = SWMode(2, 7, -2)
+    limit, resid = pole_limit_extrapolate(sample_swsh(make_grid(80), mode), NORTH)
+    assert limit == pytest.approx(eval_swsh_pole_limit(mode, NORTH), abs=1e-14)
+    assert resid < 1e-14
 
 
 @pytest.mark.parametrize("name, pole", [("North", NORTH), (" SOUTH ", SOUTH), ("east", None)])
@@ -427,15 +470,20 @@ def test_both_pole_functions_read_a_pole_name_alike(name, pole):
         assert eval_swsh_pole_limit(mode, name) == eval_swsh_pole_limit(mode, pole)
 
 
-def test_pole_extrapolation_needs_three_rings():
+def test_pole_limit_on_a_two_ring_grid_is_exact():
+    # the limit reads the analysis, not the rings nearest the pole, so
+    # two rings are enough: p_{0,1,0} is +-sqrt(3 / 4 pi) at the poles
     g = make_grid(1, n_theta=2, n_phi=3)
     f = sample_swsh(g, SWMode(0, 1, 0))
-    with pytest.raises(InsufficientNodes):
-        pole_limit_extrapolate(f, NORTH)
+    amp = math.sqrt(3 / (4 * math.pi))
+    for pole, want in ((NORTH, amp), (SOUTH, -amp)):
+        limit, resid = pole_limit_extrapolate(f, pole)
+        assert limit == pytest.approx(want, abs=1e-15) and resid < 1e-15
 
 
 def test_pole_extrapolation_flags_non_sections():
-    # a spin-weight -1 pattern that is NOT smooth at the pole: constant 1
+    # a spin-weight -1 pattern that is NOT band-limited: constant 1, whose
+    # analysis misses a large part of it
     g = make_grid(64)
     f = GridFunction(g, -1, np.ones(g.shape, dtype=complex))
     _, resid = pole_limit_extrapolate(f, NORTH)

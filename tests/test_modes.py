@@ -18,10 +18,13 @@ from scipy.special import lpmv
 from swsh.errors import NORTH, SOUTH, DomainError, InvalidMode, UnsupportedOrder
 from swsh.grid import make_grid, sample_swsh
 from swsh.modes import (
+    J_MAX,
     SWMode,
+    _seeds,
     eval_swsh,
     eval_swsh_dtheta,
     eval_swsh_pole_limit,
+    pole_table,
     profile,
 )
 
@@ -348,6 +351,48 @@ def test_pole_limit_zero_off_pattern():
     for m in (-2, 0, 2):
         if m != -1:
             assert eval_swsh_pole_limit(SWMode(-1, 2, m), SOUTH) == 0
+
+
+@pytest.mark.parametrize("s", [-2, -1, 0, 1, 2])
+def test_the_climb_at_the_poles_is_the_closed_form(s):
+    # pole_table climbs from the exact pole seeds; every mode up to the
+    # envelope, the zeros off m = -+s included, against eval_swsh_pole_limit
+    for pole in (NORTH, SOUTH):
+        table = pole_table(s, J_MAX, pole)
+        want = np.zeros_like(table)
+        for j in range(abs(s), J_MAX + 1):
+            for m in range(-j, j + 1):
+                want[m + J_MAX, j] = eval_swsh_pole_limit(SWMode(s, j, m), pole).real
+        scale = np.sqrt((2 * np.arange(J_MAX + 1) + 1) / (4 * math.pi))
+        assert np.abs(table - want).max(axis=0).max() <= 1e-14 * scale.max()
+        assert (np.abs(table - want) <= 1e-14 * scale).all()
+        assert np.count_nonzero(table) == J_MAX + 1 - abs(s)
+
+
+def test_interior_seeds_keep_the_bytes_of_the_log_form():
+    # the pole branch of _seeds changes no interior value by a bit
+    theta = np.linspace(1e-3, math.pi - 1e-3, 41)
+    s, m = np.repeat(np.arange(-2, 3), 9), np.tile(np.arange(-4, 5), 5)
+    j0, seeds = _seeds(s, m, theta)
+    q = np.maximum(0, m - s)
+    e1, e2 = (2 * q + s - m)[:, None], (2 * j0 - 2 * q - s + m)[:, None]
+    a = np.where(np.abs(m) >= np.abs(s), s, m)
+    lead = 0.5 * np.log([math.comb(2 * k, k + b) * (2 * k + 1) / (4 * math.pi)
+                         for k, b in zip(j0.tolist(), a.tolist())])
+    sign = np.where((j0 - q - s - m) % 2, -1.0, 1.0)[:, None]
+    c, h = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    want = sign * np.exp(lead[:, None] + e1 * np.log(c) + e2 * np.log(h))
+    assert seeds.tobytes() == want.tobytes()
+
+
+def test_pole_seeds_take_zero_to_the_zero_as_one():
+    # c^e1 h^e2 at theta = 0 (h = 0) and pi (c = 0): finite, and nonzero
+    # exactly where the vanishing half-angle's exponent is 0
+    s, m = np.repeat(np.arange(-2, 3), 5), np.tile(np.arange(-2, 3), 5)
+    with np.errstate(all="raise"):
+        _, seeds = _seeds(s, m, np.array([0.0, math.pi]))
+    assert ((seeds[:, 0] != 0) == (m == -s)).all()
+    assert ((seeds[:, 1] != 0) == (m == s)).all()
 
 
 def test_pole_name_validation():

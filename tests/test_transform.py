@@ -257,21 +257,30 @@ def test_infinite_amplitudes_are_refused_naming_their_mode():
         coefficients_from_json(text)
 
 
-def test_nan_amplitudes_are_dropped():
+def test_nan_amplitudes_are_refused_naming_their_mode():
+    # as an infinite one is: by the label index and by the label walk
+    # (Decimal labels), alone or after good entries, and through the JSON
+    # reader; a NaN amplitude was once dropped silently
     nan = float("nan")
-    c = coefficient_set(0, 4, {(1, 0): nan, (2, 1): complex(1.0, nan), (3, -1): 2.0})
-    assert c.sorted_items() == [((3, -1), 2.0 + 0j)]
-    assert c == c
+    for amp in (nan, complex(1.0, nan), complex(nan, 0.0)):
+        for label in ((1, 0), (Decimal(1), Decimal(0))):
+            for before in ({}, {(2, 1): 1.0, (3, -2): 2.0j}):
+                with pytest.raises(ValueError, match=r"^amplitude of mode \(j=1, m=0\) is NaN$"):
+                    coefficient_set(0, 4, {**before, label: amp})
     text = json.dumps({
         "spin_weight": 0,
         "band_limit": 4,
         "entries": [
-            {"j": 1, "m": 0, "re": nan, "im": 0.0},
             {"j": 3, "m": -1, "re": 2.0, "im": 0.0},
+            {"j": 1, "m": 0, "re": nan, "im": 0.0},
         ],
     })
-    assert coefficients_from_json(text) == c
-    assert np.all(np.isfinite(synthesize(coefficients_from_json(text), make_grid(4)).samples))
+    assert "NaN" in text
+    with pytest.raises(ValueError, match=r"^amplitude of mode \(j=1, m=0\) is NaN$"):
+        coefficients_from_json(text)
+    # the first amplitude that is not finite is the one named
+    with pytest.raises(ValueError, match=r"^amplitude of mode \(j=2, m=1\) is infinite$"):
+        coefficient_set(0, 4, {(3, -1): 2.0, (2, 1): float("inf"), (1, 0): nan})
 
 
 def test_analyze_refuses_non_finite_samples():
